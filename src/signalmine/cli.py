@@ -78,13 +78,10 @@ def _seed_option():
 @click.version_option(__version__)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="JSON file supplying option defaults.")
-@click.option("--threads", type=click.IntRange(min=1), default=1,
-              help="Upper bound on worker threads.")
 @click.pass_context
-def main(ctx: click.Context, config_path: str | None, threads: int) -> None:
+def main(ctx: click.Context, config_path: str | None) -> None:
     """Mine signal tuples, render prompted examples, mix datasets, evaluate."""
     ctx.ensure_object(dict)
-    ctx.obj["threads"] = threads
     ctx.obj["config"] = {}
     if config_path:
         try:

@@ -22,6 +22,9 @@ DIGEST_ALGORITHM = "sha256"
 MANIFEST_NAME = "manifest.json"
 STATS_NAME = "stats.tsv"
 
+# one encoder for every record; json.dumps would build one per call
+_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
 
 class IntegrityError(Exception):
     """Bundle contents do not match their recorded digest."""
@@ -62,10 +65,7 @@ def write_bundle(
     per_signal: dict[str, int] = {}
     per_file_counts: dict[str, int] = {}
     for name, examples in streams.items():
-        body = "".join(
-            json.dumps(example_to_record(ex), ensure_ascii=False, sort_keys=True) + "\n"
-            for ex in examples
-        )
+        body = "".join(_RECORD_ENCODER.encode(example_to_record(ex)) + "\n" for ex in examples)
         files[name] = body.encode("utf-8")
         per_file_counts[name] = len(examples)
         for ex in examples:

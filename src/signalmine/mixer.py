@@ -116,14 +116,18 @@ def stage_plan(spec: MixSpec) -> list[tuple[int, list[int]]]:
     return plan
 
 
-def split_assignments(tuples: Sequence[SignalTuple], spec: MixSpec) -> dict[str, str]:
+def split_assignments(
+    tuples: Sequence[SignalTuple], spec: MixSpec, tuple_keys: Sequence[str] | None = None
+) -> dict[str, str]:
     """Tuple-level split map: a seeded shuffle of the distinct tuples with the
     first floor(ratio * n) going to validation. Exact quota, and a tuple's
-    split never depends on which entry renders it."""
+    split never depends on which entry renders it. `tuple_keys`, when given,
+    holds the `tuple_key` of each tuple, in order."""
+    if tuple_keys is None:
+        tuple_keys = [tuple_key(tup) for tup in tuples]
     keys = []
     seen: set[str] = set()
-    for tup in tuples:
-        key = tuple_key(tup)
+    for key in tuple_keys:
         if key not in seen:
             seen.add(key)
             keys.append(key)
@@ -158,13 +162,17 @@ def mix(
         if entry.family == "cloze":
             return tup.signal_type == "plain_text_cloze"
         templates = registry.get(entry.signal_type, entry.family, entry.template_group)
-        return any(t.applies_to(tup) for t in templates)
+        return any(not t.requires or t.applies_to(tup) for t in templates)
 
     capped, warnings = apply_caps(by_signal, spec, eligible=renderable)
     plan = stage_plan(spec)
     result = MixResult(warnings=warnings)
     seed = spec.global_seed
-    splits = split_assignments(all_tuples, spec)
+    keys = [tuple_key(tup) for tup in all_tuples]
+    splits = split_assignments(all_tuples, spec, keys)
+    # by identity: tuples hold a dict and do not hash, and all_tuples keeps
+    # every one alive while this map is in use
+    key_of = {id(tup): key for tup, key in zip(all_tuples, keys)}
 
     rendered: dict[int, list[tuple[str, PromptedExample]]] = {}
     failed_entries: set[int] = set()
@@ -173,9 +181,10 @@ def mix(
         out: list[tuple[str, PromptedExample]] = []
         try:
             for tup in pool:
-                split = splits[tuple_key(tup)]
+                key = key_of[id(tup)]
+                split = splits[key]
                 ex = render_with_selected(
-                    registry, tup, entry.family, pools, seed, entry.template_group
+                    registry, tup, entry.family, pools, seed, entry.template_group, key
                 )
                 ex = PromptedExample(
                     source=ex.source,

@@ -1,8 +1,4 @@
-"""Extraction bookkeeping: what was accepted, what was rejected and why.
-
-Counts merge by plain addition, so per-document reports can be combined in
-any order.
-"""
+"""Extraction bookkeeping: what was accepted, what was rejected and why."""
 
 from __future__ import annotations
 
@@ -31,13 +27,6 @@ class ExtractionReport:
         return self.accepted[signal_type] + sum(
             n for (sig, _rule), n in self.rejected.items() if sig == signal_type
         )
-
-    def merge(self, other: "ExtractionReport") -> "ExtractionReport":
-        self.accepted.update(other.accepted)
-        self.rejected.update(other.rejected)
-        self.skipped_docs.update(other.skipped_docs)
-        self.docs_processed += other.docs_processed
-        return self
 
     def to_json(self) -> str:
         return json.dumps(

@@ -20,21 +20,29 @@ from ..signal_model import LIST_SEP, SignalTuple
 
 @dataclass
 class DistractorPools:
-    """Corpus-level value collections, deduplicated, insertion-ordered."""
+    """Corpus-level value collections, deduplicated, insertion-ordered.
+
+    Each pool keeps a value -> position map beside its list, so a render can
+    find the positions of the values it must exclude without scanning.
+    """
 
     values: dict[str, list[str]] = field(default_factory=dict)
-    _seen: dict[str, set[str]] = field(default_factory=dict)
+    _positions: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def add(self, pool: str, value: str) -> None:
         if not value:
             return
-        seen = self._seen.setdefault(pool, set())
-        if value not in seen:
-            seen.add(value)
-            self.values.setdefault(pool, []).append(value)
+        positions = self._positions.setdefault(pool, {})
+        if value not in positions:
+            values = self.values.setdefault(pool, [])
+            positions[value] = len(values)
+            values.append(value)
 
     def get(self, pool: str) -> list[str]:
         return self.values.get(pool, [])
+
+    def positions(self, pool: str) -> dict[str, int]:
+        return self._positions.get(pool, {})
 
     def observe(self, tup: SignalTuple) -> None:
         named = tup.named_fields()
@@ -155,9 +163,6 @@ META_PLACEHOLDERS: dict[str, frozenset[str]] = {
     "paperswithcode_entity": frozenset({"entity", "not_entity", "choice0", "choice1", "entity_type"}),
     "wikihow_procedure": frozenset({"choice1", "choice2"}),
 }
-
-_OPTION_NAME_RE = None  # set below to avoid importing the templates module
-
 
 def legal_placeholder(signal_type: str, name: str) -> bool:
     """Is this placeholder resolvable for tuples of the given signal?"""

@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+from collections.abc import Sequence
+from functools import lru_cache
 from typing import Mapping
 
 from ..normalizer import word_count
@@ -73,28 +75,57 @@ def parse_options(source: str) -> list[str]:
     return re.findall(r'"([^"]+)"', best)
 
 
-def _pool_values(spec: tuple, tup: SignalTuple, pools: DistractorPools) -> list[str]:
+def _pool_values(spec: tuple, tup: SignalTuple, pools: DistractorPools) -> tuple[list[str], Mapping[str, int]]:
+    """A pool's distinct values in order, and the position of each value.
+
+    Corpus-level pools are returned as they are, without a copy: they are
+    deduplicated when built.
+    """
     kind, ref = spec
+    if kind == "context":
+        return pools.get(ref), pools.positions(ref)
     if kind == "labels":
-        values = list(ref)
-    elif kind == "context":
-        values = list(pools.get(ref))
+        values = ref
     elif kind == "field":
-        raw = tup.get(ref) or ""
-        values = [v for v in raw.split(LIST_SEP) if v]
+        values = (tup.get(ref) or "").split(LIST_SEP)
     elif kind == "meta":
-        raw = tup.extraction_meta.get(ref, "")
-        values = [v for v in raw.split(LIST_SEP) if v]
+        values = tup.extraction_meta.get(ref, "").split(LIST_SEP)
     else:
         raise SchemaError(f"unknown pool spec: {kind}")
     # packed lists may repeat a value; options must stay distinct
-    out: list[str] = []
-    seen: set[str] = set()
+    positions: dict[str, int] = {}
     for v in values:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+        if v and v not in positions:
+            positions[v] = len(positions)
+    return list(positions), positions
+
+
+class _Without(Sequence):
+    """`values` with the items at the sorted positions `skipped` left out.
+
+    Items are looked up on access, never copied. `random.sample` and
+    `Random.choice` only take the length of a population and index it, so
+    they draw from this view exactly what they would draw from the filtered
+    list, and a draw costs O(k + len(skipped)) instead of O(len(values)).
+    """
+
+    __slots__ = ("_values", "_skipped")
+
+    def __init__(self, values: Sequence[str], skipped: Sequence[int]):
+        self._values = values
+        self._skipped = skipped
+
+    def __len__(self) -> int:
+        return len(self._values) - len(self._skipped)
+
+    def __getitem__(self, i: int) -> str:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        for position in self._skipped:
+            if position > i:
+                break
+            i += 1
+        return self._values[i]
 
 
 def _exclusion_values(tup: SignalTuple, keys: tuple[str, ...]) -> set[str]:
@@ -118,20 +149,18 @@ def _build_options(
     correct = tup.get(correct_field)
     if not correct:
         raise RenderError(f"{tup.signal_type}/{template.group}: missing correct option field '{correct_field}'")
-    values = _pool_values(spec, tup, pools)
+    values, positions = _pool_values(spec, tup, pools)
 
     if mode == "all":
-        options: list[str] = []
-        for v in values:
-            if v not in options:
-                options.append(v)
-        if correct not in options:
+        options = list(values)
+        if correct not in positions:
             options.insert(0, correct)
         if len(options) < 2:
             raise RenderError(f"{tup.signal_type}/{template.group}: option pool too small for '{base}'")
         return options
 
-    distractors = [v for v in values if v != correct]
+    at = positions.get(correct)
+    distractors = _Without(values, () if at is None else (at,))
     if len(distractors) < MIN_OPTIONS - 1:
         raise RenderError(f"{tup.signal_type}/{template.group}: distractor pool too small for '{base}'")
     count = rng.randint(MIN_OPTIONS, min(MAX_OPTIONS, len(distractors) + 1))
@@ -146,9 +175,9 @@ def _other_value(name: str, tup: SignalTuple, pools: DistractorPools, rng: rando
     if key not in OTHER_SLOTS:
         raise RenderError(f"{tup.signal_type}: no distractor rule for '{name}'")
     spec, excluded_keys = OTHER_SLOTS[key]
-    values = _pool_values(spec, tup, pools)
+    values, positions = _pool_values(spec, tup, pools)
     excluded = _exclusion_values(tup, excluded_keys)
-    candidates = [v for v in values if v not in excluded]
+    candidates = _Without(values, sorted(positions[v] for v in excluded if v in positions))
     if not candidates:
         raise RenderError(f"{tup.signal_type}: distractor pool empty for '{name}'")
     return rng.choice(candidates)
@@ -223,36 +252,65 @@ def resolve_article(text: str) -> str:
         article = "an" if m.group(2).lower() in "aeiou" else "a"
         return f"{article}{m.group(1)}{m.group(2)}"
 
+    if "a/an" not in text:
+        return text
     return _A_AN_RE.sub(repl, text)
 
 
-def _substitute(pattern: str, bindings: Mapping[str, str]) -> str:
-    out: list[str] = []
+_BRACE_RE = re.compile(r"[{}]")
+
+
+@lru_cache(maxsize=4096)
+def _compile(pattern: str) -> tuple[tuple[tuple[str, bool], ...], str | None]:
+    """Split a pattern into segments, read left to right.
+
+    Returns (segments, error). A segment is (text, False) for literal text,
+    with `{{` and `}}` already unescaped, or (name, True) for a placeholder;
+    empty literals are dropped, so a pattern that is one placeholder
+    substitutes to the bound string itself, not a copy. Reading stops at the
+    first malformed placeholder or stray `}`, whose message `error` carries;
+    substitution raises it only after every placeholder before it is bound,
+    the order in which the text is read.
+    """
+    segments: list[tuple[str, bool]] = []
+    run: list[str] = []
+    error = None
     i = 0
-    while i < len(pattern):
-        ch = pattern[i]
-        if ch == "{":
-            if pattern.startswith("{{", i):
-                out.append("{")
-                i += 2
-                continue
-            m = PLACEHOLDER_RE.match(pattern, i)
-            if not m:
-                raise RenderError(f"malformed placeholder at offset {i}")
-            name = m.group(1)
-            if name not in bindings:
-                raise RenderError(f"unbound placeholder '{name}'")
-            out.append(bindings[name])
-            i = m.end()
+    while (m := _BRACE_RE.search(pattern, i)) is not None:
+        j = m.start()
+        run.append(pattern[i:j])
+        if pattern.startswith("{{", j) or pattern.startswith("}}", j):
+            run.append(pattern[j])
+            i = j + 2
             continue
-        if ch == "}":
-            if pattern.startswith("}}", i):
-                out.append("}")
-                i += 2
-                continue
-            raise RenderError(f"stray '}}' at offset {i}")
-        out.append(ch)
-        i += 1
+        if pattern[j] == "}":
+            error = f"stray '}}' at offset {j}"
+            break
+        placeholder = PLACEHOLDER_RE.match(pattern, j)
+        if not placeholder:
+            error = f"malformed placeholder at offset {j}"
+            break
+        segments.append(("".join(run), False))
+        segments.append((placeholder.group(1), True))
+        run = []
+        i = placeholder.end()
+    else:
+        run.append(pattern[i:])
+    segments.append(("".join(run), False))
+    return tuple(s for s in segments if s[0]), error
+
+
+def _substitute(pattern: str, bindings: Mapping[str, str]) -> str:
+    segments, error = _compile(pattern)
+    out = []
+    for text, is_placeholder in segments:
+        if is_placeholder:
+            if text not in bindings:
+                raise RenderError(f"unbound placeholder '{text}'")
+            text = bindings[text]
+        out.append(text)
+    if error is not None:
+        raise RenderError(error)
     return "".join(out)
 
 
@@ -327,15 +385,21 @@ def select_template(
     tup: SignalTuple,
     seed: int,
     group: str | None = None,
+    key: str | None = None,
 ) -> PromptTemplate:
-    """Uniform seeded choice among the templates applicable to this tuple."""
+    """Uniform seeded choice among the templates applicable to this tuple.
+
+    `key` is the tuple's `tuple_key`, when the caller already has it.
+    """
     templates = registry.get(signal_type, family, group)
     if not templates:
         raise ConfigError(f"no templates for ({signal_type}, {family}, group={group})")
-    eligible = [t for t in templates if t.applies_to(tup)]
+    eligible = [t for t in templates if not t.requires or t.applies_to(tup)]
     if not eligible:
         raise RenderError(f"no applicable template for tuple of {signal_type} (group={group})")
-    rng = derive_rng(seed, "select", signal_type, family, group or "", tuple_key(tup))
+    if key is None:
+        key = tuple_key(tup)
+    rng = derive_rng(seed, "select", signal_type, family, group or "", key)
     return eligible[rng.randrange(len(eligible))]
 
 
@@ -346,11 +410,16 @@ def render_with_selected(
     pools: DistractorPools,
     seed: int,
     group: str | None = None,
+    key: str | None = None,
 ) -> PromptedExample:
+    """Select a template and render the tuple with it; `key` as in
+    `select_template`."""
     if tup.signal_type == "plain_text_cloze":
         return render_cloze(tup, seed)
-    template = select_template(registry, tup.signal_type, family, tup, seed, group)
-    rng = derive_rng(seed, "render", template.template_id, tuple_key(tup))
+    if key is None:
+        key = tuple_key(tup)
+    template = select_template(registry, tup.signal_type, family, tup, seed, group, key)
+    rng = derive_rng(seed, "render", template.template_id, key)
     return render(tup, template, pools, rng, seed=seed)
 
 

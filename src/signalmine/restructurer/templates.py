@@ -87,6 +87,7 @@ class PromptRegistry:
     def __init__(self, templates: list[PromptTemplate]):
         self.by_id: dict[str, PromptTemplate] = {}
         self.groups: dict[tuple[str, str], list[PromptTemplate]] = {}
+        self._by_group: dict[tuple[str, str, str], list[PromptTemplate]] = {}
         for tpl in templates:
             if tpl.signal_type not in CATALOG:
                 raise SchemaError(f"template {tpl.template_id}: unknown signal {tpl.signal_type}")
@@ -94,15 +95,17 @@ class PromptRegistry:
                 raise SchemaError(f"duplicate template id: {tpl.template_id}")
             self.by_id[tpl.template_id] = tpl
             self.groups.setdefault((tpl.signal_type, tpl.family), []).append(tpl)
+            self._by_group.setdefault((tpl.signal_type, tpl.family, tpl.group), []).append(tpl)
 
     def __len__(self) -> int:
         return len(self.by_id)
 
     def get(self, signal_type: str, family: str, group: str | None = None) -> list[PromptTemplate]:
-        templates = self.groups.get((signal_type, family), [])
+        """Templates of a (signal, family), narrowed to one group if given.
+        The lists are the registry's own: callers must not modify them."""
         if group:
-            templates = [t for t in templates if t.group == group]
-        return templates
+            return self._by_group.get((signal_type, family, group), [])
+        return self.groups.get((signal_type, family), [])
 
     def counts(self) -> dict[str, dict[str, int]]:
         out: dict[str, dict[str, int]] = {}

@@ -167,6 +167,7 @@ def test_parse_options_ignores_embedded_quoted_bindings():
 def test_article_resolution():
     assert resolve_article('Is "run" a/an "verb" in the text?') == 'Is "run" a "verb" in the text?'
     assert resolve_article('Is "calm" a/an "adjective"?') == 'Is "calm" an "adjective"?'
+    assert resolve_article('Is "apple" a fruit? An "owl"?') == 'Is "apple" a fruit? An "owl"?'
 
 
 def test_length_placeholder_is_target_word_count(registry, fixture_pools):
@@ -337,3 +338,38 @@ def test_registry_rejects_malformed_templates(tmp_path):
                       source="TEXT: {review} QUERY: pick {choices_with_or}?"))
     with pytest.raises(SchemaError):  # unknown signal
         load_one(dict(base, signal_type="nope"))
+
+
+@pytest.mark.parametrize("pattern, expected", [
+    ("plain text", "plain text"),
+    ("", ""),
+    ("{a} and {b}", "1 and 2"),
+    ("{{a}} is {a}", "{a} is 1"),
+    ("set {{{a}}}", "set {1}"),
+    ("{a}{b}{a}", "121"),
+    ("}}{{", "}{"),
+])
+def test_substitute_binds_placeholders_and_unescapes_braces(pattern, expected):
+    from signalmine.restructurer.render import _substitute
+
+    assert _substitute(pattern, {"a": "1", "b": "2"}) == expected
+
+
+@pytest.mark.parametrize("pattern, message", [
+    ("QUERY: {a} {not valid}", "malformed placeholder at offset 11"),
+    ("QUERY: {a", "malformed placeholder at offset 7"),
+    ("QUERY: {}", "malformed placeholder at offset 7"),
+    ("QUERY: {a} }", "stray '}' at offset 11"),
+    ("QUERY: } {missing}", "stray '}' at offset 7"),
+    ("QUERY: {missing}", "unbound placeholder 'missing'"),
+    # the first problem in reading order wins
+    ("QUERY: {missing} {bad", "unbound placeholder 'missing'"),
+    ("QUERY: {bad {missing}", "malformed placeholder at offset 7"),
+    ("{a}}}{missing} }", "unbound placeholder 'missing'"),
+])
+def test_substitute_errors_name_the_first_problem(pattern, message):
+    from signalmine.restructurer.render import _substitute
+
+    with pytest.raises(RenderError) as exc:
+        _substitute(pattern, {"a": "1"})
+    assert str(exc.value) == message
