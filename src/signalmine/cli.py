@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .dataset_io import IntegrityError, stats_report, verify_bundle, write_bundle
+from .dataset_io import IntegrityError, stats_report, verify_bundle, write_bundle, write_files_atomic
 from .eval_harness.datasets import METRICS, eval_dataset
 from .eval_harness.gaokao import grade_gaokao, load_paper
 from .eval_harness.scorers import ExternalCommandScorer, ReferenceScorer, ScorerError
@@ -126,9 +126,10 @@ def extract(ctx, mine, in_path, out_path, seed, db_path, blocklist_path, cloze_r
             mine, read_jsonl(in_path), seed=seed, report=report, language_gate=language_gate,
             options=options,
         )
-        Path(out_path).write_text(dump_tuples(tuples), encoding="utf-8")
-        report_file = Path(report_path) if report_path else Path(f"{out_path}.report.json")
-        report_file.write_text(report.to_json() + "\n", encoding="utf-8")
+        write_files_atomic({
+            out_path: dump_tuples(tuples),
+            report_path or f"{out_path}.report.json": report.to_json() + "\n",
+        })
         click.echo(f"extracted {len(tuples)} tuples from {report.docs_processed} documents")
     except click.UsageError:
         raise
@@ -167,7 +168,7 @@ def restructure(ctx, tuples_path, templates_path, out_path, family, seed):
                 fam = family
             ex = render_with_selected(registry, tup, fam, pools, seed)
             lines.append(json.dumps(example_to_record(ex), ensure_ascii=False, sort_keys=True))
-        Path(out_path).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+        write_files_atomic({out_path: "".join(l + "\n" for l in lines)})
         click.echo(f"rendered {len(lines)} examples")
     except _DATA_ERRORS as exc:
         _fail(exc)

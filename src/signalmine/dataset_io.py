@@ -118,6 +118,31 @@ def write_bundle(
     return bundle_hash
 
 
+def write_files_atomic(files: Mapping[str | os.PathLike, str]) -> None:
+    """Write each UTF-8 text to a temp file beside its target, then rename
+    the temps into place, so a failed or killed write never leaves a
+    truncated target. On an exception the temps are removed and every target
+    not yet renamed keeps its previous bytes."""
+    temps: dict[str, Path] = {}  # temp path -> target, until renamed
+    try:
+        for target, text in files.items():
+            target = Path(target)
+            # not mkstemp: its files are mode 0600, and outputs keep the umask's mode
+            tmp = str(target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp"))
+            with open(tmp, "x", encoding="utf-8") as fh:
+                temps[tmp] = target
+                fh.write(text)
+        for tmp, target in list(temps.items()):
+            os.replace(tmp, target)
+            del temps[tmp]
+    finally:
+        for tmp in temps:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+
+
 def read_manifest(path: str | os.PathLike) -> dict:
     with open(Path(path) / MANIFEST_NAME, encoding="utf-8") as fh:
         return json.load(fh)

@@ -1,9 +1,11 @@
 """One streaming adapter per data mine.
 
-Every adapter is a pure function over a single parsed document record; the
-runner handles the language gate, doc-id uniqueness, canonical ordering, and
-the report. All sampling inside adapters draws from an RNG keyed by
-(seed, mine, doc_id) so per-document work is order-independent.
+Every adapter is a pure function over a single parsed document record that
+reports the candidates it rejects; the runner handles the language gate,
+doc-id uniqueness, validation, canonical ordering, and the accepted counts
+(one per tuple returned, so the report matches the output by construction).
+All sampling inside adapters draws from an RNG keyed by (seed, mine, doc_id)
+so per-document work is order-independent.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ def extract_documents(
             if not verdict:
                 report.reject(tup.signal_type, f"invalid:{verdict.reason.split(':')[0]}")
                 continue
+            report.accept(tup.signal_type)
             out.append((doc_id, i, tup))
 
     out.sort(key=lambda item: (item[0], item[1]))

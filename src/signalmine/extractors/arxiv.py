@@ -44,7 +44,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     abstract_t = truncate_words(abstract, MAX_ABSTRACT_WORDS)
 
     if len(categories) == 1 and abstract_t:
-        ctx.report.accept(CATEGORY_SIGNAL)
         out.append(
             SignalTuple(
                 CATEGORY_SIGNAL,
@@ -63,6 +62,5 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     elif word_count(abstract) < word_count(title):
         ctx.report.reject(SUMMARY_SIGNAL, "abstract_shorter_than_title")
     else:
-        ctx.report.accept(SUMMARY_SIGNAL)
         out.append(SignalTuple(SUMMARY_SIGNAL, (abstract_t, title), provenance))
     return out

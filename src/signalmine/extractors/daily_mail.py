@@ -74,7 +74,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
         elif word_count(summary) < MIN_CATEGORY_SUMMARY_WORDS:
             ctx.report.reject(CATEGORY_SIGNAL, "short_summary")
         else:
-            ctx.report.accept(CATEGORY_SIGNAL)
             out.append(
                 SignalTuple(
                     CATEGORY_SIGNAL,
@@ -102,7 +101,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
         summary_ok = False
     else:
         summary_ok = True
-        ctx.report.accept(SUMMARY_SIGNAL)
         out.append(
             SignalTuple(
                 SUMMARY_SIGNAL,
@@ -118,7 +116,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
         else:
             text = truncate_words(body, MAX_WORDS)
             rng = derive_rng(ctx.seed, "daily_mail", doc_id, "temporal")
-            n = 0
             for i in range(len(bullets)):
                 for j in range(i + 1, len(bullets)):
                     first, last = bullets[i], bullets[j]
@@ -138,7 +135,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
                             },
                         )
                     )
-                    n += 1
             for i in range(len(bullets) - 1):
                 out.append(
                     SignalTuple(
@@ -153,6 +149,4 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
                         },
                     )
                 )
-                n += 1
-            ctx.report.accept(TEMPORAL_SIGNAL, n)
     return out

@@ -105,7 +105,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
         ctx.report.reject(SIGNAL, "too_short")
         return []
     corrupted, sentinels, spans = result
-    ctx.report.accept(SIGNAL)
     return [
         SignalTuple(
             SIGNAL,

@@ -95,7 +95,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
         for span, _ in matches:
             if span not in surfaces:
                 surfaces.append(span)
-        ctx.report.accept(ENTITY_SIGNAL)
         out.append(
             SignalTuple(
                 ENTITY_SIGNAL,
@@ -109,7 +108,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
             )
         )
         for span, etype in matches:
-            ctx.report.accept(ENTITY_SIGNAL)
             out.append(
                 SignalTuple(
                     ENTITY_SIGNAL,
@@ -131,7 +129,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     elif word_count(introduction) < word_count(abstract):
         ctx.report.reject(SUMMARY_SIGNAL, "introduction_shorter_than_abstract")
     else:
-        ctx.report.accept(SUMMARY_SIGNAL)
         out.append(
             SignalTuple(
                 SUMMARY_SIGNAL,

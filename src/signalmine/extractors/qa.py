@@ -56,7 +56,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
         if not question:
             ctx.report.reject(signal, "missing_hypothesis")
             return []
-        ctx.report.accept(signal)
         return [SignalTuple(signal, (context, question, answer), provenance)]
 
     if not question:
@@ -70,7 +69,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
         if str(doc.get("source", "web")).lower() != "web":
             ctx.report.reject(signal, "non_web_evidence")
             return []
-        ctx.report.accept(signal)
         return [SignalTuple(signal, (context, question, answer), provenance)]
 
     if not options:
@@ -79,7 +77,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     if answer not in options:
         ctx.report.reject(signal, "answer_not_in_options")
         return []
-    ctx.report.accept(signal)
     return [
         SignalTuple(
             signal,

@@ -40,7 +40,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     else:
         ctx.report.reject(SIGNAL, "ambiguous_polarity")
         return []
-    ctx.report.accept(SIGNAL)
     return [
         SignalTuple(
             SIGNAL,

@@ -77,7 +77,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
                 ctx.report.reject(ENTITY_SIGNAL, "no_context_paragraph")
             else:
                 text = rng.choice(candidates)
-                ctx.report.accept(ENTITY_SIGNAL)
                 out.append(SignalTuple(ENTITY_SIGNAL, (text, subject, obj), provenance))
             continue
 
@@ -89,6 +88,5 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
             ctx.report.reject(RELATION_SIGNAL, "no_context_paragraph")
             continue
         text = rng.choice(candidates)
-        ctx.report.accept(RELATION_SIGNAL)
         out.append(SignalTuple(RELATION_SIGNAL, (text, subject, name, obj), provenance))
     return out

@@ -90,19 +90,16 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
         elif not description:
             ctx.report.reject(CATEGORY_SIGNAL, "missing_description")
         else:
-            ctx.report.accept(CATEGORY_SIGNAL)
             out.append(
                 SignalTuple(CATEGORY_SIGNAL, (description, top), provenance, {"category": top})
             )
         for low, high in zip(path, path[1:]):
-            ctx.report.accept(HIERARCHY_SIGNAL)
             out.append(SignalTuple(HIERARCHY_SIGNAL, (low, high), provenance))
 
     eligible = [(h, d) for h, d in steps if word_count(h) <= MAX_HEADLINE_WORDS]
 
     if goal and eligible:
         headline = rng.choice([h for h, _ in eligible])
-        ctx.report.accept(GOAL_STEP_SIGNAL)
         out.append(SignalTuple(GOAL_STEP_SIGNAL, (goal, headline), provenance))
     elif goal:
         ctx.report.reject(GOAL_STEP_SIGNAL, "no_eligible_step")
@@ -114,7 +111,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
         if word_count(headline) > word_count(desc):
             ctx.report.reject(SUMMARY_SIGNAL, "headline_longer_than_description")
             continue
-        ctx.report.accept(SUMMARY_SIGNAL)
         out.append(SignalTuple(SUMMARY_SIGNAL, (headline, desc), provenance))
 
     if goal:
@@ -124,7 +120,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
             headlines = [h for h, _ in eligible]
             for first, second in zip(headlines, headlines[1:]):
                 others = [h for h in headlines if h != first]
-                ctx.report.accept(PROCEDURE_SIGNAL)
                 out.append(
                     SignalTuple(
                         PROCEDURE_SIGNAL,
@@ -141,7 +136,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     else:
         answer = purify(" ".join(h for h, _ in steps))
         if description and answer:
-            ctx.report.accept(QUESTION_SIGNAL)
             out.append(
                 SignalTuple(
                     QUESTION_SIGNAL,

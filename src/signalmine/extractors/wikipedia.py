@@ -100,7 +100,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
         all_titles = [t for t, _ in eligible_sections]
         for title, text in eligible_sections:
             siblings = [t for t in all_titles if t != title]
-            ctx.report.accept(SECTION_SIGNAL)
             out.append(
                 SignalTuple(
                     SECTION_SIGNAL,
@@ -134,7 +133,6 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
 
     for text in clean_paragraphs:
         entities = mark_entities(text, entity_set)
-        ctx.report.accept(ENTITY_SIGNAL)
         out.append(
             SignalTuple(
                 ENTITY_SIGNAL,
@@ -149,6 +147,5 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
 
     if clean_paragraphs:
         text = truncate_words(rng.choice(clean_paragraphs), TRUNCATE_WORDS)
-        ctx.report.accept(SENTIMENT_SIGNAL)
         out.append(SignalTuple(SENTIMENT_SIGNAL, (text, "neutral"), provenance))
     return out

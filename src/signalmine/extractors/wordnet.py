@@ -115,11 +115,9 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
         antonyms = [purify(str(a)).lower() for a in sense.get("antonyms", [])]
         antonyms = [a for a in antonyms if a]
 
-        ctx.report.accept(POS_SIGNAL)
         out.append(SignalTuple(POS_SIGNAL, (lemma, sentence, pos), provenance))
 
         if gloss:
-            ctx.report.accept(MEANING_SIGNAL)
             out.append(
                 SignalTuple(
                     MEANING_SIGNAL,
@@ -129,10 +127,8 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
             )
         syn_meta = {"all_synonyms": LIST_SEP.join(synonyms)} if synonyms else {}
         for syn in synonyms:
-            ctx.report.accept(SYNONYM_SIGNAL)
             out.append(SignalTuple(SYNONYM_SIGNAL, (lemma, sentence, syn), provenance, syn_meta))
         ant_meta = {"all_antonyms": LIST_SEP.join(antonyms)} if antonyms else {}
         for ant in antonyms:
-            ctx.report.accept(ANTONYM_SIGNAL)
             out.append(SignalTuple(ANTONYM_SIGNAL, (lemma, sentence, ant), provenance, ant_meta))
     return out

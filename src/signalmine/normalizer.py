@@ -8,6 +8,7 @@ non-space characters in normalized text.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from typing import Callable, Tuple
@@ -15,6 +16,9 @@ from typing import Callable, Tuple
 from .wordlists import COMMON_WORDS, STOP_WORDS
 
 _WS_RE = re.compile(r"[ \t\n\r\f\v]+")
+# ASCII characters that str.split() and str.strip() treat as whitespace but
+# _WS_RE does not fold
+_SEPARATOR_RE = re.compile(r"[\x1c-\x1f]")
 
 # Detector contract: text -> (language tag, probability in [0, 1]).
 Detector = Callable[[str], Tuple[str, float]]
@@ -27,15 +31,21 @@ class DetectorError(Exception):
 
 
 def normalize_whitespace(text: str) -> str:
+    if text.isascii() and not _SEPARATOR_RE.search(text):
+        # here str.split() splits on exactly _WS_RE's characters
+        return " ".join(text.split())
     return _WS_RE.sub(" ", text).strip()
 
 
 def strip_non_ascii(text: str) -> str:
-    return "".join(ch for ch in text if ord(ch) < 128)
+    return text.encode("ascii", "ignore").decode("ascii")
 
 
 def purify(text: str) -> str:
     """Whitespace -> ASCII strip -> whitespace, without the language gate."""
+    if text.isascii():
+        # stripping is the identity and folding is idempotent
+        return normalize_whitespace(text)
     return normalize_whitespace(strip_non_ascii(normalize_whitespace(text)))
 
 
@@ -75,18 +85,33 @@ def _build_profile() -> frozenset[str]:
 
 _PROFILE = _build_profile()
 
+_TOKEN_RE = re.compile(r"[a-zA-Z']+")
+
+# Distinct tokens of a corpus number in the thousands; the bound only keeps
+# an adversarial vocabulary from growing the cache without limit.
+_TOKEN_CACHE_SIZE = 1 << 16
+
+
+@functools.lru_cache(maxsize=_TOKEN_CACHE_SIZE)
+def _token_score(tok: str) -> tuple[int, int]:
+    """(profile hits, distinct trigrams) of one token."""
+    grams = _trigrams(tok)
+    return len(grams & _PROFILE), len(grams)
+
 
 def trigram_detector(text: str) -> tuple[str, float]:
     """Bundled fallback detector: trigram hit rate against an English profile,
-    squashed to a probability. Intended for rough gating, not linguistics."""
-    toks = [t for t in re.findall(r"[a-zA-Z']+", text.lower()) if t]
-    if not toks:
+    squashed to a probability. Intended for rough gating, not linguistics.
+
+    The hit rate sums, over every token, its profile hits and its distinct
+    trigrams; both sums are integers, so scoring each distinct token once
+    gives the same rate to the last bit."""
+    hits = total = 0
+    for tok in _TOKEN_RE.findall(text.lower()):
+        h, n = _token_score(tok)
+        hits += h
+        total += n
+    if not total:
         return ("und", 0.0)
-    grams: list[str] = []
-    for tok in toks:
-        grams.extend(_trigrams(tok))
-    if not grams:
-        return ("und", 0.0)
-    hit = sum(1 for g in grams if g in _PROFILE) / len(grams)
-    prob = 1.0 / (1.0 + math.exp(-(hit - 0.42) * 55.0))
+    prob = 1.0 / (1.0 + math.exp(-(hits / total - 0.42) * 55.0))
     return ("en", prob)

@@ -14,8 +14,8 @@ class ExtractionReport:
     skipped_docs: Counter = field(default_factory=Counter)  # (mine, rule) -> n
     docs_processed: int = 0
 
-    def accept(self, signal_type: str, n: int = 1) -> None:
-        self.accepted[signal_type] += n
+    def accept(self, signal_type: str) -> None:
+        self.accepted[signal_type] += 1
 
     def reject(self, signal_type: str, rule: str, n: int = 1) -> None:
         self.rejected[(signal_type, rule)] += n

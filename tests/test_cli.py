@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -43,6 +45,55 @@ def test_extract_report(runner, tmp_path):
     assert result.exit_code == 0, result.output
     doc = json.loads(report.read_text())
     assert doc["accepted"]["rotten_tomatoes_sentiment"] > 0
+
+
+def _outputs(tmp_path):
+    return {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+
+
+def test_extract_failed_rename_keeps_previous_output(runner, tmp_path, monkeypatch):
+    run_extract(runner, tmp_path, "daily_mail")
+    before = _outputs(tmp_path)
+    assert set(before) == {"daily_mail.tuples", "daily_mail.tuples.report.json"}
+
+    def refuse(src, dst):
+        raise OSError("injected rename failure")
+
+    monkeypatch.setattr("os.replace", refuse)
+    result = runner.invoke(main, ["extract", "--mine", "daily_mail",
+                                  "--in", str(FIXTURES / "mines" / "daily_mail.jsonl"),
+                                  "--out", str(tmp_path / "daily_mail.tuples"), "--seed", "8"])
+    assert result.exit_code == 1 and "injected rename failure" in result.output
+    assert _outputs(tmp_path) == before  # no temp file left, old bytes intact
+
+
+def test_extract_killed_halfway_through_write_keeps_previous_output(runner, tmp_path):
+    """A file-size limit makes the tuple write fail after part of the bytes
+    reached the disk, as a full disk would."""
+    resource = pytest.importorskip("resource")
+    import signal
+    import subprocess
+    import sys
+
+    import signalmine
+
+    out = run_extract(runner, tmp_path, "daily_mail")
+    before = _outputs(tmp_path)
+    limit = len(before["daily_mail.tuples"]) // 2
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # fail the write with EFBIG instead
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    src = str(Path(signalmine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "signalmine.cli", "extract", "--mine", "daily_mail",
+         "--in", str(FIXTURES / "mines" / "daily_mail.jsonl"), "--out", str(out), "--seed", "8"],
+        env=env, capture_output=True, text=True, preexec_fn=limit_file_size, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stderr.startswith("io-error:"), proc.stderr
+    assert _outputs(tmp_path) == before
 
 
 def test_unknown_mine_is_usage_error(runner, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from signalmine.extractors import ExtractContext, extract_documents
@@ -561,6 +563,28 @@ def test_report_conservation(all_fixture_tuples):
         assert report.considered(signal) == report.accepted[signal] + sum(
             n for (sig, _), n in report.rejected.items() if sig == signal
         )
+
+
+def test_accepted_counts_only_tuples_that_pass_validation(monkeypatch):
+    from signalmine import extractors
+
+    real_extract, primary_text = extractors._ADAPTERS["rotten_tomatoes"]
+
+    def with_one_invalid(doc, ctx):
+        # the real adapter's tuple for "a", minus a field: it fails validation
+        out = real_extract(doc, ctx)
+        if doc["doc_id"] == "a":
+            out = [dataclasses.replace(tup, fields=tup.fields[:1]) for tup in out]
+        return out
+
+    monkeypatch.setitem(extractors._ADAPTERS, "rotten_tomatoes", (with_one_invalid, primary_text))
+    docs = [{"doc_id": "a", "review": words(8), "rating": 5.0},
+            {"doc_id": "b", "review": words(9), "rating": 1.0}]
+    report = ExtractionReport()
+    out = extract_documents("rotten_tomatoes", docs, seed=1, report=report, detector=always_english)
+    assert len(out) == 1
+    assert sum(report.accepted.values()) == len(out)
+    assert report.rejected == {("rotten_tomatoes_sentiment", "invalid:arity"): 1}
 
 
 def test_language_gate_and_detector_errors_counted():

@@ -1,12 +1,13 @@
 """Golden digests: the bundle bytes a fixed seed and fixed inputs produce.
 
 The determinism tests elsewhere compare two runs of the same build; these
-pin the bundle hash across code versions. A change that alters output bytes
-must update a digest here on purpose and say why.
+pin the bundle hash and the `extract` output across code versions. A change
+that alters output bytes must update a digest here on purpose and say why.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -27,6 +28,27 @@ FIXTURE_BUNDLE_HASH = "ec30dbf7f6e44d822872b814d27e871771356a4134a01bb9d5c011f2f
 # A generated corpus whose distractor pools exceed random.sample's set-size
 # threshold, so the indexed sampling path is pinned as well.
 SYNTHETIC_BUNDLE_HASH = "d79bdff4fdacd13672dbe13d8d3ac83683ae5a2f0860d8d2156e8877385b328f"
+
+# sha256 over `extract --seed 7`'s tuple file followed by its report, keyed by
+# mine for its fixture dump and `unicode:<mine>` for `golden/unicode.jsonl`.
+# The fixture dumps are ASCII-only; `golden/unicode.jsonl` adds
+# accents, curly quotes, emoji, CJK, no-break and ideographic spaces, C1 and
+# information-separator controls and non-English documents, so the
+# non-ASCII branch of `purify` and the language gate are pinned too.
+EXTRACT_DIGESTS = {
+    "rotten_tomatoes": "93807e5993a66e04af1a6c299e17516244cdbee6c63a3a611dade2fb6a6c1ae7",
+    "daily_mail": "02f64375b3cac98675ae6239a6503c228ed1e248d301139f9d105c3aa992a75f",
+    "wikidata": "aa6c431ef2cc098cf954accd4d70680b169146489bfed8372806b3534cbd1ad8",
+    "wikihow": "8e1d9ebeb244d99e3b23b220b42b7450fc270d4e995bb2273cc18bc3c934e315",
+    "wikipedia": "4f933d728fba0ed2be06ee65a2dc030114f27d7005469c35d302769b5bbb742d",
+    "wordnet": "0a9702c2cdb2ec9fb7103ecd8c2696a6a955c7513ac26e0712dd214582f71a64",
+    "qa_corpus": "f9d360563303c365154caebe7b2c8f22c2636fa728f00f424defe5566dfb7d96",
+    "arxiv": "cdba4e477feafe6ee0f492d07c1e8a7c3029f629847c435a37042b7530fad0db",
+    "paperswithcode": "17462ed2dc55f7908b7151517175550417070072dfa185aca464314f48db7c0c",
+    "plain_text": "ddf1645d7c5b4a900453624d072e3dd3d7394c9d06f2529e34394b25846e3977",
+    "unicode:rotten_tomatoes": "0a9f44266c1c393b48381836f58c0ade191e61ec4e1fdfa8df8081775d8f1c95",
+    "unicode:plain_text": "0da8d03269eb77c3fef3e68573a7b60349870487cf1ba181f76f60590372b005",
+}
 
 SYNTHETIC_SIZE = 2100
 
@@ -69,17 +91,27 @@ def synthetic_tuples(n: int = SYNTHETIC_SIZE) -> list[SignalTuple]:
     return out
 
 
+def _extract(tmp_path, mine: str, dump):
+    out = tmp_path / f"{mine}.tuples"
+    args = ["extract", "--mine", mine, "--in", str(dump), "--out", str(out), "--seed", "7"]
+    if mine == "paperswithcode":
+        args += ["--db", str(FIXTURES / "mines" / "pwc_entity_db.jsonl")]
+    _invoke(args)
+    return out
+
+
 def test_fixture_pipeline_bundle_hash(tmp_path):
-    tuple_files = []
-    for mine in MINES:
-        out = tmp_path / f"{mine}.tuples"
-        args = ["extract", "--mine", mine, "--in", str(FIXTURES / "mines" / f"{mine}.jsonl"),
-                "--out", str(out), "--seed", "7"]
-        if mine == "paperswithcode":
-            args += ["--db", str(FIXTURES / "mines" / "pwc_entity_db.jsonl")]
-        _invoke(args)
-        tuple_files.append(out)
+    tuple_files = [_extract(tmp_path, mine, FIXTURES / "mines" / f"{mine}.jsonl") for mine in MINES]
     assert _mix(tmp_path, "all_tasks", tuple_files) == FIXTURE_BUNDLE_HASH
+
+
+@pytest.mark.parametrize("key", sorted(EXTRACT_DIGESTS))
+def test_extract_output_digest(tmp_path, key):
+    mine = key.rpartition(":")[2]
+    dump = FIXTURES / "golden" / "unicode.jsonl" if ":" in key else FIXTURES / "mines" / f"{mine}.jsonl"
+    out = _extract(tmp_path, mine, dump)
+    report = out.with_name(out.name + ".report.json")
+    assert hashlib.sha256(out.read_bytes() + report.read_bytes()).hexdigest() == EXTRACT_DIGESTS[key]
 
 
 def test_synthetic_corpus_bundle_hash(tmp_path):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, strategies as st
+import math
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from signalmine import normalizer
 from signalmine.normalizer import (
     DetectorError,
     ENGLISH_THRESHOLD,
@@ -14,6 +18,7 @@ from signalmine.normalizer import (
     truncate_words,
     word_count,
 )
+from signalmine.wordlists import COMMON_WORDS
 
 
 def test_whitespace_folding():
@@ -89,3 +94,79 @@ def test_bundled_detector_separates_languages():
     _, p_fr = trigram_detector(french)
     assert p_fr <= ENGLISH_THRESHOLD
     assert trigram_detector("")[1] == 0.0
+
+
+# ------------------------------------------------- reference implementations
+# Copies of the straightforward per-character / per-trigram versions the fast
+# paths replaced (verbatim but for `_WS_RE`, inlined); outputs must match
+# them exactly, floats included.
+def reference_normalize_whitespace(text: str) -> str:
+    return re.sub(r"[ \t\n\r\f\v]+", " ", text).strip()
+
+
+def reference_strip_non_ascii(text: str) -> str:
+    return "".join(ch for ch in text if ord(ch) < 128)
+
+
+def reference_purify(text: str) -> str:
+    return reference_normalize_whitespace(reference_strip_non_ascii(reference_normalize_whitespace(text)))
+
+
+def _reference_trigrams(word: str) -> set[str]:
+    padded = f" {word} "
+    return {padded[i : i + 3] for i in range(len(padded) - 2)}
+
+
+def reference_trigram_detector(text: str) -> tuple[str, float]:
+    toks = [t for t in re.findall(r"[a-zA-Z']+", text.lower()) if t]
+    if not toks:
+        return ("und", 0.0)
+    grams: list[str] = []
+    for tok in toks:
+        grams.extend(_reference_trigrams(tok))
+    if not grams:
+        return ("und", 0.0)
+    hit = sum(1 for g in grams if g in normalizer._PROFILE) / len(grams)
+    prob = 1.0 / (1.0 + math.exp(-(hit - 0.42) * 55.0))
+    return ("en", prob)
+
+
+# \x1c-\x1f are ASCII and removed by str.strip/str.split but not by _WS_RE;
+# \x85, \xa0, \u2028 and \u3000 are non-ASCII whitespace; the Kelvin sign and
+# dotted capital I lowercase to ASCII letters (plus a combining dot).
+_ODD = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000\u212a\u0130é'\t\n\r\x0b\x0c "
+_MIXED = st.text(alphabet=_ODD + "abcEnglishtex", max_size=200)
+_ENGLISHY = st.lists(
+    st.sampled_from(sorted(COMMON_WORDS)) | st.text(alphabet=_ODD + "qzxj", max_size=4),
+    max_size=60,
+).map(" ".join)
+_TEXTS = st.text(max_size=200) | _MIXED | _ENGLISHY
+
+
+@pytest.mark.parametrize("text", ["a\x1cb", " \x1f x \x1e", "a \x85 b", "caf\xe9\xa0au  lait",
+                                  "\u3000x\u2028", "\u212aing \u0130t's", "'",
+                                  "the the cat sat on the mat mat qqq " * 7])
+def test_corner_cases_match_reference(text):
+    assert normalize_whitespace(text) == reference_normalize_whitespace(text)
+    assert purify(text) == reference_purify(text)
+    assert trigram_detector(text) == reference_trigram_detector(text)
+
+
+@settings(max_examples=400)
+@given(_TEXTS)
+def test_purify_matches_reference(text):
+    assert normalize_whitespace(text) == reference_normalize_whitespace(text)
+    assert strip_non_ascii(text) == reference_strip_non_ascii(text)
+    assert purify(text) == reference_purify(text)
+
+
+@settings(max_examples=400)
+@given(_TEXTS)
+def test_trigram_detector_matches_reference_exactly(text):
+    assert trigram_detector(text) == reference_trigram_detector(text)
+    assert trigram_detector(purify(text)) == reference_trigram_detector(reference_purify(text))
+
+
+def test_token_cache_is_bounded():
+    maxsize = normalizer._token_score.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 1 << 16
