@@ -7,8 +7,11 @@ SIGNALMINE_SEED environment variable / config file default).
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import os
+import shlex
 import sys
 from importlib import resources
 from pathlib import Path
@@ -17,7 +20,7 @@ import click
 
 from . import __version__
 from .dataset_io import IntegrityError, stats_report, verify_bundle, write_bundle, write_files_atomic
-from .eval_harness.datasets import METRICS, eval_dataset
+from .eval_harness.datasets import METRICS, eval_dataset, prompt_set_for
 from .eval_harness.gaokao import grade_gaokao, load_paper
 from .eval_harness.scorers import ExternalCommandScorer, ReferenceScorer, ScorerError
 from .extractors import MINES, extract_documents, read_jsonl
@@ -27,15 +30,8 @@ from .normalizer import DetectorError
 from .report import ExtractionReport
 from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError, render_with_selected
-from .restructurer.templates import audit, load_registry
-from .signal_model import (
-    SchemaError,
-    dump_tuples,
-    example_to_record,
-    load_mixspec,
-    load_tuples,
-    mixspec_from_record,
-)
+from .restructurer.templates import audit, load_eval_prompts, load_registry
+from .signal_model import SchemaError, dump_tuples, example_to_record, load_mixspec, load_tuples
 
 SEED_ENV = "SIGNALMINE_SEED"
 
@@ -180,7 +176,7 @@ def _load_spec(spec_arg: str):
         return load_mixspec(path.read_text(encoding="utf-8"))
     preset = resources.files("signalmine").joinpath("presets", f"{spec_arg}.json")
     if preset.is_file():
-        return mixspec_from_record(json.loads(preset.read_text("utf-8")))
+        return load_mixspec(preset.read_text("utf-8"))
     raise click.UsageError(f"unknown mix spec: {spec_arg}")
 
 
@@ -200,21 +196,7 @@ def mix_command(ctx, spec_arg, tuples_paths, out_path, seed):
             seed = spec.global_seed
         elif seed is None:
             seed = _default_seed(ctx)
-        spec = mixspec_from_record({
-            "name": spec.name,
-            "split_ratio": spec.split_ratio,
-            "global_seed": seed,
-            "entries": [
-                {
-                    "signal_type": e.signal_type, "family": e.family, "weight": e.weight,
-                    "cap": e.cap, "per_category_cap": e.per_category_cap, "stage": e.stage,
-                    "template_group": e.template_group,
-                    "composition": dict(e.composition) if e.composition else None,
-                    "composition_key": e.composition_key,
-                }
-                for e in spec.entries
-            ],
-        })
+        spec = dataclasses.replace(spec, global_seed=seed)
         tuples = []
         for p in tuples_paths:
             tuples.extend(load_tuples(Path(p).read_text(encoding="utf-8")))
@@ -240,8 +222,6 @@ def mix_command(ctx, spec_arg, tuples_paths, out_path, seed):
 
 
 def _spec_hash(spec) -> str:
-    import hashlib
-
     blob = json.dumps(
         {
             "name": spec.name,
@@ -315,6 +295,18 @@ def grade(paper_path, answers_path, essay_score, out_path):
         _fail(exc)
 
 
+def _make_scorer(scorer_arg: str):
+    if scorer_arg == "reference":
+        return ReferenceScorer()
+    if not scorer_arg.startswith("external-cmd:"):
+        raise click.UsageError(f"unknown scorer: {scorer_arg}")
+    try:
+        command = shlex.split(scorer_arg[len("external-cmd:"):])
+    except ValueError as exc:
+        raise ScorerError(f"cannot parse scorer command: {exc}") from exc
+    return ExternalCommandScorer(command)
+
+
 @main.command()
 @click.option("--dataset", required=True, help="Dataset id (selects the bundled 5-prompt set).")
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
@@ -330,15 +322,9 @@ def grade(paper_path, answers_path, essay_score, out_path):
 def evaluate(ctx, dataset, data_path, prompts_path, scorer_arg, metric, out_path, seed):
     """Score a dataset with its 5-prompt set; reports avg/max/std."""
     seed = _default_seed(ctx) if seed is None else seed
-    if scorer_arg == "reference":
-        scorer = ReferenceScorer()
-    elif scorer_arg.startswith("external-cmd:"):
-        scorer = ExternalCommandScorer(scorer_arg[len("external-cmd:"):].split())
-    else:
-        raise click.UsageError(f"unknown scorer: {scorer_arg}")
+    scorer = None
     try:
-        from .eval_harness.datasets import load_eval_prompts, prompt_set_for
-
+        scorer = _make_scorer(scorer_arg)
         prompts_doc = None
         if prompts_path:
             with open(prompts_path, encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..restructurer.render import format_options
-from ..restructurer.templates import load_eval_prompts
+from ..restructurer.templates import answer_value, load_eval_prompts, substitute
 from ..rng import derive_rng
 from ..signal_model import SchemaError
 from .mc import score_mc
@@ -99,33 +99,6 @@ def prompt_set_for(dataset: str, prompts_doc: Mapping | None = None) -> tuple[st
     return key, sets[key]
 
 
-def _bind(pattern: str, record: Mapping, extra: Mapping[str, str]) -> str:
-    def repl(m: re.Match) -> str:
-        name = m.group(1)
-        if name in extra:
-            return extra[name]
-        if name in record:
-            return str(record[name])
-        raise SchemaError(f"eval prompt needs '{name}' but the record lacks it")
-
-    return re.sub(r"\{([A-Za-z0-9_]+)\}", repl, pattern)
-
-
-def _rule_value(rule: Mapping, record: Mapping) -> str:
-    if rule["kind"] == "const":
-        return rule["value"]
-    if rule["kind"] == "cond":
-        value = str(record.get(rule["field"], ""))
-        for case in rule["cases"]:
-            if case["negate"]:
-                if value != case["literal"]:
-                    return case["value"]
-            elif value == case["literal"]:
-                return case["value"]
-        raise SchemaError(f"no answer-rule case for value '{value}'")
-    raise SchemaError(f"unknown answer rule kind: {rule['kind']}")
-
-
 def _rule_options(rule: Mapping) -> list[str]:
     out = []
     for case in rule.get("cases", []):
@@ -135,14 +108,14 @@ def _rule_options(rule: Mapping) -> list[str]:
 
 
 def _candidates_and_gold(
-    prompt: Mapping, record: Mapping, spaces: Mapping[str, list[str]]
+    prompt: Mapping, record: Mapping, view: Mapping[str, str], spaces: Mapping[str, list[str]]
 ) -> tuple[list[str], str]:
     rule = prompt.get("answer")
     if rule:
         options = _rule_options(rule)
-        return options, _rule_value(rule, record)
+        return options, answer_value(rule, view)
     target_name = prompt["target"].strip("{}")
-    gold = str(record.get(target_name, ""))
+    gold = view.get(target_name, "")
     options = [str(o) for o in record.get("options", [])] or list(spaces.get(target_name, []))
     return options, gold
 
@@ -197,6 +170,8 @@ def eval_dataset(
             per_prompt.append(micro_f1(pairs))
         return summarize(dataset, metric, per_prompt)
 
+    # each record's fields as prompt bindings
+    views = [{k: str(v) for k, v in rec.items()} for rec in records]
     spaces: dict[str, list[str]] = {}
     if metric == "accuracy":
         for prompt in prompts:
@@ -207,46 +182,46 @@ def eval_dataset(
                 continue
             seen: set[str] = set()
             space: list[str] = []
-            for rec in records:
-                value = str(rec.get(name, ""))
+            for view in views:
+                value = view.get(name, "")
                 if value and value not in seen:
                     seen.add(value)
                     space.append(value)
             spaces[name] = space
 
-    # the length hint is the dataset-level average summary length
-    avg_length = "0"
     if metric == "rouge1":
-        lengths = [len(str(rec.get("summary", "")).split()) for rec in records]
+        # the length hint is the dataset-level average summary length
+        lengths = [len(view.get("summary", "").split()) for view in views]
         avg_length = str(max(1, round(sum(lengths) / len(lengths))))
+        for view in views:
+            view["avg_length"] = avg_length
 
     per_prompt = []
     for prompt in prompts:
         if metric == "rouge1":
             total = 0.0
-            for rec in records:
-                extra = {"avg_length": avg_length}
-                source = _bind(prompt["source"], rec, extra)
+            for view in views:
+                source = substitute(prompt["source"], view)
                 try:
                     prediction = scorer.generate(source)
                 except ScorerError:
                     prediction = ""
-                total += rouge1(prediction, str(rec.get("summary", "")))
+                total += rouge1(prediction, view.get("summary", ""))
             per_prompt.append(total / len(records))
             continue
 
         correct = 0
-        for rec in records:
-            options, gold = _candidates_and_gold(prompt, rec, spaces)
+        for rec, view in zip(records, views):
+            options, gold = _candidates_and_gold(prompt, rec, view, spaces)
             if len(options) < 2 or gold not in options:
                 raise SchemaError(
                     f"dataset '{dataset}': record options unusable (gold={gold!r}, options={options})"
                 )
-            extra = {
+            source = substitute(prompt["source"], {
+                **view,
                 "choices_with_or": format_options(options, with_or=True),
                 "choices_without_or": format_options(options, with_or=False),
-            }
-            source = _bind(prompt["source"], rec, extra)
+            })
             index = score_mc(source, options, scorer)
             if index is not None and options[index] == gold:
                 correct += 1

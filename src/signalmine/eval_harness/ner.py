@@ -5,6 +5,7 @@ over (surface, type) pairs."""
 from __future__ import annotations
 
 from ..restructurer.render import format_options
+from ..restructurer.templates import substitute
 from .mc import score_mc
 from .scorers import ModelScorer, ScorerError
 
@@ -27,23 +28,18 @@ def eval_two_step_ner(
     type_prompt: str,
 ) -> list[tuple[str, str]]:
     """Prompts carry {text} / {entity} / {choices_*} placeholders."""
-    source = find_prompt.replace("{text}", text)
+    bindings = {"text": text}
     try:
-        raw = scorer.generate(source)
+        raw = scorer.generate(substitute(find_prompt, bindings))
     except ScorerError:
         return []
     entities = parse_entity_list(raw)
     typed: list[tuple[str, str]] = []
-    with_or = format_options(type_labels, with_or=True)
-    without_or = format_options(type_labels, with_or=False)
+    bindings["choices_with_or"] = format_options(type_labels, with_or=True)
+    bindings["choices_without_or"] = format_options(type_labels, with_or=False)
     for entity in entities:
-        prompt = (
-            type_prompt.replace("{text}", text)
-            .replace("{entity}", entity)
-            .replace("{choices_with_or}", with_or)
-            .replace("{choices_without_or}", without_or)
-        )
-        index = score_mc(prompt, type_labels, scorer)
+        bindings["entity"] = entity
+        index = score_mc(substitute(type_prompt, bindings), type_labels, scorer)
         if index is None:
             continue
         typed.append((entity, type_labels[index]))

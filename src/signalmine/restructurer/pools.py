@@ -15,7 +15,8 @@ from ..extractors.daily_mail import CATEGORIES as DAILY_MAIL_CATEGORIES
 from ..extractors.pwc import ENTITY_TYPES as PWC_ENTITY_TYPES
 from ..extractors.wikihow import ACCEPTED_CATEGORIES as WIKIHOW_CATEGORIES
 from ..extractors.wordnet import PARTS_OF_SPEECH
-from ..signal_model import LIST_SEP, SignalTuple
+from ..signal_model import CATALOG, LIST_SEP, SignalTuple
+from .templates import OPTION_SLOT_RE
 
 
 @dataclass
@@ -166,10 +167,6 @@ META_PLACEHOLDERS: dict[str, frozenset[str]] = {
 
 def legal_placeholder(signal_type: str, name: str) -> bool:
     """Is this placeholder resolvable for tuples of the given signal?"""
-    import re
-
-    from ..signal_model import CATALOG
-
     st = CATALOG.get(signal_type)
     if st is None:
         return False
@@ -181,7 +178,7 @@ def legal_placeholder(signal_type: str, name: str) -> bool:
         return True
     if name in ALIASES.get(signal_type, {}):
         return True
-    m = re.match(r"^(.*)_(?:with|without)_or$", name)
+    m = OPTION_SLOT_RE.match(name)
     if m:
         return (signal_type, m.group(1)) in OPTION_SLOTS
     if name.startswith("other_") or name == "not_related_question":

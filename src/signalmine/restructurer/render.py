@@ -11,23 +11,26 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+from collections import ChainMap
 from collections.abc import Sequence
-from functools import lru_cache
 from typing import Mapping
 
 from ..normalizer import word_count
 from ..rng import derive_rng
 from ..signal_model import LIST_SEP, NO_ENTITIES, PromptedExample, SchemaError, SignalTuple
 from .pools import ALIASES, OPTION_SLOTS, OTHER_SLOTS, DistractorPools
-from .templates import OPTION_SLOT_RE, PLACEHOLDER_RE, PromptRegistry, PromptTemplate, load_gaokao_prompts
+from .templates import (
+    OPTION_SLOT_RE,
+    PromptRegistry,
+    PromptTemplate,
+    RenderError,
+    answer_value,
+    load_gaokao_prompts,
+    substitute,
+)
 
 MIN_OPTIONS = 3
 MAX_OPTIONS = 9
-
-
-class RenderError(Exception):
-    """A template cannot be rendered for this tuple (pool too small, missing
-    binding); carries the offending group for the manifest."""
 
 
 class ConfigError(Exception):
@@ -220,28 +223,6 @@ def _entity_bindings(tup: SignalTuple, needed: set[str], rng: random.Random) -> 
     return out
 
 
-def _answer_value(rule: Mapping, tup: SignalTuple) -> str:
-    kind = rule.get("kind")
-    if kind == "const":
-        return rule["value"]
-    if kind == "presence":
-        raw = tup.get(rule.get("field", "entities")) or ""
-        present = bool(raw) and raw != NO_ENTITIES
-        return rule["present"] if present else rule["absent"]
-    if kind == "cond":
-        value = tup.get(rule["field"])
-        if value is None:
-            raise RenderError(f"{tup.signal_type}: answer rule needs field '{rule['field']}'")
-        for case in rule["cases"]:
-            if case["negate"]:
-                if value != case["literal"]:
-                    return case["value"]
-            elif value == case["literal"]:
-                return case["value"]
-        raise RenderError(f"{tup.signal_type}: answer rule has no case for value '{value}'")
-    raise SchemaError(f"unknown answer rule kind: {kind}")
-
-
 _A_AN_RE = re.compile(r"\ba/an(\s+\"?)([A-Za-z])")
 
 
@@ -257,63 +238,6 @@ def resolve_article(text: str) -> str:
     return _A_AN_RE.sub(repl, text)
 
 
-_BRACE_RE = re.compile(r"[{}]")
-
-
-@lru_cache(maxsize=4096)
-def _compile(pattern: str) -> tuple[tuple[tuple[str, bool], ...], str | None]:
-    """Split a pattern into segments, read left to right.
-
-    Returns (segments, error). A segment is (text, False) for literal text,
-    with `{{` and `}}` already unescaped, or (name, True) for a placeholder;
-    empty literals are dropped, so a pattern that is one placeholder
-    substitutes to the bound string itself, not a copy. Reading stops at the
-    first malformed placeholder or stray `}`, whose message `error` carries;
-    substitution raises it only after every placeholder before it is bound,
-    the order in which the text is read.
-    """
-    segments: list[tuple[str, bool]] = []
-    run: list[str] = []
-    error = None
-    i = 0
-    while (m := _BRACE_RE.search(pattern, i)) is not None:
-        j = m.start()
-        run.append(pattern[i:j])
-        if pattern.startswith("{{", j) or pattern.startswith("}}", j):
-            run.append(pattern[j])
-            i = j + 2
-            continue
-        if pattern[j] == "}":
-            error = f"stray '}}' at offset {j}"
-            break
-        placeholder = PLACEHOLDER_RE.match(pattern, j)
-        if not placeholder:
-            error = f"malformed placeholder at offset {j}"
-            break
-        segments.append(("".join(run), False))
-        segments.append((placeholder.group(1), True))
-        run = []
-        i = placeholder.end()
-    else:
-        run.append(pattern[i:])
-    segments.append(("".join(run), False))
-    return tuple(s for s in segments if s[0]), error
-
-
-def _substitute(pattern: str, bindings: Mapping[str, str]) -> str:
-    segments, error = _compile(pattern)
-    out = []
-    for text, is_placeholder in segments:
-        if is_placeholder:
-            if text not in bindings:
-                raise RenderError(f"unbound placeholder '{text}'")
-            text = bindings[text]
-        out.append(text)
-    if error is not None:
-        raise RenderError(error)
-    return "".join(out)
-
-
 def render(
     tup: SignalTuple,
     template: PromptTemplate,
@@ -325,8 +249,9 @@ def render(
         raise RenderError(f"template {template.template_id} does not match {tup.signal_type}")
 
     names = template.placeholders()
+    named = tup.named_fields()
     bindings: dict[str, str] = {}
-    bindings.update(tup.named_fields())
+    bindings.update(named)
     bindings.update(tup.extraction_meta)
     for alias, target_name in ALIASES.get(tup.signal_type, {}).items():
         if target_name in bindings:
@@ -356,12 +281,12 @@ def render(
             bindings[name] = _other_value(name, tup, pools, rng)
 
     if template.answer is not None:
-        bindings["answer"] = _answer_value(template.answer, tup)
+        bindings["answer"] = answer_value(template.answer, ChainMap(named, tup.extraction_meta))
 
-    target = _substitute(template.target_pattern, bindings)
+    target = substitute(template.target_pattern, bindings)
     if "length" in names:
         bindings["length"] = str(word_count(target))
-    source = resolve_article(_substitute(template.source_pattern, bindings))
+    source = resolve_article(substitute(template.source_pattern, bindings))
 
     example = PromptedExample(
         source=source,
@@ -474,8 +399,8 @@ def render_gaokao(record: Mapping, kind: str) -> PromptedExample:
     if options:
         bindings["options_with_or"] = format_options([str(o) for o in options], with_or=True)
     bindings.setdefault("target", str(record.get("answer", "")))
-    source = _substitute(spec["source"], bindings)
-    target = _substitute(spec["target"], bindings)
+    source = substitute(spec["source"], bindings)
+    target = substitute(spec["target"], bindings)
     example = PromptedExample(
         source=source,
         target=target,

@@ -4,6 +4,8 @@ Templates are data, not code: each record carries the source/target patterns
 with `{name}` placeholders, an optional answer rule, and optional
 applicability requirements. The registry groups them by (signal_type,
 family) and is immutable after load.
+The `{name}` pattern language and the answer rules defined here serve the
+evaluation and exam prompts as well.
 """
 
 from __future__ import annotations
@@ -11,13 +13,109 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from typing import Mapping
 
-from ..signal_model import CATALOG, LIST_SEP, SchemaError, SignalTuple
+from ..signal_model import CATALOG, LIST_SEP, NO_ENTITIES, SchemaError, SignalTuple
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z0-9_]+)\}")
 OPTION_SLOT_RE = re.compile(r"^(.*)_(with|without)_or$")
+
+
+class RenderError(Exception):
+    """A prompt cannot be rendered (pool too small, missing binding, no
+    answer); carries the offending group for the manifest."""
+
+
+_BRACE_RE = re.compile(r"[{}]")
+
+
+@lru_cache(maxsize=4096)
+def _compile(pattern: str) -> tuple[tuple[tuple[str, bool], ...], str | None]:
+    """Split a pattern into segments, read left to right.
+
+    Returns (segments, error). A segment is (text, False) for literal text,
+    with `{{` and `}}` already unescaped, or (name, True) for a placeholder;
+    empty literals are dropped, so a pattern that is one placeholder
+    substitutes to the bound string itself, not a copy. Reading stops at the
+    first malformed placeholder or stray `}`, whose message `error` carries;
+    substitution raises it only after every placeholder before it is bound,
+    the order in which the text is read.
+    """
+    segments: list[tuple[str, bool]] = []
+    run: list[str] = []
+    error = None
+    i = 0
+    while (m := _BRACE_RE.search(pattern, i)) is not None:
+        j = m.start()
+        run.append(pattern[i:j])
+        if pattern.startswith("{{", j) or pattern.startswith("}}", j):
+            run.append(pattern[j])
+            i = j + 2
+            continue
+        if pattern[j] == "}":
+            error = f"stray '}}' at offset {j}"
+            break
+        placeholder = PLACEHOLDER_RE.match(pattern, j)
+        if not placeholder:
+            error = f"malformed placeholder at offset {j}"
+            break
+        segments.append(("".join(run), False))
+        segments.append((placeholder.group(1), True))
+        run = []
+        i = placeholder.end()
+    else:
+        run.append(pattern[i:])
+    segments.append(("".join(run), False))
+    return tuple(s for s in segments if s[0]), error
+
+
+def _names(pattern: str) -> set[str]:
+    return {text for text, is_placeholder in _compile(pattern)[0] if is_placeholder}
+
+
+def substitute(pattern: str, bindings: Mapping[str, str]) -> str:
+    """Bind every `{name}` of `pattern`; `{{` and `}}` stand for `{` and `}`.
+
+    Bound values are inserted as they are, never read as patterns. An unbound
+    name, a malformed placeholder or a stray `}` raises `RenderError`.
+    """
+    segments, error = _compile(pattern)
+    out = []
+    for text, is_placeholder in segments:
+        if is_placeholder:
+            if text not in bindings:
+                raise RenderError(f"unbound placeholder '{text}'")
+            text = bindings[text]
+        out.append(text)
+    if error is not None:
+        raise RenderError(error)
+    return "".join(out)
+
+
+def answer_value(rule: Mapping, values: Mapping[str, str]) -> str:
+    """The answer a rule gives for a record's field values; a `cond` rule
+    whose field is missing, or whose cases all miss, raises `RenderError`."""
+    kind = rule.get("kind")
+    if kind == "const":
+        return rule["value"]
+    if kind == "presence":
+        raw = values.get(rule.get("field", "entities")) or ""
+        present = bool(raw) and raw != NO_ENTITIES
+        return rule["present"] if present else rule["absent"]
+    if kind == "cond":
+        value = values.get(rule["field"])
+        if value is None:
+            raise RenderError(f"answer rule needs field '{rule['field']}'")
+        for case in rule["cases"]:
+            if case["negate"]:
+                if value != case["literal"]:
+                    return case["value"]
+            elif value == case["literal"]:
+                return case["value"]
+        raise RenderError(f"answer rule has no case for value '{value}'")
+    raise SchemaError(f"unknown answer rule kind: {kind}")
 
 
 @dataclass(frozen=True)
@@ -33,9 +131,7 @@ class PromptTemplate:
     slots: Mapping[str, str] = field(default_factory=dict)
 
     def placeholders(self) -> set[str]:
-        return set(PLACEHOLDER_RE.findall(self.source_pattern)) | set(
-            PLACEHOLDER_RE.findall(self.target_pattern)
-        )
+        return _names(self.source_pattern) | _names(self.target_pattern)
 
     def option_slots(self) -> set[str]:
         bases = set()
@@ -119,11 +215,15 @@ def _data_text(name: str) -> str:
 
 
 def validate_template(tpl: PromptTemplate) -> None:
-    """Template invariants: placeholders must be resolvable for the signal;
-    multiple-choice prompts carry options (a slot or a literal quoted list),
-    generation prompts carry no option slots."""
+    """Template invariants: patterns must compile; placeholders must be
+    resolvable for the signal; multiple-choice prompts carry options (a slot
+    or a literal quoted list), generation prompts carry no option slots."""
     from .pools import legal_placeholder
 
+    for pattern in (tpl.source_pattern, tpl.target_pattern):
+        error = _compile(pattern)[1]
+        if error is not None:
+            raise SchemaError(f"template {tpl.template_id}: {error} in {pattern!r}")
     for name in tpl.placeholders():
         if not legal_placeholder(tpl.signal_type, name):
             raise SchemaError(

@@ -376,3 +376,61 @@ def test_wikidata_blocklist_flag(runner, tmp_path):
     assert result.exit_code == 0, result.output
     lines = [json.loads(l) for l in out.read_text().strip().split("\n")]
     assert not any(rec["fields"].get("property") == "place of birth" for rec in lines)
+
+
+def test_evaluate_unbound_prompt_placeholder_is_render_error(runner, tmp_path):
+    prompts = [{"source": "TEXT: {premise} QUERY: {nope}? \"Yes\" or \"No\"?", "target": "{label}"}] * 5
+    path = tmp_path / "prompts.json"
+    path.write_text(json.dumps(prompts))
+    result = runner.invoke(main, [
+        "evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
+        "--prompts", str(path), "--seed", "1",
+    ])
+    assert result.exit_code == 1
+    assert result.output == "render-error: unbound placeholder 'nope'\n"
+
+
+@pytest.mark.parametrize("command", ["", "   "])
+def test_evaluate_empty_external_command_is_one_scorer_error_line(runner, command):
+    result = runner.invoke(main, [
+        "evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
+        "--scorer", f"external-cmd:{command}",
+    ])
+    assert result.exit_code == 1
+    assert result.output == "scorer-error: external scorer needs a command\n"
+
+
+def test_evaluate_unparsable_external_command_is_scorer_error(runner):
+    result = runner.invoke(main, [
+        "evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
+        "--scorer", "external-cmd:python 'unclosed",
+    ])
+    assert result.exit_code == 1
+    assert result.output.startswith("scorer-error: cannot parse scorer command")
+
+
+def test_evaluate_external_command_keeps_quoted_paths_with_spaces(runner, tmp_path):
+    import shlex
+    import sys
+    import textwrap
+
+    folder = tmp_path / "my scorer"
+    folder.mkdir()
+    program = folder / "scorer.py"
+    log = folder / "requests log.txt"
+    program.write_text(textwrap.dedent("""
+        import json, sys
+        with open(sys.argv[1], "a") as log:
+            for line in sys.stdin:
+                log.write(line)
+                log.flush()
+                print(json.dumps({"logprobs": [-1.0]}), flush=True)
+    """))
+    command = " ".join(shlex.quote(str(p)) for p in (sys.executable, program, log))
+    result = runner.invoke(main, [
+        "evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
+        "--scorer", f"external-cmd:{command}", "--seed", "2",
+    ])
+    assert result.exit_code == 0, result.output
+    requests = [json.loads(line) for line in log.read_text().splitlines()]
+    assert requests and all(r["op"] == "score" for r in requests)

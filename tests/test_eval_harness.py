@@ -222,3 +222,69 @@ def test_eval_dataset_ner_micro_f1():
     report = eval_dataset("conll03", records, ReferenceScorer(), "micro_f1", seed=0)
     assert report.metric == "micro_f1"
     assert all(0.0 <= s <= 1.0 for s in report.per_prompt)
+
+
+class _Recording(ReferenceScorer):
+    def __init__(self):
+        self.sources = []
+
+    def score(self, source, candidate):
+        self.sources.append(source)
+        return super().score(source, candidate)
+
+    def generate(self, source):
+        self.sources.append(source)
+        return super().generate(source)
+
+
+def test_two_step_ner_binds_document_text_verbatim():
+    class Stub:
+        def __init__(self):
+            self.sources = []
+
+        def score(self, source, candidate):
+            self.sources.append(source)
+            return [0.0]
+
+        def generate(self, source):
+            self.sources.append(source)
+            return "Mozart"
+
+    text = "Mozart quoted {entity} and {choices_with_or} in {{a}} letter"
+    stub = Stub()
+    eval_two_step_ner(text, stub, ["LOC", "PER"], "TEXT: {text} QUERY: List the entities.",
+                      'TEXT: {text} QUERY: What\'s the entity type of "{entity}"? {choices_with_or}?')
+    assert stub.sources[0] == f"TEXT: {text} QUERY: List the entities."
+    assert set(stub.sources[1:]) == {
+        f'TEXT: {text} QUERY: What\'s the entity type of "Mozart"? "LOC" or "PER"?'}
+
+
+_RTE_RULE = {"kind": "cond", "field": "label", "cases": [
+    {"literal": "entailment", "negate": False, "value": "Yes"},
+    {"literal": "entailment", "negate": True, "value": "No"}]}
+
+
+def _prompt_doc(source):
+    prompts = [{"source": source, "target": "{answer}", "answer": _RTE_RULE}] * 5
+    return {"sets": {"custom": prompts}, "datasets": {"custom": "custom"}}
+
+
+def test_eval_prompt_unescapes_braces_like_a_template():
+    from signalmine.restructurer.templates import substitute
+
+    pattern = 'TEXT: {premise} QUERY: does {{hypothesis}} "{hypothesis}" follow? "Yes" or "No"?'
+    record = {"premise": "It rained", "hypothesis": "The street is wet", "label": "entailment"}
+    scorer = _Recording()
+    eval_dataset("custom", [record], scorer, "accuracy", prompts_doc=_prompt_doc(pattern))
+    expected = 'TEXT: It rained QUERY: does {hypothesis} "The street is wet" follow? "Yes" or "No"?'
+    assert substitute(pattern, {k: str(v) for k, v in record.items()}) == expected
+    assert set(scorer.sources) == {expected}
+
+
+def test_eval_cond_rule_on_record_without_its_field_raises():
+    from signalmine.restructurer.templates import RenderError
+
+    record = {"premise": "It rained", "hypothesis": "The street is wet"}
+    doc = _prompt_doc('TEXT: {premise} QUERY: "{hypothesis}"? "Yes" or "No"?')
+    with pytest.raises(RenderError, match="answer rule needs field 'label'"):
+        eval_dataset("custom", [record], ReferenceScorer(), "accuracy", prompts_doc=doc)

@@ -13,7 +13,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import signalmine.cli as cli
 from signalmine.cli import main
+from signalmine.eval_harness.scorers import ReferenceScorer
 from signalmine.signal_model import SignalTuple, dump_tuples
 
 from conftest import FIXTURES
@@ -25,6 +27,8 @@ MINES = (
 
 # `extract` every fixture mine, then `mix --spec all_tasks --seed 7`.
 FIXTURE_BUNDLE_HASH = "ec30dbf7f6e44d822872b814d27e871771356a4134a01bb9d5c011f2f1a1a47b"
+# The same run's `manifest.json`: the spec digest and the seed it records.
+FIXTURE_SPEC_HASH = "9307ad9b762ce93e"
 # A generated corpus whose distractor pools exceed random.sample's set-size
 # threshold, so the indexed sampling path is pinned as well.
 SYNTHETIC_BUNDLE_HASH = "d79bdff4fdacd13672dbe13d8d3ac83683ae5a2f0860d8d2156e8877385b328f"
@@ -48,6 +52,25 @@ EXTRACT_DIGESTS = {
     "plain_text": "ddf1645d7c5b4a900453624d072e3dd3d7394c9d06f2529e34394b25846e3977",
     "unicode:rotten_tomatoes": "0a9f44266c1c393b48381836f58c0ade191e61ec4e1fdfa8df8081775d8f1c95",
     "unicode:plain_text": "0da8d03269eb77c3fef3e68573a7b60349870487cf1ba181f76f60590372b005",
+}
+
+# sha256 over every request the scorer receives while `evaluate --seed 5`
+# scores a fixture set under `eval/` with the reference scorer, one JSON line
+# each (`["score", source, candidate]` or `["generate", source]`), followed by
+# the printed report. Pins the prompt text of accuracy, two-step NER and
+# ROUGE-1 evaluation, not only the scores it leads to.
+EVAL_DIGESTS = {
+    "conll03": "e0deb034618fc271360e9b0905b4dce7c5096a84d17d696590b43ecf9cd38631",  # two-step NER
+    "lama_trex": "a2a4be7a0d46c330837c551de6b1ef21262a1a565fea519784418b6d4dc42328",
+    "mr": "fdd38897df728e3f68ea1bb7e65ab70c5861353f41d5dcb6a512c6ae620bbcc1",
+    "qc": "a5b7b4e5e3f9712077adcd4a62932772f436619b51704a12a91d80e63f2028c5",
+    "rte": "6f1f127999bd20819db8527b9a568e174c69cfb21ccb647e88d9ae342600c7af",
+    "scitldr": "54a94bcff6b7559d575374873e883c5519de8ff92edb9a5d0d4bf48a4279c366",  # ROUGE-1
+    "semeval2007": "762e7f74180441dba6b0d60340c03cd7c2192921e82e9d8c10750cb9b1eb7139",
+    "snips": "4540828e5c2f45b52ce38db39383ecb3d99c1373a5e597e3751795b7b0dfa29b",
+    "subj": "eaaf1fd8a0b7643e9613c0634aaabccf5153e606da9437f52e3b3b5289b34a0f",
+    "tracie": "234f32575caf983150be70950858bef7b8d98c3f62bcc1a51e825b5cffb59539",
+    "wiki80": "e6502437e7e6c45820e57e247f47ebb281495679139cf4739ba69172000334d6",
 }
 
 SYNTHETIC_SIZE = 2100
@@ -103,6 +126,33 @@ def _extract(tmp_path, mine: str, dump):
 def test_fixture_pipeline_bundle_hash(tmp_path):
     tuple_files = [_extract(tmp_path, mine, FIXTURES / "mines" / f"{mine}.jsonl") for mine in MINES]
     assert _mix(tmp_path, "all_tasks", tuple_files) == FIXTURE_BUNDLE_HASH
+    manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["spec_hash"], manifest["seed"]) == (FIXTURE_SPEC_HASH, 7)
+
+
+class _RecordingScorer(ReferenceScorer):
+    """The reference scorer, writing down every request it answers."""
+
+    requests: list[str] = []
+
+    def score(self, source, candidate):
+        self.requests.append(json.dumps(["score", source, candidate]))
+        return super().score(source, candidate)
+
+    def generate(self, source):
+        self.requests.append(json.dumps(["generate", source]))
+        return super().generate(source)
+
+
+@pytest.mark.parametrize("dataset", sorted(EVAL_DIGESTS))
+def test_evaluate_requests_and_report_digest(dataset, monkeypatch):
+    monkeypatch.setattr(_RecordingScorer, "requests", [])
+    monkeypatch.setattr(cli, "ReferenceScorer", _RecordingScorer)
+    report = _invoke(["evaluate", "--dataset", dataset, "--data", str(FIXTURES / "eval" / f"{dataset}.jsonl"),
+                      "--seed", "5"])
+    assert _RecordingScorer.requests
+    blob = "".join(line + "\n" for line in _RecordingScorer.requests) + report
+    assert hashlib.sha256(blob.encode()).hexdigest() == EVAL_DIGESTS[dataset]
 
 
 @pytest.mark.parametrize("key", sorted(EXTRACT_DIGESTS))

@@ -338,6 +338,12 @@ def test_registry_rejects_malformed_templates(tmp_path):
                       source="TEXT: {review} QUERY: pick {choices_with_or}?"))
     with pytest.raises(SchemaError):  # unknown signal
         load_one(dict(base, signal_type="nope"))
+    with pytest.raises(SchemaError, match="malformed placeholder at offset 28"):
+        load_one(dict(base, source='TEXT: {review} QUERY: Good? {not valid} "Yes" or "No"?'))
+    with pytest.raises(SchemaError, match="stray '}' at offset 14"):
+        load_one(dict(base, source='TEXT: {review}} QUERY: Good? "Yes" or "No"?'))
+    with pytest.raises(SchemaError, match="malformed placeholder at offset 0"):
+        load_one(dict(base, target="{sentiment"))
 
 
 @pytest.mark.parametrize("pattern, expected", [
@@ -350,9 +356,9 @@ def test_registry_rejects_malformed_templates(tmp_path):
     ("}}{{", "}{"),
 ])
 def test_substitute_binds_placeholders_and_unescapes_braces(pattern, expected):
-    from signalmine.restructurer.render import _substitute
+    from signalmine.restructurer.templates import substitute
 
-    assert _substitute(pattern, {"a": "1", "b": "2"}) == expected
+    assert substitute(pattern, {"a": "1", "b": "2"}) == expected
 
 
 @pytest.mark.parametrize("pattern, message", [
@@ -368,8 +374,16 @@ def test_substitute_binds_placeholders_and_unescapes_braces(pattern, expected):
     ("{a}}}{missing} }", "unbound placeholder 'missing'"),
 ])
 def test_substitute_errors_name_the_first_problem(pattern, message):
-    from signalmine.restructurer.render import _substitute
+    from signalmine.restructurer.templates import substitute
 
     with pytest.raises(RenderError) as exc:
-        _substitute(pattern, {"a": "1"})
+        substitute(pattern, {"a": "1"})
     assert str(exc.value) == message
+
+
+def test_placeholders_exclude_escaped_names():
+    from signalmine.restructurer.templates import PromptTemplate
+
+    tpl = PromptTemplate("x.gen.1", "rotten_tomatoes_sentiment", "generation", "g",
+                         "TEXT: {review} QUERY: fill in {{slot}} and {{{sentiment}}}.", "{{label}}")
+    assert tpl.placeholders() == {"review", "sentiment"}
