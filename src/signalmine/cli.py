@@ -328,7 +328,10 @@ def evaluate(ctx, dataset, data_path, prompts_path, scorer_arg, metric, out_path
         prompts_doc = None
         if prompts_path:
             with open(prompts_path, encoding="utf-8") as fh:
-                custom = json.load(fh)
+                try:
+                    custom = json.load(fh)
+                except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                    raise SchemaError(f"{prompts_path}: not a JSON document: {exc}") from exc
             if isinstance(custom, list):
                 bundled = load_eval_prompts()
                 prompts_doc = {"sets": dict(bundled["sets"], **{dataset: custom}),

@@ -1,8 +1,7 @@
-"""Distractor pools: where wrong options come from, per signal and slot.
-
-Pools are either fixed label spaces, values carried by the tuple itself
-(packed lists in fields or extraction_meta), or corpus-level collections
-built in one pass over the tuple stream.
+"""Signal binding rules: the tables that pool building, rendering and
+template validation all read, and the distractor pools wrong options come
+from (fixed label spaces, packed lists the tuple carries in fields or
+extraction_meta, or collections built over the tuple stream).
 """
 
 from __future__ import annotations
@@ -47,38 +46,12 @@ class DistractorPools:
 
     def observe(self, tup: SignalTuple) -> None:
         named = tup.named_fields()
-        sig = tup.signal_type
-        if sig == "daily_mail_summary":
-            self.add("daily_mail_titles", named["title"])
-        elif sig == "arxiv_summary":
-            self.add("arxiv_titles", named["title"])
-        elif sig == "wikidata_relation":
-            self.add("wikidata_subjects", named["subject"])
-            self.add("wikidata_properties", named["property"])
-            self.add("wikidata_objects", named["object"])
-        elif sig == "wikidata_entity":
-            self.add("wikidata_entity_types", named["entity_type"])
-        elif sig == "wikihow_category_hierarchy":
-            self.add("wikihow_high_categories", named["high_category"])
-        elif sig == "wikihow_goal_step":
-            self.add("wikihow_goals", named["goal"])
-            self.add("wikihow_step_headlines", named["step_headline"])
-        elif sig == "wikihow_summary":
-            self.add("wikihow_step_headlines", named["step_headline"])
-        elif sig == "wikihow_procedure":
-            self.add("wikihow_goals", named["goal"])
-            self.add("wikihow_step_headlines", named["first_step_headline"])
-            self.add("wikihow_step_headlines", named["second_step_headline"])
-        elif sig == "wikihow_question":
-            self.add("wikihow_questions", named["title"])
-            for q in tup.extraction_meta.get("related_questions", "").split(LIST_SEP):
-                self.add("wikihow_questions", q)
-        elif sig in ("wordnet_pos", "wordnet_meaning", "wordnet_synonym", "wordnet_antonym"):
-            self.add("wordnet_words", named["word"])
-            if sig == "wordnet_synonym":
-                self.add("wordnet_words", named["synonym"])
-            if sig == "wordnet_antonym":
-                self.add("wordnet_words", named["antonym"])
+        for pool, key in POOL_FEEDS.get(tup.signal_type, ()):
+            if key in named:
+                self.add(pool, named[key])
+            else:
+                for value in tup.extraction_meta.get(key, "").split(LIST_SEP):
+                    self.add(pool, value)
 
     @classmethod
     def build(cls, tuples: Iterable[SignalTuple]) -> "DistractorPools":
@@ -87,6 +60,29 @@ class DistractorPools:
             pools.observe(tup)
         return pools
 
+
+# Pool feeds: signal -> (pool, field or packed-list meta key), in the order
+# `observe` adds them, which decides the distractors a seed draws.
+POOL_FEEDS: dict[str, tuple[tuple[str, str], ...]] = {
+    "daily_mail_summary": (("daily_mail_titles", "title"),),
+    "arxiv_summary": (("arxiv_titles", "title"),),
+    "wikidata_relation": (
+        ("wikidata_subjects", "subject"), ("wikidata_properties", "property"), ("wikidata_objects", "object")),
+    "wikidata_entity": (("wikidata_entity_types", "entity_type"),),
+    "wikihow_category_hierarchy": (("wikihow_high_categories", "high_category"),),
+    "wikihow_goal_step": (("wikihow_goals", "goal"), ("wikihow_step_headlines", "step_headline")),
+    "wikihow_summary": (("wikihow_step_headlines", "step_headline"),),
+    "wikihow_procedure": (
+        ("wikihow_goals", "goal"),
+        ("wikihow_step_headlines", "first_step_headline"),
+        ("wikihow_step_headlines", "second_step_headline"),
+    ),
+    "wikihow_question": (("wikihow_questions", "title"), ("wikihow_questions", "related_questions")),
+    "wordnet_pos": (("wordnet_words", "word"),),
+    "wordnet_meaning": (("wordnet_words", "word"),),
+    "wordnet_synonym": (("wordnet_words", "word"), ("wordnet_words", "synonym")),
+    "wordnet_antonym": (("wordnet_words", "word"), ("wordnet_words", "antonym")),
+}
 
 # Option slot registry: (signal, base) -> (correct field, pool spec, mode).
 # Pool specs: ("labels", <tuple>), ("context", <pool name>), ("field", <field>),
@@ -154,33 +150,44 @@ ALIASES: dict[str, dict[str, str]] = {
     "daily_mail_category": {"text": "summary"},
 }
 
-# Placeholders bound from extraction_meta or computed per tuple at render time.
+# Placeholders bound from extraction_meta.
 META_PLACEHOLDERS: dict[str, frozenset[str]] = {
     "daily_mail_temporal": frozenset({
         "one_bullet_point", "another_bullet_point", "first_bp", "last_bp",
         "first_bullet_point", "second_bullet_point",
     }),
-    "wikipedia_entities": frozenset({"entity", "not_entity", "choice0", "choice1"}),
-    "paperswithcode_entity": frozenset({"entity", "not_entity", "choice0", "choice1", "entity_type"}),
-    "wikihow_procedure": frozenset({"choice1", "choice2"}),
+    "paperswithcode_entity": frozenset({"entity_type"}),
 }
+
+# Signals whose unbound {entity} and {not_entity} are drawn at render time: an
+# entity from the `entity_list` meta, a span of the first field that is none.
+ENTITY_DRAWS = frozenset({"wikipedia_entities", "paperswithcode_entity"})
+DRAWN_NAMES = ("entity", "not_entity")
+
+# Shuffled pairs: signal -> (two placeholders, the two bindings whose seeded
+# shuffle they take), e.g. the two options of "which is a named entity?".
+SHUFFLED_PAIRS: dict[str, tuple[tuple[str, str], tuple[str, str]]] = {
+    "wikipedia_entities": (("choice0", "choice1"), DRAWN_NAMES),
+    "paperswithcode_entity": (("choice0", "choice1"), DRAWN_NAMES),
+    "wikihow_procedure": (("choice1", "choice2"), ("first_step_headline", "second_step_headline")),
+}
+
 
 def legal_placeholder(signal_type: str, name: str) -> bool:
     """Is this placeholder resolvable for tuples of the given signal?"""
     st = CATALOG.get(signal_type)
     if st is None:
         return False
-    if name in ("answer", "length"):
+    if name in ("answer", "length") or name in st.field_names:
         return True
-    if name in st.field_names:
+    if name in META_PLACEHOLDERS.get(signal_type, ()) or name in ALIASES.get(signal_type, {}):
         return True
-    if name in META_PLACEHOLDERS.get(signal_type, ()):
+    if signal_type in ENTITY_DRAWS and name in DRAWN_NAMES:
         return True
-    if name in ALIASES.get(signal_type, {}):
+    pair = SHUFFLED_PAIRS.get(signal_type)
+    if pair and name in pair[0]:
         return True
     m = OPTION_SLOT_RE.match(name)
     if m:
         return (signal_type, m.group(1)) in OPTION_SLOTS
-    if name.startswith("other_") or name == "not_related_question":
-        return (signal_type, name) in OTHER_SLOTS
-    return False
+    return (signal_type, name) in OTHER_SLOTS

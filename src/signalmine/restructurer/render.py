@@ -18,7 +18,7 @@ from typing import Mapping
 from ..normalizer import word_count
 from ..rng import derive_rng
 from ..signal_model import LIST_SEP, NO_ENTITIES, PromptedExample, SchemaError, SignalTuple
-from .pools import ALIASES, OPTION_SLOTS, OTHER_SLOTS, DistractorPools
+from .pools import ALIASES, ENTITY_DRAWS, OPTION_SLOTS, OTHER_SLOTS, SHUFFLED_PAIRS, DistractorPools
 from .templates import (
     OPTION_SLOT_RE,
     PromptRegistry,
@@ -174,10 +174,7 @@ def _build_options(
 
 
 def _other_value(name: str, tup: SignalTuple, pools: DistractorPools, rng: random.Random) -> str:
-    key = (tup.signal_type, name)
-    if key not in OTHER_SLOTS:
-        raise RenderError(f"{tup.signal_type}: no distractor rule for '{name}'")
-    spec, excluded_keys = OTHER_SLOTS[key]
+    spec, excluded_keys = OTHER_SLOTS[(tup.signal_type, name)]
     values, positions = _pool_values(spec, tup, pools)
     excluded = _exclusion_values(tup, excluded_keys)
     candidates = _Without(values, sorted(positions[v] for v in excluded if v in positions))
@@ -186,41 +183,28 @@ def _other_value(name: str, tup: SignalTuple, pools: DistractorPools, rng: rando
     return rng.choice(candidates)
 
 
-def _entity_bindings(tup: SignalTuple, needed: set[str], rng: random.Random) -> dict[str, str]:
-    out: dict[str, str] = {}
-    wants_entity = needed & {"entity", "choice0", "choice1"}
-    wants_not_entity = needed & {"not_entity", "choice0", "choice1"}
+def _draw_entities(tup: SignalTuple, wanted: set[str], bindings: dict[str, str], rng: random.Random) -> None:
+    """Bind each of `entity` and `not_entity` that is wanted and still unbound."""
     entities = [v for v in tup.extraction_meta.get("entity_list", "").split(LIST_SEP) if v]
-    if wants_entity:
-        if "entity" in tup.extraction_meta:
-            out["entity"] = tup.extraction_meta["entity"]
-        elif entities:
-            out["entity"] = rng.choice(entities)
-        else:
+    if "entity" in wanted and "entity" not in bindings:
+        if not entities:
             raise RenderError(f"{tup.signal_type}: template needs an entity but the tuple has none")
-    if wants_not_entity:
-        body = tup.fields[0]
-        tokens = body.split()
+        bindings["entity"] = rng.choice(entities)
+    if "not_entity" in wanted and "not_entity" not in bindings:
+        tokens = tup.fields[0].split()
         surfaces = set(entities)
-        for attempt in range(64):
+        for _ in range(64):
             length = rng.randint(1, min(3, len(tokens)))
-            if len(tokens) < length:
-                break
             start = rng.randrange(0, len(tokens) - length + 1)
             span = " ".join(tokens[start : start + length])
             if span in surfaces or span == NO_ENTITIES:
                 continue
             if any(span in s or s in span for s in surfaces):
                 continue
-            out["not_entity"] = span
+            bindings["not_entity"] = span
             break
-        if "not_entity" not in out:
+        if "not_entity" not in bindings:
             raise RenderError(f"{tup.signal_type}: could not pick a non-entity span")
-    if needed & {"choice0", "choice1"}:
-        pair = [out["entity"], out["not_entity"]]
-        rng.shuffle(pair)
-        out["choice0"], out["choice1"] = pair
-    return out
 
 
 _A_AN_RE = re.compile(r"\ba/an(\s+\"?)([A-Za-z])")
@@ -257,15 +241,15 @@ def render(
         if target_name in bindings:
             bindings[alias] = bindings[target_name]
 
-    if tup.signal_type in ("wikipedia_entities", "paperswithcode_entity"):
-        specials = names & {"entity", "not_entity", "choice0", "choice1"}
-        specials -= {n for n in ("entity",) if n in bindings}
-        if specials:
-            bindings.update(_entity_bindings(tup, names & {"entity", "not_entity", "choice0", "choice1"}, rng))
-    if tup.signal_type == "wikihow_procedure" and {"choice1", "choice2"} & names:
-        pair = [bindings["first_step_headline"], bindings["second_step_headline"]]
-        rng.shuffle(pair)
-        bindings["choice1"], bindings["choice2"] = pair
+    pair = SHUFFLED_PAIRS.get(tup.signal_type)
+    if pair and names.isdisjoint(pair[0]):
+        pair = None
+    if tup.signal_type in ENTITY_DRAWS:
+        _draw_entities(tup, names.union(pair[1]) if pair else names, bindings, rng)
+    if pair:
+        values = [bindings[n] for n in pair[1]]
+        rng.shuffle(values)
+        bindings.update(zip(pair[0], values))
 
     for name in sorted(names):
         if name in bindings:
@@ -277,7 +261,7 @@ def render(
             bindings[f"{base}_with_or"] = format_options(options, with_or=True)
             bindings[f"{base}_without_or"] = format_options(options, with_or=False)
             continue
-        if name.startswith("other_") or name == "not_related_question":
+        if (tup.signal_type, name) in OTHER_SLOTS:
             bindings[name] = _other_value(name, tup, pools, rng)
 
     if template.answer is not None:

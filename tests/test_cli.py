@@ -390,6 +390,19 @@ def test_evaluate_unbound_prompt_placeholder_is_render_error(runner, tmp_path):
     assert result.output == "render-error: unbound placeholder 'nope'\n"
 
 
+@pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe not UTF-8"])
+def test_evaluate_prompts_file_that_is_not_json_is_one_schema_error_line(runner, tmp_path, content):
+    path = tmp_path / "prompts.json"
+    path.write_bytes(content)
+    result = runner.invoke(main, [
+        "evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
+        "--prompts", str(path),
+    ])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"schema-error: {path}: not a JSON document")
+    assert result.output.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["", "   "])
 def test_evaluate_empty_external_command_is_one_scorer_error_line(runner, command):
     result = runner.invoke(main, [

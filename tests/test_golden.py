@@ -16,7 +16,11 @@ from click.testing import CliRunner
 import signalmine.cli as cli
 from signalmine.cli import main
 from signalmine.eval_harness.scorers import ReferenceScorer
-from signalmine.signal_model import SignalTuple, dump_tuples
+from signalmine.restructurer.pools import DistractorPools
+from signalmine.restructurer.render import render
+from signalmine.restructurer.templates import load_registry
+from signalmine.rng import derive_rng
+from signalmine.signal_model import LIST_SEP, SignalTuple, dump_tuples, load_tuples
 
 from conftest import FIXTURES
 
@@ -73,6 +77,45 @@ EVAL_DIGESTS = {
     "wiki80": "e6502437e7e6c45820e57e247f47ebb281495679139cf4739ba69172000334d6",
 }
 
+# sha256 over the source and target of every template in the registry,
+# rendered on the first three fixture tuples it applies to (3,343 renders),
+# with pools built from all fixture tuples. The bundle pin reaches only the
+# templates `mix` happens to select; this one reaches every template.
+ALL_TEMPLATES_RENDER_DIGEST = "928c3c684270f3b0d5c95a268d56ba6fb5fe01cf8a6a06c1940d58f95740b624"
+ALL_TEMPLATES_RENDERS = 3343
+
+# The ordered pool values that one hand-built tuple per pool-feeding signal
+# gives, every value distinct, so a swapped or reordered feed shows.
+FEED_TUPLES = [
+    SignalTuple("daily_mail_summary", ("dm title", "dm text", "dm summary"), "d/1"),
+    SignalTuple("arxiv_summary", ("ax abstract", "ax title"), "a/1"),
+    SignalTuple("wikidata_relation", ("wd text", "wd subject", "wd property", "wd object"), "w/1"),
+    SignalTuple("wikidata_entity", ("we text", "we entity", "we type"), "w/2"),
+    SignalTuple("wikihow_category_hierarchy", ("wh low", "wh high"), "h/1"),
+    SignalTuple("wikihow_goal_step", ("gs goal", "gs step"), "h/2"),
+    SignalTuple("wikihow_summary", ("su step", "su description"), "h/3"),
+    SignalTuple("wikihow_procedure", ("pr goal", "pr first", "pr second"), "h/4"),
+    SignalTuple("wikihow_question", ("qu title", "qu description", "qu first", "qu answer"), "h/5",
+                {"related_questions": LIST_SEP.join(("qu related 1", "qu related 2"))}),
+    SignalTuple("wordnet_pos", ("pos word", "pos sentence", "noun"), "n/1"),
+    SignalTuple("wordnet_meaning", ("me word", "me sentence", "me meaning", "me a | me b"), "n/2"),
+    SignalTuple("wordnet_synonym", ("sy word", "sy sentence", "sy synonym"), "n/3"),
+    SignalTuple("wordnet_antonym", ("an word", "an sentence", "an antonym"), "n/4"),
+]
+FEED_POOLS = {
+    "daily_mail_titles": ["dm title"],
+    "arxiv_titles": ["ax title"],
+    "wikidata_subjects": ["wd subject"],
+    "wikidata_properties": ["wd property"],
+    "wikidata_objects": ["wd object"],
+    "wikidata_entity_types": ["we type"],
+    "wikihow_high_categories": ["wh high"],
+    "wikihow_goals": ["gs goal", "pr goal"],
+    "wikihow_step_headlines": ["gs step", "su step", "pr first", "pr second"],
+    "wikihow_questions": ["qu title", "qu related 1", "qu related 2"],
+    "wordnet_words": ["pos word", "me word", "sy word", "sy synonym", "an word", "an antonym"],
+}
+
 SYNTHETIC_SIZE = 2100
 
 _ADJECTIVES = ("quiet", "bright", "early", "northern", "local", "rapid", "hidden")
@@ -123,9 +166,15 @@ def _extract(tmp_path, mine: str, dump):
     return out
 
 
-def test_fixture_pipeline_bundle_hash(tmp_path):
-    tuple_files = [_extract(tmp_path, mine, FIXTURES / "mines" / f"{mine}.jsonl") for mine in MINES]
-    assert _mix(tmp_path, "all_tasks", tuple_files) == FIXTURE_BUNDLE_HASH
+@pytest.fixture(scope="module")
+def fixture_tuple_files(tmp_path_factory):
+    """`extract --seed 7` of every fixture mine, one tuple file each."""
+    out = tmp_path_factory.mktemp("fixture_tuples")
+    return [_extract(out, mine, FIXTURES / "mines" / f"{mine}.jsonl") for mine in MINES]
+
+
+def test_fixture_pipeline_bundle_hash(tmp_path, fixture_tuple_files):
+    assert _mix(tmp_path, "all_tasks", fixture_tuple_files) == FIXTURE_BUNDLE_HASH
     manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text(encoding="utf-8"))
     assert (manifest["spec_hash"], manifest["seed"]) == (FIXTURE_SPEC_HASH, 7)
 
@@ -176,3 +225,25 @@ def test_synthetic_corpus_bundle_hash(tmp_path):
     spec.write_text(json.dumps({"name": "synthetic", "split_ratio": 0.1, "global_seed": 7,
                                 "entries": entries}), encoding="utf-8")
     assert _mix(tmp_path, str(spec), [tuples]) == SYNTHETIC_BUNDLE_HASH
+
+
+def test_every_template_render_digest(fixture_tuple_files):
+    tuples = [t for path in fixture_tuple_files for t in load_tuples(path.read_text(encoding="utf-8"))]
+    pools = DistractorPools.build(tuples)
+    by_signal: dict[str, list[SignalTuple]] = {}
+    for tup in tuples:
+        by_signal.setdefault(tup.signal_type, []).append(tup)
+    digest = hashlib.sha256()
+    renders = 0
+    for template in load_registry().by_id.values():
+        applicable = [t for t in by_signal.get(template.signal_type, []) if template.applies_to(t)]
+        for i, tup in enumerate(applicable[:3]):
+            example = render(tup, template, pools, derive_rng(7, "golden", template.template_id, i), seed=7)
+            digest.update(json.dumps([template.template_id, i, example.source, example.target]).encode() + b"\n")
+            renders += 1
+    assert renders == ALL_TEMPLATES_RENDERS
+    assert digest.hexdigest() == ALL_TEMPLATES_RENDER_DIGEST
+
+
+def test_pool_feed_order():
+    assert DistractorPools.build(FEED_TUPLES).values == FEED_POOLS

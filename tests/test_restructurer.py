@@ -387,3 +387,27 @@ def test_placeholders_exclude_escaped_names():
     tpl = PromptTemplate("x.gen.1", "rotten_tomatoes_sentiment", "generation", "g",
                          "TEXT: {review} QUERY: fill in {{slot}} and {{{sentiment}}}.", "{{label}}")
     assert tpl.placeholders() == {"review", "sentiment"}
+
+
+def test_binding_tables_agree():
+    """Every corpus pool a slot reads is fed by some signal, and every pool
+    a signal feeds is read by some slot."""
+    from signalmine.restructurer.pools import OPTION_SLOTS, OTHER_SLOTS, POOL_FEEDS
+
+    specs = [spec for _, spec, _ in OPTION_SLOTS.values()] + [spec for spec, _ in OTHER_SLOTS.values()]
+    read = {ref for kind, ref in specs if kind == "context"}
+    fed = {pool for feeds in POOL_FEEDS.values() for pool, _ in feeds}
+    assert read == fed
+
+
+def test_unknown_other_placeholder_is_illegal_and_unbound():
+    from signalmine.restructurer.pools import legal_placeholder
+    from signalmine.restructurer.templates import PromptTemplate
+
+    assert legal_placeholder("daily_mail_summary", "other_title")
+    assert not legal_placeholder("daily_mail_summary", "other_nothing")
+    tup = SignalTuple("daily_mail_summary", ("A title", "Some text here", "A summary"), "daily_mail/x")
+    tpl = PromptTemplate("x.gen.1", "daily_mail_summary", "generation", "g",
+                         "TEXT: {text} QUERY: not {other_nothing}?", "{title}")
+    with pytest.raises(RenderError, match="unbound placeholder 'other_nothing'"):
+        render(tup, tpl, DistractorPools(), derive_rng(1, "x"))
