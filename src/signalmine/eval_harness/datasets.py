@@ -20,7 +20,7 @@ from ..rng import derive_rng
 from ..signal_model import SchemaError
 from .mc import score_mc
 from .ner import eval_two_step_ner, micro_f1
-from .scorers import ModelScorer, ScorerError
+from .scorers import ModelScorer, ScorerError, prefetch
 
 CLASSIFICATION_SAMPLE_CAP = 5000
 GENERATION_SAMPLE_CAP = 2000
@@ -199,9 +199,11 @@ def eval_dataset(
     per_prompt = []
     for prompt in prompts:
         if metric == "rouge1":
+            sources = [substitute(prompt["source"], view) for view in views]
+            # a failed request drops those in flight; the rest go one at a time
+            prefetch(scorer, [("generate", source) for source in sources])
             total = 0.0
-            for view in views:
-                source = substitute(prompt["source"], view)
+            for view, source in zip(views, sources):
                 try:
                     prediction = scorer.generate(source)
                 except ScorerError:

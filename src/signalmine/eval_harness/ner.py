@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from ..restructurer.render import format_options
 from ..restructurer.templates import substitute
-from .mc import score_mc
-from .scorers import ModelScorer, ScorerError
+from .mc import choose_option
+from .scorers import ModelScorer, ScorerError, prefetch
 
 
 def parse_entity_list(text: str) -> list[str]:
@@ -34,12 +34,18 @@ def eval_two_step_ner(
     except ScorerError:
         return []
     entities = parse_entity_list(raw)
-    typed: list[tuple[str, str]] = []
+    if entities and len(type_labels) < 2:
+        raise ValueError("entity typing needs at least two type labels")
     bindings["choices_with_or"] = format_options(type_labels, with_or=True)
     bindings["choices_without_or"] = format_options(type_labels, with_or=False)
+    sources = []
     for entity in entities:
         bindings["entity"] = entity
-        index = score_mc(substitute(type_prompt, bindings), type_labels, scorer)
+        sources.append(substitute(type_prompt, bindings))
+    prefetch(scorer, [("score", source, label) for source in sources for label in type_labels])
+    typed: list[tuple[str, str]] = []
+    for entity, source in zip(entities, sources):
+        index = choose_option(source, type_labels, scorer)
         if index is None:
             continue
         typed.append((entity, type_labels[index]))

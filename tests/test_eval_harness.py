@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -288,3 +289,26 @@ def test_eval_cond_rule_on_record_without_its_field_raises():
     doc = _prompt_doc('TEXT: {premise} QUERY: "{hypothesis}"? "Yes" or "No"?')
     with pytest.raises(RenderError, match="answer rule needs field 'label'"):
         eval_dataset("custom", [record], ReferenceScorer(), "accuracy", prompts_doc=doc)
+
+
+def _seed_reference_score(source, candidate):
+    """ReferenceScorer.score as it was before it kept the last source."""
+    tokens = re.findall(r"[a-z0-9']+", source.lower())
+    counts = {}
+    for t in tokens:
+        counts[t] = counts.get(t, 0) + 1
+    denom = len(tokens) + 0.5 * 1000.0
+    return [math.log((counts.get(t, 0) + 0.5) / denom) for t in re.findall(r"[a-z0-9']+", candidate.lower())]
+
+
+def test_reference_scorer_keeps_last_source_with_identical_floats():
+    rng = random.Random(3)
+    words = ["the", "cat", "sat", "on", "mat", "it's", "Dog", "42", "a"]
+    sources = [" ".join(rng.choice(words) for _ in range(rng.randint(0, 30))) for _ in range(12)]
+    scorer = ReferenceScorer()
+    # runs of candidates on one source, with returns to earlier sources
+    for _ in range(100):
+        source = rng.choice(sources)
+        for _ in range(rng.randint(1, 5)):
+            candidate = " ".join(rng.choice(words) for _ in range(rng.randint(0, 4)))
+            assert scorer.score(source, candidate) == _seed_reference_score(source, candidate)

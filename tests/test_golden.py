@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -75,6 +78,16 @@ EVAL_DIGESTS = {
     "subj": "eaaf1fd8a0b7643e9613c0634aaabccf5153e606da9437f52e3b3b5289b34a0f",
     "tracie": "234f32575caf983150be70950858bef7b8d98c3f62bcc1a51e825b5cffb59539",
     "wiki80": "e6502437e7e6c45820e57e247f47ebb281495679139cf4739ba69172000334d6",
+}
+
+# sha256 over the raw bytes an `external-cmd:` scorer reads on stdin while
+# `evaluate --seed 5` scores a fixture set under `eval/`, followed by the
+# printed report. Pins the wire format itself: request order, key order and
+# JSON escaping, one line per request.
+EXTERNAL_REQUEST_DIGESTS = {
+    "conll03": "d4422342760ac3f80d2d4fdf3137b926dd0bcf97a65d820864afd5978fe244cc",  # two-step NER
+    "scitldr": "452c07d763381a7b044913bf9faf4948c788b6e83daad150915f1730547ecd8d",  # ROUGE-1
+    "snips": "cf98e18a2b86c483ea74ffd47ced9cf11e5927731d790b56641dc0c533428d07",
 }
 
 # sha256 over the source and target of every template in the registry,
@@ -202,6 +215,41 @@ def test_evaluate_requests_and_report_digest(dataset, monkeypatch):
     assert _RecordingScorer.requests
     blob = "".join(line + "\n" for line in _RecordingScorer.requests) + report
     assert hashlib.sha256(blob.encode()).hexdigest() == EVAL_DIGESTS[dataset]
+
+
+# Answers with the reference scorer, imported from the source directory named
+# by its second argument, and appends every stdin line, as read, to the file
+# named by its first.
+_RECORDING_PROGRAM = """
+import json, sys
+sys.path.insert(0, sys.argv[2])
+from signalmine.eval_harness.scorers import ReferenceScorer
+scorer = ReferenceScorer()
+with open(sys.argv[1], "ab") as log:
+    for raw in sys.stdin.buffer:
+        log.write(raw)
+        log.flush()
+        request = json.loads(raw)
+        if request["op"] == "score":
+            reply = {"logprobs": scorer.score(request["source"], request["candidate"])}
+        else:
+            reply = {"text": scorer.generate(request["source"])}
+        sys.stdout.write(json.dumps(reply) + "\\n")
+        sys.stdout.flush()
+"""
+
+
+@pytest.mark.parametrize("dataset", sorted(EXTERNAL_REQUEST_DIGESTS))
+def test_external_request_bytes_digest(dataset, tmp_path):
+    program = tmp_path / "recorder.py"
+    program.write_text(_RECORDING_PROGRAM, encoding="utf-8")
+    log = tmp_path / "stdin.log"
+    src = Path(cli.__file__).resolve().parents[1]
+    command = " ".join(shlex.quote(str(a)) for a in (sys.executable, program, log, src))
+    report = _invoke(["evaluate", "--dataset", dataset, "--data", str(FIXTURES / "eval" / f"{dataset}.jsonl"),
+                      "--scorer", f"external-cmd:{command}", "--seed", "5"])
+    blob = log.read_bytes() + report.encode()
+    assert hashlib.sha256(blob).hexdigest() == EXTERNAL_REQUEST_DIGESTS[dataset]
 
 
 @pytest.mark.parametrize("key", sorted(EXTRACT_DIGESTS))
