@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 from typing import Mapping
@@ -58,64 +59,118 @@ def write_bundle(
     """Write dataset streams + manifest + stats atomically; returns the hash.
 
     `streams` maps file names (e.g. "mix.stage1.train") to example lists.
-    A failed write leaves no visible bundle.
+    Files are written one at a time in sorted-name order while the digest is
+    updated, so the bundle is never held whole in memory; an example listed
+    by several streams is encoded once. A failed write leaves no visible
+    bundle, and a bundle already at `path` stays there until the new one
+    replaces it.
     """
     path = Path(path)
-    files: dict[str, bytes] = {}
+    if path.exists() and not (path / MANIFEST_NAME).exists():
+        # replace only something that is itself a bundle; never clobber
+        # arbitrary directories
+        raise SchemaError(f"bundle path already exists and is not a bundle: {path}")
+
     per_signal: dict[str, int] = {}
-    per_file_counts: dict[str, int] = {}
-    for name, examples in streams.items():
-        body = "".join(_RECORD_ENCODER.encode(example_to_record(ex)) + "\n" for ex in examples)
-        files[name] = body.encode("utf-8")
-        per_file_counts[name] = len(examples)
+    uses: dict[int, int] = {}  # id(example) -> times the streams list it
+    for examples in streams.values():
         for ex in examples:
             per_signal[ex.signal_type] = per_signal.get(ex.signal_type, 0) + 1
+            uses[id(ex)] = uses.get(id(ex), 0) + 1
+    stats = render_stats_table(per_signal).encode("utf-8")
 
-    files[STATS_NAME] = render_stats_table(per_signal).encode("utf-8")
-    bundle_hash = _digest_files(files)
-
-    manifest = {
-        "digest_algorithm": DIGEST_ALGORITHM,
-        "bundle_hash": bundle_hash,
-        "tool_version": __version__,
-        "files": {name: {"lines": per_file_counts.get(name, None), "bytes": len(body)}
-                  for name, body in files.items() if name != STATS_NAME},
-        "per_signal": dict(sorted(per_signal.items())),
-    }
-    if manifest_extra:
-        manifest.update(manifest_extra)
-
+    # the digest `_digest_files` computes, fed as each file is written
+    digest = hashlib.sha256()
+    files: dict[str, dict] = {}
     parent = path.parent
     parent.mkdir(parents=True, exist_ok=True)
     tmpdir = tempfile.mkdtemp(prefix=f".{path.name}.tmp", dir=parent)
     try:
-        for name, body in files.items():
+        encoded: dict[int, bytes] = {}  # lines still to be written again
+        for name in sorted([*streams, STATS_NAME]):
+            digest.update(name.encode() + b"\x00")
             with open(os.path.join(tmpdir, name), "wb") as fh:
-                fh.write(body)
+                if name == STATS_NAME:
+                    fh.write(stats)
+                    digest.update(stats)
+                else:
+                    size = _write_records(fh, digest, streams[name], encoded, uses)
+                    files[name] = {"lines": len(streams[name]), "bytes": size}
+            digest.update(b"\x00")
+        bundle_hash = digest.hexdigest()
+        manifest = {
+            "digest_algorithm": DIGEST_ALGORITHM,
+            "bundle_hash": bundle_hash,
+            "tool_version": __version__,
+            "files": files,
+            "per_signal": dict(sorted(per_signal.items())),
+        }
+        if manifest_extra:
+            manifest.update(manifest_extra)
         with open(os.path.join(tmpdir, MANIFEST_NAME), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        if path.exists():
-            # replace only something that is itself a bundle; never clobber
-            # arbitrary directories
-            if not (path / MANIFEST_NAME).exists():
-                raise SchemaError(f"bundle path already exists and is not a bundle: {path}")
-            import shutil
-
-            shutil.rmtree(path)
-        os.rename(tmpdir, path)
-    except Exception:
-        for name in list(files) + [MANIFEST_NAME]:
-            try:
-                os.unlink(os.path.join(tmpdir, name))
-            except OSError:
-                pass
-        try:
-            os.rmdir(tmpdir)
-        except OSError:
-            pass
+        _swap_in(tmpdir, path)
+    except BaseException:
+        shutil.rmtree(tmpdir, ignore_errors=True)
         raise
     return bundle_hash
+
+
+_RECORDS_PER_WRITE = 1024
+
+
+def _write_records(fh, digest, examples: list[PromptedExample], encoded: dict[int, bytes],
+                   uses: dict[int, int]) -> int:
+    """Write one stream's record lines to `fh` and `digest`; returns the
+    byte count. A line that a later stream lists again stays in `encoded`
+    until its last use."""
+    size = 0
+    for start in range(0, len(examples), _RECORDS_PER_WRITE):
+        lines = []
+        for ex in examples[start:start + _RECORDS_PER_WRITE]:
+            key = id(ex)
+            line = encoded.pop(key, None)
+            if line is None:
+                line = (_RECORD_ENCODER.encode(example_to_record(ex)) + "\n").encode("utf-8")
+            left = uses[key] - 1
+            if left:
+                uses[key] = left
+                encoded[key] = line
+            lines.append(line)
+        body = b"".join(lines)
+        fh.write(body)
+        digest.update(body)
+        size += len(body)
+    return size
+
+
+def _swap_in(tmpdir: str, path: Path) -> None:
+    """Move the finished bundle `tmpdir` to `path`.
+
+    A bundle already at `path` is renamed aside first, and renamed back if
+    the new one cannot be moved in; it is deleted only once the new one is
+    in place. A failure at any step thus leaves the old bundle or the new
+    one at `path`, never neither. (Durability across a power loss is not
+    covered: nothing is fsynced.)
+    """
+    if not path.exists():
+        os.rename(tmpdir, path)
+        return
+    # an empty directory with a fresh name: renaming a directory onto an
+    # empty one replaces it
+    aside = tempfile.mkdtemp(prefix=f".{path.name}.old", dir=path.parent)
+    try:
+        os.rename(path, aside)
+    except BaseException:
+        os.rmdir(aside)
+        raise
+    try:
+        os.rename(tmpdir, path)
+    except BaseException:
+        os.rename(aside, path)
+        raise
+    shutil.rmtree(aside, ignore_errors=True)
 
 
 def write_files_atomic(files: Mapping[str | os.PathLike, str]) -> None:

@@ -151,11 +151,16 @@ def eval_dataset(
         type_prompts = doc["sets"].get("ner_type")
         if not type_prompts or len(type_prompts) != len(prompts):
             raise SchemaError("entity-typing prompt set missing or mismatched")
+        type_labels = sorted({t for rec in records for _, t in rec.get("entities", [])})
+        if not type_labels:
+            raise SchemaError("entity records carry no type labels")
+        if len(type_labels) < 2:
+            raise SchemaError(
+                f"entity records carry one type label ({type_labels[0]!r}); "
+                "entity typing needs at least two type labels"
+            )
         per_prompt: list[float] = []
         for i, prompt in enumerate(prompts):
-            type_labels = sorted({t for rec in records for _, t in rec.get("entities", [])})
-            if not type_labels:
-                raise SchemaError("entity records carry no type labels")
             pairs = []
             for rec in records:
                 predicted = eval_two_step_ner(

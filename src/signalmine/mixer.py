@@ -161,8 +161,7 @@ def mix(
     def renderable(entry: MixEntry, tup: SignalTuple) -> bool:
         if entry.family == "cloze":
             return tup.signal_type == "plain_text_cloze"
-        templates = registry.get(entry.signal_type, entry.family, entry.template_group)
-        return any(not t.requires or t.applies_to(tup) for t in templates)
+        return bool(registry.eligible(entry.signal_type, entry.family, entry.template_group, tup))
 
     capped, warnings = apply_caps(by_signal, spec, eligible=renderable)
     plan = stage_plan(spec)
@@ -174,29 +173,17 @@ def mix(
     # every one alive while this map is in use
     key_of = {id(tup): key for tup, key in zip(all_tuples, keys)}
 
-    rendered: dict[int, list[tuple[str, PromptedExample]]] = {}
+    rendered: dict[int, list[PromptedExample]] = {}
     failed_entries: set[int] = set()
     for index, entry in enumerate(spec.entries):
         pool = capped.get(index, [])
-        out: list[tuple[str, PromptedExample]] = []
+        out: list[PromptedExample] = []
         try:
             for tup in pool:
                 key = key_of[id(tup)]
-                split = splits[key]
-                ex = render_with_selected(
-                    registry, tup, entry.family, pools, seed, entry.template_group, key
-                )
-                ex = PromptedExample(
-                    source=ex.source,
-                    target=ex.target,
-                    signal_type=ex.signal_type,
-                    template_id=ex.template_id,
-                    family=ex.family,
-                    seed=seed,
-                    split=split,
-                    source_doc=ex.source_doc,
-                )
-                out.append((split, ex))
+                out.append(render_with_selected(
+                    registry, tup, entry.family, pools, seed, entry.template_group, key, splits[key]
+                ))
         except (RenderError, ConfigError) as exc:
             failed_entries.add(index)
             result.errors.append(f"{_entry_id(entry, index)}: {exc}")
@@ -208,8 +195,8 @@ def mix(
         for index in members:
             if index in failed_entries:
                 continue
-            for split, ex in rendered.get(index, []):
-                buckets[split].append(ex)
+            for ex in rendered.get(index, []):
+                buckets[ex.split].append(ex)
         for split, examples in buckets.items():
             examples.sort(key=_canonical_order)
             rng = derive_rng(seed, "shuffle", spec.name, stage, split)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from collections import ChainMap
 from collections.abc import Sequence
 from typing import Mapping
 
@@ -78,8 +77,11 @@ def parse_options(source: str) -> list[str]:
     return re.findall(r'"([^"]+)"', best)
 
 
-def _pool_values(spec: tuple, tup: SignalTuple, pools: DistractorPools) -> tuple[list[str], Mapping[str, int]]:
+def _pool_values(
+    spec: tuple, tup: SignalTuple, values: Mapping[str, str], pools: DistractorPools
+) -> tuple[list[str], Mapping[str, int]]:
     """A pool's distinct values in order, and the position of each value.
+    `values` is the tuple's field-or-meta view (see `render`).
 
     Corpus-level pools are returned as they are, without a copy: they are
     deduplicated when built.
@@ -88,16 +90,16 @@ def _pool_values(spec: tuple, tup: SignalTuple, pools: DistractorPools) -> tuple
     if kind == "context":
         return pools.get(ref), pools.positions(ref)
     if kind == "labels":
-        values = ref
+        items = ref
     elif kind == "field":
-        values = (tup.get(ref) or "").split(LIST_SEP)
+        items = (values.get(ref) or "").split(LIST_SEP)
     elif kind == "meta":
-        values = tup.extraction_meta.get(ref, "").split(LIST_SEP)
+        items = tup.extraction_meta.get(ref, "").split(LIST_SEP)
     else:
         raise SchemaError(f"unknown pool spec: {kind}")
     # packed lists may repeat a value; options must stay distinct
     positions: dict[str, int] = {}
-    for v in values:
+    for v in items:
         if v and v not in positions:
             positions[v] = len(positions)
     return list(positions), positions
@@ -131,17 +133,22 @@ class _Without(Sequence):
         return self._values[i]
 
 
-def _exclusion_values(tup: SignalTuple, keys: tuple[str, ...]) -> set[str]:
+def _exclusion_values(values: Mapping[str, str], keys: tuple[str, ...]) -> set[str]:
     out: set[str] = set()
     for key in keys:
-        raw = tup.get(key)
+        raw = values.get(key)
         if raw:
             out.update(v for v in raw.split(LIST_SEP) if v)
     return out
 
 
 def _build_options(
-    base: str, tup: SignalTuple, template: PromptTemplate, pools: DistractorPools, rng: random.Random
+    base: str,
+    tup: SignalTuple,
+    values: Mapping[str, str],
+    template: PromptTemplate,
+    pools: DistractorPools,
+    rng: random.Random,
 ) -> list[str]:
     key = (tup.signal_type, base)
     if key not in OPTION_SLOTS:
@@ -149,13 +156,13 @@ def _build_options(
     correct_field, spec, mode = OPTION_SLOTS[key]
     if template.slots.get(base):
         correct_field = template.slots[base]
-    correct = tup.get(correct_field)
+    correct = values.get(correct_field)
     if not correct:
         raise RenderError(f"{tup.signal_type}/{template.group}: missing correct option field '{correct_field}'")
-    values, positions = _pool_values(spec, tup, pools)
+    pool, positions = _pool_values(spec, tup, values, pools)
 
     if mode == "all":
-        options = list(values)
+        options = list(pool)
         if correct not in positions:
             options.insert(0, correct)
         if len(options) < 2:
@@ -163,7 +170,7 @@ def _build_options(
         return options
 
     at = positions.get(correct)
-    distractors = _Without(values, () if at is None else (at,))
+    distractors = _Without(pool, () if at is None else (at,))
     if len(distractors) < MIN_OPTIONS - 1:
         raise RenderError(f"{tup.signal_type}/{template.group}: distractor pool too small for '{base}'")
     count = rng.randint(MIN_OPTIONS, min(MAX_OPTIONS, len(distractors) + 1))
@@ -173,11 +180,13 @@ def _build_options(
     return chosen
 
 
-def _other_value(name: str, tup: SignalTuple, pools: DistractorPools, rng: random.Random) -> str:
+def _other_value(
+    name: str, tup: SignalTuple, values: Mapping[str, str], pools: DistractorPools, rng: random.Random
+) -> str:
     spec, excluded_keys = OTHER_SLOTS[(tup.signal_type, name)]
-    values, positions = _pool_values(spec, tup, pools)
-    excluded = _exclusion_values(tup, excluded_keys)
-    candidates = _Without(values, sorted(positions[v] for v in excluded if v in positions))
+    pool, positions = _pool_values(spec, tup, values, pools)
+    excluded = _exclusion_values(values, excluded_keys)
+    candidates = _Without(pool, sorted(positions[v] for v in excluded if v in positions))
     if not candidates:
         raise RenderError(f"{tup.signal_type}: distractor pool empty for '{name}'")
     return rng.choice(candidates)
@@ -228,15 +237,17 @@ def render(
     pools: DistractorPools,
     rng: random.Random,
     seed: int = 0,
+    split: str = "train",
 ) -> PromptedExample:
     if template.signal_type != tup.signal_type:
         raise RenderError(f"template {template.template_id} does not match {tup.signal_type}")
 
     names = template.placeholders()
     named = tup.named_fields()
-    bindings: dict[str, str] = {}
-    bindings.update(named)
-    bindings.update(tup.extraction_meta)
+    # what `tup.get` reads, built once: a field before a meta key of its name
+    values = {**tup.extraction_meta, **named}
+    # bindings read the other way round: a meta key shadows a field
+    bindings = {**named, **tup.extraction_meta}
     for alias, target_name in ALIASES.get(tup.signal_type, {}).items():
         if target_name in bindings:
             bindings[alias] = bindings[target_name]
@@ -247,9 +258,9 @@ def render(
     if tup.signal_type in ENTITY_DRAWS:
         _draw_entities(tup, names.union(pair[1]) if pair else names, bindings, rng)
     if pair:
-        values = [bindings[n] for n in pair[1]]
-        rng.shuffle(values)
-        bindings.update(zip(pair[0], values))
+        shuffled = [bindings[n] for n in pair[1]]
+        rng.shuffle(shuffled)
+        bindings.update(zip(pair[0], shuffled))
 
     for name in sorted(names):
         if name in bindings:
@@ -257,15 +268,15 @@ def render(
         m = OPTION_SLOT_RE.match(name)
         if m:
             base = m.group(1)
-            options = _build_options(base, tup, template, pools, rng)
+            options = _build_options(base, tup, values, template, pools, rng)
             bindings[f"{base}_with_or"] = format_options(options, with_or=True)
             bindings[f"{base}_without_or"] = format_options(options, with_or=False)
             continue
         if (tup.signal_type, name) in OTHER_SLOTS:
-            bindings[name] = _other_value(name, tup, pools, rng)
+            bindings[name] = _other_value(name, tup, values, pools, rng)
 
     if template.answer is not None:
-        bindings["answer"] = answer_value(template.answer, ChainMap(named, tup.extraction_meta))
+        bindings["answer"] = answer_value(template.answer, values)
 
     target = substitute(template.target_pattern, bindings)
     if "length" in names:
@@ -279,6 +290,7 @@ def render(
         template_id=template.template_id,
         family=template.family,
         seed=seed,
+        split=split,
         source_doc=tup.source_doc,
     )
     verdict = example.validate()
@@ -300,10 +312,9 @@ def select_template(
 
     `key` is the tuple's `tuple_key`, when the caller already has it.
     """
-    templates = registry.get(signal_type, family, group)
-    if not templates:
+    if not registry.get(signal_type, family, group):
         raise ConfigError(f"no templates for ({signal_type}, {family}, group={group})")
-    eligible = [t for t in templates if not t.requires or t.applies_to(tup)]
+    eligible = registry.eligible(signal_type, family, group, tup)
     if not eligible:
         raise RenderError(f"no applicable template for tuple of {signal_type} (group={group})")
     if key is None:
@@ -320,16 +331,17 @@ def render_with_selected(
     seed: int,
     group: str | None = None,
     key: str | None = None,
+    split: str = "train",
 ) -> PromptedExample:
-    """Select a template and render the tuple with it; `key` as in
-    `select_template`."""
+    """Select a template and render the tuple with it into an example of
+    `split`; `key` as in `select_template`."""
     if tup.signal_type == "plain_text_cloze":
-        return render_cloze(tup, seed)
+        return render_cloze(tup, seed, split)
     if key is None:
         key = tuple_key(tup)
     template = select_template(registry, tup.signal_type, family, tup, seed, group, key)
     rng = derive_rng(seed, "render", template.template_id, key)
-    return render(tup, template, pools, rng, seed=seed)
+    return render(tup, template, pools, rng, seed=seed, split=split)
 
 
 CLOZE_TEMPLATE_ID = "plain_text_cloze.cloze.001"
@@ -347,7 +359,7 @@ def cloze_target(sentinels: list[str], spans: list[str]) -> str:
     return " ".join(parts)
 
 
-def render_cloze(tup: SignalTuple, seed: int = 0) -> PromptedExample:
+def render_cloze(tup: SignalTuple, seed: int = 0, split: str = "train") -> PromptedExample:
     if tup.signal_type != "plain_text_cloze":
         raise RenderError("render_cloze only accepts plain_text_cloze tuples")
     named = tup.named_fields()
@@ -362,6 +374,7 @@ def render_cloze(tup: SignalTuple, seed: int = 0) -> PromptedExample:
         template_id=CLOZE_TEMPLATE_ID,
         family="cloze",
         seed=seed,
+        split=split,
         source_doc=tup.source_doc,
     )
 

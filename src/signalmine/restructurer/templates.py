@@ -3,7 +3,8 @@
 Templates are data, not code: each record carries the source/target patterns
 with `{name}` placeholders, an optional answer rule, and optional
 applicability requirements. The registry groups them by (signal_type,
-family) and is immutable after load.
+family) and is immutable after load; it only memoizes which templates of a
+group apply to a tuple.
 The `{name}` pattern language and the answer rules defined here serve the
 evaluation and exam prompts as well.
 """
@@ -129,9 +130,14 @@ class PromptTemplate:
     answer: Mapping | None = None
     requires: Mapping | None = None
     slots: Mapping[str, str] = field(default_factory=dict)
+    _placeholders: frozenset[str] = field(init=False, repr=False, compare=False)
 
-    def placeholders(self) -> set[str]:
-        return _names(self.source_pattern) | _names(self.target_pattern)
+    def __post_init__(self) -> None:
+        names = frozenset(_names(self.source_pattern) | _names(self.target_pattern))
+        object.__setattr__(self, "_placeholders", names)
+
+    def placeholders(self) -> frozenset[str]:
+        return self._placeholders
 
     def option_slots(self) -> set[str]:
         bases = set()
@@ -179,11 +185,44 @@ def template_from_record(rec: Mapping) -> PromptTemplate:
         raise SchemaError(f"template record missing key: {exc}") from exc
 
 
+class _Eligibility:
+    """Which templates of one group apply to a tuple.
+
+    The answer depends only on which of the group's distinct `requires`
+    predicates the tuple meets, and a group has few (at most 2 in the
+    bundled catalog). Each predicate is tested once per call, through
+    `applies_to` of the first template carrying it, and the filtered list
+    is built once per combination of outcomes.
+    """
+
+    __slots__ = ("templates", "tests", "needs", "lists")
+
+    def __init__(self, templates: list[PromptTemplate]):
+        keys = [json.dumps(t.requires, sort_keys=True) if t.requires else None for t in templates]
+        distinct = list(dict.fromkeys(k for k in keys if k is not None))
+        self.templates = templates
+        self.tests = tuple(templates[keys.index(k)] for k in distinct)
+        # per template: the index of the predicate it needs, or None
+        self.needs = tuple(None if k is None else distinct.index(k) for k in keys)
+        self.lists: dict[tuple[bool, ...], list[PromptTemplate]] = {}
+
+    def __call__(self, tup: SignalTuple) -> list[PromptTemplate]:
+        if not self.tests:
+            return self.templates
+        met = tuple([t.applies_to(tup) for t in self.tests])
+        found = self.lists.get(met)
+        if found is None:
+            found = [t for t, i in zip(self.templates, self.needs) if i is None or met[i]]
+            self.lists[met] = found
+        return found
+
+
 class PromptRegistry:
     def __init__(self, templates: list[PromptTemplate]):
         self.by_id: dict[str, PromptTemplate] = {}
         self.groups: dict[tuple[str, str], list[PromptTemplate]] = {}
         self._by_group: dict[tuple[str, str, str], list[PromptTemplate]] = {}
+        self._eligibility: dict[tuple[str, str, str], _Eligibility] = {}
         for tpl in templates:
             if tpl.signal_type not in CATALOG:
                 raise SchemaError(f"template {tpl.template_id}: unknown signal {tpl.signal_type}")
@@ -202,6 +241,18 @@ class PromptRegistry:
         if group:
             return self._by_group.get((signal_type, family, group), [])
         return self.groups.get((signal_type, family), [])
+
+    def eligible(
+        self, signal_type: str, family: str, group: str | None, tup: SignalTuple
+    ) -> list[PromptTemplate]:
+        """The templates of `get(signal_type, family, group)` that apply to
+        `tup`, in catalog order. The lists are shared: callers must not
+        modify them."""
+        key = (signal_type, family, group or "")
+        check = self._eligibility.get(key)
+        if check is None:
+            check = self._eligibility[key] = _Eligibility(self.get(signal_type, family, group))
+        return check(tup)
 
     def counts(self) -> dict[str, dict[str, int]]:
         out: dict[str, dict[str, int]] = {}

@@ -13,8 +13,10 @@ import random
 
 
 def derive_seed(seed: int, *key: object) -> int:
-    material = str(int(seed)).encode() + b"\x1f" + b"\x1f".join(str(k).encode() for k in key)
-    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
+    # UTF-8 encodes piece by piece, so one encode of the joined text gives
+    # the bytes of the seed, a 0x1f byte, and the 0x1f-joined key parts
+    material = str(int(seed)) + "\x1f" + "\x1f".join(map(str, key))
+    return int.from_bytes(hashlib.sha256(material.encode()).digest()[:8], "big")
 
 
 def derive_rng(seed: int, *key: object) -> random.Random:

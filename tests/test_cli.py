@@ -332,6 +332,54 @@ def test_mix_rerun_to_same_path_is_idempotent(runner, tmp_path):
     assert len(hashes) == 1
 
 
+def test_mix_killed_halfway_through_rewrite_keeps_previous_bundle(runner, tmp_path):
+    """A file-size limit makes the bundle write fail after part of a stream
+    file reached the disk; the bundle already at --out stays as it was."""
+    resource = pytest.importorskip("resource")
+    import signal
+    import subprocess
+    import sys
+
+    import signalmine
+
+    rt = run_extract(runner, tmp_path, "rotten_tomatoes")
+    spec = _write_spec(tmp_path)
+    bundle = tmp_path / "bundle"
+    args = ["mix", "--spec", str(spec), "--tuples", str(rt), "--out", str(bundle)]
+    result = runner.invoke(main, args + ["--seed", "4"])
+    assert result.exit_code == 0, result.output
+    before = {p.relative_to(tmp_path): p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    limit = max(len(body) for p, body in before.items() if p.parent.name == "bundle") // 2
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # fail the write with EFBIG instead
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    src = str(Path(signalmine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "signalmine.cli", *args, "--seed", "5"],
+        env=env, capture_output=True, text=True, preexec_fn=limit_file_size, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stderr.startswith("io-error:"), proc.stderr
+    after = {p.relative_to(tmp_path): p.read_bytes() for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert after == before
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith(".")]  # no temp dir left
+
+
+def test_evaluate_ner_set_with_one_entity_type_is_one_schema_error_line(runner, tmp_path):
+    records = [json.loads(line) for line in (FIXTURES / "eval" / "conll03.jsonl").read_text().splitlines()
+               if line.strip()]
+    for rec in records:
+        rec["entities"] = [[surface, "PER"] for surface, _ in rec["entities"]]
+    data = tmp_path / "one_type.jsonl"
+    data.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    result = runner.invoke(main, ["evaluate", "--dataset", "conll03", "--data", str(data), "--seed", "5"])
+    assert result.exit_code == 1
+    assert result.output.startswith("schema-error: ") and "two type labels" in result.output
+    assert result.output.count("\n") == 1
+
+
 def test_grade_report_file(runner, tmp_path):
     out = tmp_path / "grade.json"
     result = runner.invoke(main, [

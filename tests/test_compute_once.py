@@ -1,0 +1,230 @@
+"""The compute-once paths of `mix` and `write_bundle`, held to the code they
+replaced.
+
+Each replaced piece of code is copied here as the reference: the per-template
+`applies_to` filter that template eligibility memoizes, the byte-by-byte seed
+material of `derive_seed`, and the writer that encoded every stream's
+records, held the whole bundle in memory and hashed it afterwards.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from signalmine import __version__
+from signalmine.dataset_io import read_manifest, render_stats_table, verify_bundle, write_bundle
+from signalmine.restructurer.templates import load_registry
+from signalmine.rng import derive_seed
+from signalmine.signal_model import CATALOG, PromptedExample, SignalTuple, example_to_record
+
+REGISTRY = load_registry()
+GROUP_KEYS = sorted(
+    {(t.signal_type, t.family, t.group) for t in REGISTRY.by_id.values()}
+    | {(t.signal_type, t.family, None) for t in REGISTRY.by_id.values()},
+    key=repr,
+)
+REQUIRING_SIGNALS = sorted({t.signal_type for t in REGISTRY.by_id.values() if t.requires})
+
+
+# -- the code the compute-once paths replaced, kept as the reference ------------
+
+
+def reference_eligible(signal_type: str, family: str, group: str | None, tup: SignalTuple) -> list:
+    templates = REGISTRY.get(signal_type, family, group)
+    return [t for t in templates if not t.requires or t.applies_to(tup)]
+
+
+def reference_derive_seed(seed: int, *key: object) -> int:
+    material = str(int(seed)).encode() + b"\x1f" + b"\x1f".join(str(k).encode() for k in key)
+    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
+
+
+_REFERENCE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
+def reference_write_bundle(path: Path, streams: dict, manifest_extra: dict | None = None) -> str:
+    files: dict[str, bytes] = {}
+    per_signal: dict[str, int] = {}
+    per_file_counts: dict[str, int] = {}
+    for name, examples in streams.items():
+        body = "".join(_REFERENCE_ENCODER.encode(example_to_record(ex)) + "\n" for ex in examples)
+        files[name] = body.encode("utf-8")
+        per_file_counts[name] = len(examples)
+        for ex in examples:
+            per_signal[ex.signal_type] = per_signal.get(ex.signal_type, 0) + 1
+    files["stats.tsv"] = render_stats_table(per_signal).encode("utf-8")
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        digest.update(name.encode())
+        digest.update(b"\x00")
+        digest.update(files[name])
+        digest.update(b"\x00")
+    bundle_hash = digest.hexdigest()
+    manifest = {
+        "digest_algorithm": "sha256",
+        "bundle_hash": bundle_hash,
+        "tool_version": __version__,
+        "files": {name: {"lines": per_file_counts.get(name, None), "bytes": len(body)}
+                  for name, body in files.items() if name != "stats.tsv"},
+        "per_signal": dict(sorted(per_signal.items())),
+    }
+    if manifest_extra:
+        manifest.update(manifest_extra)
+    path.mkdir()
+    for name, body in files.items():
+        (path / name).write_bytes(body)
+    with open(path / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return bundle_hash
+
+
+# -- template eligibility --------------------------------------------------------
+
+
+def _assert_eligibility_matches(tup: SignalTuple) -> None:
+    for signal_type, family, group in GROUP_KEYS:
+        if signal_type != tup.signal_type:
+            continue
+        expected = reference_eligible(signal_type, family, group, tup)
+        got = REGISTRY.eligible(signal_type, family, group, tup)
+        assert [t.template_id for t in got] == [t.template_id for t in expected], (family, group)
+
+
+def test_eligible_equals_applies_to_filter_on_fixture_tuples(all_fixture_tuples):
+    for tup in all_fixture_tuples:
+        _assert_eligibility_matches(tup)
+
+
+# the values the catalog's `requires` predicates test, and near misses
+_META_VALUES = st.sampled_from(["", "yes", "no", "order", "next", "entities", "typing", "a",
+                                "a | b", "a | b | c", " | a", "a | ", "None"])
+_META_KEYS = st.sampled_from(["variant", "has_entities", "is_cloze", "sibling_titles",
+                              "other_step_headlines", "category"])
+_FIELD_VALUES = st.sampled_from(["x", "a | b", "a | b | c", "a |  | b", "None"])
+
+
+@st.composite
+def requiring_tuples(draw) -> SignalTuple:
+    signal_type = draw(st.sampled_from(REQUIRING_SIGNALS))
+    arity = CATALOG[signal_type].arity
+    fields = tuple(draw(st.lists(_FIELD_VALUES, min_size=arity, max_size=arity)))
+    meta = draw(st.dictionaries(_META_KEYS, _META_VALUES, max_size=4))
+    return SignalTuple(signal_type, fields, "gen/1", meta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(requiring_tuples())
+def test_eligible_equals_applies_to_filter_on_generated_tuples(tup):
+    _assert_eligibility_matches(tup)
+
+
+def test_eligible_lists_are_memoized_per_predicate_outcome():
+    a = SignalTuple("daily_mail_temporal", ("t", "e"), "d/1", {"variant": "order"})
+    b = SignalTuple("daily_mail_temporal", ("u", "f"), "d/2", {"variant": "order", "x": "y"})
+    first = REGISTRY.eligible("daily_mail_temporal", "multiple_choice", None, a)
+    assert first and first is REGISTRY.eligible("daily_mail_temporal", "multiple_choice", None, b)
+    # a group without requirements hands out its own list
+    tup = SignalTuple("rotten_tomatoes_sentiment", ("fine", "positive"), "r/1")
+    assert REGISTRY.eligible("rotten_tomatoes_sentiment", "multiple_choice", None, tup) is REGISTRY.get(
+        "rotten_tomatoes_sentiment", "multiple_choice"
+    )
+
+
+# -- seed material ---------------------------------------------------------------
+
+_KEY_PARTS = st.one_of(st.integers(), st.text(), st.sampled_from(["", "é", "日本", "\x1f", "emoji \U0001f600"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(), st.lists(_KEY_PARTS, max_size=6))
+def test_derive_seed_equals_the_byte_by_byte_formula(seed, key):
+    assert derive_seed(seed, *key) == reference_derive_seed(seed, *key)
+
+
+def test_derive_seed_with_an_empty_key():
+    assert derive_seed(7) == reference_derive_seed(7)
+    assert derive_seed(7, "") == reference_derive_seed(7, "")
+    # both are the material "7\x1f", as they were
+    assert derive_seed(7) == derive_seed(7, "")
+
+
+# -- the streaming bundle writer --------------------------------------------------
+
+
+def _example(i: int, signal: str = "qa_triviaqa", split: str = "train", text: str = "") -> PromptedExample:
+    return PromptedExample(
+        source=f"TEXT: context {i} {text} QUERY: question {i}?",
+        target=f"answer {i} {text}".strip(),
+        signal_type=signal,
+        template_id=f"{signal}.gen.001",
+        family="generation",
+        seed=3,
+        split=split,
+        source_doc=f"doc/{i}",
+    )
+
+
+def _bundle_bytes(path: Path) -> dict[str, bytes]:
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+def _assert_writers_agree(tmp_path: Path, streams: dict, extra: dict | None = None) -> None:
+    expected = reference_write_bundle(tmp_path / "reference", streams, extra)
+    got = write_bundle(tmp_path / "streamed", streams, extra)
+    assert got == expected
+    assert _bundle_bytes(tmp_path / "streamed") == _bundle_bytes(tmp_path / "reference")
+    assert read_manifest(tmp_path / "streamed") == read_manifest(tmp_path / "reference")
+    verify_bundle(tmp_path / "streamed")
+
+
+def test_streaming_writer_matches_when_stages_share_examples(tmp_path):
+    stage1 = [_example(i, text="ünïcode ✓" if i % 3 == 0 else "") for i in range(40)]
+    validation = [_example(100 + i, split="validation") for i in range(5)]
+    stage2 = stage1[::2] + [_example(200 + i, signal="arxiv_summary") for i in range(30)] + stage1[1::2]
+    # an equal example built separately, and an object listed twice in one stream
+    stage2.append(_example(0, text="ünïcode ✓"))
+    stage2.append(stage2[3])
+    streams = {
+        "mix.stage1.train": stage1,
+        "mix.stage1.validation": validation,
+        "mix.stage2.train": stage2,
+        "mix.stage2.validation": list(validation),
+    }
+    _assert_writers_agree(tmp_path, streams, {"spec_name": "mix", "warnings": ["w"]})
+
+
+def test_streaming_writer_matches_with_an_empty_stream(tmp_path):
+    streams = {"mix.stage1.train": [_example(i) for i in range(5)], "mix.stage1.validation": []}
+    _assert_writers_agree(tmp_path, streams)
+
+
+def test_streaming_writer_matches_when_a_stream_sorts_after_stats(tmp_path):
+    shared = [_example(i) for i in range(12)]
+    streams = {"zz.stage1.train": shared, "aa.stage1.train": shared[:4], "stats.tsw": shared[5:]}
+    assert sorted([*streams, "stats.tsv"])[-2:] == ["stats.tsw", "zz.stage1.train"]
+    _assert_writers_agree(tmp_path, streams)
+
+
+def test_streaming_writer_matches_over_many_write_chunks(tmp_path):
+    examples = [_example(i, signal="wikihow_summary" if i % 2 else "qa_triviaqa") for i in range(2500)]
+    streams = {"big.stage1.train": examples[:1800], "big.stage2.train": examples}
+    _assert_writers_agree(tmp_path, streams)
+
+
+def test_streaming_writer_encodes_each_listed_example_once(tmp_path, monkeypatch):
+    import signalmine.dataset_io as dataset_io
+
+    shared = [_example(i) for i in range(30)]
+    streams = {"s.stage1.train": shared[:20], "s.stage2.train": shared + shared[:5], "s.stage2.validation": []}
+    encoded = []
+    monkeypatch.setattr(dataset_io, "example_to_record",
+                        lambda ex: encoded.append(ex) or example_to_record(ex))
+    write_bundle(tmp_path / "b", streams)
+    assert len(encoded) == len({id(ex) for ex in encoded}) == 30

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from signalmine.dataset_io import (
@@ -119,3 +121,73 @@ def test_round_trip_file_bytes_are_identical(tmp_path):
     write_bundle(tmp_path / "b2", back)
     for name in streams():
         assert (tmp_path / "b1" / name).read_bytes() == (tmp_path / "b2" / name).read_bytes()
+
+
+# -- replacing a bundle: rename the old one aside, rename the new one in, delete
+# the old one; a refused rename at either step keeps the old bundle --------------
+
+
+def _tree(parent):
+    """Every entry under `parent` with its bytes (None for a directory)."""
+    return {str(p.relative_to(parent)): (None if p.is_dir() else p.read_bytes())
+            for p in sorted(parent.rglob("*"))}
+
+
+def _replace_with_refused_rename(tmp_path, monkeypatch, refuse_when):
+    path = tmp_path / "b"
+    write_bundle(path, streams())
+    before = _tree(tmp_path)
+    real_rename = os.rename
+
+    def rename(src, dst):
+        if refuse_when(os.fspath(src), os.fspath(dst), path):
+            raise OSError("injected rename failure")
+        real_rename(src, dst)
+
+    monkeypatch.setattr("os.rename", rename)
+    with pytest.raises(OSError, match="injected rename failure"):
+        write_bundle(path, streams(n=4))
+    monkeypatch.undo()
+    assert _tree(tmp_path) == before  # old bytes intact, no temp or aside dir left
+    verify_bundle(path)
+
+
+def test_refused_rename_of_the_old_bundle_aside_keeps_it(tmp_path, monkeypatch):
+    _replace_with_refused_rename(tmp_path, monkeypatch, lambda src, dst, path: src == str(path))
+
+
+def test_refused_rename_of_the_new_bundle_in_restores_the_old_one(tmp_path, monkeypatch):
+    _replace_with_refused_rename(
+        tmp_path, monkeypatch, lambda src, dst, path: dst == str(path) and ".b.tmp" in src
+    )
+
+
+def test_replacing_a_bundle_leaves_only_the_new_one(tmp_path):
+    path = tmp_path / "b"
+    write_bundle(path, streams())
+    write_bundle(path, streams(n=4))
+    assert [p.name for p in tmp_path.iterdir()] == ["b"]
+    assert read_manifest(path)["files"]["t.stage1.train"]["lines"] == 4
+
+
+def test_write_failing_halfway_keeps_the_old_bundle(tmp_path, monkeypatch):
+    path = tmp_path / "b"
+    write_bundle(path, streams())
+    before = _tree(tmp_path)
+    real_open = open
+    opened = []
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            opened.append(file)
+            if len(opened) == 2:
+                fh.close()
+                raise OSError("injected write failure")
+        return fh
+
+    monkeypatch.setattr("builtins.open", failing_open)
+    with pytest.raises(OSError, match="injected write failure"):
+        write_bundle(path, streams(n=4))
+    monkeypatch.undo()
+    assert _tree(tmp_path) == before

@@ -9,6 +9,7 @@ draws.
 from __future__ import annotations
 
 import random
+from collections import ChainMap
 from collections.abc import Sequence
 
 import pytest
@@ -63,6 +64,11 @@ def reference_other(values: list[str], excluded: set[str], rng: random.Random) -
 # -----------------------------------------------------------------------------
 
 
+def view(tup: SignalTuple) -> ChainMap:
+    """What `tup.get` reads: a field before a meta key of its name."""
+    return ChainMap(tup.named_fields(), tup.extraction_meta)
+
+
 def summary_tuple(title: str) -> SignalTuple:
     return SignalTuple(
         "daily_mail_summary",
@@ -102,7 +108,7 @@ def test_option_sampling_matches_filtered_list(registry, n, correct_in_pool):
     values = list(pools.get("daily_mail_titles"))
     for seed in SEEDS:
         ours, theirs = derive_rng(seed, "options"), derive_rng(seed, "options")
-        assert _build_options("choices", tup, template, pools, ours) == reference_options(values, title, theirs)
+        assert _build_options("choices", tup, view(tup), template, pools, ours) == reference_options(values, title, theirs)
         assert ours.getstate() == theirs.getstate()
 
 
@@ -114,7 +120,7 @@ def test_other_value_with_one_excluded_value_matches_filtered_list(n):
     values = list(pools.get("daily_mail_titles"))
     for seed in SEEDS:
         ours, theirs = derive_rng(seed, "other"), derive_rng(seed, "other")
-        assert _other_value("other_title", tup, pools, ours) == reference_other(values, {title}, theirs)
+        assert _other_value("other_title", tup, view(tup), pools, ours) == reference_other(values, {title}, theirs)
         assert ours.getstate() == theirs.getstate()
 
 
@@ -131,7 +137,7 @@ def test_other_value_with_several_excluded_values_matches_filtered_list(n):
     values = list(words)
     for seed in SEEDS:
         ours, theirs = derive_rng(seed, "other"), derive_rng(seed, "other")
-        assert _other_value("other_word", tup, pools, ours) == reference_other(values, excluded, theirs)
+        assert _other_value("other_word", tup, view(tup), pools, ours) == reference_other(values, excluded, theirs)
         assert ours.getstate() == theirs.getstate()
 
 
