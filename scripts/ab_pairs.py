@@ -1,17 +1,18 @@
 """Alternating A/B pairs of the benchmark: a parent revision against a change.
 
-    python3 scripts/ab_pairs.py --parent REV [--change REV] --workload NAME \
-        --seeds 11,12,...,20 [--seconds 30] [--out-dir DIR]
+    python3 scripts/ab_pairs.py --parent REV --workload NAME --seeds 11,12,...,20
 
-Both revisions are exported with `git archive` into fresh temporary
-directories, so each side runs only its committed files, and neither leaves
-anything behind in the repository. Each seed is one pair: one run of
-`perfbench/run.py --workload NAME --seed SEED --seconds S --trace 0` per side,
-the parent first in even pairs and the change first in odd ones, so a host
-whose speed drifts favours neither side.
+The change is HEAD. Both revisions are exported with `git archive` into
+fresh temporary directories, so each side runs only its committed files, and
+neither leaves anything behind in the repository. Each seed is one pair: one
+run of `perfbench/run.py --workload NAME --seed SEED --seconds S --trace 0`
+per side, with S the `run_seconds` of BENCHMARK.json, the parent first in
+even pairs and the change first in odd ones, so a host whose speed drifts
+favours neither side.
 
-Writes `BENCH_<workload>_<date>.json` with every run's metrics, each side's
-median and quartiles per end-to-end metric, the number of pairs the change
+Writes `BENCH_<workload>_<date>.json` at the repository root with every
+run's metrics, each side's median and quartiles per end-to-end metric (the
+quartile method of perfbench/baseline.py), the number of pairs the change
 won (ties count for neither side) and the Python version, and prints a
 summary. The claim rule it reports: the change wins at least nine tenths of
 the pairs and its median beats the parent's by more than the parent's
@@ -74,7 +75,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 def spread(values: list[float]) -> dict:
     if len(values) < 2:
         return {"median": values[0] if values else None, "q1": None, "q3": None, "iqr": None}
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
@@ -101,20 +102,17 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
-    ap.add_argument("--change", default="HEAD", help="git revision of the change side (default HEAD)")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="comma-separated seeds, one pair each")
-    ap.add_argument("--seconds", type=float, default=None, help="run length (default: BENCHMARK.json)")
-    ap.add_argument("--out-dir", default=str(ROOT))
     args = ap.parse_args()
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     pairs: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="ab_pairs.") as tmp:
         sides = {"parent": export(args.parent, Path(tmp) / "parent"),
-                 "change": export(args.change, Path(tmp) / "change")}
+                 "change": export("HEAD", Path(tmp) / "change")}
         for i, seed in enumerate(seeds):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             pair = {"pair": i, "seed": seed, "order": order}
@@ -140,7 +138,7 @@ def main() -> int:
         "summary": summary,
         "pairs": pairs,
     }
-    out = Path(args.out_dir) / f"BENCH_{args.workload}_{today}.json"
+    out = ROOT / f"BENCH_{args.workload}_{today}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for name, entry in summary.items():
         p, c = entry["parent"], entry["change"]

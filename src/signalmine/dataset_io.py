@@ -27,6 +27,11 @@ STATS_NAME = "stats.tsv"
 _RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
+class StrandedBundleError(OSError):
+    """Neither the new bundle nor the old one could be moved to the bundle
+    path; the message names the directories that hold them."""
+
+
 class IntegrityError(Exception):
     """Bundle contents do not match their recorded digest."""
 
@@ -111,6 +116,8 @@ def write_bundle(
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         _swap_in(tmpdir, path)
+    except StrandedBundleError:
+        raise  # both bundles stay where the message says
     except BaseException:
         shutil.rmtree(tmpdir, ignore_errors=True)
         raise
@@ -150,9 +157,11 @@ def _swap_in(tmpdir: str, path: Path) -> None:
 
     A bundle already at `path` is renamed aside first, and renamed back if
     the new one cannot be moved in; it is deleted only once the new one is
-    in place. A failure at any step thus leaves the old bundle or the new
-    one at `path`, never neither. (Durability across a power loss is not
-    covered: nothing is fsynced.)
+    in place. A failed step thus leaves the old bundle or the new one at
+    `path`. If renaming the old one back fails as well, `path` holds
+    neither, and the `StrandedBundleError` names the directories that hold
+    both. (Durability across a power loss is not covered: nothing is
+    fsynced.)
     """
     if not path.exists():
         os.rename(tmpdir, path)
@@ -167,8 +176,14 @@ def _swap_in(tmpdir: str, path: Path) -> None:
         raise
     try:
         os.rename(tmpdir, path)
-    except BaseException:
-        os.rename(aside, path)
+    except BaseException as exc:
+        try:
+            os.rename(aside, path)
+        except OSError as undo:
+            raise StrandedBundleError(
+                f"could not move the new bundle to {path} ({exc}) nor the old one back ({undo}); "
+                f"the old bundle is in {aside} and the new one in {tmpdir}"
+            ) from exc
         raise
     shutil.rmtree(aside, ignore_errors=True)
 

@@ -6,6 +6,7 @@ import pytest
 
 from signalmine.dataset_io import (
     IntegrityError,
+    StrandedBundleError,
     read_examples,
     read_manifest,
     stats_report,
@@ -160,6 +161,31 @@ def test_refused_rename_of_the_new_bundle_in_restores_the_old_one(tmp_path, monk
     _replace_with_refused_rename(
         tmp_path, monkeypatch, lambda src, dst, path: dst == str(path) and ".b.tmp" in src
     )
+
+
+def test_refused_rename_back_names_where_both_bundles_are(tmp_path, monkeypatch):
+    path = tmp_path / "b"
+    write_bundle(path, streams())
+    old = _tree(path)
+    real_rename = os.rename
+
+    def rename(src, dst):
+        # refuse moving the new bundle in, then moving the old one back
+        if os.fspath(dst) == str(path):
+            raise OSError("injected rename failure")
+        real_rename(src, dst)
+
+    monkeypatch.setattr("os.rename", rename)
+    with pytest.raises(StrandedBundleError) as info:
+        write_bundle(path, streams(n=4))
+    monkeypatch.undo()
+    assert not path.exists()
+    (aside,) = tmp_path.glob(".b.old*")
+    (new,) = tmp_path.glob(".b.tmp*")
+    assert str(aside) in str(info.value) and str(new) in str(info.value)
+    assert _tree(aside) == old  # the old bundle, byte for byte
+    verify_bundle(new)
+    assert read_manifest(new)["files"]["t.stage1.train"]["lines"] == 4
 
 
 def test_replacing_a_bundle_leaves_only_the_new_one(tmp_path):
