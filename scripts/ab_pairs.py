@@ -10,11 +10,11 @@ per side, with S the `run_seconds` of BENCHMARK.json, the parent first in
 even pairs and the change first in odd ones, so a host whose speed drifts
 favours neither side.
 
-Writes `BENCH_<workload>_<date>.json` at the repository root with every
-run's metrics, each side's median and quartiles per end-to-end metric (the
-quartile method of perfbench/baseline.py), the number of pairs the change
-won (ties count for neither side) and the Python version, and prints a
-summary. The claim rule it reports: the change wins at least nine tenths of
+Writes `BENCH_<workload>_<date>.json` at the repository root (`_2`, `_3`,
+... before `.json` if that file exists) with every run's metrics, each
+side's median and quartiles per end-to-end metric (the quartile method of
+perfbench/baseline.py), the number of pairs the change won (ties count for
+neither side) and the Python version, and prints a summary. The claim rule it reports: the change wins at least nine tenths of
 the pairs and its median beats the parent's by more than the parent's
 interquartile range.
 """
@@ -138,7 +138,12 @@ def main() -> int:
         "summary": summary,
         "pairs": pairs,
     }
+    # a second measurement on the same day never replaces the first
     out = ROOT / f"BENCH_{args.workload}_{today}.json"
+    n = 1
+    while out.exists():
+        n += 1
+        out = ROOT / f"BENCH_{args.workload}_{today}_{n}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for name, entry in summary.items():
         p, c = entry["parent"], entry["change"]

@@ -8,6 +8,7 @@ name and bytes in sorted order, so it changes iff any content byte changes.
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import os
@@ -34,16 +35,6 @@ class StrandedBundleError(OSError):
 
 class IntegrityError(Exception):
     """Bundle contents do not match their recorded digest."""
-
-
-def _digest_files(files: Mapping[str, bytes]) -> str:
-    digest = hashlib.sha256()
-    for name in sorted(files):
-        digest.update(name.encode())
-        digest.update(b"\x00")
-        digest.update(files[name])
-        digest.update(b"\x00")
-    return digest.hexdigest()
 
 
 def render_stats_table(per_signal_counts: Mapping[str, int]) -> str:
@@ -84,7 +75,8 @@ def write_bundle(
             uses[id(ex)] = uses.get(id(ex), 0) + 1
     stats = render_stats_table(per_signal).encode("utf-8")
 
-    # the digest `_digest_files` computes, fed as each file is written
+    # each file's name, a 0 byte, its bytes and a 0 byte, in sorted-name
+    # order; fed as each file is written
     digest = hashlib.sha256()
     files: dict[str, dict] = {}
     parent = path.parent
@@ -218,29 +210,54 @@ def read_manifest(path: str | os.PathLike) -> dict:
         return json.load(fh)
 
 
-def _read_files(path: Path) -> dict[str, bytes]:
-    files = {}
-    for entry in sorted(os.listdir(path)):
-        if entry == MANIFEST_NAME:
-            continue
-        with open(path / entry, "rb") as fh:
-            files[entry] = fh.read()
-    return files
+_VERIFY_CHUNK = 1 << 18
+
+
+def _scan_file(file: Path, digest) -> tuple[int, bool]:
+    """Feed `file`'s bytes to `digest` chunk by chunk: its line count, and
+    whether it is valid UTF-8."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    lines, utf8 = 0, True
+    with open(file, "rb") as fh:
+        while chunk := fh.read(_VERIFY_CHUNK):
+            digest.update(chunk)
+            lines += chunk.count(b"\n")
+            if utf8:
+                try:
+                    decoder.decode(chunk)
+                except UnicodeDecodeError:
+                    utf8 = False
+    if utf8:
+        try:
+            decoder.decode(b"", final=True)
+        except UnicodeDecodeError:
+            utf8 = False
+    return lines, utf8
 
 
 def verify_bundle(path: str | os.PathLike) -> dict:
-    """Recompute the digest and line counts; IntegrityError on any mismatch."""
+    """Recompute the digest and line counts; IntegrityError on any mismatch
+    or a listed file that is not UTF-8. Files are read in fixed chunks, so
+    no file is held whole in memory."""
     path = Path(path)
     manifest = read_manifest(path)
-    files = _read_files(path)
-    actual_hash = _digest_files(files)
+    digest = hashlib.sha256()
+    scanned: dict[str, tuple[int, bool]] = {}
+    for name in sorted(os.listdir(path)):
+        if name == MANIFEST_NAME:
+            continue
+        digest.update(name.encode() + b"\x00")
+        scanned[name] = _scan_file(path / name, digest)
+        digest.update(b"\x00")
+    actual_hash = digest.hexdigest()
     if actual_hash != manifest.get("bundle_hash"):
         raise IntegrityError(f"bundle hash mismatch: {actual_hash} != {manifest.get('bundle_hash')}")
     for name, info in manifest.get("files", {}).items():
-        body = files.get(name)
-        if body is None:
+        if name not in scanned:
             raise IntegrityError(f"missing bundle file: {name}")
-        lines = body.decode("utf-8").count("\n")
+        lines, utf8 = scanned[name]
+        if not utf8:
+            raise IntegrityError(f"{name}: not valid UTF-8")
         if info.get("lines") is not None and lines != info["lines"]:
             raise IntegrityError(f"{name}: {lines} lines, manifest says {info['lines']}")
     return manifest

@@ -1,7 +1,7 @@
 from .scorers import ExternalCommandScorer, ModelScorer, ReferenceScorer, ScorerError
 from .mc import option_mean_logprobs, score_mc
-from .ner import eval_two_step_ner, micro_f1, ner_f1
-from .gaokao import GaokaoPaper, SectionScore, grade_gaokao, total_from_section_scores
+from .ner import eval_two_step_ner, micro_f1
+from .gaokao import GaokaoPaper, SectionScore, grade_gaokao
 from .datasets import eval_dataset
 
 __all__ = [
@@ -13,10 +13,8 @@ __all__ = [
     "score_mc",
     "eval_two_step_ner",
     "micro_f1",
-    "ner_f1",
     "GaokaoPaper",
     "SectionScore",
     "grade_gaokao",
-    "total_from_section_scores",
     "eval_dataset",
 ]

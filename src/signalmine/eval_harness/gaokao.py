@@ -2,8 +2,9 @@
 
 Objective sections are graded as correct-count times per-question points.
 Grammar admits partial credit (the single question is worth ten points, one
-per corrected error), and the essay score always comes from outside; both
-can be supplied as raw section scores.
+per corrected error) and, like any other section, can be supplied as a raw
+section score; the essay score always comes from outside, as its own
+argument.
 """
 
 from __future__ import annotations
@@ -75,23 +76,6 @@ def load_paper(path: str) -> GaokaoPaper:
         return GaokaoPaper.from_record(json.load(fh))
 
 
-def total_from_section_scores(section_scores: Mapping[str, float], essay_score: float = 0.0) -> float:
-    """Straight bookkeeping: validated section scores plus the essay."""
-    total = 0.0
-    for name, score in section_scores.items():
-        spec = SECTION_BY_NAME.get(name)
-        if spec is None:
-            raise SchemaError(f"unknown exam section: {name}")
-        if name == "essay":
-            raise SchemaError("essay score is a separate argument")
-        if not (0 <= score <= spec.max_points):
-            raise SchemaError(f"{name}: score {score} outside [0, {spec.max_points}]")
-        total += score
-    if not (0 <= essay_score <= SECTION_BY_NAME["essay"].max_points):
-        raise SchemaError(f"essay: score {essay_score} outside [0, 25]")
-    return total + essay_score
-
-
 def grade_gaokao(
     paper: GaokaoPaper,
     answers: Mapping[str, list[str]],
@@ -100,8 +84,14 @@ def grade_gaokao(
 ) -> tuple[list[SectionScore], float]:
     """Grade answer lists against the key; raw `section_scores` override
     per-question grading for sections judged externally (grammar partial
-    credit). Answer-count mismatches are structural errors."""
+    credit). Answer-count mismatches, unknown section names and an essay
+    score given as a section score are structural errors."""
     section_scores = dict(section_scores or {})
+    for name in section_scores:
+        if name not in SECTION_BY_NAME:
+            raise SchemaError(f"unknown exam section: {name}")
+        if name == "essay":
+            raise SchemaError("essay score is a separate argument")
     results: list[SectionScore] = []
     total = 0.0
     for spec in SECTIONS:

@@ -67,7 +67,3 @@ def micro_f1(pairs: list[tuple[list[tuple[str, str]], list[tuple[str, str]]]]) -
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)
-
-
-def ner_f1(predicted: list[tuple[str, str]], gold: list[tuple[str, str]]) -> float:
-    return micro_f1([(predicted, gold)])

@@ -8,9 +8,12 @@ over a canonical pre-order, which keeps bundles byte-identical across runs.
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import signal
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError, render_with_selected, tuple_key
@@ -144,6 +147,133 @@ def _canonical_order(ex: PromptedExample) -> tuple:
     return (ex.signal_type, ex.source_doc, ex.template_id, ex.target, ex.source)
 
 
+def worker_count() -> int:
+    """How many render workers `mix` uses: one per CPU this process may run
+    on, or 1 where the platform cannot report that set or fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def shard_plan(jobs: int, workers: int) -> list[range]:
+    """The job positions of each shard: one shard per worker, but no more
+    shards than jobs, and at least one. Of n shards, shard k takes every
+    n-th job from position k, so each gets its share of every entry; entries
+    differ in cost per render, and equal runs of the job list do not."""
+    shards = max(1, min(workers, jobs))
+    return [range(k, jobs, shards) for k in range(shards)]
+
+
+Job = tuple[int, MixEntry, SignalTuple]  # (entry index, entry, tuple)
+# one example per job (None where it rendered nothing), and per entry the
+# position of its first failing job and the error message
+ShardResult = tuple[list[PromptedExample | None], dict[int, tuple[int, str]]]
+
+
+def _render_shard(jobs: Sequence[Job], registry, pools, seed: int, key_of, splits) -> ShardResult:
+    """Render `jobs` in order. An entry renders nothing more after its first
+    render or config error."""
+    examples: list[PromptedExample | None] = []
+    errors: dict[int, tuple[int, str]] = {}
+    for position, (index, entry, tup) in enumerate(jobs):
+        example = None
+        if index not in errors:
+            key = key_of[id(tup)]
+            try:
+                example = render_with_selected(
+                    registry, tup, entry.family, pools, seed, entry.template_group, key, splits[key]
+                )
+            except (RenderError, ConfigError) as exc:
+                errors[index] = (position, f"{_entry_id(entry, index)}: {exc}")
+        examples.append(example)
+    return examples, errors
+
+
+def _fork(work) -> tuple[int, BinaryIO]:
+    """Run `work()` in a forked child: its pid, and a pipe on which the
+    child pickles `("ok", result)`, or `("raised", exception)`."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = ("ok", work())
+            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+                outcome = ("raised", exc)
+            with open(write_fd, "wb") as fh:
+                pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            # no atexit handlers, no flush of buffers copied from the parent
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _render_sharded(
+    jobs: list[Job], plan: list[range], *context
+) -> tuple[dict[int, list[PromptedExample]], dict[int, str]]:
+    """`_render_shard` over `jobs`, one shard of `plan` per process: the
+    first shard renders here, each other one in a forked child that inherits
+    the pools and the split map. The shards merge in job order, so the result
+    equals one process rendering every job: the same example lists, and each
+    entry's earliest error.
+
+    A child that ends without a complete result raises `ChildProcessError`;
+    any other exception in a child is raised here. However this function
+    ends, no child is left running or unreaped.
+    """
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for shard in plan[1:]:
+            children.append(_fork(lambda shard=shard: _render_shard(_take(jobs, shard), *context)))
+        results = [_render_shard(_take(jobs, plan[0]), *context)]
+        while children:
+            pid, pipe = children[0]
+            try:
+                outcome = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                outcome = None
+            pipe.close()
+            children.pop(0)
+            _, status = os.waitpid(pid, 0)
+            if outcome is None:
+                raise ChildProcessError(
+                    f"render worker {pid} exited without a complete result "
+                    f"(exit status {os.waitstatus_to_exitcode(status)})"
+                )
+            kind, value = outcome
+            if kind == "raised":
+                raise value
+            results.append(value)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    examples: list[PromptedExample | None] = [None] * len(jobs)
+    first_errors: dict[int, tuple[int, str]] = {}
+    for shard, (shard_examples, shard_errors) in zip(plan, results):
+        examples[shard.start:shard.stop:shard.step] = shard_examples
+        for index, (position, message) in shard_errors.items():
+            position = shard[position]
+            if index not in first_errors or position < first_errors[index][0]:
+                first_errors[index] = (position, message)
+    errors = {index: message for index, (_, message) in first_errors.items()}
+    rendered: dict[int, list[PromptedExample]] = {}
+    for (index, _, _), example in zip(jobs, examples):
+        if index not in errors:
+            rendered.setdefault(index, []).append(example)
+    return rendered, errors
+
+
+def _take(jobs: list[Job], shard: range) -> list[Job]:
+    return jobs[shard.start:shard.stop:shard.step]
+
+
 def mix(
     tuples: Iterable[SignalTuple],
     spec: MixSpec,
@@ -164,7 +294,7 @@ def mix(
         return bool(registry.eligible(entry.signal_type, entry.family, entry.template_group, tup))
 
     capped, warnings = apply_caps(by_signal, spec, eligible=renderable)
-    plan = stage_plan(spec)
+    stages = stage_plan(spec)
     result = MixResult(warnings=warnings)
     seed = spec.global_seed
     keys = [tuple_key(tup) for tup in all_tuples]
@@ -173,27 +303,15 @@ def mix(
     # every one alive while this map is in use
     key_of = {id(tup): key for tup, key in zip(all_tuples, keys)}
 
-    rendered: dict[int, list[PromptedExample]] = {}
-    failed_entries: set[int] = set()
-    for index, entry in enumerate(spec.entries):
-        pool = capped.get(index, [])
-        out: list[PromptedExample] = []
-        try:
-            for tup in pool:
-                key = key_of[id(tup)]
-                out.append(render_with_selected(
-                    registry, tup, entry.family, pools, seed, entry.template_group, key, splits[key]
-                ))
-        except (RenderError, ConfigError) as exc:
-            failed_entries.add(index)
-            result.errors.append(f"{_entry_id(entry, index)}: {exc}")
-            continue
-        rendered[index] = out
+    jobs = [(index, entry, tup) for index, entry in enumerate(spec.entries) for tup in capped.get(index, [])]
+    shards = shard_plan(len(jobs), worker_count())
+    rendered, errors = _render_sharded(jobs, shards, registry, pools, seed, key_of, splits)
+    result.errors.extend(errors[index] for index in sorted(errors))
 
-    for stage, members in plan:
+    for stage, members in stages:
         buckets: dict[str, list[PromptedExample]] = {"train": [], "validation": []}
         for index in members:
-            if index in failed_entries:
+            if index in errors:
                 continue
             for ex in rendered.get(index, []):
                 buckets[ex.split].append(ex)

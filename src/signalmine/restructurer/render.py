@@ -340,8 +340,27 @@ def render_with_selected(
     if key is None:
         key = tuple_key(tup)
     template = select_template(registry, tup.signal_type, family, tup, seed, group, key)
-    rng = derive_rng(seed, "render", template.template_id, key)
+    rng = _LazyRng(seed, "render", template.template_id, key)
     return render(tup, template, pools, rng, seed=seed, split=split)
+
+
+class _LazyRng:
+    """`derive_rng(seed, *key)`, built when a method is first looked up.
+
+    Most templates draw nothing, and seeding a Mersenne Twister costs a
+    sha256 and a full state fill. The stream is private to one render, so
+    building it late gives the same draws.
+    """
+
+    __slots__ = ("_seed", "_key", "_rng")
+
+    def __init__(self, seed: int, *key: object):
+        self._seed, self._key, self._rng = seed, key, None
+
+    def __getattr__(self, name: str):
+        if self._rng is None:
+            self._rng = derive_rng(self._seed, *self._key)
+        return getattr(self._rng, name)
 
 
 CLOZE_TEMPLATE_ID = "plain_text_cloze.cloze.001"

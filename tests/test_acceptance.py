@@ -14,9 +14,9 @@ from contextlib import contextmanager
 import pytest
 
 from signalmine.dataset_io import write_bundle
-from signalmine.eval_harness import ReferenceScorer, eval_dataset, ner_f1, score_mc
+from signalmine.eval_harness import ReferenceScorer, eval_dataset, micro_f1, score_mc
 from signalmine.eval_harness.datasets import population_std
-from signalmine.eval_harness.gaokao import total_from_section_scores
+from signalmine.eval_harness.gaokao import GaokaoPaper, grade_gaokao
 from signalmine.extractors import arxiv, plain_text, qa, rotten_tomatoes, wikihow, wordnet
 from signalmine.extractors import ExtractContext
 from signalmine.extractors.plain_text import corrupt, reconstruct
@@ -69,11 +69,13 @@ def test_gaokao_grading_arithmetic():
         rows = gaokao_fixture("results_columns.jsonl")
         columns = [r for r in rows if r["model"] != "ceiling"]
         assert len(columns) == 30
+        paper = GaokaoPaper(paper_id="columns")
         for row in rows:
-            total = total_from_section_scores(row["sections"], essay_score=row["essay"])
+            _, total = grade_gaokao(paper, {}, section_scores=row["sections"], essay_score=row["essay"])
             assert total == row["total"], (row["paper"], row["model"])
             asr = dict(row["sections"], listening=row["listening_asr"])
-            assert total_from_section_scores(asr, essay_score=row["essay"]) == row["total_asr"]
+            _, total = grade_gaokao(paper, {}, section_scores=asr, essay_score=row["essay"])
+            assert total == row["total_asr"], (row["paper"], row["model"])
         ceiling = [r for r in rows if r["model"] == "ceiling"][0]
         assert ceiling["total"] == 150.0
         assert time.monotonic() - started < 1.0
@@ -373,7 +375,7 @@ def test_mixer_caps_and_split_leakage(registry):
 
 
 def test_scoring_oracle_equivalence():
-    """score_mc, ner_f1, and report summaries agree with independent oracles."""
+    """score_mc, micro_f1 of one record, and report summaries agree with independent oracles."""
     with criterion("scoring-oracle-equivalence"):
         rng = random.Random(8)
         scorer = ReferenceScorer()
@@ -401,7 +403,7 @@ def test_scoring_oracle_equivalence():
                     for _ in range(rng.randint(0, 5))]
             gold = [(rng.choice(surfaces), rng.choice(types))
                     for _ in range(rng.randint(0, 5))]
-            got = ner_f1(pred, gold)
+            got = micro_f1([(pred, gold)])
             pset, gset = set(pred), set(gold)
             if not pset or not gset:
                 expected = 0.0

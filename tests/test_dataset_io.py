@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import os
+import tracemalloc
 
 import pytest
+from click.testing import CliRunner
 
+from signalmine import dataset_io
+from signalmine.cli import main
 from signalmine.dataset_io import (
     IntegrityError,
     StrandedBundleError,
@@ -217,3 +223,86 @@ def test_write_failing_halfway_keeps_the_old_bundle(tmp_path, monkeypatch):
         write_bundle(path, streams(n=4))
     monkeypatch.undo()
     assert _tree(tmp_path) == before
+
+
+# -- verify_bundle reads each file in chunks -----------------------------------
+
+
+def _rehash(path):
+    """Record in the manifest the digest of the files as they now are (the
+    format the module docstring gives), so only the other checks can fail."""
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(path)):
+        if name != "manifest.json":
+            digest.update(name.encode() + b"\x00" + (path / name).read_bytes() + b"\x00")
+    manifest = read_manifest(path)
+    manifest["bundle_hash"] = digest.hexdigest()
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def test_verify_mismatch_messages(tmp_path):
+    path = tmp_path / "b"
+    recorded = write_bundle(path, streams())
+    target = path / "t.stage1.train"
+    original = target.read_bytes()
+
+    target.write_bytes(original.replace(b"question 3", b"question X"))
+    with pytest.raises(IntegrityError, match=rf"^bundle hash mismatch: [0-9a-f]{{64}} != {recorded}$"):
+        verify_bundle(path)
+
+    target.write_bytes(original)
+    manifest = read_manifest(path)
+    manifest["files"]["t.stage1.train"]["lines"] = 11
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(IntegrityError, match=r"^t\.stage1\.train: 10 lines, manifest says 11$"):
+        verify_bundle(path)
+
+    target.unlink()
+    _rehash(path)
+    with pytest.raises(IntegrityError, match=r"^missing bundle file: t\.stage1\.train$"):
+        verify_bundle(path)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda body: body[:5] + b"\xff" + body[6:],  # a byte no UTF-8 text holds
+    lambda body: body + "é".encode()[:1],  # a sequence cut off at the end
+])
+def test_file_that_is_not_utf8_is_an_integrity_error(tmp_path, damage):
+    path = tmp_path / "b"
+    write_bundle(path, streams())
+    target = path / "t.stage1.train"
+    target.write_bytes(damage(target.read_bytes()))
+    _rehash(path)
+    with pytest.raises(IntegrityError, match=r"^t\.stage1\.train: not valid UTF-8$"):
+        verify_bundle(path)
+    result = CliRunner().invoke(main, ["validate", "--bundle", str(path)])
+    assert result.exit_code == 1
+    assert result.output == "integrity-error: t.stage1.train: not valid UTF-8\n"
+
+
+def test_character_split_across_chunks_verifies(tmp_path, monkeypatch):
+    path = tmp_path / "b"
+    ex = example(1)
+    write_bundle(path, {"t.stage1.train": [
+        PromptedExample(**{**ex.__dict__, "target": "réponse ünïcödé 答え " * (i + 1)}) for i in range(20)
+    ]})
+    for size in (1, 2, 3, 7):
+        monkeypatch.setattr(dataset_io, "_VERIFY_CHUNK", size)
+        verify_bundle(path)
+
+
+def test_verify_holds_one_chunk_not_a_file(tmp_path):
+    filler = "ｗｏｒｄ " * 200  # wide characters: a decoded chunk is bigger than its bytes
+    big = [PromptedExample(**{**example(i).__dict__, "source": f"TEXT: {filler}{i} QUERY: q {i}?"})
+           for i in range(2500)]
+    path = tmp_path / "b"
+    write_bundle(path, {"t.stage1.train": big, "t.stage1.validation": big[:500]})
+    largest = max(p.stat().st_size for p in path.iterdir())
+    assert largest > 3_000_000
+    tracemalloc.start()
+    try:
+        verify_bundle(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < largest / 2

@@ -12,7 +12,6 @@ from signalmine.eval_harness import (
     eval_dataset,
     eval_two_step_ner,
     micro_f1,
-    ner_f1,
     option_mean_logprobs,
     score_mc,
 )
@@ -96,9 +95,10 @@ def test_parse_entity_list_dedupes_in_order():
 
 
 def test_ner_f1_examples():
-    assert ner_f1([("Mozart", "PER")], [("Mozart", "PER")]) == 1.0
-    assert ner_f1([], [("Mozart", "PER")]) == 0.0
-    assert ner_f1([("A", "X"), ("B", "Y")], [("A", "X"), ("C", "Z")]) == 0.5
+    # one record's F1 is micro_f1 over a single pair
+    assert micro_f1([([("Mozart", "PER")], [("Mozart", "PER")])]) == 1.0
+    assert micro_f1([([], [("Mozart", "PER")])]) == 0.0
+    assert micro_f1([([("A", "X"), ("B", "Y")], [("A", "X"), ("C", "Z")])]) == 0.5
 
 
 def test_micro_f1_aggregates_over_pairs():

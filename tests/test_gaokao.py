@@ -9,7 +9,6 @@ from signalmine.eval_harness.gaokao import (
     SECTIONS,
     GaokaoPaper,
     grade_gaokao,
-    total_from_section_scores,
 )
 from signalmine.signal_model import SchemaError
 
@@ -30,19 +29,25 @@ def test_point_table():
     assert sum(v[2] for v in by_name.values()) == FULL_MARKS == 150.0
 
 
+def _section_total(section_scores, essay_score=0.0):
+    """`grade_gaokao`'s total for raw section scores alone."""
+    return grade_gaokao(GaokaoPaper(paper_id="p"), {}, section_scores=section_scores,
+                        essay_score=essay_score)[1]
+
+
 def test_published_totals():
     # the three spec-pinned columns
-    assert total_from_section_scores(
+    assert _section_total(
         {"listening": 28.5, "cloze_mc": 27.0, "cloze_hint": 7.5,
          "reading_mc": 28.0, "reading_cloze": 10.0, "grammar": 8.0},
         essay_score=19.0,
     ) == 128.0
-    assert total_from_section_scores(
+    assert _section_total(
         {"listening": 28.5, "cloze_mc": 30.0, "cloze_hint": 12.0,
          "reading_mc": 28.0, "reading_cloze": 10.0, "grammar": 8.0},
         essay_score=22.0,
     ) == 138.5
-    assert total_from_section_scores(
+    assert _section_total(
         {"listening": 30.0, "cloze_mc": 30.0, "cloze_hint": 15.0,
          "reading_mc": 30.0, "reading_cloze": 10.0, "grammar": 10.0},
         essay_score=25.0,
@@ -53,10 +58,10 @@ def test_all_published_columns_reproduce():
     rows = gaokao_fixture("results_columns.jsonl")
     assert len(rows) == 31  # 30 model x paper columns + the full-marks ceiling
     for row in rows:
-        total = total_from_section_scores(row["sections"], essay_score=row["essay"])
+        total = _section_total(row["sections"], essay_score=row["essay"])
         assert total == row["total"], (row["paper"], row["model"])
         asr_sections = dict(row["sections"], listening=row["listening_asr"])
-        assert total_from_section_scores(asr_sections, essay_score=row["essay"]) == row["total_asr"]
+        assert _section_total(asr_sections, essay_score=row["essay"]) == row["total_asr"]
 
 
 def test_grading_from_answer_key():
@@ -82,11 +87,18 @@ def test_grading_answer_count_mismatch_is_structural():
 
 def test_section_score_bounds_validated():
     with pytest.raises(SchemaError):
-        total_from_section_scores({"listening": 31.0})
+        _section_total({"listening": 31.0})
     with pytest.raises(SchemaError):
-        total_from_section_scores({"listening": 30.0}, essay_score=26.0)
+        _section_total({"listening": 30.0}, essay_score=26.0)
     with pytest.raises(SchemaError):
-        total_from_section_scores({"not_a_section": 1.0})
+        _section_total({"not_a_section": 1.0})
+
+
+@pytest.mark.parametrize("scores", [{"gramar": 10.0}, {"essay": 20.0}, {"grammar": 8.0, "Listening": 30.0}])
+def test_unknown_or_essay_section_score_is_structural(scores):
+    paper = GaokaoPaper.from_record(gaokao_fixture("paper_2019_np2.json"))
+    with pytest.raises(SchemaError):
+        grade_gaokao(paper, {}, section_scores=scores)
 
 
 def test_weighted_sum_identity_property():

@@ -1,0 +1,319 @@
+"""`mix` renders its jobs in shards, one per CPU, forked; and a render builds
+its RNG only when it draws. Neither may change a byte of output."""
+
+from __future__ import annotations
+
+import json
+import os
+import signal
+import time
+
+import pytest
+from click.testing import CliRunner
+
+from signalmine import mixer
+from signalmine.cli import main
+from signalmine.restructurer import render as render_module
+from signalmine.restructurer.pools import DistractorPools
+from signalmine.restructurer.render import (
+    RenderError,
+    _LazyRng,
+    render,
+    render_with_selected,
+    select_template,
+    tuple_key,
+)
+from signalmine.restructurer.templates import load_registry
+from signalmine.rng import derive_rng
+from signalmine.signal_model import MixEntry, MixSpec, dump_tuples
+
+from test_golden import (  # noqa: F401 - fixture_tuple_files is a fixture
+    FIXTURE_BUNDLE_HASH,
+    SYNTHETIC_BUNDLE_HASH,
+    fixture_tuple_files,
+    synthetic_tuples,
+)
+
+
+@pytest.fixture(scope="module")
+def registry():
+    return load_registry()
+
+
+def _workers(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(mixer, "worker_count", lambda: n)
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+# -- the shard plan -------------------------------------------------------------
+
+
+def test_shard_plan_covers_every_job_once():
+    for jobs in (0, 1, 2, 5, 17, 1000):
+        for workers in (1, 2, 3, 8, 64):
+            plan = mixer.shard_plan(jobs, workers)
+            assert len(plan) == max(1, min(workers, jobs))
+            assert sorted(p for shard in plan for p in shard) == list(range(jobs))
+            sizes = [len(shard) for shard in plan]
+            assert max(sizes) - min(sizes) <= 1
+
+
+def test_shard_plan_with_64_cpus_and_fewer_jobs(monkeypatch):
+    def no_fork():
+        raise AssertionError("the shard plan forks nothing")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    assert mixer.worker_count() == 64
+    plan = mixer.shard_plan(10, mixer.worker_count())
+    assert [list(shard) for shard in plan] == [[i] for i in range(10)]
+    assert mixer.shard_plan(0, mixer.worker_count()) == [range(0)]
+
+
+def test_one_worker_where_fork_or_affinity_is_missing(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert mixer.worker_count() == 1
+    monkeypatch.undo()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert mixer.worker_count() == 1
+
+
+def test_one_cpu_renders_in_process(monkeypatch, registry, all_fixture_tuples):
+    def no_fork():
+        raise AssertionError("one worker forks nothing")
+
+    _workers(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),), global_seed=3, name="t")
+    result = mixer.mix(all_fixture_tuples, spec, registry)
+    assert result.examples and not result.errors
+
+
+# -- byte identity -----------------------------------------------------------------
+
+
+def _mix_hash(tmp_path, spec: str, tuple_files: list) -> str:
+    args = ["mix", "--spec", spec, "--out", str(tmp_path / "bundle"), "--seed", "7"]
+    for path in tuple_files:
+        args += ["--tuples", str(path)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    return result.output.split()[-1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fixture_pipeline_bundle_hash_at_any_worker_count(monkeypatch, tmp_path, fixture_tuple_files, workers):
+    _workers(monkeypatch, workers)
+    assert _mix_hash(tmp_path, "all_tasks", fixture_tuple_files) == FIXTURE_BUNDLE_HASH
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_synthetic_bundle_hash_at_any_worker_count(monkeypatch, tmp_path, workers):
+    # the corpus and spec of test_golden.py::test_synthetic_corpus_bundle_hash
+    tuples = tmp_path / "synthetic.tuples"
+    tuples.write_text(dump_tuples(synthetic_tuples()), encoding="utf-8")
+    entries = [
+        {"signal_type": signal, "family": family, "stage": 1 if family == "multiple_choice" else 2}
+        for signal in ("daily_mail_summary", "wikidata_relation")
+        for family in ("multiple_choice", "generation")
+    ]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "synthetic", "split_ratio": 0.1, "global_seed": 7,
+                                "entries": entries}), encoding="utf-8")
+    _workers(monkeypatch, workers)
+    assert _mix_hash(tmp_path, str(spec), [tuples]) == SYNTHETIC_BUNDLE_HASH
+    assert _no_child_left()
+
+
+# -- errors and failures in shards ------------------------------------------------
+
+
+def _failing_render(monkeypatch, bad_docs: set[str]) -> None:
+    """`render_with_selected` raising a RenderError naming the tuple's
+    document for every multiple-choice render of a tuple of `bad_docs`."""
+    real = mixer.render_with_selected
+
+    def fake(registry, tup, family, *args, **kwargs):
+        if family == "multiple_choice" and tup.source_doc in bad_docs:
+            raise RenderError(f"bad {tup.source_doc}")
+        return real(registry, tup, family, *args, **kwargs)
+
+    monkeypatch.setattr(mixer, "render_with_selected", fake)
+
+
+def _two_entry_mix(registry, tuples):
+    spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),
+                            MixEntry("daily_mail_summary", "multiple_choice")), global_seed=3, name="t")
+    return mixer.mix(tuples, spec, registry)
+
+
+def test_earliest_error_of_an_entry_comes_from_a_later_shard(monkeypatch, registry):
+    tuples = [t for t in synthetic_tuples(12) if t.signal_type == "daily_mail_summary"]
+    # entry 1's jobs are positions 12..23: its first failing job (position 17)
+    # lies in a later shard than its second (position 18) at 2 and 3 workers
+    first, second = tuples[5], tuples[6]
+    _failing_render(monkeypatch, {first.source_doc, second.source_doc})
+    _workers(monkeypatch, 1)
+    reference = _two_entry_mix(registry, tuples)
+    assert reference.errors == [f"1:daily_mail_summary:multiple_choice: bad {first.source_doc}"]
+    for workers in (2, 3):
+        plan = mixer.shard_plan(24, workers)
+        shard_of = {p: i for i, shard in enumerate(plan) for p in shard}
+        assert shard_of[17] > shard_of[18]
+        _workers(monkeypatch, workers)
+        got = _two_entry_mix(registry, tuples)
+        assert got.errors == reference.errors
+        assert got.examples == reference.examples
+    assert _no_child_left()
+
+
+def test_other_exception_in_a_child_is_raised_with_its_type_and_message(monkeypatch, registry):
+    parent = os.getpid()
+    real = mixer.render_with_selected
+
+    def fake(*args, **kwargs):
+        if os.getpid() != parent:
+            raise KeyError("child went wrong")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mixer, "render_with_selected", fake)
+    _workers(monkeypatch, 2)
+    tuples = [t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"]
+    with pytest.raises(KeyError) as caught:
+        _two_entry_mix(registry, tuples)
+    assert caught.value.args == ("child went wrong",)
+    assert _no_child_left()
+
+
+def test_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch, registry):
+    parent = os.getpid()
+
+    def fake(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)  # a child still rendering
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(mixer, "render_with_selected", fake)
+    _workers(monkeypatch, 3)
+    tuples = [t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"]
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _two_entry_mix(registry, tuples)
+    assert time.monotonic() - started < 30
+    assert _no_child_left()
+
+
+def test_child_killed_mid_shard_keeps_the_old_bundle(monkeypatch, tmp_path):
+    tuples = tmp_path / "in.tuples"
+    tuples.write_text(dump_tuples(synthetic_tuples(200)), encoding="utf-8")
+    out = tmp_path / "bundle"
+    args = ["mix", "--spec", "all_tasks", "--tuples", str(tuples), "--out", str(out), "--seed", "7"]
+    runner = CliRunner()
+    assert runner.invoke(main, args).exit_code == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    parent = os.getpid()
+    real = mixer.render_with_selected
+    rendered = []
+
+    def fake(*args, **kwargs):
+        rendered.append(1)
+        if os.getpid() != parent and len(rendered) == 50:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mixer, "render_with_selected", fake)
+    _workers(monkeypatch, 2)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output.startswith("io-error: render worker ")
+    assert result.output.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "in.tuples"]
+    assert _no_child_left()
+
+
+# -- the render RNG is built at its first draw --------------------------------------
+
+
+def _count_render_rngs(monkeypatch) -> list:
+    built = []
+
+    def counting(seed, *key):
+        if key[0] == "render":
+            built.append(key)
+        return derive_rng(seed, *key)
+
+    monkeypatch.setattr(render_module, "derive_rng", counting)
+    return built
+
+
+def test_template_that_draws_nothing_seeds_no_rng(monkeypatch, registry, all_fixture_tuples):
+    pools = DistractorPools.build(all_fixture_tuples)
+    tup = next(t for t in all_fixture_tuples if t.signal_type == "daily_mail_summary")
+    built = _count_render_rngs(monkeypatch)
+    example = render_with_selected(registry, tup, "generation", pools, 7)
+    template = registry.by_id[example.template_id]
+    assert not template.option_slots()
+    assert built == []
+    # a multiple-choice render draws its options: one RNG
+    render_with_selected(registry, tup, "multiple_choice", pools, 7)
+    assert len(built) == 1
+
+
+def _eager(registry, tup, family, pools, seed, group=None):
+    """`render_with_selected` as it was: the render RNG built up front."""
+    key = tuple_key(tup)
+    template = select_template(registry, tup.signal_type, family, tup, seed, group, key)
+    return render(tup, template, pools, derive_rng(seed, "render", template.template_id, key), seed=seed)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RenderError as exc:
+        return f"RenderError: {exc}"
+
+
+def test_lazy_rng_renders_what_the_eager_one_did(registry, all_fixture_tuples):
+    pools = DistractorPools.build(all_fixture_tuples)
+    by_signal: dict[str, list] = {}
+    for tup in all_fixture_tuples:
+        by_signal.setdefault(tup.signal_type, []).append(tup)
+    renders = 0
+    for template in registry.by_id.values():
+        applicable = [t for t in by_signal.get(template.signal_type, []) if template.applies_to(t)]
+        for tup in applicable[:5]:
+            key = ("render", template.template_id, tuple_key(tup))
+            lazy = _outcome(render, tup, template, pools, _LazyRng(7, *key), 7)
+            assert lazy == _outcome(render, tup, template, pools, derive_rng(7, *key), 7)
+            renders += 1
+    assert renders > 3000
+    families = {(t.signal_type, t.family) for t in registry.by_id.values()}
+    for signal_type, family in sorted(families):
+        for tup in by_signal.get(signal_type, []):
+            if registry.eligible(signal_type, family, None, tup):
+                assert (_outcome(render_with_selected, registry, tup, family, pools, 7)
+                        == _outcome(_eager, registry, tup, family, pools, 7))
+
+
+def test_restructure_output_is_unchanged_by_the_lazy_rng(monkeypatch, tmp_path, fixture_tuple_files):
+    def restructure(out):
+        args = ["restructure", "--out", str(out), "--seed", "3"]
+        for path in fixture_tuple_files:
+            args += ["--tuples", str(path)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        return out.read_bytes()
+
+    lazy = restructure(tmp_path / "lazy.jsonl")
+    monkeypatch.setattr(render_module, "_LazyRng", derive_rng)
+    assert lazy and lazy == restructure(tmp_path / "eager.jsonl")
