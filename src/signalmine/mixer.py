@@ -217,9 +217,10 @@ def _render_sharded(
 ) -> tuple[dict[int, list[PromptedExample]], dict[int, str]]:
     """`_render_shard` over `jobs`, one shard of `plan` per process: the
     first shard renders here, each other one in a forked child that inherits
-    the pools and the split map. The shards merge in job order, so the result
-    equals one process rendering every job: the same example lists, and each
-    entry's earliest error.
+    the pools and the split map. Returns the examples of each entry that
+    rendered without error, and each other entry's earliest error. The
+    shards merge in job order, so both equal what one process rendering
+    every job gives.
 
     A child that ends without a complete result raises `ChildProcessError`;
     any other exception in a child is raised here. However this function
@@ -228,8 +229,8 @@ def _render_sharded(
     children: list[tuple[int, BinaryIO]] = []
     try:
         for shard in plan[1:]:
-            children.append(_fork(lambda shard=shard: _render_shard(_take(jobs, shard), *context)))
-        results = [_render_shard(_take(jobs, plan[0]), *context)]
+            children.append(_fork(lambda shard=shard: _render_shard([jobs[i] for i in shard], *context)))
+        results = [_render_shard([jobs[i] for i in plan[0]], *context)]
         while children:
             pid, pipe = children[0]
             try:
@@ -270,10 +271,6 @@ def _render_sharded(
     return rendered, errors
 
 
-def _take(jobs: list[Job], shard: range) -> list[Job]:
-    return jobs[shard.start:shard.stop:shard.step]
-
-
 def mix(
     tuples: Iterable[SignalTuple],
     spec: MixSpec,
@@ -294,7 +291,7 @@ def mix(
         return bool(registry.eligible(entry.signal_type, entry.family, entry.template_group, tup))
 
     capped, warnings = apply_caps(by_signal, spec, eligible=renderable)
-    stages = stage_plan(spec)
+    plan = stage_plan(spec)
     result = MixResult(warnings=warnings)
     seed = spec.global_seed
     keys = [tuple_key(tup) for tup in all_tuples]
@@ -308,11 +305,9 @@ def mix(
     rendered, errors = _render_sharded(jobs, shards, registry, pools, seed, key_of, splits)
     result.errors.extend(errors[index] for index in sorted(errors))
 
-    for stage, members in stages:
+    for stage, members in plan:
         buckets: dict[str, list[PromptedExample]] = {"train": [], "validation": []}
         for index in members:
-            if index in errors:
-                continue
             for ex in rendered.get(index, []):
                 buckets[ex.split].append(ex)
         for split, examples in buckets.items():
