@@ -14,9 +14,14 @@ Writes `BENCH_<workload>_<date>.json` at the repository root (`_2`, `_3`,
 ... before `.json` if that file exists) with every run's metrics, each
 side's median and quartiles per end-to-end metric (the quartile method of
 perfbench/baseline.py), the number of pairs the change won (ties count for
-neither side) and the Python version, and prints a summary. The claim rule it reports: the change wins at least nine tenths of
-the pairs and its median beats the parent's by more than the parent's
-interquartile range.
+neither side) and the Python version, and prints a summary. Per metric it
+reports two rules:
+
+- `within_bound`: the change's median is no worse than the parent's by more
+  than the metric's relative `bound` in BENCHMARK.json (a bound of 0.25 lets
+  a lower-is-better median grow by up to 25%);
+- `claim_holds`: the change wins at least nine tenths of the pairs and its
+  median beats the parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -91,6 +96,9 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         change = spread([b for _, b in both])
         entry = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
                  "parent": parent, "change": change, "pairs": len(both), "wins": wins, "losses": losses}
+        if both:
+            worse = change["median"] - parent["median"] if lower else parent["median"] - change["median"]
+            entry["within_bound"] = worse <= metric["bound"] * abs(parent["median"])
         if both and parent["iqr"] is not None:
             gain = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
             entry["median_gain"] = gain
@@ -149,6 +157,7 @@ def main() -> int:
         p, c = entry["parent"], entry["change"]
         print(f"{name}: parent median {p['median']} iqr {p['iqr']}; change median {c['median']} "
               f"iqr {c['iqr']}; change wins {entry['wins']}/{entry['pairs']}"
+              + (f"; within bound: {entry['within_bound']}" if "within_bound" in entry else "")
               + (f"; claim holds: {entry['claim_holds']}" if "claim_holds" in entry else ""))
     failed = [(p["pair"], side) for p in pairs for side in ("parent", "change")
               if p[side].get("exit") != 0 or not p[side].get("correct")]

@@ -1,8 +1,8 @@
 """Operator surface: extract -> restructure -> mix -> evaluate.
 
 Exit codes: 0 success, 1 data error (single-line `<class>: <message>` on
-stderr), 2 usage error. All randomness flows from --seed (or the
-SIGNALMINE_SEED environment variable / config file default).
+stderr), 2 usage error. All randomness flows from --seed, else the
+SIGNALMINE_SEED environment variable, else the --config file's `seed`.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import shlex
 import sys
 from importlib import resources
@@ -35,7 +34,6 @@ from .signal_model import SchemaError, dump_tuples, example_to_record, load_mixs
 
 SEED_ENV = "SIGNALMINE_SEED"
 
-_DATA_ERRORS = (SchemaError, IntegrityError, RenderError, ConfigError, ScorerError, DetectorError, OSError)
 _ERROR_CLASSES = {
     SchemaError: "schema-error",
     IntegrityError: "integrity-error",
@@ -45,50 +43,54 @@ _ERROR_CLASSES = {
     DetectorError: "detector-error",
     OSError: "io-error",
 }
+_DATA_ERRORS = tuple(_ERROR_CLASSES)
 
 
 def _fail(exc: Exception) -> None:
-    for cls, label in _ERROR_CLASSES.items():
-        if isinstance(exc, cls):
-            click.echo(f"{label}: {exc}", err=True)
-            sys.exit(1)
-    raise exc
+    label = next(label for cls, label in _ERROR_CLASSES.items() if isinstance(exc, cls))
+    click.echo(f"{label}: {exc}", err=True)
+    sys.exit(1)
 
 
-def _default_seed(ctx: click.Context) -> int:
-    config = ctx.obj.get("config", {}) if ctx.obj else {}
-    if SEED_ENV in os.environ:
+class _Commands(click.Group):
+    """Any command's data error ends the run as one stderr line and exit 1."""
+
+    def invoke(self, ctx: click.Context):
         try:
-            return int(os.environ[SEED_ENV])
-        except ValueError as exc:
-            raise click.UsageError(f"{SEED_ENV} must be an unsigned integer") from exc
-    return int(config.get("seed", 0))
+            return super().invoke(ctx)
+        except _DATA_ERRORS as exc:
+            _fail(exc)
 
 
-def _seed_option():
-    return click.option("--seed", type=click.IntRange(min=0), default=None,
-                        help=f"Random seed (default: ${SEED_ENV} or config or 0).")
+def _seed_option(default: int | None = 0, fallback: str = "0"):
+    # click resolves --seed, then the environment, then ctx.default_map (the
+    # config file), then `default`
+    return click.option("--seed", type=click.IntRange(min=0), default=default, envvar=SEED_ENV,
+                        help=f"Random seed (default: ${SEED_ENV} or config or {fallback}).")
 
 
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option(__version__)
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="JSON file supplying option defaults.")
+              default=None, help="JSON object whose `seed` is the default seed; nothing else is read.")
 @click.pass_context
 def main(ctx: click.Context, config_path: str | None) -> None:
     """Mine signal tuples, render prompted examples, mix datasets, evaluate."""
-    ctx.ensure_object(dict)
-    ctx.obj["config"] = {}
-    if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                ctx.obj["config"] = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise click.UsageError(f"bad config file: {exc}") from exc
+    if not config_path:
+        return
+    try:
+        with open(config_path, encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"bad config file: {exc}") from exc
+    if not isinstance(config, dict):
+        raise click.UsageError("bad config file: not a JSON object")
+    if "seed" in config:
+        ctx.default_map = {name: {"seed": config["seed"]} for name in ctx.command.commands}
 
 
 @main.command()
-@click.option("--mine", "mine", required=True, help=f"One of: {', '.join(MINES)}.")
+@click.option("--mine", "mine", required=True, type=click.Choice(MINES))
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @_seed_option()
@@ -101,36 +103,27 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None,
               help="Extraction report path (default: <out>.report.json).")
 @click.option("--language-gate/--no-language-gate", default=True, show_default=True)
-@click.pass_context
-def extract(ctx, mine, in_path, out_path, seed, db_path, blocklist_path, cloze_rate,
+def extract(mine, in_path, out_path, seed, db_path, blocklist_path, cloze_rate,
             report_path, language_gate):
     """Convert one mine's raw dump into validated signal tuples."""
-    if mine not in MINES:
-        raise click.UsageError(f"unknown mine: {mine}")
-    seed = _default_seed(ctx) if seed is None else seed
     options: dict = {"cloze_rate": cloze_rate}
-    try:
-        if mine == "paperswithcode":
-            if not db_path:
-                raise click.UsageError("--db is required for the paperswithcode mine")
-            options["entity_db"] = EntityDb(read_jsonl(db_path))
-        if blocklist_path:
-            lines = Path(blocklist_path).read_text(encoding="utf-8").splitlines()
-            options["property_blocklist"] = tuple(l.strip() for l in lines if l.strip())
-        report = ExtractionReport()
-        tuples = extract_documents(
-            mine, read_jsonl(in_path), seed=seed, report=report, language_gate=language_gate,
-            options=options,
-        )
-        write_files_atomic({
-            out_path: dump_tuples(tuples),
-            report_path or f"{out_path}.report.json": report.to_json() + "\n",
-        })
-        click.echo(f"extracted {len(tuples)} tuples from {report.docs_processed} documents")
-    except click.UsageError:
-        raise
-    except _DATA_ERRORS as exc:
-        _fail(exc)
+    if mine == "paperswithcode":
+        if not db_path:
+            raise click.UsageError("--db is required for the paperswithcode mine")
+        options["entity_db"] = EntityDb(read_jsonl(db_path))
+    if blocklist_path:
+        lines = Path(blocklist_path).read_text(encoding="utf-8").splitlines()
+        options["property_blocklist"] = tuple(l.strip() for l in lines if l.strip())
+    report = ExtractionReport()
+    tuples = extract_documents(
+        mine, read_jsonl(in_path), seed=seed, report=report, language_gate=language_gate,
+        options=options,
+    )
+    write_files_atomic({
+        out_path: dump_tuples(tuples),
+        report_path or f"{out_path}.report.json": report.to_json() + "\n",
+    })
+    click.echo(f"extracted {len(tuples)} tuples from {report.docs_processed} documents")
 
 
 @main.command()
@@ -141,33 +134,28 @@ def extract(ctx, mine, in_path, out_path, seed, db_path, blocklist_path, cloze_r
 @click.option("--family", type=click.Choice(["multiple_choice", "generation", "auto"]),
               default="auto", show_default=True)
 @_seed_option()
-@click.pass_context
-def restructure(ctx, tuples_path, templates_path, out_path, family, seed):
+def restructure(tuples_path, templates_path, out_path, family, seed):
     """Render each tuple into one prompted source/target example."""
-    seed = _default_seed(ctx) if seed is None else seed
-    try:
-        registry = load_registry(templates_path)
-        tuples = load_tuples(Path(tuples_path).read_text(encoding="utf-8"))
-        pools = DistractorPools.build(tuples)
-        lines = []
-        for tup in tuples:
-            if family == "auto":
-                fam = "cloze" if tup.signal_type == "plain_text_cloze" else None
-                if fam is None:
-                    for candidate in ("multiple_choice", "generation"):
-                        if registry.get(tup.signal_type, candidate):
-                            fam = candidate
-                            break
-                if fam is None:
-                    raise ConfigError(f"no templates at all for {tup.signal_type}")
-            else:
-                fam = family
-            ex = render_with_selected(registry, tup, fam, pools, seed)
-            lines.append(json.dumps(example_to_record(ex), ensure_ascii=False, sort_keys=True))
-        write_files_atomic({out_path: "".join(l + "\n" for l in lines)})
-        click.echo(f"rendered {len(lines)} examples")
-    except _DATA_ERRORS as exc:
-        _fail(exc)
+    registry = load_registry(templates_path)
+    tuples = load_tuples(Path(tuples_path).read_text(encoding="utf-8"))
+    pools = DistractorPools.build(tuples)
+    lines = []
+    for tup in tuples:
+        if family == "auto":
+            fam = "cloze" if tup.signal_type == "plain_text_cloze" else None
+            if fam is None:
+                for candidate in ("multiple_choice", "generation"):
+                    if registry.get(tup.signal_type, candidate):
+                        fam = candidate
+                        break
+            if fam is None:
+                raise ConfigError(f"no templates at all for {tup.signal_type}")
+        else:
+            fam = family
+        ex = render_with_selected(registry, tup, fam, pools, seed)
+        lines.append(json.dumps(example_to_record(ex), ensure_ascii=False, sort_keys=True))
+    write_files_atomic({out_path: "".join(l + "\n" for l in lines)})
+    click.echo(f"rendered {len(lines)} examples")
 
 
 def _load_spec(spec_arg: str):
@@ -186,39 +174,31 @@ def _load_spec(spec_arg: str):
 @click.option("--tuples", "tuples_paths", required=True, multiple=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", required=True, type=click.Path(file_okay=False))
-@_seed_option()
-@click.pass_context
-def mix_command(ctx, spec_arg, tuples_paths, out_path, seed):
+@_seed_option(default=None, fallback="the spec's global_seed")
+def mix_command(spec_arg, tuples_paths, out_path, seed):
     """Cap, render, stage, split, and write a dataset bundle."""
-    try:
-        spec = _load_spec(spec_arg)
-        if seed is None and SEED_ENV not in os.environ:
-            seed = spec.global_seed
-        elif seed is None:
-            seed = _default_seed(ctx)
-        spec = dataclasses.replace(spec, global_seed=seed)
-        tuples = []
-        for p in tuples_paths:
-            tuples.extend(load_tuples(Path(p).read_text(encoding="utf-8")))
-        registry = load_registry()
-        result = mix(tuples, spec, registry)
-        streams = {
-            f"{spec.name}.stage{stage}.{split}": examples
-            for (stage, split), examples in sorted(result.examples.items())
-        }
-        manifest_extra = {
-            "spec_name": spec.name,
-            "seed": seed,
-            "spec_hash": _spec_hash(spec),
-            "warnings": result.warnings,
-            "render_errors": result.errors,
-        }
-        bundle_hash = write_bundle(out_path, streams, manifest_extra)
-        click.echo(f"bundle {bundle_hash}")
-    except click.UsageError:
-        raise
-    except _DATA_ERRORS as exc:
-        _fail(exc)
+    spec = _load_spec(spec_arg)
+    if seed is None:
+        seed = spec.global_seed
+    spec = dataclasses.replace(spec, global_seed=seed)
+    tuples = []
+    for p in tuples_paths:
+        tuples.extend(load_tuples(Path(p).read_text(encoding="utf-8")))
+    registry = load_registry()
+    result = mix(tuples, spec, registry)
+    streams = {
+        f"{spec.name}.stage{stage}.{split}": examples
+        for (stage, split), examples in sorted(result.examples.items())
+    }
+    manifest_extra = {
+        "spec_name": spec.name,
+        "seed": seed,
+        "spec_hash": _spec_hash(spec),
+        "warnings": result.warnings,
+        "render_errors": result.errors,
+    }
+    bundle_hash = write_bundle(out_path, streams, manifest_extra)
+    click.echo(f"bundle {bundle_hash}")
 
 
 def _spec_hash(spec) -> str:
@@ -241,21 +221,15 @@ def _spec_hash(spec) -> str:
 @click.option("--bundle", "bundle_path", required=True, type=click.Path(exists=True, file_okay=False))
 def stats(bundle_path):
     """Per-signal sample counts recomputed from a bundle's files."""
-    try:
-        click.echo(stats_report(bundle_path), nl=False)
-    except _DATA_ERRORS as exc:
-        _fail(exc)
+    click.echo(stats_report(bundle_path), nl=False)
 
 
 @main.command()
 @click.option("--bundle", "bundle_path", required=True, type=click.Path(exists=True, file_okay=False))
 def validate(bundle_path):
     """Check a bundle's digest and manifest line counts."""
-    try:
-        manifest = verify_bundle(bundle_path)
-        click.echo(f"ok {manifest['bundle_hash']}")
-    except _DATA_ERRORS as exc:
-        _fail(exc)
+    manifest = verify_bundle(bundle_path)
+    click.echo(f"ok {manifest['bundle_hash']}")
 
 
 @main.command()
@@ -289,10 +263,8 @@ def grade(paper_path, answers_path, essay_score, out_path):
             }
             Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                                       encoding="utf-8")
-    except (json.JSONDecodeError, ValueError) as exc:
-        _fail(SchemaError(str(exc)))
-    except _DATA_ERRORS as exc:
-        _fail(exc)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, a bad number
+        raise SchemaError(str(exc)) from exc
 
 
 def _make_scorer(scorer_arg: str):
@@ -318,13 +290,10 @@ def _make_scorer(scorer_arg: str):
               help="Defaults by dataset family.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @_seed_option()
-@click.pass_context
-def evaluate(ctx, dataset, data_path, prompts_path, scorer_arg, metric, out_path, seed):
+def evaluate(dataset, data_path, prompts_path, scorer_arg, metric, out_path, seed):
     """Score a dataset with its 5-prompt set; reports avg/max/std."""
-    seed = _default_seed(ctx) if seed is None else seed
-    scorer = None
+    scorer = _make_scorer(scorer_arg)
     try:
-        scorer = _make_scorer(scorer_arg)
         prompts_doc = None
         if prompts_path:
             with open(prompts_path, encoding="utf-8") as fh:
@@ -347,8 +316,6 @@ def evaluate(ctx, dataset, data_path, prompts_path, scorer_arg, metric, out_path
         if out_path:
             Path(out_path).write_text(body + "\n", encoding="utf-8")
         click.echo(body)
-    except _DATA_ERRORS as exc:
-        _fail(exc)
     finally:
         if isinstance(scorer, ExternalCommandScorer):
             try:
@@ -360,11 +327,7 @@ def evaluate(ctx, dataset, data_path, prompts_path, scorer_arg, metric, out_path
 @main.command("audit-templates")
 def audit_templates():
     """Template catalog counts against the frozen registry manifest."""
-    try:
-        result = audit(load_registry())
-        click.echo(json.dumps(result, indent=2, sort_keys=True))
-    except _DATA_ERRORS as exc:
-        _fail(exc)
+    click.echo(json.dumps(audit(load_registry()), indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -70,9 +70,9 @@ def extract_documents(
         raise SchemaError(f"unknown mine: {mine}")
     adapter, primary_text = _ADAPTERS[mine]
     options = dict(options or {})
-    if mine == "wordnet" and "vocabulary" not in options:
+    if mine == "wordnet":
         docs = list(docs)
-        options["vocabulary"] = [str(d.get("word", "")).lower() for d in docs]
+        options["vocabulary"] = {wordnet.headword(d) for d in docs}
     ctx = ExtractContext(seed=seed, mine=mine, report=report, detector=detector, options=options)
 
     seen_ids: set[str] = set()

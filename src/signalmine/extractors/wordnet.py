@@ -57,22 +57,20 @@ def primary_text(doc: Mapping) -> str:
     return purify(" ".join(examples))
 
 
-def _vocabulary(ctx) -> set[str]:
-    vocab = getattr(ctx, "_wordnet_vocabulary", None)
-    if vocab is None:
-        vocab = {str(w).lower() for w in ctx.options.get("vocabulary", ())}
-        ctx._wordnet_vocabulary = vocab
-    return vocab
+def headword(doc: Mapping) -> str:
+    """The purified, lower-cased word a record is about."""
+    return purify(str(doc.get("word", ""))).lower()
 
 
 def extract(doc: Mapping, ctx) -> list[SignalTuple]:
-    vocabulary = _vocabulary(ctx)
-    word = purify(str(doc.get("word", ""))).lower()
+    # every document's headword, gathered by the runner before the first
+    # document, so no lemma depends on document order
+    vocabulary = ctx.options.get("vocabulary", frozenset())
+    word = headword(doc)
     provenance = f"wordnet/{doc['doc_id']}"
     if not word:
         ctx.report.skip_doc("wordnet", "missing_word")
         return []
-    vocabulary.add(word)
     if word in STOP_WORDS:
         ctx.report.skip_doc("wordnet", "stop_word")
         return []

@@ -1,6 +1,8 @@
-"""Weighted mixing: caps, composition constraints, curriculum stages, splits.
+"""Mixing: caps, composition constraints, curriculum stages, splits.
 
-Weights act as sampling proportions over capped pools. Splits are assigned
+An entry's weight only switches it on or off: weight 0 renders nothing, and
+any positive weight renders the entry's whole capped pool. Weights are not
+sampling proportions; caps set each entry's size. Splits are assigned
 per tuple, never per example, so no tuple's renderings leak across train and
 validation. The final shuffle is one Fisher-Yates pass with the global seed
 over a canonical pre-order, which keeps bundles byte-identical across runs.
@@ -25,7 +27,6 @@ from .signal_model import MixEntry, MixSpec, PromptedExample, SignalTuple
 @dataclass
 class MixResult:
     examples: dict[tuple[int, str], list[PromptedExample]] = field(default_factory=dict)
-    per_signal: dict[str, int] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
 
@@ -271,6 +272,19 @@ def _render_sharded(
     return rendered, errors
 
 
+def _check_renderable(entry: MixEntry, index: int, registry: PromptRegistry) -> None:
+    """Raise `ConfigError` if no tuple of `entry` could ever render, rather
+    than let the eligibility filter drop the whole entry without a word."""
+    eid = _entry_id(entry, index)
+    if entry.family == "cloze":
+        if entry.signal_type != "plain_text_cloze":
+            raise ConfigError(f"{eid}: the cloze family renders only plain_text_cloze tuples")
+    elif not registry.get(entry.signal_type, entry.family, entry.template_group):
+        raise ConfigError(
+            f"{eid}: no templates for ({entry.signal_type}, {entry.family}, group={entry.template_group})"
+        )
+
+
 def mix(
     tuples: Iterable[SignalTuple],
     spec: MixSpec,
@@ -278,6 +292,9 @@ def mix(
     pools: DistractorPools | None = None,
 ) -> MixResult:
     """Render capped, staged, split example streams for every spec entry."""
+    for index, entry in enumerate(spec.entries):
+        if entry.weight > 0:
+            _check_renderable(entry, index, registry)
     all_tuples = list(tuples)
     by_signal: dict[str, list[SignalTuple]] = {}
     for tup in all_tuples:
@@ -316,8 +333,4 @@ def mix(
             rng.shuffle(examples)
             if examples or spec.split_ratio > 0 or split == "train":
                 result.examples[(stage, split)] = examples
-
-    for examples in result.examples.values():
-        for ex in examples:
-            result.per_signal[ex.signal_type] = result.per_signal.get(ex.signal_type, 0) + 1
     return result

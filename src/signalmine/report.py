@@ -17,8 +17,8 @@ class ExtractionReport:
     def accept(self, signal_type: str) -> None:
         self.accepted[signal_type] += 1
 
-    def reject(self, signal_type: str, rule: str, n: int = 1) -> None:
-        self.rejected[(signal_type, rule)] += n
+    def reject(self, signal_type: str, rule: str) -> None:
+        self.rejected[(signal_type, rule)] += 1
 
     def skip_doc(self, mine: str, rule: str) -> None:
         self.skipped_docs[(mine, rule)] += 1

@@ -495,3 +495,108 @@ def test_evaluate_external_command_keeps_quoted_paths_with_spaces(runner, tmp_pa
     assert result.exit_code == 0, result.output
     requests = [json.loads(line) for line in log.read_text().splitlines()]
     assert requests and all(r["op"] == "score" for r in requests)
+
+
+def _mix_seed(runner, tmp_path, *pre, seed_args=(), env=None):
+    """The seed a `mix` of the spec in `_write_spec` (global_seed 7) records
+    in its manifest; rotten_tomatoes draws no randomness, so only the
+    manifest shows which seed was used."""
+    rt = run_extract(runner, tmp_path, "rotten_tomatoes")
+    spec = _write_spec(tmp_path)
+    out = tmp_path / "seeded"
+    result = runner.invoke(main, [*pre, "mix", "--spec", str(spec), "--tuples", str(rt),
+                                  "--out", str(out), *seed_args], env=env)
+    assert result.exit_code == 0, result.output
+    return json.loads((out / "manifest.json").read_text())["seed"]
+
+
+def _config(tmp_path, doc) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_mix_seed_defaults_to_the_spec_global_seed(runner, tmp_path):
+    assert _mix_seed(runner, tmp_path, env={"SIGNALMINE_SEED": None}) == 7
+
+
+def test_mix_uses_the_environment_seed(runner, tmp_path):
+    assert _mix_seed(runner, tmp_path, env={"SIGNALMINE_SEED": "99"}) == 99
+
+
+def test_mix_uses_the_config_seed(runner, tmp_path):
+    config = _config(tmp_path, {"seed": 123})
+    assert _mix_seed(runner, tmp_path, "--config", config, env={"SIGNALMINE_SEED": None}) == 123
+
+
+def test_seed_flag_beats_environment_and_environment_beats_config(runner, tmp_path):
+    config = _config(tmp_path, {"seed": 123})
+    env = {"SIGNALMINE_SEED": "99"}
+    assert _mix_seed(runner, tmp_path, "--config", config, seed_args=("--seed", "5"), env=env) == 5
+    assert _mix_seed(runner, tmp_path, "--config", config, env=env) == 99
+
+
+def test_extract_uses_the_environment_and_config_seed(runner, tmp_path):
+    """plain_text draws its cloze masks from the seed."""
+    def extract(*pre, seed_args=(), env=None):
+        out = tmp_path / "pt.tuples"
+        result = runner.invoke(main, [*pre, "extract", "--mine", "plain_text",
+                                      "--in", str(FIXTURES / "mines" / "plain_text.jsonl"),
+                                      "--out", str(out), *seed_args], env=env)
+        assert result.exit_code == 0, result.output
+        return out.read_bytes()
+
+    unset = {"SIGNALMINE_SEED": None}
+    assert extract(seed_args=("--seed", "0"), env=unset) != extract(seed_args=("--seed", "31"), env=unset)
+    assert extract(env={"SIGNALMINE_SEED": "31"}) == extract(seed_args=("--seed", "31"), env=unset)
+    config = _config(tmp_path, {"seed": 31})
+    assert extract("--config", config, env=unset) == extract(seed_args=("--seed", "31"), env=unset)
+    assert extract(env=unset) == extract(seed_args=("--seed", "0"), env=unset)
+
+
+@pytest.mark.parametrize("env,config", [
+    ("-5", None), ("abc", None),
+    (None, {"seed": "abc"}), (None, {"seed": -4}), (None, [1]),
+], ids=["env-negative", "env-not-int", "config-not-int", "config-negative", "config-not-object"])
+def test_invalid_seed_is_usage_error(runner, tmp_path, env, config):
+    pre = ["--config", _config(tmp_path, config)] if config is not None else []
+    out = tmp_path / "rt.tuples"
+    result = runner.invoke(main, [*pre, "extract", "--mine", "rotten_tomatoes",
+                                  "--in", str(FIXTURES / "mines" / "rotten_tomatoes.jsonl"),
+                                  "--out", str(out)], env={"SIGNALMINE_SEED": env})
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # click's usage error, not a crash
+    assert "Traceback" not in result.output and "Error" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"signal_type": "wikidata_relation", "family": "multiple_choice", "template_group": "no_such_group"},
+     "config-error: 1:wikidata_relation:multiple_choice:no_such_group: no templates for "
+     "(wikidata_relation, multiple_choice, group=no_such_group)"),
+    ({"signal_type": "rotten_tomatoes_sentiment", "family": "cloze"},
+     "config-error: 1:rotten_tomatoes_sentiment:cloze: the cloze family renders only "
+     "plain_text_cloze tuples"),
+], ids=["unknown-group", "cloze-on-other-signal"])
+def test_mix_entry_nothing_can_render_is_config_error(runner, tmp_path, entry, message):
+    rt = run_extract(runner, tmp_path, "rotten_tomatoes")
+    bundle = tmp_path / "bundle"
+    good = _write_spec(tmp_path)
+    result = runner.invoke(main, ["mix", "--spec", str(good), "--tuples", str(rt), "--out", str(bundle)])
+    assert result.exit_code == 0, result.output
+    before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+
+    spec = json.loads(good.read_text())
+    spec["entries"] = [spec["entries"][0], entry]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["mix", "--spec", str(bad), "--tuples", str(rt), "--out", str(bundle)])
+    assert result.exit_code == 1
+    assert result.output == message + "\n"
+    assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
+
+    entry_off = dict(entry, weight=0)
+    spec["entries"] = [spec["entries"][0], entry_off]
+    bad.write_text(json.dumps(spec))
+    result = runner.invoke(main, ["mix", "--spec", str(bad), "--tuples", str(rt), "--out", str(bundle)])
+    assert result.exit_code == 0, result.output

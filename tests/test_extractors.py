@@ -662,3 +662,18 @@ def test_cloze_round_trip_property(text, rate, seed):
         return
     corrupted, sentinels, spans = result
     assert plain_text.reconstruct(corrupted, sentinels, spans) == text
+
+
+def test_wordnet_lemmas_do_not_depend_on_document_order():
+    """"run " purifies to "run", so "running" lemmatizes away whichever
+    record comes first."""
+    sense = {"pos": "verb", "meaning": "move fast on foot", "examples": ["They run every day"]}
+    docs = [{"doc_id": "a", "word": "running", "senses": [sense]},
+            {"doc_id": "b", "word": "run ", "senses": [sense]}]
+    runs = []
+    for order in (docs, docs[::-1]):
+        report = ExtractionReport()
+        tuples = extract_documents("wordnet", order, seed=1, report=report, language_gate=False)
+        runs.append((dump_tuples(tuples), report.to_json()))
+    assert runs[0] == runs[1]
+    assert "wordnet_pos:lemmatized_away" in runs[0][1]

@@ -195,7 +195,7 @@ def test_all_tasks_preset_over_full_corpus(registry, tmp_path):
     assert not result.errors, result.errors
     # the fixture corpus is tiny compared to the published caps
     assert any("shortfall" in w for w in result.warnings)
-    emitted = {sig for sig in result.per_signal}
+    emitted = {ex.signal_type for examples in result.examples.values() for ex in examples}
     # every task-relevant fixture signal with templates lands in the bundle
     assert "rotten_tomatoes_sentiment" in emitted
     assert "wikidata_relation" in emitted
