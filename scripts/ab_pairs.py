@@ -20,6 +20,10 @@ reports two rules:
 - `within_bound`: the change's median is no worse than the parent's by more
   than the metric's relative `bound` in BENCHMARK.json (a bound of 0.25 lets
   a lower-is-better median grow by up to 25%);
+- `resolved`: the parent's interquartile range, relative to its median, is
+  no wider than that bound, or every change run reads better than every
+  parent run. An unresolved metric's medians are too noisy to say whether
+  it stayed within its bound;
 - `claim_holds`: the change wins at least nine tenths of the pairs and its
   median beats the parent's by more than the parent's interquartile range.
 """
@@ -99,6 +103,10 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         if both:
             worse = change["median"] - parent["median"] if lower else parent["median"] - change["median"]
             entry["within_bound"] = worse <= metric["bound"] * abs(parent["median"])
+            olds, news = [a for a, _ in both], [b for _, b in both]
+            separated = max(news) < min(olds) if lower else min(news) > max(olds)
+            narrow = parent["iqr"] is not None and parent["iqr"] <= metric["bound"] * abs(parent["median"])
+            entry["resolved"] = narrow or separated
         if both and parent["iqr"] is not None:
             gain = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
             entry["median_gain"] = gain
@@ -157,7 +165,8 @@ def main() -> int:
         p, c = entry["parent"], entry["change"]
         print(f"{name}: parent median {p['median']} iqr {p['iqr']}; change median {c['median']} "
               f"iqr {c['iqr']}; change wins {entry['wins']}/{entry['pairs']}"
-              + (f"; within bound: {entry['within_bound']}" if "within_bound" in entry else "")
+              + (f"; within bound: {entry['within_bound']}; resolved: {entry['resolved']}"
+                 if "within_bound" in entry else "")
               + (f"; claim holds: {entry['claim_holds']}" if "claim_holds" in entry else ""))
     failed = [(p["pair"], side) for p in pairs for side in ("parent", "change")
               if p[side].get("exit") != 0 or not p[side].get("correct")]

@@ -19,8 +19,8 @@ import click
 
 from . import __version__
 from .dataset_io import IntegrityError, stats_report, verify_bundle, write_bundle, write_files_atomic
-from .eval_harness.datasets import METRICS, eval_dataset, prompt_set_for
-from .eval_harness.gaokao import grade_gaokao, load_paper
+from .eval_harness.datasets import eval_dataset
+from .eval_harness.gaokao import grade_gaokao, load_answers, load_paper
 from .eval_harness.scorers import ExternalCommandScorer, ReferenceScorer, ScorerError
 from .extractors import MINES, extract_documents, read_jsonl
 from .extractors.pwc import EntityDb
@@ -29,7 +29,7 @@ from .normalizer import DetectorError
 from .report import ExtractionReport
 from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError, render_with_selected
-from .restructurer.templates import audit, load_eval_prompts, load_registry
+from .restructurer.templates import audit, load_registry
 from .signal_model import SchemaError, dump_tuples, example_to_record, load_mixspec, load_tuples
 
 SEED_ENV = "SIGNALMINE_SEED"
@@ -86,6 +86,8 @@ def main(ctx: click.Context, config_path: str | None) -> None:
     if not isinstance(config, dict):
         raise click.UsageError("bad config file: not a JSON object")
     if "seed" in config:
+        if isinstance(config["seed"], (bool, float)):  # click's INT would truncate them
+            raise click.UsageError(f"bad config file: seed {json.dumps(config['seed'])} is not an integer")
         ctx.default_map = {name: {"seed": config["seed"]} for name in ctx.command.commands}
 
 
@@ -98,15 +100,11 @@ def main(ctx: click.Context, config_path: str | None) -> None:
               help="Typed term database (paperswithcode mine).")
 @click.option("--blocklist", "blocklist_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Extra property names to discard, one per line (wikidata mine).")
-@click.option("--cloze-rate", type=float, default=0.15, show_default=True,
-              help="Masked word fraction (plain_text mine).")
 @click.option("--report", "report_path", type=click.Path(dir_okay=False), default=None,
               help="Extraction report path (default: <out>.report.json).")
-@click.option("--language-gate/--no-language-gate", default=True, show_default=True)
-def extract(mine, in_path, out_path, seed, db_path, blocklist_path, cloze_rate,
-            report_path, language_gate):
+def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path):
     """Convert one mine's raw dump into validated signal tuples."""
-    options: dict = {"cloze_rate": cloze_rate}
+    options: dict = {}
     if mine == "paperswithcode":
         if not db_path:
             raise click.UsageError("--db is required for the paperswithcode mine")
@@ -115,10 +113,7 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, cloze_rate,
         lines = Path(blocklist_path).read_text(encoding="utf-8").splitlines()
         options["property_blocklist"] = tuple(l.strip() for l in lines if l.strip())
     report = ExtractionReport()
-    tuples = extract_documents(
-        mine, read_jsonl(in_path), seed=seed, report=report, language_gate=language_gate,
-        options=options,
-    )
+    tuples = extract_documents(mine, read_jsonl(in_path), seed=seed, report=report, options=options)
     write_files_atomic({
         out_path: dump_tuples(tuples),
         report_path or f"{out_path}.report.json": report.to_json() + "\n",
@@ -241,30 +236,21 @@ def validate(bundle_path):
               help="Write the per-section breakdown as JSON.")
 def grade(paper_path, answers_path, essay_score, out_path):
     """Grade an exam answer file; prints per-section scores and the total."""
-    try:
-        paper = load_paper(paper_path)
-        with open(answers_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        essay = essay_score if essay_score is not None else float(doc.get("essay_score", 0.0))
-        sections, total = grade_gaokao(
-            paper,
-            doc.get("sections", {}),
-            section_scores=doc.get("section_scores", {}),
-            essay_score=essay,
-        )
-        for sec in sections:
-            click.echo(f"{sec.name}: {sec.score:g} / {sec.max_points:g}")
-        click.echo(f"total: {total:g}")
-        if out_path:
-            report = {
-                "paper_id": paper.paper_id,
-                "sections": {s.name: {"score": s.score, "max": s.max_points} for s in sections},
-                "total": total,
-            }
-            Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                                      encoding="utf-8")
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, a bad number
-        raise SchemaError(str(exc)) from exc
+    paper = load_paper(paper_path)
+    answers = load_answers(answers_path)
+    if essay_score is not None:
+        answers["essay_score"] = essay_score
+    sections, total = grade_gaokao(paper, **answers)
+    for sec in sections:
+        click.echo(f"{sec.name}: {sec.score:g} / {sec.max_points:g}")
+    click.echo(f"total: {total:g}")
+    if out_path:
+        report = {
+            "paper_id": paper.paper_id,
+            "sections": {s.name: {"score": s.score, "max": s.max_points} for s in sections},
+            "total": total,
+        }
+        Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _make_scorer(scorer_arg: str):
@@ -283,35 +269,24 @@ def _make_scorer(scorer_arg: str):
 @click.option("--dataset", required=True, help="Dataset id (selects the bundled 5-prompt set).")
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--prompts", "prompts_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="Custom 5-prompt set (JSON list or full prompt document).")
+              default=None, help="JSON list of 5 {source, target} prompts; replaces the dataset's set.")
 @click.option("--scorer", "scorer_arg", default="reference", show_default=True,
               help="'reference' or 'external-cmd:<command line>'.")
-@click.option("--metric", type=click.Choice(METRICS), default=None,
-              help="Defaults by dataset family.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 @_seed_option()
-def evaluate(dataset, data_path, prompts_path, scorer_arg, metric, out_path, seed):
-    """Score a dataset with its 5-prompt set; reports avg/max/std."""
+def evaluate(dataset, data_path, prompts_path, scorer_arg, out_path, seed):
+    """Score a dataset with its 5-prompt set by its family's metric; reports avg/max/std."""
     scorer = _make_scorer(scorer_arg)
     try:
-        prompts_doc = None
+        prompts = None
         if prompts_path:
             with open(prompts_path, encoding="utf-8") as fh:
                 try:
-                    custom = json.load(fh)
+                    prompts = json.load(fh)
                 except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                     raise SchemaError(f"{prompts_path}: not a JSON document: {exc}") from exc
-            if isinstance(custom, list):
-                bundled = load_eval_prompts()
-                prompts_doc = {"sets": dict(bundled["sets"], **{dataset: custom}),
-                               "datasets": dict(bundled["datasets"], **{dataset: dataset})}
-            else:
-                prompts_doc = custom
-        key, _ = prompt_set_for(dataset, prompts_doc)
-        if metric is None:
-            metric = {"ner": "micro_f1", "summarization": "rouge1"}.get(key, "accuracy")
         records = list(read_jsonl(data_path))
-        report = eval_dataset(dataset, records, scorer, metric, seed=seed, prompts_doc=prompts_doc)
+        report = eval_dataset(dataset, records, scorer, seed=seed, prompts=prompts)
         body = json.dumps(report.to_record(), indent=2, sort_keys=True)
         if out_path:
             Path(out_path).write_text(body + "\n", encoding="utf-8")

@@ -2,9 +2,9 @@
 population standard deviation.
 
 Classification sets are subsampled to 5,000 and generation sets to 2,000
-with the global seed before scoring. Metrics: accuracy (option scoring),
-exact-match micro-F1 (two-step entity recognition), and unigram-overlap
-ROUGE-1 for summaries.
+with the global seed before scoring. The metric follows the prompt family:
+exact-match micro-F1 (two-step entity recognition), unigram-overlap ROUGE-1
+for summaries, and accuracy (option scoring) for every other family.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .scorers import ModelScorer, ScorerError, prefetch
 CLASSIFICATION_SAMPLE_CAP = 5000
 GENERATION_SAMPLE_CAP = 2000
 
-METRICS = ("accuracy", "micro_f1", "rouge1")
+FAMILY_METRICS = {"ner": "micro_f1", "summarization": "rouge1"}
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
 
@@ -90,15 +90,6 @@ def summarize(dataset: str, metric: str, per_prompt: Sequence[float]) -> EvalRep
     )
 
 
-def prompt_set_for(dataset: str, prompts_doc: Mapping | None = None) -> tuple[str, list[dict]]:
-    doc = prompts_doc or load_eval_prompts()
-    key = doc["datasets"].get(dataset, dataset)
-    sets = doc["sets"]
-    if key not in sets:
-        raise SchemaError(f"no evaluation prompt set for dataset '{dataset}'")
-    return key, sets[key]
-
-
 def _rule_options(rule: Mapping) -> list[str]:
     out = []
     for case in rule.get("cases", []):
@@ -132,22 +123,32 @@ def eval_dataset(
     dataset: str,
     records: list[Mapping],
     scorer: ModelScorer,
-    metric: str,
     seed: int = 0,
-    prompts_doc: Mapping | None = None,
+    prompts: list[Mapping] | None = None,
 ) -> EvalReport:
-    if metric not in METRICS:
-        raise SchemaError(f"unknown metric: {metric}")
-    key, prompts = prompt_set_for(dataset, prompts_doc)
+    """Score `records` with the dataset's bundled 5-prompt set, or with
+    `prompts` in its place, by the metric of the dataset's prompt family."""
+    doc = load_eval_prompts()
+    key = doc["datasets"].get(dataset, dataset)
+    metric = FAMILY_METRICS.get(key, "accuracy")
+    if prompts is None:
+        if key not in doc["sets"]:
+            raise SchemaError(f"no evaluation prompt set for dataset '{dataset}'")
+        prompts = doc["sets"][key]
+    if not isinstance(prompts, list):
+        raise SchemaError(f"prompt set '{dataset}' must be a list of 5 prompts")
     if len(prompts) != 5:
-        raise SchemaError(f"prompt set '{key}' must have 5 prompts, has {len(prompts)}")
+        raise SchemaError(f"prompt set '{dataset}' must have 5 prompts, has {len(prompts)}")
+    for i, prompt in enumerate(prompts, 1):
+        if not (isinstance(prompt, dict) and isinstance(prompt.get("source"), str)
+                and isinstance(prompt.get("target"), str)):
+            raise SchemaError(f"prompt set '{dataset}': prompt {i} needs a string 'source' and 'target'")
     cap = GENERATION_SAMPLE_CAP if metric in ("rouge1", "micro_f1") else CLASSIFICATION_SAMPLE_CAP
     records = subsample(list(records), cap, seed)
     if not records:
         raise SchemaError(f"no records for dataset '{dataset}'")
 
     if metric == "micro_f1":
-        doc = prompts_doc or load_eval_prompts()
         type_prompts = doc["sets"].get("ner_type")
         if not type_prompts or len(type_prompts) != len(prompts):
             raise SchemaError("entity-typing prompt set missing or mismatched")

@@ -66,14 +66,42 @@ class GaokaoPaper:
                     f"expected {spec.questions}"
                 )
 
-    @classmethod
-    def from_record(cls, rec: Mapping) -> "GaokaoPaper":
-        return cls(paper_id=rec.get("paper_id", "paper"), gold=dict(rec.get("gold", {})))
+
+def _load_object(path: str, by_section: str) -> dict:
+    """The JSON object in `path`, whose `by_section` entry maps sections to lists."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SchemaError(str(exc)) from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: not a JSON object")
+    lists = doc.get(by_section, {})
+    if not isinstance(lists, dict) or not all(isinstance(v, list) for v in lists.values()):
+        raise SchemaError(f"{path}: '{by_section}' is not an object of lists by section")
+    return doc
 
 
 def load_paper(path: str) -> GaokaoPaper:
-    with open(path, encoding="utf-8") as fh:
-        return GaokaoPaper.from_record(json.load(fh))
+    """A paper document: `paper_id` and `gold`, a section -> answer key list."""
+    doc = _load_object(path, "gold")
+    return GaokaoPaper(paper_id=doc.get("paper_id", "paper"), gold=dict(doc.get("gold", {})))
+
+
+def load_answers(path: str) -> dict:
+    """An answers document as `grade_gaokao`'s keyword arguments. Every key
+    is optional: `sections` maps a section to its answer list,
+    `section_scores` a section to a raw score, and `essay_score` is a number."""
+    doc = _load_object(path, "sections")
+    scores = doc.get("section_scores", {})
+    if not isinstance(scores, dict):
+        raise SchemaError(f"{path}: 'section_scores' is not a JSON object")
+    try:
+        return {"answers": doc.get("sections", {}),
+                "section_scores": {name: float(v) for name, v in scores.items()},
+                "essay_score": float(doc.get("essay_score", 0.0))}
+    except (TypeError, ValueError) as exc:  # a score that is not a number
+        raise SchemaError(str(exc)) from exc
 
 
 def grade_gaokao(

@@ -37,9 +37,7 @@ MINES = (
 @dataclass
 class ExtractContext:
     seed: int
-    mine: str
     report: ExtractionReport
-    detector: Detector = trigram_detector
     options: Mapping[str, object] = field(default_factory=dict)
 
 
@@ -63,7 +61,6 @@ def extract_documents(
     seed: int,
     report: ExtractionReport,
     detector: Detector = trigram_detector,
-    language_gate: bool = True,
     options: Mapping[str, object] | None = None,
 ) -> list[SignalTuple]:
     if mine not in _ADAPTERS:
@@ -73,7 +70,7 @@ def extract_documents(
     if mine == "wordnet":
         docs = list(docs)
         options["vocabulary"] = {wordnet.headword(d) for d in docs}
-    ctx = ExtractContext(seed=seed, mine=mine, report=report, detector=detector, options=options)
+    ctx = ExtractContext(seed=seed, report=report, options=options)
 
     seen_ids: set[str] = set()
     out: list[tuple[str, int, SignalTuple]] = []
@@ -87,15 +84,14 @@ def extract_documents(
             continue
         seen_ids.add(doc_id)
         report.docs_processed += 1
-        if language_gate:
-            text = primary_text(doc)
-            try:
-                if text and not is_english(text, detector):
-                    report.skip_doc(mine, "language")
-                    continue
-            except DetectorError:
-                report.skip_doc(mine, "detector_error")
+        text = primary_text(doc)
+        try:
+            if text and not is_english(text, detector):
+                report.skip_doc(mine, "language")
                 continue
+        except DetectorError:
+            report.skip_doc(mine, "detector_error")
+            continue
         for i, tup in enumerate(adapter(doc, ctx)):
             verdict = validate_tuple(tup)
             if not verdict:

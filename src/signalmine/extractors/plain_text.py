@@ -1,6 +1,6 @@
 """Plain text -> cloze corruption tuples.
 
-Non-adjacent word spans covering roughly `cloze_rate` of the text are each
+Non-adjacent word spans covering roughly `CLOZE_RATE` of the text are each
 replaced by one sentinel token; the tuple stores the corrupted text, the
 ordered sentinels, and the original spans. Substituting the spans back at
 the sentinel positions reproduces the input exactly.
@@ -22,7 +22,7 @@ _SENTINEL_LETTERS = ("X", "Y", "Z", "W")
 _SENTINEL_RE = re.compile(r"^<[XYZW]\d*>$")
 _SPAN_LENGTHS = (1, 2, 3, 4, 5)
 _SPAN_WEIGHTS = (0.15, 0.2, 0.3, 0.2, 0.15)  # mean span length 3
-DEFAULT_CLOZE_RATE = 0.15
+CLOZE_RATE = 0.15
 MIN_WORDS = 2
 
 
@@ -98,9 +98,8 @@ def primary_text(doc: Mapping) -> str:
 
 def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     text = purify(str(doc.get("text", "")))
-    rate = float(ctx.options.get("cloze_rate", DEFAULT_CLOZE_RATE))
     rng = derive_rng(ctx.seed, "plain_text", doc["doc_id"])
-    result = corrupt(text, rate, rng)
+    result = corrupt(text, CLOZE_RATE, rng)
     if result is None:
         ctx.report.reject(SIGNAL, "too_short")
         return []

@@ -20,9 +20,9 @@ def always_english(_text: str) -> tuple[str, float]:
     return ("en", 1.0)
 
 
-def extract_fixture(mine: str, seed: int = 7, language_gate: bool = False, **options):
-    """Extract a fixture dump with a permissive gate (rule tests want to see
-    the word-count gates, not the language detector)."""
+def extract_fixture(mine: str, seed: int = 7, **options):
+    """Extract a fixture dump with a detector that admits every document
+    (rule tests want to see the word-count gates, not the language detector)."""
     if mine == "paperswithcode" and "entity_db" not in options:
         options["entity_db"] = EntityDb(read_jsonl(str(FIXTURES / "mines" / "pwc_entity_db.jsonl")))
     report = ExtractionReport()
@@ -31,7 +31,6 @@ def extract_fixture(mine: str, seed: int = 7, language_gate: bool = False, **opt
         fixture_docs(mine if mine != "paperswithcode" else "paperswithcode"),
         seed=seed,
         report=report,
-        language_gate=language_gate,
         detector=always_english,
         options=options,
     )

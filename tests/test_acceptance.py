@@ -85,7 +85,7 @@ def test_extraction_rule_suite():
     """Every numeric extraction gate holds at boundary and boundary±1."""
     with criterion("extraction-rule-suite"):
         rep = ExtractionReport()
-        c = ExtractContext(seed=1, mine="t", report=rep, detector=lambda t: ("en", 1.0))
+        c = ExtractContext(seed=1, report=rep)
 
         def w(n, p="w"):
             return " ".join(f"{p}{i}" for i in range(n))
@@ -414,7 +414,7 @@ def test_scoring_oracle_equivalence():
                 expected = 0.0 if p + r == 0 else 2 * p * r / (p + r)
             assert got == expected
 
-        report = eval_dataset("subj", load_eval_fixture("subj"), scorer, "accuracy", seed=3)
+        report = eval_dataset("subj", load_eval_fixture("subj"), scorer, seed=3)
         scores = list(report.per_prompt)
         assert abs(report.avg - sum(scores) / len(scores)) <= 1e-9
         assert abs(report.max - max(scores)) <= 1e-9
@@ -440,7 +440,7 @@ def test_end_to_end_evaluation_smoke():
             ("scitldr", "rouge1"),         # summarization
         ]
         for dataset, metric in plan:
-            report = eval_dataset(dataset, load_eval_fixture(dataset), scorer, metric, seed=1)
+            report = eval_dataset(dataset, load_eval_fixture(dataset), scorer, seed=1)
             record = report.to_record()
             assert record["metric"] == metric
             assert len(record["per_prompt"]) == 5

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from signalmine.cli import main
+from signalmine.restructurer.templates import load_eval_prompts
 
 from conftest import FIXTURES
 
@@ -196,6 +197,25 @@ def test_grade_essay_override(runner):
         "--essay-score", "0",
     ])
     assert "total: 116.5" in result.output
+
+
+@pytest.mark.parametrize("file,doc", [
+    ("answers", {"sections": 5}),
+    ("answers", [1]),
+    ("answers", {"section_scores": [1]}),
+    ("answers", {"sections": {"listening": 5}}),
+    ("paper", [1]),
+], ids=["sections-not-object", "answers-not-object", "section-scores-not-object",
+        "section-answers-not-list", "paper-not-object"])
+def test_grade_wrongly_shaped_file_is_one_schema_error_line(runner, tmp_path, file, doc):
+    paths = {"paper": str(FIXTURES / "gaokao" / "paper_2019_np2.json"),
+             "answers": str(FIXTURES / "gaokao" / "answers_2019_np2_rst.json")}
+    paths[file] = str(tmp_path / f"{file}.json")
+    Path(paths[file]).write_text(json.dumps(doc))
+    result = runner.invoke(main, ["grade", "--paper", paths["paper"], "--answers", paths["answers"]])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"schema-error: {paths[file]}: ")
+    assert result.output.count("\n") == 1
 
 
 def test_evaluate_reference_scorer(runner, tmp_path):
@@ -451,6 +471,53 @@ def test_evaluate_prompts_file_that_is_not_json_is_one_schema_error_line(runner,
     assert result.output.count("\n") == 1
 
 
+@pytest.mark.parametrize("dataset,family", [("conll03", "ner"), ("scitldr", "summarization")])
+def test_evaluate_with_the_bundled_family_prompts_reproduces_the_default_report(runner, tmp_path,
+                                                                               dataset, family):
+    """A custom list replaces the family's set; the metric and NER's typing
+    prompts still follow the family."""
+    path = tmp_path / "prompts.json"
+    path.write_text(json.dumps(load_eval_prompts()["sets"][family]))
+    args = ["evaluate", "--dataset", dataset, "--data", str(FIXTURES / "eval" / f"{dataset}.jsonl"),
+            "--seed", "5"]
+    default = runner.invoke(main, args)
+    custom = runner.invoke(main, [*args, "--prompts", str(path)])
+    assert default.exit_code == 0, default.output
+    assert custom.exit_code == 0, custom.output
+    assert custom.output == default.output
+
+
+@pytest.mark.parametrize("prompts,message", [
+    ([1, 2, 3, 4, 5], "prompt set 'rte': prompt 1 needs a string 'source' and 'target'"),
+    ([{"source": "x"}] * 5, "prompt set 'rte': prompt 1 needs a string 'source' and 'target'"),
+    ({"sets": {}, "datasets": {}}, "prompt set 'rte' must be a list of 5 prompts"),
+], ids=["not-objects", "no-target", "prompt-document"])
+def test_evaluate_wrongly_shaped_prompts_file_is_one_schema_error_line(runner, tmp_path, prompts, message):
+    path = tmp_path / "prompts.json"
+    path.write_text(json.dumps(prompts))
+    result = runner.invoke(main, [
+        "evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
+        "--prompts", str(path),
+    ])
+    assert result.exit_code == 1
+    assert result.output == f"schema-error: {message}\n"
+
+
+@pytest.mark.parametrize("command,option", [
+    ("evaluate", ["--metric", "rouge1"]),
+    ("extract", ["--cloze-rate", "0.3"]),
+    ("extract", ["--no-language-gate"]),
+], ids=["metric", "cloze-rate", "no-language-gate"])
+def test_removed_options_are_usage_errors(runner, tmp_path, command, option):
+    args = {"evaluate": ["--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl")],
+            "extract": ["--mine", "plain_text", "--in", str(FIXTURES / "mines" / "plain_text.jsonl"),
+                        "--out", str(tmp_path / "pt.tuples")]}[command]
+    result = runner.invoke(main, [command, *args, *option])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and option[0] in result.output
+    assert not (tmp_path / "pt.tuples").exists()
+
+
 @pytest.mark.parametrize("command", ["", "   "])
 def test_evaluate_empty_external_command_is_one_scorer_error_line(runner, command):
     result = runner.invoke(main, [
@@ -557,7 +624,9 @@ def test_extract_uses_the_environment_and_config_seed(runner, tmp_path):
 @pytest.mark.parametrize("env,config", [
     ("-5", None), ("abc", None),
     (None, {"seed": "abc"}), (None, {"seed": -4}), (None, [1]),
-], ids=["env-negative", "env-not-int", "config-not-int", "config-negative", "config-not-object"])
+    (None, {"seed": 1.7}), (None, {"seed": True}),
+], ids=["env-negative", "env-not-int", "config-not-int", "config-negative", "config-not-object",
+        "config-float", "config-bool"])
 def test_invalid_seed_is_usage_error(runner, tmp_path, env, config):
     pre = ["--config", _config(tmp_path, config)] if config is not None else []
     out = tmp_path / "rt.tuples"

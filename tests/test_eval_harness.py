@@ -174,7 +174,7 @@ class PerfectScorer:
 
 def test_eval_dataset_perfect_oracle_scores_one():
     records = load_eval_fixture("semeval2007")
-    report = eval_dataset("semeval2007", records, PerfectScorer(records), "accuracy", seed=0)
+    report = eval_dataset("semeval2007", records, PerfectScorer(records), seed=0)
     assert report.per_prompt == (1.0, 1.0, 1.0, 1.0, 1.0)
     assert report.avg == report.max == 1.0
     assert report.std == 0.0
@@ -182,7 +182,7 @@ def test_eval_dataset_perfect_oracle_scores_one():
 
 def test_eval_dataset_summary_matches_recomputation():
     records = load_eval_fixture("subj")
-    report = eval_dataset("subj", records, ReferenceScorer(), "accuracy", seed=0)
+    report = eval_dataset("subj", records, ReferenceScorer(), seed=0)
     scores = list(report.per_prompt)
     assert len(scores) == 5
     assert abs(report.avg - sum(scores) / 5) < 1e-12
@@ -200,19 +200,19 @@ def test_eval_dataset_equal_scores_have_zero_std():
             return ""
 
     records = load_eval_fixture("mr")
-    report = eval_dataset("mr", records, Constant(), "accuracy", seed=0)
+    report = eval_dataset("mr", records, Constant(), seed=0)
     assert report.std == 0.0
     assert report.avg == report.max == report.per_prompt[0]
 
 
 def test_eval_dataset_unknown_prompt_set():
     with pytest.raises(SchemaError):
-        eval_dataset("no_such_dataset", [{"text": "x", "label": "y"}], ReferenceScorer(), "accuracy")
+        eval_dataset("no_such_dataset", [{"text": "x", "label": "y"}], ReferenceScorer())
 
 
 def test_eval_dataset_summarization_rouge():
     records = load_eval_fixture("scitldr")
-    report = eval_dataset("scitldr", records, ReferenceScorer(), "rouge1", seed=0)
+    report = eval_dataset("scitldr", records, ReferenceScorer(), seed=0)
     assert report.metric == "rouge1"
     assert all(0.0 <= s <= 1.0 for s in report.per_prompt)
     assert report.max > 0.0  # the lead heuristic overlaps the summaries a bit
@@ -220,7 +220,7 @@ def test_eval_dataset_summarization_rouge():
 
 def test_eval_dataset_ner_micro_f1():
     records = load_eval_fixture("conll03")
-    report = eval_dataset("conll03", records, ReferenceScorer(), "micro_f1", seed=0)
+    report = eval_dataset("conll03", records, ReferenceScorer(), seed=0)
     assert report.metric == "micro_f1"
     assert all(0.0 <= s <= 1.0 for s in report.per_prompt)
 
@@ -266,8 +266,7 @@ _RTE_RULE = {"kind": "cond", "field": "label", "cases": [
 
 
 def _prompt_doc(source):
-    prompts = [{"source": source, "target": "{answer}", "answer": _RTE_RULE}] * 5
-    return {"sets": {"custom": prompts}, "datasets": {"custom": "custom"}}
+    return [{"source": source, "target": "{answer}", "answer": _RTE_RULE}] * 5
 
 
 def test_eval_prompt_unescapes_braces_like_a_template():
@@ -276,7 +275,7 @@ def test_eval_prompt_unescapes_braces_like_a_template():
     pattern = 'TEXT: {premise} QUERY: does {{hypothesis}} "{hypothesis}" follow? "Yes" or "No"?'
     record = {"premise": "It rained", "hypothesis": "The street is wet", "label": "entailment"}
     scorer = _Recording()
-    eval_dataset("custom", [record], scorer, "accuracy", prompts_doc=_prompt_doc(pattern))
+    eval_dataset("custom", [record], scorer, prompts=_prompt_doc(pattern))
     expected = 'TEXT: It rained QUERY: does {hypothesis} "The street is wet" follow? "Yes" or "No"?'
     assert substitute(pattern, {k: str(v) for k, v in record.items()}) == expected
     assert set(scorer.sources) == {expected}
@@ -288,7 +287,7 @@ def test_eval_cond_rule_on_record_without_its_field_raises():
     record = {"premise": "It rained", "hypothesis": "The street is wet"}
     doc = _prompt_doc('TEXT: {premise} QUERY: "{hypothesis}"? "Yes" or "No"?')
     with pytest.raises(RenderError, match="answer rule needs field 'label'"):
-        eval_dataset("custom", [record], ReferenceScorer(), "accuracy", prompts_doc=doc)
+        eval_dataset("custom", [record], ReferenceScorer(), prompts=doc)
 
 
 def _seed_reference_score(source, candidate):

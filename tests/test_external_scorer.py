@@ -84,7 +84,7 @@ def test_scorer_that_cannot_start_leaves_questions_unanswered(tmp_path):
     # a batch that cannot be sent raises from the request, not the prefetch
     scorer = ExternalCommandScorer([str(tmp_path / "missing")])
     assert score_mc("a", ["x", "y"], scorer) is None
-    report = eval_dataset("scitldr", load_eval_fixture("scitldr"), scorer, "rouge1")
+    report = eval_dataset("scitldr", load_eval_fixture("scitldr"), scorer)
     assert report.per_prompt == (0.0,) * 5
 
 

@@ -24,9 +24,8 @@ from signalmine.signal_model import LIST_SEP, SchemaError, dump_tuples, validate
 from conftest import always_english, extract_fixture, fixture_docs
 
 
-def ctx(mine: str, seed: int = 7, **options) -> ExtractContext:
-    return ExtractContext(seed=seed, mine=mine, report=ExtractionReport(),
-                          detector=always_english, options=options)
+def ctx(seed: int = 7, **options) -> ExtractContext:
+    return ExtractContext(seed=seed, report=ExtractionReport(), options=options)
 
 
 def words(n: int, prefix: str = "w") -> str:
@@ -40,7 +39,7 @@ def words(n: int, prefix: str = "w") -> str:
      (2.4, "negative"), (1.0, "negative")],
 )
 def test_review_polarity_thresholds(rating, expected):
-    c = ctx("rotten_tomatoes")
+    c = ctx()
     out = rotten_tomatoes.extract({"doc_id": "d", "review": words(8), "rating": rating}, c)
     if expected is None:
         assert out == []
@@ -49,13 +48,13 @@ def test_review_polarity_thresholds(rating, expected):
 
 
 def test_review_word_gate_boundary():
-    c = ctx("rotten_tomatoes")
+    c = ctx()
     assert rotten_tomatoes.extract({"doc_id": "d", "review": words(4), "rating": 5.0}, c) == []
     assert len(rotten_tomatoes.extract({"doc_id": "d", "review": words(5), "rating": 5.0}, c)) == 1
 
 
 def test_review_missing_rating_reported():
-    c = ctx("rotten_tomatoes")
+    c = ctx()
     assert rotten_tomatoes.extract({"doc_id": "d", "review": words(8)}, c) == []
     assert c.report.rejected[("rotten_tomatoes_sentiment", "missing_rating")] == 1
 
@@ -74,36 +73,36 @@ def dm_doc(**over):
 
 
 def test_dm_category_from_url_path():
-    out = daily_mail.extract(dm_doc(), ctx("daily_mail"))
+    out = daily_mail.extract(dm_doc(), ctx())
     cat = [t for t in out if t.signal_type == "daily_mail_category"]
     assert cat and cat[0].fields[1] == "Sport"
 
 
 def test_dm_category_list_is_closed():
-    out = daily_mail.extract(dm_doc(url="https://example.co.uk/showbiz/a.html"), ctx("daily_mail"))
+    out = daily_mail.extract(dm_doc(url="https://example.co.uk/showbiz/a.html"), ctx())
     assert not [t for t in out if t.signal_type == "daily_mail_category"]
 
 
 def test_dm_blocklist_whole_word_case_insensitive():
     blocked = dm_doc(bullets=["Click Here for more on this great story"])
-    assert daily_mail.extract(blocked, ctx("daily_mail")) == []
+    assert daily_mail.extract(blocked, ctx()) == []
     # "there" contains "here" but is a different word
     fine = dm_doc(bullets=[words(5) + " there it goes again", words(8, "b2")])
-    assert daily_mail.extract(fine, ctx("daily_mail")) != []
+    assert daily_mail.extract(fine, ctx()) != []
     for term in ("Update", "FIND"):
-        assert daily_mail.extract(dm_doc(bullets=[f"{term} " + words(7)]), ctx("daily_mail")) == []
+        assert daily_mail.extract(dm_doc(bullets=[f"{term} " + words(7)]), ctx()) == []
 
 
 def test_dm_category_summary_word_gate():
-    out = daily_mail.extract(dm_doc(bullets=[words(4)]), ctx("daily_mail"))
+    out = daily_mail.extract(dm_doc(bullets=[words(4)]), ctx())
     assert not [t for t in out if t.signal_type == "daily_mail_category"]
-    out = daily_mail.extract(dm_doc(bullets=[words(5)]), ctx("daily_mail"))
+    out = daily_mail.extract(dm_doc(bullets=[words(5)]), ctx())
     assert [t for t in out if t.signal_type == "daily_mail_category"]
 
 
 def test_dm_summary_gates():
     def summary_tuples(**over):
-        return [t for t in daily_mail.extract(dm_doc(**over), ctx("daily_mail"))
+        return [t for t in daily_mail.extract(dm_doc(**over), ctx())
                 if t.signal_type == "daily_mail_summary"]
 
     assert not summary_tuples(body=words(19))  # body < 20 words
@@ -114,13 +113,13 @@ def test_dm_summary_gates():
 
 
 def test_dm_truncation_to_400_words():
-    out = daily_mail.extract(dm_doc(body=words(450)), ctx("daily_mail"))
+    out = daily_mail.extract(dm_doc(body=words(450)), ctx())
     summary = [t for t in out if t.signal_type == "daily_mail_summary"][0]
     assert len(summary.named_fields()["text"].split()) == 400
 
 
 def test_dm_temporal_pairs():
-    out = daily_mail.extract(dm_doc(), ctx("daily_mail"))
+    out = daily_mail.extract(dm_doc(), ctx())
     temporal = [t for t in out if t.signal_type == "daily_mail_temporal"]
     order = [t for t in temporal if t.extraction_meta["variant"] == "order"]
     nxt = [t for t in temporal if t.extraction_meta["variant"] == "next"]
@@ -138,7 +137,7 @@ def test_dm_temporal_pairs():
 
 
 def test_dm_temporal_needs_two_bullets():
-    out = daily_mail.extract(dm_doc(bullets=[words(12, "only")]), ctx("daily_mail"))
+    out = daily_mail.extract(dm_doc(bullets=[words(12, "only")]), ctx())
     assert not [t for t in out if t.signal_type == "daily_mail_temporal"]
 
 
@@ -160,9 +159,9 @@ def test_wikidata_requires_comention_paragraph():
         "properties": [{"pid": "P1", "property": "part of", "object": "Beta"}],
         "paragraphs": ["Alpha appears alone in this paragraph of text"],
     }
-    assert wikidata.extract(doc, ctx("wikidata")) == []
+    assert wikidata.extract(doc, ctx()) == []
     doc["paragraphs"].append("Alpha and Beta appear together right here")
-    out = wikidata.extract(doc, ctx("wikidata"))
+    out = wikidata.extract(doc, ctx())
     assert out and out[0].fields == (
         "Alpha and Beta appear together right here", "Alpha", "part of", "Beta")
 
@@ -174,7 +173,7 @@ def test_wikidata_instance_of_becomes_entity_typing():
         "properties": [{"pid": "P31", "property": "instance of", "object": "Widget"}],
         "paragraphs": ["Alpha is mentioned in this long enough paragraph"],
     }
-    out = wikidata.extract(doc, ctx("wikidata"))
+    out = wikidata.extract(doc, ctx())
     assert [t.signal_type for t in out] == ["wikidata_entity"]
     assert out[0].fields[1:] == ("Alpha", "Widget")
 
@@ -186,7 +185,7 @@ def test_wikidata_id_only_item_yields_nothing():
         "properties": [{"pid": "P345", "property": "IMDb ID", "object": "tt01"}],
         "paragraphs": ["Alpha and tt01 sit together in this paragraph"],
     }
-    assert wikidata.extract(doc, ctx("wikidata")) == []
+    assert wikidata.extract(doc, ctx()) == []
 
 
 # --------------------------------------------------------------------- wikihow
@@ -208,12 +207,12 @@ def wh_doc(**over):
 
 
 def test_wikihow_excluded_categories():
-    out = wikihow.extract(wh_doc(category_path=["Scenes", "Screenplays"]), ctx("wikihow"))
+    out = wikihow.extract(wh_doc(category_path=["Scenes", "Screenplays"]), ctx())
     assert not [t for t in out if t.signal_type == "wikihow_text_category"]
 
 
 def test_wikihow_headline_word_gate_boundary():
-    c = ctx("wikihow")
+    c = ctx()
     doc = wh_doc(steps=[
         {"headline": words(20, "ok"), "description": words(30, "d1")},
         {"headline": words(21, "no"), "description": words(30, "d2")},
@@ -228,33 +227,33 @@ def test_wikihow_headline_word_gate_boundary():
 
 
 def test_wikihow_hierarchy_adjacent_pairs():
-    out = wikihow.extract(wh_doc(category_path=["A", "B", "C"]), ctx("wikihow"))
+    out = wikihow.extract(wh_doc(category_path=["A", "B", "C"]), ctx())
     pairs = [t.fields for t in out if t.signal_type == "wikihow_category_hierarchy"]
     assert pairs == [("A", "B"), ("B", "C")]
 
 
 def test_wikihow_summary_headline_not_longer_than_description():
     doc = wh_doc(steps=[{"headline": words(10, "h"), "description": words(9, "d")}])
-    out = wikihow.extract(doc, ctx("wikihow"))
+    out = wikihow.extract(doc, ctx())
     assert not [t for t in out if t.signal_type == "wikihow_summary"]
 
 
 def test_wikihow_procedure_needs_two_steps():
     doc = wh_doc(steps=[{"headline": words(4), "description": words(20)}])
-    out = wikihow.extract(doc, ctx("wikihow"))
+    out = wikihow.extract(doc, ctx())
     assert not [t for t in out if t.signal_type == "wikihow_procedure"]
 
 
 def test_wikihow_question_needs_related():
-    out = wikihow.extract(wh_doc(related_questions=[]), ctx("wikihow"))
+    out = wikihow.extract(wh_doc(related_questions=[]), ctx())
     assert not [t for t in out if t.signal_type == "wikihow_question"]
-    out = wikihow.extract(wh_doc(), ctx("wikihow"))
+    out = wikihow.extract(wh_doc(), ctx())
     q = [t for t in out if t.signal_type == "wikihow_question"]
     assert q and q[0].named_fields()["answer"].startswith("h1x0")
 
 
 def test_wikihow_goal_strips_how_to():
-    out = wikihow.extract(wh_doc(), ctx("wikihow"))
+    out = wikihow.extract(wh_doc(), ctx())
     goal = [t for t in out if t.signal_type == "wikihow_goal_step"][0]
     assert goal.fields[0] == "Clean a Window"
 
@@ -276,7 +275,7 @@ def wp_doc(**over):
 
 
 def test_wikipedia_needs_two_sections():
-    out = wikipedia.extract(wp_doc(sections=[{"title": "One", "text": words(12)}]), ctx("wikipedia"))
+    out = wikipedia.extract(wp_doc(sections=[{"title": "One", "text": words(12)}]), ctx())
     assert not [t for t in out if t.signal_type == "wikipedia_sections"]
 
 
@@ -286,7 +285,7 @@ def test_wikipedia_section_text_gate():
         {"title": "Two", "text": words(10, "b")},
         {"title": "Three", "text": words(10, "c")},
     ])
-    out = wikipedia.extract(doc, ctx("wikipedia"))
+    out = wikipedia.extract(doc, ctx())
     titles = {t.fields[1] for t in out if t.signal_type == "wikipedia_sections"}
     assert titles == {"Two", "Three"}
 
@@ -294,12 +293,12 @@ def test_wikipedia_section_text_gate():
 def test_wikipedia_noise_words_drop_paragraph():
     for noise in ("Please", "click", "WIKI", "copyright", "IP address"):
         doc = wp_doc(paragraphs=[{"text": f"{noise} " + words(12), "links": []}])
-        out = wikipedia.extract(doc, ctx("wikipedia"))
+        out = wikipedia.extract(doc, ctx())
         assert not [t for t in out if t.signal_type == "wikipedia_entities"], noise
 
 
 def test_wikipedia_reference_links_are_not_entities():
-    out = wikipedia.extract(wp_doc(), ctx("wikipedia"))
+    out = wikipedia.extract(wp_doc(), ctx())
     ents = [t for t in out if t.signal_type == "wikipedia_entities"][0]
     assert "[3]" not in ents.fields[1]
     assert ents.fields[1] == "Alpha Beta, Gamma"
@@ -312,13 +311,13 @@ def test_wikipedia_entity_longest_match_and_order():
 
 def test_wikipedia_paragraph_word_gate():
     doc = wp_doc(paragraphs=[{"text": words(9), "links": []}])
-    out = wikipedia.extract(doc, ctx("wikipedia"))
+    out = wikipedia.extract(doc, ctx())
     assert not [t for t in out if t.signal_type == "wikipedia_entities"]
 
 
 def test_wikipedia_sentiment_is_neutral_and_truncated():
     doc = wp_doc(paragraphs=[{"text": words(300), "links": []}])
-    out = wikipedia.extract(doc, ctx("wikipedia"))
+    out = wikipedia.extract(doc, ctx())
     senti = [t for t in out if t.signal_type == "wikipedia_sentiment"][0]
     assert senti.fields[1] == "neutral"
     assert len(senti.fields[0].split()) == 256
@@ -329,7 +328,7 @@ def test_wikipedia_section_truncation():
         {"title": "One", "text": words(257)},
         {"title": "Two", "text": words(30, "b")},
     ])
-    out = wikipedia.extract(doc, ctx("wikipedia"))
+    out = wikipedia.extract(doc, ctx())
     one = [t for t in out if t.signal_type == "wikipedia_sections" and t.fields[1] == "One"][0]
     assert len(one.fields[0].split()) == 256
 
@@ -354,7 +353,7 @@ def test_wordnet_fixture_rules():
 
 
 def test_wordnet_word_length_gate():
-    c = ctx("wordnet")
+    c = ctx()
     doc = {"doc_id": "ab", "word": "ab",
            "senses": [{"pos": "noun", "meaning": "m", "examples": ["ab is short"]}]}
     assert wordnet.extract(doc, c) == []
@@ -381,35 +380,35 @@ def qa_doc(**over):
 
 
 def test_qa_context_length_gate_boundary():
-    assert qa.extract(qa_doc(context=words(401)), ctx("qa_corpus")) == []
-    assert qa.extract(qa_doc(context=words(400)), ctx("qa_corpus")) != []
+    assert qa.extract(qa_doc(context=words(401)), ctx()) == []
+    assert qa.extract(qa_doc(context=words(400)), ctx()) != []
 
 
 def test_qa_question_terminal_mark():
-    assert qa.extract(qa_doc(question="What happened"), ctx("qa_corpus")) == []
-    assert qa.extract(qa_doc(question="Complete the following:"), ctx("qa_corpus")) != []
+    assert qa.extract(qa_doc(question="What happened"), ctx()) == []
+    assert qa.extract(qa_doc(question="Complete the following:"), ctx()) != []
     out = qa.extract(qa_doc(question="He felt ___ .", options=["tired", "sad"], answer="sad"),
-                     ctx("qa_corpus"))
+                     ctx())
     assert out and out[0].extraction_meta["is_cloze"] == "yes"
 
 
 def test_qa_triviaqa_web_only():
     doc = qa_doc(kind="triviaqa", options=[], source="wiki")
-    assert qa.extract(doc, ctx("qa_corpus")) == []
+    assert qa.extract(doc, ctx()) == []
     doc = qa_doc(kind="triviaqa", options=[], source="web")
-    out = qa.extract(doc, ctx("qa_corpus"))
+    out = qa.extract(doc, ctx())
     assert out and out[0].signal_type == "qa_triviaqa"
 
 
 def test_qa_control_maps_to_nli_fields():
     doc = qa_doc(kind="control", question="All of them passed", options=[], answer="entailment")
-    out = qa.extract(doc, ctx("qa_corpus"))
+    out = qa.extract(doc, ctx())
     assert out[0].signal_type == "qa_control"
     assert out[0].named_fields()["label"] == "entailment"
 
 
 def test_qa_missing_answer_reported():
-    c = ctx("qa_corpus")
+    c = ctx()
     assert qa.extract(qa_doc(answer=""), c) == []
     assert c.report.rejected[("qa_race", "missing_answer")] == 1
 
@@ -423,15 +422,15 @@ def ax_doc(**over):
 
 
 def test_arxiv_single_category_rule():
-    out = arxiv.extract(ax_doc(categories=["Physics", "Statistics"]), ctx("arxiv"))
+    out = arxiv.extract(ax_doc(categories=["Physics", "Statistics"]), ctx())
     assert not [t for t in out if t.signal_type == "arxiv_category"]
-    out = arxiv.extract(ax_doc(), ctx("arxiv"))
+    out = arxiv.extract(ax_doc(), ctx())
     assert [t for t in out if t.signal_type == "arxiv_category"]
 
 
 def test_arxiv_summary_gates_boundaries():
     def summary(**over):
-        return [t for t in arxiv.extract(ax_doc(**over), ctx("arxiv"))
+        return [t for t in arxiv.extract(ax_doc(**over), ctx())
                 if t.signal_type == "arxiv_summary"]
 
     assert not summary(title=words(2))
@@ -474,16 +473,16 @@ def test_pwc_longest_span_wins_no_overlap():
 
 def test_pwc_empty_db_is_structural_error():
     with pytest.raises(SchemaError):
-        pwc.extract({"doc_id": "p", "sentences": ["x"]}, ctx("paperswithcode", entity_db=EntityDb([])))
+        pwc.extract({"doc_id": "p", "sentences": ["x"]}, ctx(entity_db=EntityDb([])))
 
 
 def test_pwc_summary_gate():
     db = make_db(("ok term", "task"))
     doc = {"doc_id": "p", "sentences": [], "abstract": words(30), "introduction": words(29)}
-    out = pwc.extract(doc, ctx("paperswithcode", entity_db=db))
+    out = pwc.extract(doc, ctx(entity_db=db))
     assert not [t for t in out if t.signal_type == "paperswithcode_summary"]
     doc["introduction"] = words(30, "i")
-    out = pwc.extract(doc, ctx("paperswithcode", entity_db=db))
+    out = pwc.extract(doc, ctx(entity_db=db))
     assert [t for t in out if t.signal_type == "paperswithcode_summary"]
 
 
@@ -491,7 +490,7 @@ def test_pwc_typing_tuples_carry_variant():
     db = make_db(("ImageNet", "dataset"))
     doc = {"doc_id": "p", "sentences": ["We evaluate on ImageNet today"],
            "abstract": words(10), "introduction": words(20)}
-    out = pwc.extract(doc, ctx("paperswithcode", entity_db=db))
+    out = pwc.extract(doc, ctx(entity_db=db))
     typed = [t for t in out if t.extraction_meta.get("variant") == "typing"]
     assert typed and typed[0].extraction_meta["entity_type"] == "dataset"
     listed = [t for t in out if t.extraction_meta.get("variant") == "entities"]
@@ -512,7 +511,7 @@ def test_cloze_spec_shape():
 
 
 def test_cloze_short_text_dropped():
-    c = ctx("plain_text")
+    c = ctx()
     assert plain_text.extract({"doc_id": "d", "text": "word"}, c) == []
     assert c.report.rejected[("plain_text_cloze", "too_short")] == 1
 
@@ -673,7 +672,7 @@ def test_wordnet_lemmas_do_not_depend_on_document_order():
     runs = []
     for order in (docs, docs[::-1]):
         report = ExtractionReport()
-        tuples = extract_documents("wordnet", order, seed=1, report=report, language_gate=False)
+        tuples = extract_documents("wordnet", order, seed=1, report=report, detector=always_english)
         runs.append((dump_tuples(tuples), report.to_json()))
     assert runs[0] == runs[1]
     assert "wordnet_pos:lemmatized_away" in runs[0][1]

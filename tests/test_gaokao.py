@@ -9,10 +9,11 @@ from signalmine.eval_harness.gaokao import (
     SECTIONS,
     GaokaoPaper,
     grade_gaokao,
+    load_paper,
 )
 from signalmine.signal_model import SchemaError
 
-from conftest import gaokao_fixture
+from conftest import FIXTURES, gaokao_fixture
 
 
 def test_point_table():
@@ -65,7 +66,7 @@ def test_all_published_columns_reproduce():
 
 
 def test_grading_from_answer_key():
-    paper = GaokaoPaper.from_record(gaokao_fixture("paper_2019_np2.json"))
+    paper = load_paper(str(FIXTURES / "gaokao" / "paper_2019_np2.json"))
     answers = gaokao_fixture("answers_2019_np2_rst.json")
     sections, total = grade_gaokao(
         paper, answers["sections"], section_scores=answers["section_scores"],
@@ -80,7 +81,7 @@ def test_grading_from_answer_key():
 
 
 def test_grading_answer_count_mismatch_is_structural():
-    paper = GaokaoPaper.from_record(gaokao_fixture("paper_2019_np2.json"))
+    paper = load_paper(str(FIXTURES / "gaokao" / "paper_2019_np2.json"))
     with pytest.raises(SchemaError):
         grade_gaokao(paper, {"listening": ["A"] * 19})
 
@@ -96,7 +97,7 @@ def test_section_score_bounds_validated():
 
 @pytest.mark.parametrize("scores", [{"gramar": 10.0}, {"essay": 20.0}, {"grammar": 8.0, "Listening": 30.0}])
 def test_unknown_or_essay_section_score_is_structural(scores):
-    paper = GaokaoPaper.from_record(gaokao_fixture("paper_2019_np2.json"))
+    paper = load_paper(str(FIXTURES / "gaokao" / "paper_2019_np2.json"))
     with pytest.raises(SchemaError):
         grade_gaokao(paper, {}, section_scores=scores)
 
