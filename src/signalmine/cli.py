@@ -266,7 +266,7 @@ def _make_scorer(scorer_arg: str):
 
 
 @main.command()
-@click.option("--dataset", required=True, help="Dataset id (selects the bundled 5-prompt set).")
+@click.option("--dataset", required=True, help="Dataset id (selects its family's prompts and metric).")
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--prompts", "prompts_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="JSON list of 5 {source, target} prompts; replaces the dataset's set.")
