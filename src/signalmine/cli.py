@@ -18,7 +18,14 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .dataset_io import IntegrityError, stats_report, verify_bundle, write_bundle, write_files_atomic
+from .dataset_io import (
+    IntegrityError,
+    encode_record,
+    stats_report,
+    verify_bundle,
+    write_bundle,
+    write_files_atomic,
+)
 from .eval_harness.datasets import eval_dataset
 from .eval_harness.gaokao import grade_gaokao, load_answers, load_paper
 from .eval_harness.scorers import ExternalCommandScorer, ReferenceScorer, ScorerError
@@ -30,7 +37,7 @@ from .report import ExtractionReport
 from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError, render_with_selected
 from .restructurer.templates import audit, load_registry
-from .signal_model import SchemaError, dump_tuples, example_to_record, load_mixspec, load_tuples
+from .signal_model import SchemaError, dump_tuples, load_mixspec, load_tuples
 
 SEED_ENV = "SIGNALMINE_SEED"
 
@@ -147,9 +154,8 @@ def restructure(tuples_path, templates_path, out_path, family, seed):
                 raise ConfigError(f"no templates at all for {tup.signal_type}")
         else:
             fam = family
-        ex = render_with_selected(registry, tup, fam, pools, seed)
-        lines.append(json.dumps(example_to_record(ex), ensure_ascii=False, sort_keys=True))
-    write_files_atomic({out_path: "".join(l + "\n" for l in lines)})
+        lines.append(encode_record(render_with_selected(registry, tup, fam, pools, seed)))
+    write_files_atomic({out_path: b"".join(lines).decode("utf-8")})
     click.echo(f"rendered {len(lines)} examples")
 
 

@@ -14,8 +14,9 @@ import json
 import os
 import shutil
 import tempfile
+from collections import Counter
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import __version__
 from .signal_model import CATALOG, PromptedExample, SchemaError, example_from_record, example_to_record
@@ -47,19 +48,29 @@ def render_stats_table(per_signal_counts: Mapping[str, int]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def encode_record(example: PromptedExample) -> bytes:
+    """The record line of `example`: its JSON record in UTF-8, keys sorted,
+    ending in a newline. Every record line is made here."""
+    return (_RECORD_ENCODER.encode(example_to_record(example)) + "\n").encode("utf-8")
+
+
+Record = tuple[str, bytes]  # (signal type, record line from encode_record)
+
+_RECORDS_PER_WRITE = 1024
+
+
 def write_bundle(
     path: str | os.PathLike,
-    streams: Mapping[str, list[PromptedExample]],
+    streams: Mapping[str, Sequence[Record]],
     manifest_extra: Mapping | None = None,
 ) -> str:
     """Write dataset streams + manifest + stats atomically; returns the hash.
 
-    `streams` maps file names (e.g. "mix.stage1.train") to example lists.
-    Files are written one at a time in sorted-name order while the digest is
-    updated, so the bundle is never held whole in memory; an example listed
-    by several streams is encoded once. A failed write leaves no visible
-    bundle, and a bundle already at `path` stays there until the new one
-    replaces it.
+    `streams` maps file names (e.g. "mix.stage1.train") to their records in
+    file order. Files are written one at a time in sorted-name order while
+    the digest is updated, so the bundle is never held whole in memory. A
+    failed write leaves no visible bundle, and a bundle already at `path`
+    stays there until the new one replaces it.
     """
     path = Path(path)
     if path.exists() and not (path / MANIFEST_NAME).exists():
@@ -67,12 +78,7 @@ def write_bundle(
         # arbitrary directories
         raise SchemaError(f"bundle path already exists and is not a bundle: {path}")
 
-    per_signal: dict[str, int] = {}
-    uses: dict[int, int] = {}  # id(example) -> times the streams list it
-    for examples in streams.values():
-        for ex in examples:
-            per_signal[ex.signal_type] = per_signal.get(ex.signal_type, 0) + 1
-            uses[id(ex)] = uses.get(id(ex), 0) + 1
+    per_signal = Counter(signal for records in streams.values() for signal, _ in records)
     stats = render_stats_table(per_signal).encode("utf-8")
 
     # each file's name, a 0 byte, its bytes and a 0 byte, in sorted-name
@@ -83,7 +89,6 @@ def write_bundle(
     parent.mkdir(parents=True, exist_ok=True)
     tmpdir = tempfile.mkdtemp(prefix=f".{path.name}.tmp", dir=parent)
     try:
-        encoded: dict[int, bytes] = {}  # lines still to be written again
         for name in sorted([*streams, STATS_NAME]):
             digest.update(name.encode() + b"\x00")
             with open(os.path.join(tmpdir, name), "wb") as fh:
@@ -91,8 +96,14 @@ def write_bundle(
                     fh.write(stats)
                     digest.update(stats)
                 else:
-                    size = _write_records(fh, digest, streams[name], encoded, uses)
-                    files[name] = {"lines": len(streams[name]), "bytes": size}
+                    records = streams[name]
+                    size = 0
+                    for start in range(0, len(records), _RECORDS_PER_WRITE):
+                        body = b"".join([line for _, line in records[start:start + _RECORDS_PER_WRITE]])
+                        fh.write(body)
+                        digest.update(body)
+                        size += len(body)
+                    files[name] = {"lines": len(records), "bytes": size}
             digest.update(b"\x00")
         bundle_hash = digest.hexdigest()
         manifest = {
@@ -114,34 +125,6 @@ def write_bundle(
         shutil.rmtree(tmpdir, ignore_errors=True)
         raise
     return bundle_hash
-
-
-_RECORDS_PER_WRITE = 1024
-
-
-def _write_records(fh, digest, examples: list[PromptedExample], encoded: dict[int, bytes],
-                   uses: dict[int, int]) -> int:
-    """Write one stream's record lines to `fh` and `digest`; returns the
-    byte count. A line that a later stream lists again stays in `encoded`
-    until its last use."""
-    size = 0
-    for start in range(0, len(examples), _RECORDS_PER_WRITE):
-        lines = []
-        for ex in examples[start:start + _RECORDS_PER_WRITE]:
-            key = id(ex)
-            line = encoded.pop(key, None)
-            if line is None:
-                line = (_RECORD_ENCODER.encode(example_to_record(ex)) + "\n").encode("utf-8")
-            left = uses[key] - 1
-            if left:
-                uses[key] = left
-                encoded[key] = line
-            lines.append(line)
-        body = b"".join(lines)
-        fh.write(body)
-        digest.update(body)
-        size += len(body)
-    return size
 
 
 def _swap_in(tmpdir: str, path: Path) -> None:

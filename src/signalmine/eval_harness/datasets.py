@@ -143,6 +143,8 @@ def eval_dataset(
         if not (isinstance(prompt, dict) and isinstance(prompt.get("source"), str)
                 and isinstance(prompt.get("target"), str)):
             raise SchemaError(f"prompt set '{dataset}': prompt {i} needs a string 'source' and 'target'")
+        if not isinstance(prompt.get("answer", {}), dict):
+            raise SchemaError(f"prompt set '{dataset}': prompt {i} has an 'answer' rule that is not an object")
     cap = GENERATION_SAMPLE_CAP if metric in ("rouge1", "micro_f1") else CLASSIFICATION_SAMPLE_CAP
     records = subsample(list(records), cap, seed)
     if not records:

@@ -115,11 +115,11 @@ def grade_gaokao(
     credit). Answer-count mismatches, unknown section names and an essay
     score given as a section score are structural errors."""
     section_scores = dict(section_scores or {})
-    for name in section_scores:
+    for name in [*answers, *section_scores]:
         if name not in SECTION_BY_NAME:
             raise SchemaError(f"unknown exam section: {name}")
-        if name == "essay":
-            raise SchemaError("essay score is a separate argument")
+    if "essay" in section_scores:
+        raise SchemaError("essay score is a separate argument")
     results: list[SectionScore] = []
     total = 0.0
     for spec in SECTIONS:

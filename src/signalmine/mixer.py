@@ -15,8 +15,9 @@ import pickle
 import random
 import signal
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from typing import BinaryIO, Hashable, Iterable, Mapping, Sequence
 
+from .dataset_io import Record, encode_record
 from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError, render_with_selected, tuple_key
 from .restructurer.templates import PromptRegistry
@@ -26,7 +27,9 @@ from .signal_model import MixEntry, MixSpec, PromptedExample, SignalTuple
 
 @dataclass
 class MixResult:
-    examples: dict[tuple[int, str], list[PromptedExample]] = field(default_factory=dict)
+    # per (stage, split), the (signal type, record line) of each example in
+    # file order
+    examples: dict[tuple[int, str], list[Record]] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
 
@@ -156,23 +159,32 @@ def worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def shard_plan(jobs: int, workers: int) -> list[range]:
-    """The job positions of each shard: one shard per worker, but no more
-    shards than jobs, and at least one. Of n shards, shard k takes every
-    n-th job from position k, so each gets its share of every entry; entries
-    differ in cost per render, and equal runs of the job list do not."""
-    shards = max(1, min(workers, jobs))
-    return [range(k, jobs, shards) for k in range(shards)]
+def shard_plan(groups: Sequence[Hashable], workers: int) -> list[list[int]]:
+    """The job positions of each shard, given the group of each job: one
+    shard per worker, but no more shards than groups, and at least one.
+    Whole groups are dealt round-robin in the order of their first jobs, so
+    each shard gets its share of every entry (entries differ in cost per
+    render, and equal runs of the job list do not), and the jobs of one
+    group all render in one shard."""
+    first_seen = dict.fromkeys(groups)
+    shards = max(1, min(workers, len(first_seen)))
+    shard_of = {group: i % shards for i, group in enumerate(first_seen)}
+    plan: list[list[int]] = [[] for _ in range(shards)]
+    for position, group in enumerate(groups):
+        plan[shard_of[group]].append(position)
+    return plan
 
 
 Job = tuple[int, MixEntry, SignalTuple]  # (entry index, entry, tuple)
-# one example per job (None where it rendered nothing), and per entry the
-# position of its first failing job and the error message
-ShardResult = tuple[list[PromptedExample | None], dict[int, tuple[int, str]]]
+# per job, its example's rank in the shard's canonical order and its record
+# line (None where it rendered nothing); and per entry the position of its
+# first failing job and the error message
+ShardResult = tuple[list[tuple[int, bytes] | None], dict[int, tuple[int, str]]]
 
 
 def _render_shard(jobs: Sequence[Job], registry, pools, seed: int, key_of, splits) -> ShardResult:
-    """Render `jobs` in order. An entry renders nothing more after its first
+    """Render `jobs` in order, then rank the examples by `_canonical_order`
+    and encode each one. An entry renders nothing more after its first
     render or config error."""
     examples: list[PromptedExample | None] = []
     errors: dict[int, tuple[int, str]] = {}
@@ -187,7 +199,13 @@ def _render_shard(jobs: Sequence[Job], registry, pools, seed: int, key_of, split
             except (RenderError, ConfigError) as exc:
                 errors[index] = (position, f"{_entry_id(entry, index)}: {exc}")
         examples.append(example)
-    return examples, errors
+    order = sorted((i for i, ex in enumerate(examples) if ex is not None),
+                   key=lambda i: _canonical_order(examples[i]))
+    ranked: list[tuple[int, bytes] | None] = [None] * len(jobs)
+    for rank, i in enumerate(order):
+        ranked[i] = (rank, encode_record(examples[i]))
+        examples[i] = None  # its line replaces it: the shard holds one or the other
+    return ranked, errors
 
 
 def _fork(work) -> tuple[int, BinaryIO]:
@@ -214,14 +232,14 @@ def _fork(work) -> tuple[int, BinaryIO]:
 
 
 def _render_sharded(
-    jobs: list[Job], plan: list[range], *context
-) -> tuple[dict[int, list[PromptedExample]], dict[int, str]]:
+    jobs: list[Job], plan: list[list[int]], *context
+) -> tuple[list[tuple[int, bytes] | None], dict[int, str]]:
     """`_render_shard` over `jobs`, one shard of `plan` per process: the
     first shard renders here, each other one in a forked child that inherits
-    the pools and the split map. Returns the examples of each entry that
-    rendered without error, and each other entry's earliest error. The
-    shards merge in job order, so both equal what one process rendering
-    every job gives.
+    the pools and the split map. Returns each job's rank in its shard and
+    record line (None where it rendered nothing), and each failed entry's
+    earliest error, which is the one a single process rendering every job
+    would report.
 
     A child that ends without a complete result raises `ChildProcessError`;
     any other exception in a child is raised here. However this function
@@ -256,20 +274,17 @@ def _render_sharded(
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
-    examples: list[PromptedExample | None] = [None] * len(jobs)
+    ranked: list[tuple[int, bytes] | None] = [None] * len(jobs)
     first_errors: dict[int, tuple[int, str]] = {}
-    for shard, (shard_examples, shard_errors) in zip(plan, results):
-        examples[shard.start:shard.stop:shard.step] = shard_examples
+    for shard, (shard_ranked, shard_errors) in zip(plan, results):
+        for position, item in zip(shard, shard_ranked):
+            ranked[position] = item
         for index, (position, message) in shard_errors.items():
             position = shard[position]
             if index not in first_errors or position < first_errors[index][0]:
                 first_errors[index] = (position, message)
     errors = {index: message for index, (_, message) in first_errors.items()}
-    rendered: dict[int, list[PromptedExample]] = {}
-    for (index, _, _), example in zip(jobs, examples):
-        if index not in errors:
-            rendered.setdefault(index, []).append(example)
-    return rendered, errors
+    return ranked, errors
 
 
 def _check_renderable(entry: MixEntry, index: int, registry: PromptRegistry) -> None:
@@ -318,19 +333,26 @@ def mix(
     key_of = {id(tup): key for tup, key in zip(all_tuples, keys)}
 
     jobs = [(index, entry, tup) for index, entry in enumerate(spec.entries) for tup in capped.get(index, [])]
-    shards = shard_plan(len(jobs), worker_count())
-    rendered, errors = _render_sharded(jobs, shards, registry, pools, seed, key_of, splits)
+    groups = [(tup.signal_type, tup.source_doc) for _, _, tup in jobs]
+    ranked, errors = _render_sharded(jobs, shard_plan(groups, worker_count()),
+                                     registry, pools, seed, key_of, splits)
     result.errors.extend(errors[index] for index in sorted(errors))
 
+    # Examples that tie on (signal type, source doc), the head of
+    # `_canonical_order`, rendered in one shard, whose rank orders them; so
+    # this is `_canonical_order` over the jobs, and each bucket keeps it.
+    order = sorted((i for i, (index, _, _) in enumerate(jobs) if index not in errors),
+                   key=lambda i: (*groups[i], ranked[i][0]))
+    merged = [(jobs[i][0], splits[key_of[id(jobs[i][2])]], (groups[i][0], ranked[i][1])) for i in order]
     for stage, members in plan:
-        buckets: dict[str, list[PromptedExample]] = {"train": [], "validation": []}
-        for index in members:
-            for ex in rendered.get(index, []):
-                buckets[ex.split].append(ex)
-        for split, examples in buckets.items():
-            examples.sort(key=_canonical_order)
+        members = set(members)
+        buckets: dict[str, list[Record]] = {"train": [], "validation": []}
+        for index, split, record in merged:
+            if index in members:
+                buckets[split].append(record)
+        for split, stream in buckets.items():
             rng = derive_rng(seed, "shuffle", spec.name, stage, split)
-            rng.shuffle(examples)
-            if examples or spec.split_ratio > 0 or split == "train":
-                result.examples[(stage, split)] = examples
+            rng.shuffle(stream)
+            if stream or spec.split_ratio > 0 or split == "train":
+                result.examples[(stage, split)] = stream
     return result

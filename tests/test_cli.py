@@ -218,6 +218,15 @@ def test_grade_wrongly_shaped_file_is_one_schema_error_line(runner, tmp_path, fi
     assert result.output.count("\n") == 1
 
 
+def test_grade_answers_for_an_unknown_section_is_one_schema_error_line(runner, tmp_path):
+    answers = tmp_path / "answers.json"
+    answers.write_text(json.dumps({"sections": {"nosuch": ["A"]}}))
+    result = runner.invoke(main, ["grade", "--paper", str(FIXTURES / "gaokao" / "paper_2019_np2.json"),
+                                  "--answers", str(answers)])
+    assert result.exit_code == 1
+    assert result.output == "schema-error: unknown exam section: nosuch\n"
+
+
 def test_evaluate_reference_scorer(runner, tmp_path):
     out = tmp_path / "report.json"
     result = runner.invoke(main, [
@@ -456,6 +465,20 @@ def test_evaluate_unbound_prompt_placeholder_is_render_error(runner, tmp_path):
     ])
     assert result.exit_code == 1
     assert result.output == "render-error: unbound placeholder 'nope'\n"
+
+
+@pytest.mark.parametrize("answer", [5, "Yes", [1], None])
+def test_evaluate_prompt_whose_answer_rule_is_not_an_object_is_one_schema_error_line(runner, tmp_path, answer):
+    prompts = [{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}", "answer": answer}] * 5
+    path = tmp_path / "prompts.json"
+    path.write_text(json.dumps(prompts))
+    result = runner.invoke(main, [
+        "evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
+        "--prompts", str(path), "--seed", "1",
+    ])
+    assert result.exit_code == 1
+    assert result.output.startswith("schema-error: prompt set 'rte': prompt 1 ")
+    assert result.output.count("\n") == 1
 
 
 @pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe not UTF-8"])

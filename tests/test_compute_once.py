@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signalmine import __version__
-from signalmine.dataset_io import read_manifest, render_stats_table, verify_bundle, write_bundle
+from signalmine import mixer
+from signalmine.dataset_io import encode_record, read_manifest, render_stats_table, verify_bundle, write_bundle
 from signalmine.restructurer.templates import load_registry
 from signalmine.rng import derive_seed
-from signalmine.signal_model import CATALOG, PromptedExample, SignalTuple, example_to_record
+from signalmine.signal_model import CATALOG, MixEntry, MixSpec, PromptedExample, SignalTuple, example_to_record
 
 REGISTRY = load_registry()
 GROUP_KEYS = sorted(
@@ -177,7 +178,13 @@ def _bundle_bytes(path: Path) -> dict[str, bytes]:
 
 def _assert_writers_agree(tmp_path: Path, streams: dict, extra: dict | None = None) -> None:
     expected = reference_write_bundle(tmp_path / "reference", streams, extra)
-    got = write_bundle(tmp_path / "streamed", streams, extra)
+    lines: dict[int, bytes] = {}  # an example object listed twice shares its line
+    for examples in streams.values():
+        for ex in examples:
+            if id(ex) not in lines:
+                lines[id(ex)] = encode_record(ex)
+    records = {name: [(ex.signal_type, lines[id(ex)]) for ex in examples] for name, examples in streams.items()}
+    got = write_bundle(tmp_path / "streamed", records, extra)
     assert got == expected
     assert _bundle_bytes(tmp_path / "streamed") == _bundle_bytes(tmp_path / "reference")
     assert read_manifest(tmp_path / "streamed") == read_manifest(tmp_path / "reference")
@@ -218,13 +225,20 @@ def test_streaming_writer_matches_over_many_write_chunks(tmp_path):
     _assert_writers_agree(tmp_path, streams)
 
 
-def test_streaming_writer_encodes_each_listed_example_once(tmp_path, monkeypatch):
+def test_streaming_writer_encodes_each_listed_example_once(tmp_path, monkeypatch, all_fixture_tuples):
+    # mix encodes each rendered example once, in its shard; a later stage
+    # that lists the example again lists the same line
     import signalmine.dataset_io as dataset_io
 
-    shared = [_example(i) for i in range(30)]
-    streams = {"s.stage1.train": shared[:20], "s.stage2.train": shared + shared[:5], "s.stage2.validation": []}
+    monkeypatch.setattr(mixer, "worker_count", lambda: 1)
+    spec = MixSpec(entries=(MixEntry("daily_mail_summary", "multiple_choice", stage=1),
+                            MixEntry("daily_mail_summary", "generation", stage=2)), global_seed=3, name="s")
     encoded = []
     monkeypatch.setattr(dataset_io, "example_to_record",
                         lambda ex: encoded.append(ex) or example_to_record(ex))
+    streams = {f"s.stage{stage}.{split}": records
+               for (stage, split), records in mixer.mix(all_fixture_tuples, spec, REGISTRY).examples.items()}
     write_bundle(tmp_path / "b", streams)
-    assert len(encoded) == len({id(ex) for ex in encoded}) == 30
+    lines = [line for records in streams.values() for _, line in records]
+    assert len(lines) > len({id(line) for line in lines})
+    assert len(encoded) == len({id(ex) for ex in encoded}) == len({id(line) for line in lines})

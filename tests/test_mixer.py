@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from signalmine.mixer import apply_caps, mix, split_assignments, stage_plan
 from signalmine.restructurer.render import ConfigError
 from signalmine.restructurer.templates import load_registry
-from signalmine.signal_model import MixEntry, MixSpec, SignalTuple
+from signalmine.signal_model import MixEntry, MixSpec, SignalTuple, example_from_record
 
 from conftest import extract_fixture
 
@@ -13,6 +15,12 @@ from conftest import extract_fixture
 @pytest.fixture(scope="module")
 def registry():
     return load_registry()
+
+
+def decoded(result) -> dict:
+    """A mix result's record lines, read back as examples."""
+    return {key: [example_from_record(json.loads(line)) for _, line in records]
+            for key, records in result.examples.items()}
 
 
 def category_tuples(counts: dict[str, int]) -> list[SignalTuple]:
@@ -149,18 +157,19 @@ def test_mix_end_to_end_no_leakage(registry):
     )
     result = mix(tuples, spec, registry)
     assert not result.errors
+    examples_of = decoded(result)
     # a tuple's split is fixed before any entry renders it, so renderings can
     # never straddle train and validation; rotten tomatoes has exactly one
     # tuple per document, which makes the doc-level check exact there
     rt_train, rt_val = set(), set()
-    for (stage, split), examples in result.examples.items():
+    for (stage, split), examples in examples_of.items():
         for ex in examples:
             if ex.signal_type == "rotten_tomatoes_sentiment":
                 (rt_train if split == "train" else rt_val).add(ex.source_doc)
     assert rt_train and not rt_train & rt_val
     # curriculum monotonicity: stage 2 signal set contains stage 1's
-    s1 = {ex.signal_type for ex in result.examples[(1, "train")] + result.examples[(1, "validation")]}
-    s2 = {ex.signal_type for ex in result.examples[(2, "train")] + result.examples[(2, "validation")]}
+    s1 = {ex.signal_type for ex in examples_of[(1, "train")] + examples_of[(1, "validation")]}
+    s2 = {ex.signal_type for ex in examples_of[(2, "train")] + examples_of[(2, "validation")]}
     assert s1 <= s2
 
 
@@ -195,13 +204,14 @@ def test_all_tasks_preset_over_full_corpus(registry, tmp_path):
     assert not result.errors, result.errors
     # the fixture corpus is tiny compared to the published caps
     assert any("shortfall" in w for w in result.warnings)
-    emitted = {ex.signal_type for examples in result.examples.values() for ex in examples}
+    examples_of = decoded(result)
+    emitted = {ex.signal_type for examples in examples_of.values() for ex in examples}
     # every task-relevant fixture signal with templates lands in the bundle
     assert "rotten_tomatoes_sentiment" in emitted
     assert "wikidata_relation" in emitted
     assert "qa_triviaqa" in emitted
-    s1 = {ex.signal_type for ex in result.examples[(1, "train")]}
-    s2 = {ex.signal_type for ex in result.examples[(2, "train")]}
+    s1 = {ex.signal_type for ex in examples_of[(1, "train")]}
+    s2 = {ex.signal_type for ex in examples_of[(2, "train")]}
     assert s1 <= s2
 
 

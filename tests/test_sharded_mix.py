@@ -3,6 +3,7 @@ its RNG only when it draws. Neither may change a byte of output."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -10,9 +11,12 @@ import time
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signalmine import mixer
 from signalmine.cli import main
+from signalmine.dataset_io import write_bundle
 from signalmine.restructurer import render as render_module
 from signalmine.restructurer.pools import DistractorPools
 from signalmine.restructurer.render import (
@@ -58,7 +62,7 @@ def _no_child_left() -> bool:
 def test_shard_plan_covers_every_job_once():
     for jobs in (0, 1, 2, 5, 17, 1000):
         for workers in (1, 2, 3, 8, 64):
-            plan = mixer.shard_plan(jobs, workers)
+            plan = mixer.shard_plan(list(range(jobs)), workers)  # one group per job
             assert len(plan) == max(1, min(workers, jobs))
             assert sorted(p for shard in plan for p in shard) == list(range(jobs))
             sizes = [len(shard) for shard in plan]
@@ -72,9 +76,24 @@ def test_shard_plan_with_64_cpus_and_fewer_jobs(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     assert mixer.worker_count() == 64
-    plan = mixer.shard_plan(10, mixer.worker_count())
+    plan = mixer.shard_plan(list(range(10)), mixer.worker_count())
     assert [list(shard) for shard in plan] == [[i] for i in range(10)]
-    assert mixer.shard_plan(0, mixer.worker_count()) == [range(0)]
+    assert [list(shard) for shard in mixer.shard_plan([], mixer.worker_count())] == [[]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=40), st.integers(1, 4))
+def test_shard_plan_keeps_each_group_on_one_shard(groups, workers):
+    plan = mixer.shard_plan(groups, workers)
+    assert sorted(p for shard in plan for p in shard) == list(range(len(groups)))
+    assert all(list(shard) == sorted(shard) for shard in plan)
+    assert 1 <= len(plan) <= max(1, len(groups))
+    assert len(plan) <= workers
+    shards_of: dict[int, set] = {}
+    for i, shard in enumerate(plan):
+        for p in shard:
+            shards_of.setdefault(groups[p], set()).add(i)
+    assert all(len(shards) == 1 for shards in shards_of.values())
 
 
 def test_one_worker_where_fork_or_affinity_is_missing(monkeypatch):
@@ -133,6 +152,32 @@ def test_synthetic_bundle_hash_at_any_worker_count(monkeypatch, tmp_path, worker
     assert _no_child_left()
 
 
+def test_examples_that_tie_up_to_target_or_source_merge_as_in_one_process(monkeypatch, tmp_path, registry):
+    # most tuples share one document, so their examples tie on signal type,
+    # document and template, and only target or source orders them
+    tuples = [t for t in synthetic_tuples(60) if t.signal_type == "daily_mail_summary"]
+    tuples = [dataclasses.replace(t, source_doc="daily_mail/one") if i % 6 else t for i, t in enumerate(tuples)]
+    spec = MixSpec(entries=(MixEntry("daily_mail_summary", "multiple_choice", stage=1),
+                            MixEntry("daily_mail_summary", "generation", stage=2)),
+                   split_ratio=0.25, global_seed=5, name="tie")
+
+    def run(workers: int):
+        _workers(monkeypatch, workers)
+        result = mixer.mix(tuples, spec, registry)
+        assert not result.errors
+        streams = {f"tie.stage{stage}.{split}": records for (stage, split), records in result.examples.items()}
+        out = tmp_path / f"bundle{workers}"
+        return result.examples, write_bundle(out, streams), (out / "stats.tsv").read_bytes()
+
+    reference = run(1)
+    examples = [json.loads(line) for _, line in reference[0][(2, "train")]]
+    keys = [(ex["signal_type"], ex["source_doc"], ex["template_id"]) for ex in examples]
+    assert len(keys) - len(set(keys)) > 10
+    for workers in (2, 3):
+        assert run(workers) == reference
+    assert _no_child_left()
+
+
 # -- errors and failures in shards ------------------------------------------------
 
 
@@ -165,7 +210,7 @@ def test_earliest_error_of_an_entry_comes_from_a_later_shard(monkeypatch, regist
     reference = _two_entry_mix(registry, tuples)
     assert reference.errors == [f"1:daily_mail_summary:multiple_choice: bad {first.source_doc}"]
     for workers in (2, 3):
-        plan = mixer.shard_plan(24, workers)
+        plan = mixer.shard_plan([(t.signal_type, t.source_doc) for t in tuples] * 2, workers)
         shard_of = {p: i for i, shard in enumerate(plan) for p in shard}
         assert shard_of[17] > shard_of[18]
         _workers(monkeypatch, workers)
