@@ -15,7 +15,7 @@ Writes `BENCH_<workload>_<date>.json` at the repository root (`_2`, `_3`,
 side's median and quartiles per end-to-end metric (the quartile method of
 perfbench/baseline.py), the number of pairs the change won (ties count for
 neither side) and the Python version, and prints a summary. Per metric it
-reports two rules:
+reports three rules:
 
 - `within_bound`: the change's median is no worse than the parent's by more
   than the metric's relative `bound` in BENCHMARK.json (a bound of 0.25 lets
