@@ -37,7 +37,7 @@ from .report import ExtractionReport
 from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError, render_with_selected
 from .restructurer.templates import audit, load_registry
-from .signal_model import SchemaError, dump_tuples, load_mixspec, load_tuples
+from .signal_model import SchemaError, dump_tuples, load_mixspec, load_tuples, read_json
 
 SEED_ENV = "SIGNALMINE_SEED"
 
@@ -86,12 +86,9 @@ def main(ctx: click.Context, config_path: str | None) -> None:
     if not config_path:
         return
     try:
-        with open(config_path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, ValueError) as exc:
+        config = read_json(config_path)
+    except (OSError, SchemaError) as exc:
         raise click.UsageError(f"bad config file: {exc}") from exc
-    if not isinstance(config, dict):
-        raise click.UsageError("bad config file: not a JSON object")
     if "seed" in config:
         if isinstance(config["seed"], (bool, float)):  # click's INT would truncate them
             raise click.UsageError(f"bad config file: seed {json.dumps(config['seed'])} is not an integer")
@@ -117,7 +114,10 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
             raise click.UsageError("--db is required for the paperswithcode mine")
         options["entity_db"] = EntityDb(read_jsonl(db_path))
     if blocklist_path:
-        lines = Path(blocklist_path).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(blocklist_path).read_bytes().decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{blocklist_path}: not UTF-8 text: {exc}") from exc
         options["property_blocklist"] = tuple(l.strip() for l in lines if l.strip())
     report = ExtractionReport()
     tuples = extract_documents(mine, read_jsonl(in_path), seed=seed, report=report, options=options)
@@ -139,7 +139,7 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
 def restructure(tuples_path, templates_path, out_path, family, seed):
     """Render each tuple into one prompted source/target example."""
     registry = load_registry(templates_path)
-    tuples = load_tuples(Path(tuples_path).read_text(encoding="utf-8"))
+    tuples = load_tuples(Path(tuples_path).read_bytes(), tuples_path)
     pools = DistractorPools.build(tuples)
     lines = []
     for tup in tuples:
@@ -162,10 +162,10 @@ def restructure(tuples_path, templates_path, out_path, family, seed):
 def _load_spec(spec_arg: str):
     path = Path(spec_arg)
     if path.exists():
-        return load_mixspec(path.read_text(encoding="utf-8"))
+        return load_mixspec(path)
     preset = resources.files("signalmine").joinpath("presets", f"{spec_arg}.json")
     if preset.is_file():
-        return load_mixspec(preset.read_text("utf-8"))
+        return load_mixspec(preset)
     raise click.UsageError(f"unknown mix spec: {spec_arg}")
 
 
@@ -184,7 +184,7 @@ def mix_command(spec_arg, tuples_paths, out_path, seed):
     spec = dataclasses.replace(spec, global_seed=seed)
     tuples = []
     for p in tuples_paths:
-        tuples.extend(load_tuples(Path(p).read_text(encoding="utf-8")))
+        tuples.extend(load_tuples(Path(p).read_bytes(), p))
     registry = load_registry()
     result = mix(tuples, spec, registry)
     streams = {
@@ -284,13 +284,8 @@ def evaluate(dataset, data_path, prompts_path, scorer_arg, out_path, seed):
     """Score a dataset with its 5-prompt set by its family's metric; reports avg/max/std."""
     scorer = _make_scorer(scorer_arg)
     try:
-        prompts = None
-        if prompts_path:
-            with open(prompts_path, encoding="utf-8") as fh:
-                try:
-                    prompts = json.load(fh)
-                except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-                    raise SchemaError(f"{prompts_path}: not a JSON document: {exc}") from exc
+        # any JSON value: eval_dataset checks the prompt list's shape
+        prompts = read_json(prompts_path, object_only=False) if prompts_path else None
         records = list(read_jsonl(data_path))
         report = eval_dataset(dataset, records, scorer, seed=seed, prompts=prompts)
         body = json.dumps(report.to_record(), indent=2, sort_keys=True)

@@ -19,7 +19,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
-from .signal_model import CATALOG, PromptedExample, SchemaError, example_from_record, example_to_record
+from .signal_model import (CATALOG, PromptedExample, SchemaError, example_from_record, example_to_record,
+                           json_lines, read_json)
 
 DIGEST_ALGORITHM = "sha256"
 MANIFEST_NAME = "manifest.json"
@@ -87,7 +88,9 @@ def write_bundle(
     files: dict[str, dict] = {}
     parent = path.parent
     parent.mkdir(parents=True, exist_ok=True)
-    tmpdir = tempfile.mkdtemp(prefix=f".{path.name}.tmp", dir=parent)
+    # not mkdtemp: its directories are mode 0700, and a bundle keeps the umask's mode
+    tmpdir = str(parent / f".{path.name}.tmp{os.urandom(4).hex()}")
+    os.mkdir(tmpdir)
     try:
         for name in sorted([*streams, STATS_NAME]):
             digest.update(name.encode() + b"\x00")
@@ -189,8 +192,7 @@ def write_files_atomic(files: Mapping[str | os.PathLike, str]) -> None:
 
 
 def read_manifest(path: str | os.PathLike) -> dict:
-    with open(Path(path) / MANIFEST_NAME, encoding="utf-8") as fh:
-        return json.load(fh)
+    return read_json(Path(path) / MANIFEST_NAME)
 
 
 _VERIFY_CHUNK = 1 << 18
@@ -247,16 +249,9 @@ def verify_bundle(path: str | os.PathLike) -> dict:
 
 
 def read_examples(path: str | os.PathLike, name: str) -> list[PromptedExample]:
-    out = []
-    with open(Path(path) / name, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(example_from_record(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{name}:{i}: not a JSON record") from exc
-    return out
+    file = Path(path) / name
+    with open(file, "rb") as fh:
+        return [example_from_record(rec) for rec in json_lines(fh, str(file))]
 
 
 def stats_report(path: str | os.PathLike) -> str:

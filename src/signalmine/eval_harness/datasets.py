@@ -143,8 +143,14 @@ def eval_dataset(
         if not (isinstance(prompt, dict) and isinstance(prompt.get("source"), str)
                 and isinstance(prompt.get("target"), str)):
             raise SchemaError(f"prompt set '{dataset}': prompt {i} needs a string 'source' and 'target'")
-        if not isinstance(prompt.get("answer", {}), dict):
+        rule = prompt.get("answer", {})
+        if not isinstance(rule, dict):
             raise SchemaError(f"prompt set '{dataset}': prompt {i} has an 'answer' rule that is not an object")
+        cases = rule.get("cases", [])
+        if not (isinstance(cases, list) and all(isinstance(case, dict) and isinstance(case.get("value"), str)
+                                                and isinstance(case.get("literal"), str) for case in cases)):
+            raise SchemaError(f"prompt set '{dataset}': prompt {i} has an answer case without "
+                              "a string 'value' and 'literal'")
     cap = GENERATION_SAMPLE_CAP if metric in ("rouge1", "micro_f1") else CLASSIFICATION_SAMPLE_CAP
     records = subsample(list(records), cap, seed)
     if not records:

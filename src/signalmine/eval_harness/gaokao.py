@@ -9,11 +9,10 @@ argument.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..signal_model import SchemaError
+from ..signal_model import SchemaError, read_json
 
 
 @dataclass(frozen=True)
@@ -69,13 +68,7 @@ class GaokaoPaper:
 
 def _load_object(path: str, by_section: str) -> dict:
     """The JSON object in `path`, whose `by_section` entry maps sections to lists."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise SchemaError(str(exc)) from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: not a JSON object")
+    doc = read_json(path)
     lists = doc.get(by_section, {})
     if not isinstance(lists, dict) or not all(isinstance(v, list) for v in lists.values()):
         raise SchemaError(f"{path}: '{by_section}' is not an object of lists by section")

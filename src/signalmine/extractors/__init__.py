@@ -10,13 +10,12 @@ so per-document work is order-independent.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
 from ..normalizer import Detector, DetectorError, is_english, trigram_detector
 from ..report import ExtractionReport
-from ..signal_model import SchemaError, SignalTuple, validate_tuple
+from ..signal_model import SchemaError, SignalTuple, json_lines, validate_tuple
 
 from . import arxiv, daily_mail, plain_text, pwc, qa, rotten_tomatoes, wikidata, wikihow, wikipedia, wordnet
 
@@ -105,12 +104,5 @@ def extract_documents(
 
 
 def read_jsonl(path: str) -> Iterator[dict]:
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{i}: not a JSON record") from exc
+    with open(path, "rb") as fh:
+        yield from json_lines(fh, path)

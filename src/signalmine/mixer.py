@@ -53,13 +53,11 @@ def _category_of(tup: SignalTuple, key: str) -> str:
 def apply_caps(
     tuples_by_signal: Mapping[str, Sequence[SignalTuple]],
     spec: MixSpec,
-    seed: int | None = None,
     eligible=None,
 ) -> tuple[dict[int, list[SignalTuple]], list[str]]:
     """Per-entry pools after per-category caps, composition constraints, and
     the global cap. Shortfalls warn, they never fail. `eligible(entry, tuple)`
     optionally restricts an entry's population (e.g. to renderable tuples)."""
-    seed = spec.global_seed if seed is None else seed
     out: dict[int, list[SignalTuple]] = {}
     warnings: list[str] = []
     covered = {e.signal_type for e in spec.entries}
@@ -74,7 +72,7 @@ def apply_caps(
         pool = list(tuples_by_signal.get(entry.signal_type, ()))
         if eligible is not None:
             pool = [t for t in pool if eligible(entry, t)]
-        rng = derive_rng(seed, "cap", spec.name, eid)
+        rng = derive_rng(spec.global_seed, "cap", spec.name, eid)
 
         if entry.composition:
             key = entry.composition_key or "category"
@@ -304,7 +302,6 @@ def mix(
     tuples: Iterable[SignalTuple],
     spec: MixSpec,
     registry: PromptRegistry,
-    pools: DistractorPools | None = None,
 ) -> MixResult:
     """Render capped, staged, split example streams for every spec entry."""
     for index, entry in enumerate(spec.entries):
@@ -314,8 +311,7 @@ def mix(
     by_signal: dict[str, list[SignalTuple]] = {}
     for tup in all_tuples:
         by_signal.setdefault(tup.signal_type, []).append(tup)
-    if pools is None:
-        pools = DistractorPools.build(all_tuples)
+    pools = DistractorPools.build(all_tuples)
 
     def renderable(entry: MixEntry, tup: SignalTuple) -> bool:
         if entry.family == "cloze":

@@ -23,11 +23,6 @@ class ExtractionReport:
     def skip_doc(self, mine: str, rule: str) -> None:
         self.skipped_docs[(mine, rule)] += 1
 
-    def considered(self, signal_type: str) -> int:
-        return self.accepted[signal_type] + sum(
-            n for (sig, _rule), n in self.rejected.items() if sig == signal_type
-        )
-
     def to_json(self) -> str:
         return json.dumps(
             {

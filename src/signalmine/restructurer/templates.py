@@ -16,9 +16,10 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from pathlib import Path
 from typing import Mapping
 
-from ..signal_model import CATALOG, LIST_SEP, NO_ENTITIES, SchemaError, SignalTuple
+from ..signal_model import CATALOG, LIST_SEP, NO_ENTITIES, SchemaError, SignalTuple, json_lines, read_json
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z0-9_]+)\}")
 OPTION_SLOT_RE = re.compile(r"^(.*)_(with|without)_or$")
@@ -110,7 +111,7 @@ def answer_value(rule: Mapping, values: Mapping[str, str]) -> str:
         if value is None:
             raise RenderError(f"answer rule needs field '{rule['field']}'")
         for case in rule["cases"]:
-            if case["negate"]:
+            if case.get("negate"):
                 if value != case["literal"]:
                     return case["value"]
             elif value == case["literal"]:
@@ -261,8 +262,8 @@ class PromptRegistry:
         return out
 
 
-def _data_text(name: str) -> str:
-    return resources.files("signalmine.restructurer").joinpath("data", name).read_text("utf-8")
+def _data_file(name: str):
+    return resources.files("signalmine.restructurer").joinpath("data", name)
 
 
 def validate_template(tpl: PromptTemplate) -> None:
@@ -291,35 +292,24 @@ def validate_template(tpl: PromptTemplate) -> None:
 
 
 def load_registry(path: str | None = None) -> PromptRegistry:
-    if path is None:
-        text = _data_text("templates.jsonl")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    templates = []
-    for i, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"template catalog line {i}: not JSON") from exc
-        tpl = template_from_record(rec)
+    file = _data_file("templates.jsonl") if path is None else Path(path)
+    with file.open("rb") as fh:
+        templates = [template_from_record(rec) for rec in json_lines(fh, str(file))]
+    for tpl in templates:
         validate_template(tpl)
-        templates.append(tpl)
     return PromptRegistry(templates)
 
 
 def load_manifest() -> dict:
-    return json.loads(_data_text("registry_manifest.json"))
+    return read_json(_data_file("registry_manifest.json"))
 
 
 def load_gaokao_prompts() -> dict:
-    return json.loads(_data_text("gaokao_prompts.json"))
+    return read_json(_data_file("gaokao_prompts.json"))
 
 
 def load_eval_prompts() -> dict:
-    return json.loads(_data_text("eval_prompts.json"))
+    return read_json(_data_file("eval_prompts.json"))
 
 
 def audit(registry: PromptRegistry) -> dict:

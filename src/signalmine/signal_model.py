@@ -9,8 +9,10 @@ catalog is read-only after import.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping
 
 FORMAT_VERSION = "1"
 
@@ -27,6 +29,38 @@ NO_ENTITIES = "None"
 
 class SchemaError(ValueError):
     """Structural problem: unknown signal type, malformed record, bad spec."""
+
+
+def json_lines(lines: Iterable[str | bytes], name: str) -> Iterator[dict]:
+    """The JSON object on each non-blank line of `lines`, text or UTF-8
+    bytes. A line that is not UTF-8, not JSON or not an object is one
+    `SchemaError` naming `name` and the 1-based line."""
+    for i, line in enumerate(lines, 1):
+        try:
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            raise SchemaError(f"{name}:{i}: not a JSON record: {exc}") from exc
+        if type(rec) is not dict:
+            raise SchemaError(f"{name}:{i}: not a JSON record: expected a JSON object")
+        yield rec
+
+
+def read_json(file, object_only: bool = True):
+    """The JSON document in `file`, a path or a package resource. Bytes that
+    are not UTF-8, text that is not JSON, or (if `object_only`) a document
+    that is not an object are one `SchemaError` naming the file."""
+    data = (Path(file) if isinstance(file, (str, os.PathLike)) else file).read_bytes()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise SchemaError(f"{file}: not a JSON document: {exc}") from exc
+    if object_only and type(doc) is not dict:
+        raise SchemaError(f"{file}: not a JSON document: expected a JSON object")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -152,14 +186,20 @@ def tuple_from_record(rec: Mapping) -> SignalTuple:
         source_doc = rec["source_doc"]
     except KeyError as exc:
         raise SchemaError(f"tuple record missing key: {exc}") from exc
-    st = CATALOG.get(signal_type)
+    meta = rec.get("meta", {})
+    st = CATALOG.get(signal_type) if type(signal_type) is str else None
     if st is None:
         raise SchemaError(f"unknown signal type: {signal_type}")
+    if type(named) is not dict or type(meta) is not dict:
+        raise SchemaError("tuple record 'fields' and 'meta' must be objects")
     try:
         fields = tuple(named[name] for name in st.field_names)
+        "".join((source_doc, *fields, *meta.values()))  # TypeError unless all are strings
     except KeyError as exc:
         raise SchemaError(f"tuple record missing field: {exc}") from exc
-    return SignalTuple(signal_type, fields, source_doc, dict(rec.get("meta", {})))
+    except TypeError as exc:
+        raise SchemaError("tuple record 'source_doc', fields and meta values must be strings") from exc
+    return SignalTuple(signal_type, fields, source_doc, dict(meta))
 
 
 def dump_tuples(tuples: Iterable[SignalTuple]) -> str:
@@ -167,17 +207,11 @@ def dump_tuples(tuples: Iterable[SignalTuple]) -> str:
     return "".join(json.dumps(tuple_to_record(t), ensure_ascii=False) + "\n" for t in tuples)
 
 
-def load_tuples(text: str) -> list[SignalTuple]:
-    out = []
-    for i, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"line {i}: not a JSON record") from exc
-        out.append(tuple_from_record(rec))
-    return out
+def load_tuples(text: str | bytes, name: str = "<tuples>") -> list[SignalTuple]:
+    """The tuples in `text`, a tuple file's text or UTF-8 bytes; `name`
+    names it in errors."""
+    lines = text.split(b"\n" if isinstance(text, bytes) else "\n")
+    return [tuple_from_record(rec) for rec in json_lines(lines, name)]
 
 
 @dataclass(frozen=True)
@@ -287,10 +321,8 @@ class MixSpec:
 
 
 def mixspec_from_record(rec: Mapping) -> MixSpec:
-    entries = []
-    for e in rec.get("entries", []):
-        comp = e.get("composition")
-        entries.append(
+    try:
+        entries = tuple(
             MixEntry(
                 signal_type=e["signal_type"],
                 family=e["family"],
@@ -299,21 +331,25 @@ def mixspec_from_record(rec: Mapping) -> MixSpec:
                 per_category_cap=e.get("per_category_cap"),
                 stage=int(e.get("stage", 1)),
                 template_group=e.get("template_group"),
-                composition=dict(comp) if comp else None,
+                composition=dict(e["composition"]) if e.get("composition") else None,
                 composition_key=e.get("composition_key"),
             )
+            for e in rec.get("entries", [])
         )
-    return MixSpec(
-        entries=tuple(entries),
-        split_ratio=float(rec.get("split_ratio", 0.0)),
-        global_seed=int(rec.get("global_seed", 0)),
-        name=rec.get("name", "mix"),
-    )
+        return MixSpec(
+            entries=entries,
+            split_ratio=float(rec.get("split_ratio", 0.0)),
+            global_seed=int(rec.get("global_seed", 0)),
+            name=rec.get("name", "mix"),
+        )
+    except SchemaError:
+        raise
+    except KeyError as exc:
+        raise SchemaError(f"mix spec entry missing key: {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:  # a value of the wrong type
+        raise SchemaError(f"mix spec: {exc}") from exc
 
 
-def load_mixspec(text: str) -> MixSpec:
-    try:
-        rec = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("mix spec is not valid JSON") from exc
-    return mixspec_from_record(rec)
+def load_mixspec(file) -> MixSpec:
+    """The mix spec in `file`, a path or a package resource."""
+    return mixspec_from_record(read_json(file))

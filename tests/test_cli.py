@@ -481,16 +481,64 @@ def test_evaluate_prompt_whose_answer_rule_is_not_an_object_is_one_schema_error_
     assert result.output.count("\n") == 1
 
 
-@pytest.mark.parametrize("content", [b"{bad", b"\xff\xfe not UTF-8"])
-def test_evaluate_prompts_file_that_is_not_json_is_one_schema_error_line(runner, tmp_path, content):
-    path = tmp_path / "prompts.json"
-    path.write_bytes(content)
-    result = runner.invoke(main, [
-        "evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
-        "--prompts", str(path),
-    ])
-    assert result.exit_code == 1
-    assert result.output.startswith(f"schema-error: {path}: not a JSON document")
+_FAULTS = {"not-utf8": b"\xff\xfe not UTF-8", "not-json": b"{bad", "not-an-object": b"[1]"}
+_LINE_FILE_OPTIONS = ["extract --in", "extract --db", "restructure --tuples", "restructure --templates",
+                      "mix --tuples", "evaluate --data"]
+_DOCUMENT_OPTIONS = ["mix --spec", "evaluate --prompts", "grade --paper", "grade --answers", "validate", "stats"]
+
+
+def _file_option_run(runner, tmp_path, option):
+    """The arguments that run `option` on a file, and that file."""
+    if option in ("validate", "stats"):
+        rt = run_extract(runner, tmp_path, "rotten_tomatoes")
+        bundle = tmp_path / "b"
+        result = runner.invoke(main, ["mix", "--spec", str(_write_spec(tmp_path)), "--tuples", str(rt),
+                                      "--out", str(bundle)])
+        assert result.exit_code == 0, result.output
+        return [option, "--bundle", str(bundle)], bundle / "manifest.json"
+    path = tmp_path / "input"
+    bad, out = str(path), str(tmp_path / "out")
+    mines, gaokao = FIXTURES / "mines", FIXTURES / "gaokao"
+    tuples = str(mines / "rotten_tomatoes.jsonl") if option != "restructure --templates" else str(
+        run_extract(runner, tmp_path, "rotten_tomatoes"))
+    return {
+        "extract --in": ["extract", "--mine", "rotten_tomatoes", "--in", bad, "--out", out],
+        "extract --db": ["extract", "--mine", "paperswithcode", "--in", str(mines / "paperswithcode.jsonl"),
+                         "--db", bad, "--out", out],
+        "extract --blocklist": ["extract", "--mine", "wikidata", "--in", str(mines / "wikidata.jsonl"),
+                                "--blocklist", bad, "--out", out],
+        "restructure --tuples": ["restructure", "--tuples", bad, "--out", out],
+        "restructure --templates": ["restructure", "--tuples", tuples, "--templates", bad, "--out", out],
+        "mix --spec": ["mix", "--spec", bad, "--tuples", tuples, "--out", out],
+        "mix --tuples": ["mix", "--spec", "all_tasks", "--tuples", bad, "--out", out],
+        "evaluate --data": ["evaluate", "--dataset", "rte", "--data", bad],
+        "evaluate --prompts": ["evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
+                               "--prompts", bad],
+        "grade --paper": ["grade", "--paper", bad, "--answers", str(gaokao / "answers_2019_np2_rst.json")],
+        "grade --answers": ["grade", "--paper", str(gaokao / "paper_2019_np2.json"), "--answers", bad],
+    }[option], path
+
+
+@pytest.mark.parametrize("option,fault", [
+    *[(option, fault) for option in _LINE_FILE_OPTIONS + _DOCUMENT_OPTIONS for fault in _FAULTS
+      # a prompt list is an array; its shape is checked, and named, by prompt set
+      if (option, fault) != ("evaluate --prompts", "not-an-object")],
+    ("extract --blocklist", "not-utf8"),
+], ids=lambda value: value.replace(" ", ""))
+def test_bad_input_file_is_one_schema_error_line(runner, tmp_path, option, fault):
+    """Every file-reading option against bytes that are not UTF-8, text that
+    is not JSON and JSON that is not an object; a line file's fault is on
+    its line 2."""
+    args, path = _file_option_run(runner, tmp_path, option)
+    path.write_bytes(b"\n" + _FAULTS[fault])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    if option in _LINE_FILE_OPTIONS:
+        assert result.output.startswith(f"schema-error: {path}:2: not a JSON record: ")
+    elif option == "extract --blocklist":
+        assert result.output.startswith(f"schema-error: {path}: not UTF-8 text: ")
+    else:
+        assert result.output.startswith(f"schema-error: {path}: not a JSON document: ")
     assert result.output.count("\n") == 1
 
 
@@ -514,7 +562,13 @@ def test_evaluate_with_the_bundled_family_prompts_reproduces_the_default_report(
     ([1, 2, 3, 4, 5], "prompt set 'rte': prompt 1 needs a string 'source' and 'target'"),
     ([{"source": "x"}] * 5, "prompt set 'rte': prompt 1 needs a string 'source' and 'target'"),
     ({"sets": {}, "datasets": {}}, "prompt set 'rte' must be a list of 5 prompts"),
-], ids=["not-objects", "no-target", "prompt-document"])
+    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
+       "answer": {"kind": "cond", "field": "label", "cases": [5]}}] * 5,
+     "prompt set 'rte': prompt 1 has an answer case without a string 'value' and 'literal'"),
+    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
+       "answer": {"kind": "cond", "field": "label", "cases": [{"negate": False}]}}] * 5,
+     "prompt set 'rte': prompt 1 has an answer case without a string 'value' and 'literal'"),
+], ids=["not-objects", "no-target", "prompt-document", "case-not-object", "case-without-value"])
 def test_evaluate_wrongly_shaped_prompts_file_is_one_schema_error_line(runner, tmp_path, prompts, message):
     path = tmp_path / "prompts.json"
     path.write_text(json.dumps(prompts))
@@ -692,3 +746,31 @@ def test_mix_entry_nothing_can_render_is_config_error(runner, tmp_path, entry, m
     bad.write_text(json.dumps(spec))
     result = runner.invoke(main, ["mix", "--spec", str(bad), "--tuples", str(rt), "--out", str(bundle)])
     assert result.exit_code == 0, result.output
+
+
+_RT_TUPLE = {"v": "1", "signal_type": "rotten_tomatoes_sentiment", "source_doc": "rotten_tomatoes/a",
+             "fields": {"review": "A fine film.", "sentiment": "positive"}}
+
+
+@pytest.mark.parametrize("spec,tuple_record,message", [
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment"}]}, _RT_TUPLE,
+     "mix spec entry missing key: 'family'"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "stage": "x"}]},
+     _RT_TUPLE, "mix spec: invalid literal for int() with base 10: 'x'"),
+    (None, {**_RT_TUPLE, "fields": ["A fine film.", "positive"]},
+     "tuple record 'fields' and 'meta' must be objects"),
+    (None, {**_RT_TUPLE, "meta": "x"}, "tuple record 'fields' and 'meta' must be objects"),
+    (None, {**_RT_TUPLE, "fields": {"review": 5, "sentiment": "positive"}},
+     "tuple record 'source_doc', fields and meta values must be strings"),
+], ids=["entry-without-family", "stage-not-a-number", "fields-not-object", "meta-not-object",
+        "field-not-a-string"])
+def test_mix_malformed_spec_entry_or_tuple_record_is_one_schema_error_line(runner, tmp_path, spec,
+                                                                         tuple_record, message):
+    spec_path, tuples = tmp_path / "spec.json", tmp_path / "rt.tuples"
+    spec_path.write_text(json.dumps(spec or {"entries": [{"signal_type": "rotten_tomatoes_sentiment",
+                                                          "family": "generation"}]}))
+    tuples.write_text(json.dumps(tuple_record) + "\n")
+    result = runner.invoke(main, ["mix", "--spec", str(spec_path), "--tuples", str(tuples),
+                                  "--out", str(tmp_path / "b")])
+    assert result.exit_code == 1
+    assert result.output == f"schema-error: {message}\n"

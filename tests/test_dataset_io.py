@@ -53,6 +53,15 @@ def test_round_trip_byte_exact(tmp_path):
     assert back == streams()["t.stage1.train"]
 
 
+def test_bundle_directory_keeps_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_bundle(tmp_path / "b", records(streams()))
+    finally:
+        os.umask(old)
+    assert (tmp_path / "b").stat().st_mode & 0o777 == 0o755
+
+
 def test_same_inputs_same_hash(tmp_path):
     h1 = write_bundle(tmp_path / "b1", records(streams()))
     h2 = write_bundle(tmp_path / "b2", records(streams()))

@@ -556,14 +556,6 @@ def test_extraction_determinism():
     assert c != d  # seeded context-paragraph sampling differs
 
 
-def test_report_conservation(all_fixture_tuples):
-    _, report = extract_fixture("daily_mail")
-    for signal in ("daily_mail_category", "daily_mail_summary", "daily_mail_temporal"):
-        assert report.considered(signal) == report.accepted[signal] + sum(
-            n for (sig, _), n in report.rejected.items() if sig == signal
-        )
-
-
 def test_accepted_counts_only_tuples_that_pass_validation(monkeypatch):
     from signalmine import extractors
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -90,9 +91,9 @@ def test_composition_counts():
 def test_caps_are_seeded_and_stable():
     tuples = {"daily_mail_category": category_tuples({"Sport": 100})}
     spec = one_entry_spec(cap=10)
-    a, _ = apply_caps(tuples, spec, seed=5)
-    b, _ = apply_caps(tuples, spec, seed=5)
-    c, _ = apply_caps(tuples, spec, seed=6)
+    a, _ = apply_caps(tuples, dataclasses.replace(spec, global_seed=5))
+    b, _ = apply_caps(tuples, dataclasses.replace(spec, global_seed=5))
+    c, _ = apply_caps(tuples, dataclasses.replace(spec, global_seed=6))
     assert a == b
     assert a != c
 
