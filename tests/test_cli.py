@@ -489,18 +489,17 @@ _DOCUMENT_OPTIONS = ["mix --spec", "evaluate --prompts", "grade --paper", "grade
 
 def _file_option_run(runner, tmp_path, option):
     """The arguments that run `option` on a file, and that file."""
+    needs_tuples = option in ("restructure --templates", "mix --spec", "validate", "stats")
+    tuples = str(run_extract(runner, tmp_path, "rotten_tomatoes")) if needs_tuples else None
     if option in ("validate", "stats"):
-        rt = run_extract(runner, tmp_path, "rotten_tomatoes")
         bundle = tmp_path / "b"
-        result = runner.invoke(main, ["mix", "--spec", str(_write_spec(tmp_path)), "--tuples", str(rt),
+        result = runner.invoke(main, ["mix", "--spec", str(_write_spec(tmp_path)), "--tuples", tuples,
                                       "--out", str(bundle)])
         assert result.exit_code == 0, result.output
         return [option, "--bundle", str(bundle)], bundle / "manifest.json"
     path = tmp_path / "input"
     bad, out = str(path), str(tmp_path / "out")
     mines, gaokao = FIXTURES / "mines", FIXTURES / "gaokao"
-    tuples = str(mines / "rotten_tomatoes.jsonl") if option != "restructure --templates" else str(
-        run_extract(runner, tmp_path, "rotten_tomatoes"))
     return {
         "extract --in": ["extract", "--mine", "rotten_tomatoes", "--in", bad, "--out", out],
         "extract --db": ["extract", "--mine", "paperswithcode", "--in", str(mines / "paperswithcode.jsonl"),

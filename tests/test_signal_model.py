@@ -78,6 +78,13 @@ def test_serialization_round_trip(review, label, meta_val):
     assert dump_tuples(rehydrated) == dump_tuples([tup])
 
 
+def test_round_trip_keeps_line_separators_inside_a_field():
+    """Records end at "\\n" only; dump_tuples writes U+2028 and U+0085 raw."""
+    tup = SignalTuple("rotten_tomatoes_sentiment", ("a\u2028b\x85c", "positive"), "rotten_tomatoes/d1")
+    assert load_tuples(dump_tuples([tup])) == [tup]
+    assert load_tuples(dump_tuples([tup]).encode()) == [tup]
+
+
 def test_mixspec_invariants():
     with pytest.raises(SchemaError):
         MixSpec(entries=())
