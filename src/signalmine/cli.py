@@ -109,9 +109,12 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path):
     """Convert one mine's raw dump into validated signal tuples."""
     options: dict = {}
-    if mine == "paperswithcode":
-        if not db_path:
-            raise click.UsageError("--db is required for the paperswithcode mine")
+    if mine == "paperswithcode" and not db_path:
+        raise click.UsageError("--db is required for the paperswithcode mine")
+    for flag, value, owner in (("--db", db_path, "paperswithcode"), ("--blocklist", blocklist_path, "wikidata")):
+        if value and mine != owner:
+            raise click.UsageError(f"{flag} is for the {owner} mine only, not {mine}")
+    if db_path:
         options["entity_db"] = EntityDb(read_jsonl(db_path))
     if blocklist_path:
         try:
@@ -256,7 +259,7 @@ def grade(paper_path, answers_path, essay_score, out_path):
             "sections": {s.name: {"score": s.score, "max": s.max_points} for s in sections},
             "total": total,
         }
-        Path(out_path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        write_files_atomic({out_path: json.dumps(report, indent=2, sort_keys=True) + "\n"})
 
 
 def _make_scorer(scorer_arg: str):
@@ -290,7 +293,7 @@ def evaluate(dataset, data_path, prompts_path, scorer_arg, out_path, seed):
         report = eval_dataset(dataset, records, scorer, seed=seed, prompts=prompts)
         body = json.dumps(report.to_record(), indent=2, sort_keys=True)
         if out_path:
-            Path(out_path).write_text(body + "\n", encoding="utf-8")
+            write_files_atomic({out_path: body + "\n"})
         click.echo(body)
     finally:
         if isinstance(scorer, ExternalCommandScorer):

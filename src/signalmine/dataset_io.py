@@ -226,6 +226,9 @@ def verify_bundle(path: str | os.PathLike) -> dict:
     no file is held whole in memory."""
     path = Path(path)
     manifest = read_manifest(path)
+    files = manifest.get("files", {})
+    if not (isinstance(files, dict) and all(isinstance(info, dict) for info in files.values())):
+        raise IntegrityError(f"{path / MANIFEST_NAME}: 'files' is not an object of objects")
     digest = hashlib.sha256()
     scanned: dict[str, tuple[int, bool]] = {}
     for name in sorted(os.listdir(path)):
@@ -237,7 +240,7 @@ def verify_bundle(path: str | os.PathLike) -> dict:
     actual_hash = digest.hexdigest()
     if actual_hash != manifest.get("bundle_hash"):
         raise IntegrityError(f"bundle hash mismatch: {actual_hash} != {manifest.get('bundle_hash')}")
-    for name, info in manifest.get("files", {}).items():
+    for name, info in files.items():
         if name not in scanned:
             raise IntegrityError(f"missing bundle file: {name}")
         lines, utf8 = scanned[name]
@@ -256,9 +259,7 @@ def read_examples(path: str | os.PathLike, name: str) -> list[PromptedExample]:
 
 def stats_report(path: str | os.PathLike) -> str:
     """Statistics rows recomputed from the bundle's actual files."""
-    path = Path(path)
-    verify_bundle(path)
-    manifest = read_manifest(path)
+    manifest = verify_bundle(path)
     per_signal: dict[str, int] = {}
     for name in manifest.get("files", {}):
         for ex in read_examples(path, name):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..restructurer.render import format_options
-from ..restructurer.templates import answer_value, load_eval_prompts, substitute
+from ..restructurer.templates import answer_value, check_answer_rule, load_eval_prompts, rule_options, substitute
 from ..rng import derive_rng
 from ..signal_model import SchemaError
 from .mc import score_mc
@@ -90,20 +90,12 @@ def summarize(dataset: str, metric: str, per_prompt: Sequence[float]) -> EvalRep
     )
 
 
-def _rule_options(rule: Mapping) -> list[str]:
-    out = []
-    for case in rule.get("cases", []):
-        if case["value"] not in out:
-            out.append(case["value"])
-    return out
-
-
 def _candidates_and_gold(
     prompt: Mapping, record: Mapping, view: Mapping[str, str], spaces: Mapping[str, list[str]]
 ) -> tuple[list[str], str]:
     rule = prompt.get("answer")
     if rule:
-        options = _rule_options(rule)
+        options = rule_options(rule)
         return options, answer_value(rule, view)
     target_name = prompt["target"].strip("{}")
     gold = view.get(target_name, "")
@@ -143,14 +135,16 @@ def eval_dataset(
         if not (isinstance(prompt, dict) and isinstance(prompt.get("source"), str)
                 and isinstance(prompt.get("target"), str)):
             raise SchemaError(f"prompt set '{dataset}': prompt {i} needs a string 'source' and 'target'")
-        rule = prompt.get("answer", {})
-        if not isinstance(rule, dict):
-            raise SchemaError(f"prompt set '{dataset}': prompt {i} has an 'answer' rule that is not an object")
-        cases = rule.get("cases", [])
-        if not (isinstance(cases, list) and all(isinstance(case, dict) and isinstance(case.get("value"), str)
-                                                and isinstance(case.get("literal"), str) for case in cases)):
-            raise SchemaError(f"prompt set '{dataset}': prompt {i} has an answer case without "
-                              "a string 'value' and 'literal'")
+        if "answer" in prompt:
+            check_answer_rule(prompt["answer"], f"prompt set '{dataset}': prompt {i}")
+    if metric == "micro_f1":
+        for i, rec in enumerate(records, 1):
+            entities = rec.get("entities", [])
+            if not (isinstance(rec.get("text"), str) and isinstance(entities, list) and all(
+                    isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, str) for v in pair)
+                    for pair in entities)):
+                raise SchemaError(f"dataset '{dataset}': record {i} needs a string 'text' and 'entities' "
+                                  "as a list of [surface, type] string pairs")
     cap = GENERATION_SAMPLE_CAP if metric in ("rouge1", "micro_f1") else CLASSIFICATION_SAMPLE_CAP
     records = subsample(list(records), cap, seed)
     if not records:
@@ -173,7 +167,7 @@ def eval_dataset(
             pairs = []
             for rec in records:
                 predicted = eval_two_step_ner(
-                    str(rec["text"]),
+                    rec["text"],
                     scorer,
                     type_labels,
                     prompt["source"],
@@ -192,16 +186,8 @@ def eval_dataset(
             if prompt.get("answer"):
                 continue
             name = prompt["target"].strip("{}")
-            if name in spaces:
-                continue
-            seen: set[str] = set()
-            space: list[str] = []
-            for view in views:
-                value = view.get(name, "")
-                if value and value not in seen:
-                    seen.add(value)
-                    space.append(value)
-            spaces[name] = space
+            if name not in spaces:
+                spaces[name] = list(dict.fromkeys(view[name] for view in views if view.get(name)))
 
     if metric == "rouge1":
         # the length hint is the dataset-level average summary length

@@ -12,12 +12,7 @@ from .scorers import ModelScorer, ScorerError, prefetch
 
 def parse_entity_list(text: str) -> list[str]:
     """Comma-separated entities, deduplicated preserving first occurrence."""
-    out: list[str] = []
-    for part in text.split(","):
-        ent = part.strip()
-        if ent and ent not in out:
-            out.append(ent)
-    return out
+    return list(dict.fromkeys(ent for part in text.split(",") if (ent := part.strip())))
 
 
 def eval_two_step_ner(

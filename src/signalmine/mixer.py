@@ -4,8 +4,10 @@ An entry's weight only switches it on or off: weight 0 renders nothing, and
 any positive weight renders the entry's whole capped pool. Weights are not
 sampling proportions; caps set each entry's size. Splits are assigned
 per tuple, never per example, so no tuple's renderings leak across train and
-validation. The final shuffle is one Fisher-Yates pass with the global seed
-over a canonical pre-order, which keeps bundles byte-identical across runs.
+validation. Each stream is shuffled by one Fisher-Yates pass with the global
+seed over job order: entry by entry, each entry's capped tuples in order. That
+order is fixed by the spec and the tuple files, so bundles are byte-identical
+across runs and across any number of render processes.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ import pickle
 import random
 import signal
 from dataclasses import dataclass, field
-from typing import BinaryIO, Hashable, Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 from .dataset_io import Record, encode_record
 from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError, render_with_selected, tuple_key
 from .restructurer.templates import PromptRegistry
 from .rng import derive_rng
-from .signal_model import MixEntry, MixSpec, PromptedExample, SignalTuple
+from .signal_model import MixEntry, MixSpec, SignalTuple
 
 
 @dataclass
@@ -130,12 +132,7 @@ def split_assignments(
     holds the `tuple_key` of each tuple, in order."""
     if tuple_keys is None:
         tuple_keys = [tuple_key(tup) for tup in tuples]
-    keys = []
-    seen: set[str] = set()
-    for key in tuple_keys:
-        if key not in seen:
-            seen.add(key)
-            keys.append(key)
+    keys = list(dict.fromkeys(tuple_keys))
     if spec.split_ratio <= 0:
         return {key: "train" for key in keys}
     keys.sort()
@@ -143,10 +140,6 @@ def split_assignments(
     rng.shuffle(keys)
     n_validation = int(len(keys) * spec.split_ratio)
     return {key: ("validation" if i < n_validation else "train") for i, key in enumerate(keys)}
-
-
-def _canonical_order(ex: PromptedExample) -> tuple:
-    return (ex.signal_type, ex.source_doc, ex.template_id, ex.target, ex.source)
 
 
 def worker_count() -> int:
@@ -157,53 +150,37 @@ def worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def shard_plan(groups: Sequence[Hashable], workers: int) -> list[list[int]]:
-    """The job positions of each shard, given the group of each job: one
-    shard per worker, but no more shards than groups, and at least one.
-    Whole groups are dealt round-robin in the order of their first jobs, so
+def shard_plan(jobs: int, workers: int) -> list[list[int]]:
+    """The job positions of each shard: one shard per worker, but no more
+    shards than jobs, and at least one. Positions are dealt round-robin, so
     each shard gets its share of every entry (entries differ in cost per
-    render, and equal runs of the job list do not), and the jobs of one
-    group all render in one shard."""
-    first_seen = dict.fromkeys(groups)
-    shards = max(1, min(workers, len(first_seen)))
-    shard_of = {group: i % shards for i, group in enumerate(first_seen)}
-    plan: list[list[int]] = [[] for _ in range(shards)]
-    for position, group in enumerate(groups):
-        plan[shard_of[group]].append(position)
-    return plan
+    render, and equal runs of the job list do not)."""
+    shards = max(1, min(workers, jobs))
+    return [list(range(shard, jobs, shards)) for shard in range(shards)]
 
 
-Job = tuple[int, MixEntry, SignalTuple]  # (entry index, entry, tuple)
-# per job, its example's rank in the shard's canonical order and its record
-# line (None where it rendered nothing); and per entry the position of its
-# first failing job and the error message
-ShardResult = tuple[list[tuple[int, bytes] | None], dict[int, tuple[int, str]]]
+Job = tuple[int, MixEntry, SignalTuple, str]  # (entry index, entry, tuple, tuple key)
+# per job, its record line (None where it rendered nothing); and per entry the
+# position of its first failing job and the error message
+ShardResult = tuple[list[bytes | None], dict[int, tuple[int, str]]]
 
 
-def _render_shard(jobs: Sequence[Job], registry, pools, seed: int, key_of, splits) -> ShardResult:
-    """Render `jobs` in order, then rank the examples by `_canonical_order`
-    and encode each one. An entry renders nothing more after its first
-    render or config error."""
-    examples: list[PromptedExample | None] = []
+def _render_shard(jobs: Sequence[Job], registry, pools, seed: int, splits) -> ShardResult:
+    """Render `jobs` in order and encode each example as it renders. An
+    entry renders nothing more after its first render or config error."""
+    lines: list[bytes | None] = []
     errors: dict[int, tuple[int, str]] = {}
-    for position, (index, entry, tup) in enumerate(jobs):
-        example = None
+    for position, (index, entry, tup, key) in enumerate(jobs):
+        line = None
         if index not in errors:
-            key = key_of[id(tup)]
             try:
-                example = render_with_selected(
+                line = encode_record(render_with_selected(
                     registry, tup, entry.family, pools, seed, entry.template_group, key, splits[key]
-                )
+                ))
             except (RenderError, ConfigError) as exc:
                 errors[index] = (position, f"{_entry_id(entry, index)}: {exc}")
-        examples.append(example)
-    order = sorted((i for i, ex in enumerate(examples) if ex is not None),
-                   key=lambda i: _canonical_order(examples[i]))
-    ranked: list[tuple[int, bytes] | None] = [None] * len(jobs)
-    for rank, i in enumerate(order):
-        ranked[i] = (rank, encode_record(examples[i]))
-        examples[i] = None  # its line replaces it: the shard holds one or the other
-    return ranked, errors
+        lines.append(line)
+    return lines, errors
 
 
 def _fork(work) -> tuple[int, BinaryIO]:
@@ -231,13 +208,12 @@ def _fork(work) -> tuple[int, BinaryIO]:
 
 def _render_sharded(
     jobs: list[Job], plan: list[list[int]], *context
-) -> tuple[list[tuple[int, bytes] | None], dict[int, str]]:
+) -> tuple[list[bytes | None], dict[int, str]]:
     """`_render_shard` over `jobs`, one shard of `plan` per process: the
     first shard renders here, each other one in a forked child that inherits
-    the pools and the split map. Returns each job's rank in its shard and
-    record line (None where it rendered nothing), and each failed entry's
-    earliest error, which is the one a single process rendering every job
-    would report.
+    the pools and the split map. Returns each job's record line (None where
+    it rendered nothing), and each failed entry's earliest error, which is
+    the one a single process rendering every job would report.
 
     A child that ends without a complete result raises `ChildProcessError`;
     any other exception in a child is raised here. However this function
@@ -272,17 +248,17 @@ def _render_sharded(
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
-    ranked: list[tuple[int, bytes] | None] = [None] * len(jobs)
+    lines: list[bytes | None] = [None] * len(jobs)
     first_errors: dict[int, tuple[int, str]] = {}
-    for shard, (shard_ranked, shard_errors) in zip(plan, results):
-        for position, item in zip(shard, shard_ranked):
-            ranked[position] = item
+    for shard, (shard_lines, shard_errors) in zip(plan, results):
+        for position, line in zip(shard, shard_lines):
+            lines[position] = line
         for index, (position, message) in shard_errors.items():
             position = shard[position]
             if index not in first_errors or position < first_errors[index][0]:
                 first_errors[index] = (position, message)
     errors = {index: message for index, (_, message) in first_errors.items()}
-    return ranked, errors
+    return lines, errors
 
 
 def _check_renderable(entry: MixEntry, index: int, registry: PromptRegistry) -> None:
@@ -328,18 +304,13 @@ def mix(
     # every one alive while this map is in use
     key_of = {id(tup): key for tup, key in zip(all_tuples, keys)}
 
-    jobs = [(index, entry, tup) for index, entry in enumerate(spec.entries) for tup in capped.get(index, [])]
-    groups = [(tup.signal_type, tup.source_doc) for _, _, tup in jobs]
-    ranked, errors = _render_sharded(jobs, shard_plan(groups, worker_count()),
-                                     registry, pools, seed, key_of, splits)
+    jobs = [(index, entry, tup, key_of[id(tup)])
+            for index, entry in enumerate(spec.entries) for tup in capped.get(index, [])]
+    lines, errors = _render_sharded(jobs, shard_plan(len(jobs), worker_count()), registry, pools, seed, splits)
     result.errors.extend(errors[index] for index in sorted(errors))
 
-    # Examples that tie on (signal type, source doc), the head of
-    # `_canonical_order`, rendered in one shard, whose rank orders them; so
-    # this is `_canonical_order` over the jobs, and each bucket keeps it.
-    order = sorted((i for i, (index, _, _) in enumerate(jobs) if index not in errors),
-                   key=lambda i: (*groups[i], ranked[i][0]))
-    merged = [(jobs[i][0], splits[key_of[id(jobs[i][2])]], (groups[i][0], ranked[i][1])) for i in order]
+    merged = [(index, splits[key], (tup.signal_type, line))
+              for (index, _, tup, key), line in zip(jobs, lines) if index not in errors]
     for stage, members in plan:
         members = set(members)
         buckets: dict[str, list[Record]] = {"train": [], "validation": []}

@@ -120,6 +120,37 @@ def answer_value(rule: Mapping, values: Mapping[str, str]) -> str:
     raise SchemaError(f"unknown answer rule kind: {kind}")
 
 
+# per answer rule kind, the keys whose values must be strings
+_RULE_STRINGS = {"const": ("value",), "presence": ("present", "absent"), "cond": ("field",)}
+
+
+def check_answer_rule(rule: object, owner: str) -> None:
+    """Raise `SchemaError`, naming `owner`, unless `answer_value` can read
+    `rule`: the keys its kind lists in `_RULE_STRINGS` hold strings, and so
+    does a presence rule's optional `field`; a `cond` rule has a list of
+    `cases`, each with string `literal` and `value` and an optional boolean
+    `negate`."""
+    if not isinstance(rule, dict) or rule.get("kind") not in _RULE_STRINGS:
+        raise SchemaError(f"{owner} has an answer rule that is not a const, presence or cond object")
+    kind = rule["kind"]
+    keys = _RULE_STRINGS[kind] + (("field",) if "field" in rule and kind == "presence" else ())
+    if not all(isinstance(rule.get(key), str) for key in keys):
+        raise SchemaError(f"{owner} has a '{kind}' answer rule without a string {' and '.join(map(repr, keys))}")
+    cases = rule.get("cases") if kind == "cond" else []
+    if not isinstance(cases, list):
+        raise SchemaError(f"{owner} has a 'cond' answer rule whose 'cases' is not a list")
+    for case in cases:
+        if not (isinstance(case, dict) and all(isinstance(case.get(key), str) for key in ("literal", "value"))):
+            raise SchemaError(f"{owner} has an answer case without a string 'value' and 'literal'")
+        if not isinstance(case.get("negate", False), bool):
+            raise SchemaError(f"{owner} has an answer case whose 'negate' is not true or false")
+
+
+def rule_options(rule: Mapping) -> list[str]:
+    """The distinct values of a `cond` rule's cases, in order."""
+    return list(dict.fromkeys(case["value"] for case in rule.get("cases", [])))
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     template_id: str
@@ -170,20 +201,23 @@ class PromptTemplate:
 
 
 def template_from_record(rec: Mapping) -> PromptTemplate:
-    try:
-        return PromptTemplate(
-            template_id=rec["id"],
-            signal_type=rec["signal_type"],
-            family=rec["family"],
-            group=rec.get("group", ""),
-            source_pattern=rec["source"],
-            target_pattern=rec["target"],
-            answer=rec.get("answer"),
-            requires=rec.get("requires"),
-            slots=rec.get("slots", {}),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"template record missing key: {exc}") from exc
+    keys = ("id", "signal_type", "family", "source", "target")
+    if not all(isinstance(rec.get(key), str) for key in keys) or not isinstance(rec.get("group", ""), str):
+        raise SchemaError("template record needs string 'id', 'signal_type', 'family', 'source' and "
+                          "'target', and a string 'group' if it has one")
+    if "answer" in rec:
+        check_answer_rule(rec["answer"], f"template {rec['id']}")
+    return PromptTemplate(
+        template_id=rec["id"],
+        signal_type=rec["signal_type"],
+        family=rec["family"],
+        group=rec.get("group", ""),
+        source_pattern=rec["source"],
+        target_pattern=rec["target"],
+        answer=rec.get("answer"),
+        requires=rec.get("requires"),
+        slots=rec.get("slots", {}),
+    )
 
 
 class _Eligibility:

@@ -115,6 +115,25 @@ def test_pwc_requires_db(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("mine,flag,owner", [
+    ("rotten_tomatoes", "--db", "paperswithcode"),
+    ("wikidata", "--db", "paperswithcode"),
+    ("rotten_tomatoes", "--blocklist", "wikidata"),
+    ("paperswithcode", "--blocklist", "wikidata"),
+])
+def test_flag_of_another_mine_is_usage_error(runner, tmp_path, mine, flag, owner):
+    out = tmp_path / "x.tuples"
+    args = ["extract", "--mine", mine, "--in", str(FIXTURES / "mines" / f"{mine}.jsonl"), "--out", str(out)]
+    if mine == "paperswithcode":
+        args += ["--db", str(FIXTURES / "mines" / "pwc_entity_db.jsonl")]
+    flag_file = tmp_path / "flag.txt"
+    flag_file.write_text("P31\n")
+    result = runner.invoke(main, [*args, flag, str(flag_file)])
+    assert result.exit_code == 2
+    assert f"{flag} is for the {owner} mine only, not {mine}" in result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["flag.txt"]
+
+
 def _write_spec(tmp_path):
     spec = {
         "name": "clismoke",
@@ -169,6 +188,24 @@ def test_validate_detects_corruption(runner, tmp_path):
     result = runner.invoke(main, ["validate", "--bundle", str(tmp_path / "b")])
     assert result.exit_code == 1
     assert result.output.startswith("integrity-error:") or "integrity-error:" in result.output
+
+
+@pytest.mark.parametrize("files", [5, ["clismoke.stage1.train"], {"clismoke.stage1.train": 5}],
+                         ids=["number", "list", "entry-not-object"])
+@pytest.mark.parametrize("command", ["validate", "stats"])
+def test_manifest_files_of_the_wrong_shape_is_one_integrity_error_line(runner, tmp_path, files, command):
+    rt = run_extract(runner, tmp_path, "rotten_tomatoes")
+    bundle = tmp_path / "b"
+    result = runner.invoke(main, ["mix", "--spec", str(_write_spec(tmp_path)), "--tuples", str(rt),
+                                  "--out", str(bundle), "--seed", "7"])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["files"] = files
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    result = runner.invoke(main, [command, "--bundle", str(bundle)])
+    assert result.exit_code == 1
+    assert result.output == (f"integrity-error: {bundle / 'manifest.json'}: "
+                             "'files' is not an object of objects\n")
 
 
 def test_restructure_command(runner, tmp_path):
@@ -409,6 +446,63 @@ def test_evaluate_ner_set_with_one_entity_type_is_one_schema_error_line(runner, 
     assert result.output.count("\n") == 1
 
 
+@pytest.mark.parametrize("change", [
+    {"entities": 5},
+    {"entities": [["Mozart"]]},
+    {"entities": [["Mozart", 5]]},
+    {"entities": ["Mozart"]},
+    {"text": 5},
+    {"text": None},
+], ids=["entities-number", "pair-of-one", "type-not-string", "pair-not-list", "text-number", "text-null"])
+def test_evaluate_malformed_ner_record_is_one_schema_error_line(runner, tmp_path, change):
+    records = [json.loads(line) for line in (FIXTURES / "eval" / "conll03.jsonl").read_text().splitlines()
+               if line.strip()]
+    records[2].update(change)
+    data = tmp_path / "bad.jsonl"
+    data.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    result = runner.invoke(main, ["evaluate", "--dataset", "conll03", "--data", str(data), "--seed", "5"])
+    assert result.exit_code == 1
+    assert result.output == ("schema-error: dataset 'conll03': record 3 needs a string 'text' and "
+                             "'entities' as a list of [surface, type] string pairs\n")
+
+
+def _report_command(command, out):
+    if command == "grade":
+        return ["grade", "--paper", str(FIXTURES / "gaokao" / "paper_2019_np2.json"),
+                "--answers", str(FIXTURES / "gaokao" / "answers_2019_np2_rst.json"), "--out", str(out)]
+    return ["evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
+            "--seed", "5", "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["grade", "evaluate"])
+def test_report_write_failing_halfway_keeps_the_old_report(runner, tmp_path, command):
+    """A file-size limit below the report's size makes its write fail after
+    part of the bytes reached the disk, as a full disk would."""
+    resource = pytest.importorskip("resource")
+    import signal
+    import subprocess
+    import sys
+
+    import signalmine
+
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, _report_command(command, out))
+    assert result.exit_code == 0, result.output
+    limit = out.stat().st_size // 2
+    out.write_text("old report\n")
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # fail the write with EFBIG instead
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    src = str(Path(signalmine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-m", "signalmine.cli", *_report_command(command, out)],
+                          env=env, capture_output=True, text=True, preexec_fn=limit_file_size, timeout=120)
+    assert proc.returncode == 1 and proc.stderr.startswith("io-error:"), proc.stderr
+    assert _outputs(tmp_path) == {"report.json": b"old report\n"}  # no temp file left
+
+
 def test_grade_report_file(runner, tmp_path):
     out = tmp_path / "grade.json"
     result = runner.invoke(main, [
@@ -567,7 +661,34 @@ def test_evaluate_with_the_bundled_family_prompts_reproduces_the_default_report(
     ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
        "answer": {"kind": "cond", "field": "label", "cases": [{"negate": False}]}}] * 5,
      "prompt set 'rte': prompt 1 has an answer case without a string 'value' and 'literal'"),
-], ids=["not-objects", "no-target", "prompt-document", "case-not-object", "case-without-value"])
+    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
+       "answer": {"kind": "cond", "cases": [{"literal": "yes", "value": "Yes"}]}}] * 5,
+     "prompt set 'rte': prompt 1 has a 'cond' answer rule without a string 'field'"),
+    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
+       "answer": {"kind": "cond", "field": "label"}}] * 5,
+     "prompt set 'rte': prompt 1 has a 'cond' answer rule whose 'cases' is not a list"),
+    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
+       "answer": {"kind": "cond", "field": "label", "cases": [{"literal": "yes", "value": "Yes",
+                                                               "negate": "no"}]}}] * 5,
+     "prompt set 'rte': prompt 1 has an answer case whose 'negate' is not true or false"),
+    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
+       "answer": {"kind": "const"}}] * 5,
+     "prompt set 'rte': prompt 1 has a 'const' answer rule without a string 'value'"),
+    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
+       "answer": {"kind": "presence", "present": "Yes"}}] * 5,
+     "prompt set 'rte': prompt 1 has a 'presence' answer rule without a string 'present' and 'absent'"),
+    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
+       "answer": {"kind": "presence", "present": "Yes", "absent": "No", "field": 5}}] * 5,
+     "prompt set 'rte': prompt 1 has a 'presence' answer rule without a string 'present' and 'absent' "
+     "and 'field'"),
+    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
+       "answer": {"kind": "lookup"}}] * 5,
+     "prompt set 'rte': prompt 1 has an answer rule that is not a const, presence or cond object"),
+    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}", "answer": [1]}] * 5,
+     "prompt set 'rte': prompt 1 has an answer rule that is not a const, presence or cond object"),
+], ids=["not-objects", "no-target", "prompt-document", "case-not-object", "case-without-value",
+        "cond-without-field", "cond-without-cases", "negate-not-boolean", "const-without-value",
+        "presence-without-absent", "presence-field-not-string", "unknown-kind", "rule-not-object"])
 def test_evaluate_wrongly_shaped_prompts_file_is_one_schema_error_line(runner, tmp_path, prompts, message):
     path = tmp_path / "prompts.json"
     path.write_text(json.dumps(prompts))

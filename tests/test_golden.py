@@ -33,12 +33,21 @@ MINES = (
 )
 
 # `extract` every fixture mine, then `mix --spec all_tasks --seed 7`.
-FIXTURE_BUNDLE_HASH = "ec30dbf7f6e44d822872b814d27e871771356a4134a01bb9d5c011f2f1a1a47b"
+FIXTURE_BUNDLE_HASH = "ae9bd64b2ce2ab1d8f8ca82d5735b987582f866ceadde32ccc7c31623a041a3a"
 # The same run's `manifest.json`: the spec digest and the seed it records.
 FIXTURE_SPEC_HASH = "9307ad9b762ce93e"
+# The same run, per stream: sha256 over its record lines sorted bytewise. The
+# bundle hash pins the shuffled order as well; these pin only which records
+# each stream holds, so they hold whatever order the shuffle starts from.
+FIXTURE_STREAM_DIGESTS = {
+    "all_tasks.stage1.train": "7c2e76b2f3653bd70439ea62ce3344f860999c0a3a8b5beac05a00399c8bfbc4",
+    "all_tasks.stage2.train": "94eecda0fcd195a8e29de29638faa28819be31df9f6bb38eedf07aacada66847",
+}
+# The same run's `stats.tsv`, whose counts do not depend on record order.
+FIXTURE_STATS_DIGEST = "7219de68ac1c3b1f4a7447562a6cf30ca7126802c531aa13892ff7059633891d"
 # A generated corpus whose distractor pools exceed random.sample's set-size
 # threshold, so the indexed sampling path is pinned as well.
-SYNTHETIC_BUNDLE_HASH = "d79bdff4fdacd13672dbe13d8d3ac83683ae5a2f0860d8d2156e8877385b328f"
+SYNTHETIC_BUNDLE_HASH = "814a729eb8d20fbd97e6de21a104927c0feba31197165b876ea212f3403d36b7"
 
 # sha256 over `extract --seed 7`'s tuple file followed by its report, keyed by
 # mine for its fixture dump and `unicode:<mine>` for `golden/unicode.jsonl`.
@@ -190,6 +199,17 @@ def test_fixture_pipeline_bundle_hash(tmp_path, fixture_tuple_files):
     assert _mix(tmp_path, "all_tasks", fixture_tuple_files) == FIXTURE_BUNDLE_HASH
     manifest = json.loads((tmp_path / "bundle" / "manifest.json").read_text(encoding="utf-8"))
     assert (manifest["spec_hash"], manifest["seed"]) == (FIXTURE_SPEC_HASH, 7)
+
+
+def test_fixture_bundle_stream_contents(tmp_path, fixture_tuple_files):
+    _mix(tmp_path, "all_tasks", fixture_tuple_files)
+    bundle = tmp_path / "bundle"
+    streams = {
+        path.name: hashlib.sha256(b"".join(sorted(path.read_bytes().splitlines(keepends=True)))).hexdigest()
+        for path in bundle.iterdir() if path.name not in ("manifest.json", "stats.tsv")
+    }
+    assert streams == FIXTURE_STREAM_DIGESTS
+    assert hashlib.sha256((bundle / "stats.tsv").read_bytes()).hexdigest() == FIXTURE_STATS_DIGEST
 
 
 class _RecordingScorer(ReferenceScorer):

@@ -344,6 +344,19 @@ def test_registry_rejects_malformed_templates(tmp_path):
         load_one(dict(base, source='TEXT: {review}} QUERY: Good? "Yes" or "No"?'))
     with pytest.raises(SchemaError, match="malformed placeholder at offset 0"):
         load_one(dict(base, target="{sentiment"))
+    with pytest.raises(SchemaError, match="template record needs string 'id'"):
+        load_one({k: v for k, v in base.items() if k != "target"})
+    for key in ("id", "signal_type", "family", "group", "source", "target"):
+        with pytest.raises(SchemaError, match="template record needs string 'id'"):
+            load_one(dict(base, **{key: 5}))
+    answer = {"kind": "cond", "field": "sentiment", "cases": [{"literal": "positive", "value": "Yes"}]}
+    assert load_one(dict(base, answer=answer)).by_id["x.mc.1"].answer == answer
+    with pytest.raises(SchemaError, match="template x.mc.1 has a 'cond' answer rule without a string 'field'"):
+        load_one(dict(base, answer={k: v for k, v in answer.items() if k != "field"}))
+    with pytest.raises(SchemaError, match="template x.mc.1 has an answer case without a string"):
+        load_one(dict(base, answer=dict(answer, cases=[{"literal": "positive"}])))
+    with pytest.raises(SchemaError, match="template x.mc.1 has a 'const' answer rule without a string 'value'"):
+        load_one(dict(base, answer={"kind": "const", "value": 5}))
 
 
 @pytest.mark.parametrize("pattern, expected", [
