@@ -1,11 +1,12 @@
 """One streaming adapter per data mine.
 
 Every adapter is a pure function over a single parsed document record that
-reports the candidates it rejects; the runner handles the language gate,
-doc-id uniqueness, validation, canonical ordering, and the accepted counts
+reports the candidates it rejects; the runner handles doc-id uniqueness,
+the language gate, validation, canonical ordering, and the accepted counts
 (one per tuple returned, so the report matches the output by construction).
 All sampling inside adapters draws from an RNG keyed by (seed, mine, doc_id)
-so per-document work is order-independent.
+so per-document work is order-independent, and the documents can be dealt
+into shards that run on every CPU.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from ..normalizer import Detector, DetectorError, is_english, trigram_detector
 from ..report import ExtractionReport
-from ..signal_model import SchemaError, SignalTuple, json_lines, validate_tuple
+from ..shards import run_shards, shard_plan, worker_count
+from ..signal_model import SchemaError, json_lines, tuple_line, validate_tuple
 
 from . import arxiv, daily_mail, plain_text, pwc, qa, rotten_tomatoes, wikidata, wikihow, wikipedia, wordnet
 
@@ -54,6 +56,41 @@ _ADAPTERS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
+Line = tuple[int, int, str]  # (document position, index in the adapter's output, tuple-file line)
+# the shard's lines and counts, and its first failing document's position
+# and exception (None if none failed)
+ShardResult = tuple[list[Line], ExtractionReport, tuple[int, Exception] | None]
+
+
+def _extract_shard(mine, adapter, primary_text, docs: list[tuple[int, Mapping]], seed: int,
+                   detector: Detector, options: Mapping[str, object]) -> ShardResult:
+    """Gate, extract, validate and encode `docs`, (position, document)
+    pairs, in order. The shard stops at the first document that raises."""
+    report = ExtractionReport()
+    ctx = ExtractContext(seed=seed, report=report, options=options)
+    lines: list[Line] = []
+    for position, doc in docs:
+        try:
+            text = primary_text(doc)
+            try:
+                if text and not is_english(text, detector):
+                    report.skip_doc(mine, "language")
+                    continue
+            except DetectorError:
+                report.skip_doc(mine, "detector_error")
+                continue
+            for i, tup in enumerate(adapter(doc, ctx)):
+                verdict = validate_tuple(tup)
+                if not verdict:
+                    report.reject(tup.signal_type, f"invalid:{verdict.reason.split(':')[0]}")
+                    continue
+                report.accept(tup.signal_type)
+                lines.append((position, i, tuple_line(tup)))
+        except Exception as exc:  # noqa: BLE001 - raised by the parent unless an earlier document failed
+            return lines, report, (position, exc)
+    return lines, report, None
+
+
 def extract_documents(
     mine: str,
     docs: Iterable[Mapping],
@@ -61,7 +98,16 @@ def extract_documents(
     report: ExtractionReport,
     detector: Detector = trigram_detector,
     options: Mapping[str, object] | None = None,
-) -> list[SignalTuple]:
+) -> list[str]:
+    """The tuple-file line of every accepted tuple, ordered by (doc_id,
+    position in its adapter's output).
+
+    Here the first document with a given id wins, and whole-corpus options
+    are built. The kept documents are then dealt into shards
+    (`run_shards`), each of which gates, extracts, validates and encodes
+    its documents. The counts land in `report`. If documents raise, the
+    error raised is that of the earliest one, as in one process.
+    """
     if mine not in _ADAPTERS:
         raise SchemaError(f"unknown mine: {mine}")
     adapter, primary_text = _ADAPTERS[mine]
@@ -69,10 +115,9 @@ def extract_documents(
     if mine == "wordnet":
         docs = list(docs)
         options["vocabulary"] = {wordnet.headword(d) for d in docs}
-    ctx = ExtractContext(seed=seed, report=report, options=options)
 
     seen_ids: set[str] = set()
-    out: list[tuple[str, int, SignalTuple]] = []
+    kept: list[tuple[str, Mapping]] = []
     for doc in docs:
         doc_id = str(doc.get("doc_id", ""))
         if not doc_id:
@@ -82,25 +127,23 @@ def extract_documents(
             report.skip_doc(mine, "duplicate_doc_id")
             continue
         seen_ids.add(doc_id)
-        report.docs_processed += 1
-        text = primary_text(doc)
-        try:
-            if text and not is_english(text, detector):
-                report.skip_doc(mine, "language")
-                continue
-        except DetectorError:
-            report.skip_doc(mine, "detector_error")
-            continue
-        for i, tup in enumerate(adapter(doc, ctx)):
-            verdict = validate_tuple(tup)
-            if not verdict:
-                report.reject(tup.signal_type, f"invalid:{verdict.reason.split(':')[0]}")
-                continue
-            report.accept(tup.signal_type)
-            out.append((doc_id, i, tup))
+        kept.append((doc_id, doc))
+    report.docs_processed += len(kept)
 
-    out.sort(key=lambda item: (item[0], item[1]))
-    return [tup for _, _, tup in out]
+    def shard(positions: list[int]) -> ShardResult:
+        return _extract_shard(mine, adapter, primary_text, [(p, kept[p][1]) for p in positions],
+                              seed, detector, options)
+
+    results = run_shards(shard, shard_plan(len(kept), worker_count()), "extract")
+    failures = [failure for _, _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    lines: list[Line] = []
+    for shard_lines, shard_report, _ in results:
+        lines.extend(shard_lines)
+        report.add(shard_report)
+    lines.sort(key=lambda item: (kept[item[0]][0], item[1]))
+    return [line for _, _, line in lines]
 
 
 def read_jsonl(path: str) -> Iterator[dict]:

@@ -58,17 +58,20 @@ class EntityDb:
 
 
 def match_entities(sentence: str, db: EntityDb) -> list[tuple[str, str]]:
-    """(surface span, type) matches; longest span wins, no overlaps."""
+    """(surface span, type) matches; longest span wins, no overlaps.
+
+    A span's key is the join of its tokens' keys (`normalize_span` drops
+    the spaces between them), so each token is normalized once."""
     tokens = sentence.split()
+    keys = [normalize_span(token) for token in tokens]
     found: list[tuple[str, str]] = []
     i = 0
     while i < len(tokens):
         matched = 0
         for span_len in range(min(MAX_SPAN_WORDS, len(tokens) - i), 0, -1):
-            span = " ".join(tokens[i : i + span_len])
-            etype = db.lookup(span)
+            etype = db.by_key.get("".join(keys[i : i + span_len]))
             if etype is not None:
-                found.append((span, etype))
+                found.append((" ".join(tokens[i : i + span_len]), etype))
                 matched = span_len
                 break
         i += matched if matched else 1

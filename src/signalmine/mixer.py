@@ -12,18 +12,16 @@ across runs and across any number of render processes.
 
 from __future__ import annotations
 
-import os
-import pickle
 import random
-import signal
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .dataset_io import Record, encode_record
 from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError, render_with_selected, tuple_key
 from .restructurer.templates import PromptRegistry
 from .rng import derive_rng
+from .shards import run_shards, shard_plan, worker_count
 from .signal_model import MixEntry, MixSpec, SignalTuple
 
 
@@ -142,23 +140,6 @@ def split_assignments(
     return {key: ("validation" if i < n_validation else "train") for i, key in enumerate(keys)}
 
 
-def worker_count() -> int:
-    """How many render workers `mix` uses: one per CPU this process may run
-    on, or 1 where the platform cannot report that set or fork."""
-    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def shard_plan(jobs: int, workers: int) -> list[list[int]]:
-    """The job positions of each shard: one shard per worker, but no more
-    shards than jobs, and at least one. Positions are dealt round-robin, so
-    each shard gets its share of every entry (entries differ in cost per
-    render, and equal runs of the job list do not)."""
-    shards = max(1, min(workers, jobs))
-    return [list(range(shard, jobs, shards)) for shard in range(shards)]
-
-
 Job = tuple[int, MixEntry, SignalTuple, str]  # (entry index, entry, tuple, tuple key)
 # per job, its record line (None where it rendered nothing); and per entry the
 # position of its first failing job and the error message
@@ -183,71 +164,15 @@ def _render_shard(jobs: Sequence[Job], registry, pools, seed: int, splits) -> Sh
     return lines, errors
 
 
-def _fork(work) -> tuple[int, BinaryIO]:
-    """Run `work()` in a forked child: its pid, and a pipe on which the
-    child pickles `("ok", result)`, or `("raised", exception)`."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                outcome = ("ok", work())
-            except Exception as exc:  # noqa: BLE001 - re-raised in the parent
-                outcome = ("raised", exc)
-            with open(write_fd, "wb") as fh:
-                pickle.dump(outcome, fh, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            # no atexit handlers, no flush of buffers copied from the parent
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
 def _render_sharded(
     jobs: list[Job], plan: list[list[int]], *context
 ) -> tuple[list[bytes | None], dict[int, str]]:
-    """`_render_shard` over `jobs`, one shard of `plan` per process: the
-    first shard renders here, each other one in a forked child that inherits
-    the pools and the split map. Returns each job's record line (None where
-    it rendered nothing), and each failed entry's earliest error, which is
-    the one a single process rendering every job would report.
-
-    A child that ends without a complete result raises `ChildProcessError`;
-    any other exception in a child is raised here. However this function
-    ends, no child is left running or unreaped.
-    """
-    children: list[tuple[int, BinaryIO]] = []
-    try:
-        for shard in plan[1:]:
-            children.append(_fork(lambda shard=shard: _render_shard([jobs[i] for i in shard], *context)))
-        results = [_render_shard([jobs[i] for i in plan[0]], *context)]
-        while children:
-            pid, pipe = children[0]
-            try:
-                outcome = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                outcome = None
-            pipe.close()
-            children.pop(0)
-            _, status = os.waitpid(pid, 0)
-            if outcome is None:
-                raise ChildProcessError(
-                    f"render worker {pid} exited without a complete result "
-                    f"(exit status {os.waitstatus_to_exitcode(status)})"
-                )
-            kind, value = outcome
-            if kind == "raised":
-                raise value
-            results.append(value)
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
+    """`_render_shard` over `jobs`, one shard of `plan` per process
+    (`run_shards`): each child inherits the pools and the split map. Returns
+    each job's record line (None where it rendered nothing), and each failed
+    entry's earliest error, which is the one a single process rendering
+    every job would report."""
+    results = run_shards(lambda shard: _render_shard([jobs[i] for i in shard], *context), plan, "render")
     lines: list[bytes | None] = [None] * len(jobs)
     first_errors: dict[int, tuple[int, str]] = {}
     for shard, (shard_lines, shard_errors) in zip(plan, results):

@@ -23,6 +23,13 @@ class ExtractionReport:
     def skip_doc(self, mine: str, rule: str) -> None:
         self.skipped_docs[(mine, rule)] += 1
 
+    def add(self, other: ExtractionReport) -> None:
+        """Add `other`'s counts to these."""
+        self.accepted.update(other.accepted)
+        self.rejected.update(other.rejected)
+        self.skipped_docs.update(other.skipped_docs)
+        self.docs_processed += other.docs_processed
+
     def to_json(self) -> str:
         return json.dumps(
             {

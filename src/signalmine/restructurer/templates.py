@@ -200,6 +200,37 @@ class PromptTemplate:
         return True
 
 
+# per `requires` key, the container and item type `applies_to` reads
+_REQUIRES_SHAPES = {
+    "meta_equals": (dict, str),
+    "meta_nonempty": (list, str),
+    "field_list_min": (dict, int),
+    "meta_list_min": (dict, int),
+}
+
+
+def _holds(value: object, container: type, kind: type) -> bool:
+    """Whether `value` is a `container` (dict or list) of `kind` items;
+    exact types, so a bool is not an integer."""
+    items = value.values() if isinstance(value, dict) else value
+    return isinstance(value, container) and all(type(item) is kind for item in items)
+
+
+def _check_shapes(rec: Mapping, owner: str) -> None:
+    """Raise `SchemaError`, naming `owner`, unless `rec`'s `slots` is an
+    object of strings and its `requires` an object whose keys hold what
+    `_REQUIRES_SHAPES` lists, where given."""
+    if not _holds(rec.get("slots", {}), dict, str):
+        raise SchemaError(f"{owner} has 'slots' that is not an object of strings")
+    requires = rec.get("requires", {})
+    if not isinstance(requires, dict):
+        raise SchemaError(f"{owner} has 'requires' that is not an object")
+    for key, (container, kind) in _REQUIRES_SHAPES.items():
+        if key in requires and not _holds(requires[key], container, kind):
+            shape = f"{'an object' if container is dict else 'a list'} of {'strings' if kind is str else 'integers'}"
+            raise SchemaError(f"{owner} has 'requires.{key}' that is not {shape}")
+
+
 def template_from_record(rec: Mapping) -> PromptTemplate:
     keys = ("id", "signal_type", "family", "source", "target")
     if not all(isinstance(rec.get(key), str) for key in keys) or not isinstance(rec.get("group", ""), str):
@@ -207,6 +238,7 @@ def template_from_record(rec: Mapping) -> PromptTemplate:
                           "'target', and a string 'group' if it has one")
     if "answer" in rec:
         check_answer_rule(rec["answer"], f"template {rec['id']}")
+    _check_shapes(rec, f"template {rec['id']}")
     return PromptTemplate(
         template_id=rec["id"],
         signal_type=rec["signal_type"],

@@ -202,9 +202,14 @@ def tuple_from_record(rec: Mapping) -> SignalTuple:
     return SignalTuple(signal_type, fields, source_doc, dict(meta))
 
 
+def tuple_line(tup: SignalTuple) -> str:
+    """`tup`'s line in a tuple file. Field order inside the record follows
+    the SignalType's declared order."""
+    return json.dumps(tuple_to_record(tup), ensure_ascii=False) + "\n"
+
+
 def dump_tuples(tuples: Iterable[SignalTuple]) -> str:
-    # field order inside the record follows the SignalType's declared order
-    return "".join(json.dumps(tuple_to_record(t), ensure_ascii=False) + "\n" for t in tuples)
+    return "".join(map(tuple_line, tuples))
 
 
 def load_tuples(text: str | bytes, name: str = "<tuples>") -> list[SignalTuple]:

@@ -8,6 +8,7 @@ import pytest
 from signalmine.extractors import extract_documents, read_jsonl
 from signalmine.extractors.pwc import EntityDb
 from signalmine.report import ExtractionReport
+from signalmine.signal_model import load_tuples
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -26,15 +27,15 @@ def extract_fixture(mine: str, seed: int = 7, **options):
     if mine == "paperswithcode" and "entity_db" not in options:
         options["entity_db"] = EntityDb(read_jsonl(str(FIXTURES / "mines" / "pwc_entity_db.jsonl")))
     report = ExtractionReport()
-    tuples = extract_documents(
+    lines = extract_documents(
         mine,
-        fixture_docs(mine if mine != "paperswithcode" else "paperswithcode"),
+        fixture_docs(mine),
         seed=seed,
         report=report,
         detector=always_english,
         options=options,
     )
-    return tuples, report
+    return load_tuples("".join(lines)), report
 
 
 @pytest.fixture(scope="session")

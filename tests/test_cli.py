@@ -345,6 +345,26 @@ def test_restructure_with_custom_catalog(runner, tmp_path):
         assert out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"requires": 5}, "'requires' that is not an object"),
+    ({"requires": {"meta_equals": 5}}, "'requires.meta_equals' that is not an object of strings"),
+    ({"slots": 5}, "'slots' that is not an object of strings"),
+], ids=["requires-not-object", "meta-equals-not-object", "slots-not-object"])
+def test_restructure_template_of_the_wrong_shape_is_one_schema_error_line(runner, tmp_path, extra, message):
+    tuples = run_extract(runner, tmp_path, "rotten_tomatoes")
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text(json.dumps({
+        "id": "rt.gen.900", "signal_type": "rotten_tomatoes_sentiment", "family": "generation",
+        "group": "g", "source": "TEXT: {review} QUERY: Sentiment?", "target": "{sentiment}", **extra,
+    }) + "\n")
+    result = runner.invoke(main, [
+        "restructure", "--tuples", str(tuples), "--templates", str(catalog),
+        "--out", str(tmp_path / "ex.jsonl"), "--family", "generation",
+    ])
+    assert result.exit_code == 1
+    assert result.output == f"schema-error: template rt.gen.900 has {message}\n"
+
+
 def test_evaluate_with_external_scorer(runner, tmp_path):
     import sys
     import textwrap

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signalmine.extractors import ExtractContext, extract_documents
 from signalmine.extractors import (
@@ -463,6 +464,37 @@ def test_pwc_normalized_matching():
     assert pwc.match_entities("We fine tune BERT-base on data", db) == [("BERT-base", "method")]
 
 
+def _match_entities_by_span(sentence, db):
+    """`pwc.match_entities` as it was: every candidate span rebuilt and
+    normalized through `EntityDb.lookup`."""
+    tokens = sentence.split()
+    found = []
+    i = 0
+    while i < len(tokens):
+        matched = 0
+        for span_len in range(min(pwc.MAX_SPAN_WORDS, len(tokens) - i), 0, -1):
+            span = " ".join(tokens[i : i + span_len])
+            etype = db.lookup(span)
+            if etype is not None:
+                found.append((span, etype))
+                matched = span_len
+                break
+        i += matched if matched else 1
+    return found
+
+
+_pwc_tokens = st.sampled_from(["BERT", "bert-", "base", "Base", "-", "(", "net", "Net.", "a1", "A1", "x", "é", "--"])
+_pwc_phrases = st.lists(_pwc_tokens, min_size=1, max_size=5).map(" ".join)
+
+
+@given(sentence=st.lists(_pwc_tokens, max_size=30).map(" ".join),
+       entries=st.lists(st.tuples(_pwc_phrases, st.sampled_from(pwc.ENTITY_TYPES)), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_pwc_token_keys_match_what_span_lookup_matched(sentence, entries):
+    db = make_db(*entries)
+    assert pwc.match_entities(sentence, db) == _match_entities_by_span(sentence, db)
+
+
 def test_pwc_longest_span_wins_no_overlap():
     db = make_db(("machine translation", "task"), ("neural machine translation", "task"))
     found = pwc.match_entities("progress in neural machine translation systems", db)
@@ -615,7 +647,7 @@ def test_extraction_is_input_order_independent():
                                 detector=always_english)
     backward = extract_documents("daily_mail", list(reversed(docs)), seed=5,
                                  report=report_b, detector=always_english)
-    assert dump_tuples(forward) == dump_tuples(backward)
+    assert "".join(forward) == "".join(backward)
     assert report_a.accepted == report_b.accepted
 
 
@@ -634,8 +666,6 @@ def test_cloze_coverage_tracks_rate():
         assert abs(sum(deviations) / len(deviations)) < 0.01
         assert max(abs(d) for d in deviations) < 0.08
 
-
-from hypothesis import given, settings, strategies as st
 
 _words_strategy = st.lists(
     st.text(alphabet="abcdefghij", min_size=1, max_size=7), min_size=2, max_size=60
@@ -664,7 +694,7 @@ def test_wordnet_lemmas_do_not_depend_on_document_order():
     runs = []
     for order in (docs, docs[::-1]):
         report = ExtractionReport()
-        tuples = extract_documents("wordnet", order, seed=1, report=report, detector=always_english)
-        runs.append((dump_tuples(tuples), report.to_json()))
+        lines = extract_documents("wordnet", order, seed=1, report=report, detector=always_english)
+        runs.append(("".join(lines), report.to_json()))
     assert runs[0] == runs[1]
     assert "wordnet_pos:lemmatized_away" in runs[0][1]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from signalmine.restructurer.pools import DistractorPools
@@ -357,6 +359,24 @@ def test_registry_rejects_malformed_templates(tmp_path):
         load_one(dict(base, answer=dict(answer, cases=[{"literal": "positive"}])))
     with pytest.raises(SchemaError, match="template x.mc.1 has a 'const' answer rule without a string 'value'"):
         load_one(dict(base, answer={"kind": "const", "value": 5}))
+    requires = {"meta_equals": {"variant": "a"}, "meta_nonempty": ["b"],
+                "field_list_min": {"review": 1}, "meta_list_min": {"c": 2}}
+    assert load_one(dict(base, requires=requires, slots={"x": "y"})).by_id["x.mc.1"].requires == requires
+    for bad, message in [
+        ({"requires": 5}, "'requires' that is not an object"),
+        ({"requires": ["meta_equals"]}, "'requires' that is not an object"),
+        ({"requires": {"meta_equals": 5}}, "'requires.meta_equals' that is not an object of strings"),
+        ({"requires": {"meta_equals": {"variant": 1}}}, "'requires.meta_equals' that is not an object of strings"),
+        ({"requires": {"meta_nonempty": "b"}}, "'requires.meta_nonempty' that is not a list of strings"),
+        ({"requires": {"meta_nonempty": [1]}}, "'requires.meta_nonempty' that is not a list of strings"),
+        ({"requires": {"field_list_min": {"review": "1"}}}, "'requires.field_list_min' that is not an object of integers"),
+        ({"requires": {"meta_list_min": {"c": True}}}, "'requires.meta_list_min' that is not an object of integers"),
+        ({"requires": {"meta_list_min": [2]}}, "'requires.meta_list_min' that is not an object of integers"),
+        ({"slots": 5}, "'slots' that is not an object of strings"),
+        ({"slots": {"x": 5}}, "'slots' that is not an object of strings"),
+    ]:
+        with pytest.raises(SchemaError, match=re.escape(f"template x.mc.1 has {message}")):
+            load_one(dict(base, **bad))
 
 
 @pytest.mark.parametrize("pattern, expected", [

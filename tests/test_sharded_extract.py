@@ -1,0 +1,153 @@
+"""`extract` deals its documents into shards, one per CPU, forked. No worker
+count may change a byte of output, an error line, or leave a child behind."""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import signal
+import time
+
+import pytest
+from click.testing import CliRunner
+
+from signalmine import extractors
+from signalmine.cli import main
+from signalmine.extractors import extract_documents, read_jsonl
+from signalmine.report import ExtractionReport
+from signalmine.signal_model import SchemaError
+from signalmine.shards import shard_plan
+
+from conftest import FIXTURES, always_english
+from test_golden import EXTRACT_DIGESTS, _extract
+from test_sharded_mix import _no_child_left
+
+RT_DUMP = FIXTURES / "mines" / "rotten_tomatoes.jsonl"
+
+
+def _workers(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(extractors, "worker_count", lambda: n)
+
+
+def _rt_docs() -> list[dict]:
+    return list(read_jsonl(str(RT_DUMP)))
+
+
+def _adapter(monkeypatch, fake) -> None:
+    """Replace the rotten_tomatoes adapter with `fake(real, doc, ctx)`, and
+    its gate text with "", so every document reaches the adapter."""
+    real, _ = extractors._ADAPTERS["rotten_tomatoes"]
+    monkeypatch.setitem(extractors._ADAPTERS, "rotten_tomatoes",
+                        (lambda doc, ctx: fake(real, doc, ctx), lambda doc: ""))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("key", sorted(EXTRACT_DIGESTS))
+def test_extract_output_digest_at_any_worker_count(monkeypatch, tmp_path, key, workers):
+    # the inputs and digests of test_golden.py::test_extract_output_digest
+    _workers(monkeypatch, workers)
+    mine = key.rpartition(":")[2]
+    dump = FIXTURES / "golden" / "unicode.jsonl" if ":" in key else FIXTURES / "mines" / f"{mine}.jsonl"
+    out = _extract(tmp_path, mine, dump)
+    report = out.with_name(out.name + ".report.json")
+    assert hashlib.sha256(out.read_bytes() + report.read_bytes()).hexdigest() == EXTRACT_DIGESTS[key]
+    assert _no_child_left()
+
+
+def test_one_cpu_extracts_in_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("one worker forks nothing")
+
+    _workers(monkeypatch, 1)
+    monkeypatch.setattr(os, "fork", no_fork)
+    lines = extract_documents("rotten_tomatoes", _rt_docs(), seed=1, report=ExtractionReport(),
+                              detector=always_english)
+    assert lines
+
+
+def test_earliest_failing_document_comes_from_a_later_shard(monkeypatch, tmp_path):
+    ids = [doc["doc_id"] for doc in _rt_docs()]
+    # positions 5 and 6 fail; at 2 and 3 workers position 5 lies in a later
+    # shard than position 6, so that shard's error must win
+    first, second = ids[5], ids[6]
+
+    def fake(real, doc, ctx):
+        if doc["doc_id"] in (first, second):
+            raise SchemaError(f"bad {doc['doc_id']}")
+        return real(doc, ctx)
+
+    _adapter(monkeypatch, fake)
+    out = tmp_path / "rt.tuples"
+    args = ["extract", "--mine", "rotten_tomatoes", "--in", str(RT_DUMP), "--out", str(out)]
+    _workers(monkeypatch, 1)
+    reference = CliRunner().invoke(main, args)
+    assert (reference.exit_code, reference.output) == (1, f"schema-error: bad {first}\n")
+    for workers in (2, 3):
+        plan = shard_plan(len(ids), workers)
+        shard_of = {p: i for i, shard in enumerate(plan) for p in shard}
+        assert shard_of[5] > shard_of[6]
+        _workers(monkeypatch, workers)
+        result = CliRunner().invoke(main, args)
+        assert (result.exit_code, result.output) == (reference.exit_code, reference.output)
+    assert not out.exists()
+    assert _no_child_left()
+
+
+def test_other_exception_in_a_child_is_raised_with_its_type_and_message(monkeypatch):
+    parent = os.getpid()
+
+    def fake(real, doc, ctx):
+        if os.getpid() != parent:
+            raise KeyError("child went wrong")
+        return real(doc, ctx)
+
+    _adapter(monkeypatch, fake)
+    _workers(monkeypatch, 2)
+    with pytest.raises(KeyError) as caught:
+        extract_documents("rotten_tomatoes", _rt_docs(), seed=1, report=ExtractionReport())
+    assert caught.value.args == ("child went wrong",)
+    assert _no_child_left()
+
+
+def test_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch):
+    parent = os.getpid()
+
+    def fake(real, doc, ctx):
+        if os.getpid() != parent:
+            time.sleep(60)  # a child still extracting
+        raise KeyboardInterrupt
+
+    _adapter(monkeypatch, fake)
+    _workers(monkeypatch, 3)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        extract_documents("rotten_tomatoes", _rt_docs(), seed=1, report=ExtractionReport())
+    assert time.monotonic() - started < 30
+    assert _no_child_left()
+
+
+def test_child_killed_mid_shard_keeps_the_old_tuples_and_report(monkeypatch, tmp_path):
+    out = tmp_path / "rt.tuples"
+    args = ["extract", "--mine", "rotten_tomatoes", "--in", str(RT_DUMP), "--out", str(out), "--seed", "7"]
+    runner = CliRunner()
+    assert runner.invoke(main, args).exit_code == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["rt.tuples", "rt.tuples.report.json"]
+
+    parent = os.getpid()
+    extracted = []
+
+    def fake(real, doc, ctx):
+        extracted.append(1)
+        if os.getpid() != parent and len(extracted) == 4:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(doc, ctx)
+
+    _adapter(monkeypatch, fake)
+    _workers(monkeypatch, 2)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output.startswith("io-error: extract worker ")
+    assert result.output.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert _no_child_left()
