@@ -15,19 +15,17 @@ import os
 import shutil
 import tempfile
 from collections import Counter
+from json.encoder import encode_basestring as _quote  # json.dumps' escaper under ensure_ascii=False
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import __version__
-from .signal_model import (CATALOG, PromptedExample, SchemaError, example_from_record, example_to_record,
+from .signal_model import (CATALOG, FORMAT_VERSION, PromptedExample, SchemaError, example_from_record,
                            json_lines, read_json)
 
 DIGEST_ALGORITHM = "sha256"
 MANIFEST_NAME = "manifest.json"
 STATS_NAME = "stats.tsv"
-
-# one encoder for every record; json.dumps would build one per call
-_RECORD_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
 class StrandedBundleError(OSError):
@@ -49,10 +47,24 @@ def render_stats_table(per_signal_counts: Mapping[str, int]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# "v", the last key in sorted order, holds the format version
+_RECORD_END = f', "v": {_quote(FORMAT_VERSION)}}}\n'
+
+
 def encode_record(example: PromptedExample) -> bytes:
     """The record line of `example`: its JSON record in UTF-8, keys sorted,
-    ending in a newline. Every record line is made here."""
-    return (_RECORD_ENCODER.encode(example_to_record(example)) + "\n").encode("utf-8")
+    ending in a newline. Every record line is made here.
+
+    The line is written key by key, in sorted order, with the escaper and
+    separators `json.dumps(record, ensure_ascii=False, sort_keys=True)`
+    uses, so it holds the same bytes without building or sorting a dict.
+    """
+    return (
+        f'{{"family": {_quote(example.family)}, "seed": {int.__repr__(example.seed)}, '
+        f'"signal_type": {_quote(example.signal_type)}, "source": {_quote(example.source)}, '
+        f'"source_doc": {_quote(example.source_doc)}, "split": {_quote(example.split)}, '
+        f'"target": {_quote(example.target)}, "template_id": {_quote(example.template_id)}{_RECORD_END}'
+    ).encode("utf-8")
 
 
 Record = tuple[str, bytes]  # (signal type, record line from encode_record)
@@ -253,8 +265,14 @@ def verify_bundle(path: str | os.PathLike) -> dict:
 
 def read_examples(path: str | os.PathLike, name: str) -> list[PromptedExample]:
     file = Path(path) / name
+    examples = []
     with open(file, "rb") as fh:
-        return [example_from_record(rec) for rec in json_lines(fh, str(file))]
+        for rec in json_lines(fh, str(file)):
+            try:
+                examples.append(example_from_record(rec))
+            except SchemaError as exc:
+                raise SchemaError(f"{file}: {exc}") from exc
+    return examples
 
 
 def stats_report(path: str | os.PathLike) -> str:

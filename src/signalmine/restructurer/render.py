@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from typing import Mapping
 
 from ..normalizer import word_count
-from ..rng import derive_rng
+from ..rng import derive_rng, derive_seed
 from ..signal_model import LIST_SEP, NO_ENTITIES, PromptedExample, SchemaError, SignalTuple
 from .pools import ALIASES, ENTITY_DRAWS, OPTION_SLOTS, OTHER_SLOTS, SHUFFLED_PAIRS, DistractorPools
 from .templates import (
@@ -310,7 +310,10 @@ def select_template(
 ) -> PromptTemplate:
     """Uniform seeded choice among the templates applicable to this tuple.
 
-    `key` is the tuple's `tuple_key`, when the caller already has it.
+    The index is the 64-bit derived seed modulo the number of eligible
+    templates, so choosing builds no `random.Random`; the modulo biases no
+    template by more than len(eligible) / 2**64. `key` is the tuple's
+    `tuple_key`, when the caller already has it.
     """
     if not registry.get(signal_type, family, group):
         raise ConfigError(f"no templates for ({signal_type}, {family}, group={group})")
@@ -319,8 +322,7 @@ def select_template(
         raise RenderError(f"no applicable template for tuple of {signal_type} (group={group})")
     if key is None:
         key = tuple_key(tup)
-    rng = derive_rng(seed, "select", signal_type, family, group or "", key)
-    return eligible[rng.randrange(len(eligible))]
+    return eligible[derive_seed(seed, "select", signal_type, family, group or "", key) % len(eligible)]
 
 
 def render_with_selected(

@@ -245,34 +245,21 @@ class PromptedExample:
         return Verdict(True)
 
 
-def example_to_record(ex: PromptedExample) -> dict:
-    return {
-        "v": FORMAT_VERSION,
-        "source": ex.source,
-        "target": ex.target,
-        "signal_type": ex.signal_type,
-        "template_id": ex.template_id,
-        "family": ex.family,
-        "seed": ex.seed,
-        "split": ex.split,
-        "source_doc": ex.source_doc,
-    }
-
-
 def example_from_record(rec: Mapping) -> PromptedExample:
+    """The example a bundle record holds. A missing key, a text value that
+    is not a string or a seed that is not a JSON integer is a
+    `SchemaError`."""
     try:
-        return PromptedExample(
-            source=rec["source"],
-            target=rec["target"],
-            signal_type=rec["signal_type"],
-            template_id=rec["template_id"],
-            family=rec["family"],
-            seed=int(rec["seed"]),
-            split=rec.get("split", "train"),
-            source_doc=rec.get("source_doc", ""),
-        )
+        values = {key: rec[key] for key in ("source", "target", "signal_type", "template_id", "family", "seed")}
     except KeyError as exc:
         raise SchemaError(f"example record missing key: {exc}") from exc
+    values["split"] = rec.get("split", "train")
+    values["source_doc"] = rec.get("source_doc", "")
+    for key, value in values.items():
+        if type(value) is not (int if key == "seed" else str):
+            kind = "an integer" if key == "seed" else "a string"
+            raise SchemaError(f"example record '{key}' must be {kind}, got {value!r}")
+    return PromptedExample(**values)
 
 
 @dataclass(frozen=True)
@@ -325,6 +312,18 @@ class MixSpec:
         return sorted({e.stage for e in self.entries})
 
 
+def _json_int(value: object, what: str) -> int:
+    """`value`, which must be a JSON integer: a bool or a float (1.0
+    included) is refused, not truncated."""
+    if type(value) is not int:
+        raise SchemaError(f"mix spec: {what} must be an integer, got {value!r}")
+    return value
+
+
+def _optional_int(rec: Mapping, key: str) -> int | None:
+    return None if rec.get(key) is None else _json_int(rec[key], f"'{key}'")
+
+
 def mixspec_from_record(rec: Mapping) -> MixSpec:
     try:
         entries = tuple(
@@ -332,11 +331,13 @@ def mixspec_from_record(rec: Mapping) -> MixSpec:
                 signal_type=e["signal_type"],
                 family=e["family"],
                 weight=float(e.get("weight", 1.0)),
-                cap=e.get("cap"),
-                per_category_cap=e.get("per_category_cap"),
-                stage=int(e.get("stage", 1)),
+                cap=_optional_int(e, "cap"),
+                per_category_cap=_optional_int(e, "per_category_cap"),
+                stage=_json_int(e.get("stage", 1), "'stage'"),
                 template_group=e.get("template_group"),
-                composition=dict(e["composition"]) if e.get("composition") else None,
+                composition={value: _json_int(count, f"composition count for {value!r}")
+                             for value, count in dict(e["composition"]).items()}
+                if e.get("composition") else None,
                 composition_key=e.get("composition_key"),
             )
             for e in rec.get("entries", [])
@@ -344,7 +345,7 @@ def mixspec_from_record(rec: Mapping) -> MixSpec:
         return MixSpec(
             entries=entries,
             split_ratio=float(rec.get("split_ratio", 0.0)),
-            global_seed=int(rec.get("global_seed", 0)),
+            global_seed=_json_int(rec.get("global_seed", 0), "'global_seed'"),
             name=rec.get("name", "mix"),
         )
     except SchemaError:

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from signalmine.cli import main
+from signalmine.dataset_io import write_bundle
 from signalmine.restructurer.templates import load_eval_prompts
 
 from conftest import FIXTURES
@@ -206,6 +207,35 @@ def test_manifest_files_of_the_wrong_shape_is_one_integrity_error_line(runner, t
     assert result.exit_code == 1
     assert result.output == (f"integrity-error: {bundle / 'manifest.json'}: "
                              "'files' is not an object of objects\n")
+
+
+_EXAMPLE_RECORD = {"v": "1", "source": "TEXT: t QUERY: q?", "target": "a", "signal_type": "qa_triviaqa",
+                   "template_id": "qa_triviaqa.gen.001", "family": "generation", "seed": 3, "split": "train",
+                   "source_doc": "qa_corpus/1"}
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("seed", None, "'seed' must be an integer, got None"),
+    ("seed", 3.0, "'seed' must be an integer, got 3.0"),
+    ("seed", True, "'seed' must be an integer, got True"),
+    ("seed", "3", "'seed' must be an integer, got '3'"),
+    ("target", 5, "'target' must be a string, got 5"),
+    ("signal_type", ["qa_triviaqa"], "'signal_type' must be a string, got ['qa_triviaqa']"),
+    ("source_doc", None, "'source_doc' must be a string, got None"),
+], ids=["seed-null", "seed-float", "seed-bool", "seed-string", "target-number", "signal-type-list",
+        "source-doc-null"])
+def test_stats_on_an_example_record_of_the_wrong_type_is_one_schema_error_line(runner, tmp_path, key, value,
+                                                                               message):
+    def bundle_of(record, path):
+        write_bundle(path, {"m.stage1.train": [("qa_triviaqa", (json.dumps(record) + "\n").encode())]})
+        return path
+
+    good = bundle_of(_EXAMPLE_RECORD, tmp_path / "good")
+    assert runner.invoke(main, ["stats", "--bundle", str(good)]).exit_code == 0
+    bad = bundle_of({**_EXAMPLE_RECORD, key: value}, tmp_path / "bad")
+    result = runner.invoke(main, ["stats", "--bundle", str(bad)])
+    assert result.exit_code == 1
+    assert result.output == f"schema-error: {bad / 'm.stage1.train'}: example record {message}\n"
 
 
 def test_restructure_command(runner, tmp_path):
@@ -896,14 +926,29 @@ _RT_TUPLE = {"v": "1", "signal_type": "rotten_tomatoes_sentiment", "source_doc":
     ({"entries": [{"signal_type": "rotten_tomatoes_sentiment"}]}, _RT_TUPLE,
      "mix spec entry missing key: 'family'"),
     ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "stage": "x"}]},
-     _RT_TUPLE, "mix spec: invalid literal for int() with base 10: 'x'"),
+     _RT_TUPLE, "mix spec: 'stage' must be an integer, got 'x'"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "stage": 1.7}]},
+     _RT_TUPLE, "mix spec: 'stage' must be an integer, got 1.7"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "cap": 2.5}]},
+     _RT_TUPLE, "mix spec: 'cap' must be an integer, got 2.5"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "cap": True}]},
+     _RT_TUPLE, "mix spec: 'cap' must be an integer, got True"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation",
+                   "per_category_cap": 1.0}]},
+     _RT_TUPLE, "mix spec: 'per_category_cap' must be an integer, got 1.0"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation",
+                   "composition": {"positive": 1.5}}]},
+     _RT_TUPLE, "mix spec: composition count for 'positive' must be an integer, got 1.5"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "global_seed": False},
+     _RT_TUPLE, "mix spec: 'global_seed' must be an integer, got False"),
     (None, {**_RT_TUPLE, "fields": ["A fine film.", "positive"]},
      "tuple record 'fields' and 'meta' must be objects"),
     (None, {**_RT_TUPLE, "meta": "x"}, "tuple record 'fields' and 'meta' must be objects"),
     (None, {**_RT_TUPLE, "fields": {"review": 5, "sentiment": "positive"}},
      "tuple record 'source_doc', fields and meta values must be strings"),
-], ids=["entry-without-family", "stage-not-a-number", "fields-not-object", "meta-not-object",
-        "field-not-a-string"])
+], ids=["entry-without-family", "stage-not-a-number", "stage-a-float", "cap-a-float", "cap-a-bool",
+        "per-category-cap-a-float", "composition-count-a-float", "global-seed-a-bool", "fields-not-object",
+        "meta-not-object", "field-not-a-string"])
 def test_mix_malformed_spec_entry_or_tuple_record_is_one_schema_error_line(runner, tmp_path, spec,
                                                                          tuple_record, message):
     spec_path, tuples = tmp_path / "spec.json", tmp_path / "rt.tuples"

@@ -3,17 +3,20 @@ replaced.
 
 Each replaced piece of code is copied here as the reference: the per-template
 `applies_to` filter that template eligibility memoizes, the byte-by-byte seed
-material of `derive_seed`, and the writer that encoded every stream's
-records, held the whole bundle in memory and hashed it afterwards.
+material of `derive_seed`, the dict that `json.dumps` sort-encoded into a
+record line, and the writer that encoded every stream's records, held the
+whole bundle in memory and hashed it afterwards.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +25,7 @@ from signalmine import mixer
 from signalmine.dataset_io import encode_record, read_manifest, render_stats_table, verify_bundle, write_bundle
 from signalmine.restructurer.templates import load_registry
 from signalmine.rng import derive_seed
-from signalmine.signal_model import CATALOG, MixEntry, MixSpec, PromptedExample, SignalTuple, example_to_record
+from signalmine.signal_model import CATALOG, FORMAT_VERSION, MixEntry, MixSpec, PromptedExample, SignalTuple
 
 REGISTRY = load_registry()
 GROUP_KEYS = sorted(
@@ -46,7 +49,15 @@ def reference_derive_seed(seed: int, *key: object) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
-_REFERENCE_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+def reference_record(ex: PromptedExample) -> dict:
+    # every field of the example, so a field added later must reach the line
+    rec = {f.name: getattr(ex, f.name) for f in dataclasses.fields(PromptedExample)}
+    rec["v"] = FORMAT_VERSION
+    return rec
+
+
+def reference_line(ex: PromptedExample) -> bytes:
+    return (json.dumps(reference_record(ex), ensure_ascii=False, sort_keys=True) + "\n").encode()
 
 
 def reference_write_bundle(path: Path, streams: dict, manifest_extra: dict | None = None) -> str:
@@ -54,8 +65,7 @@ def reference_write_bundle(path: Path, streams: dict, manifest_extra: dict | Non
     per_signal: dict[str, int] = {}
     per_file_counts: dict[str, int] = {}
     for name, examples in streams.items():
-        body = "".join(_REFERENCE_ENCODER.encode(example_to_record(ex)) + "\n" for ex in examples)
-        files[name] = body.encode("utf-8")
+        files[name] = b"".join(map(reference_line, examples))
         per_file_counts[name] = len(examples)
         for ex in examples:
             per_signal[ex.signal_type] = per_signal.get(ex.signal_type, 0) + 1
@@ -156,6 +166,48 @@ def test_derive_seed_with_an_empty_key():
     assert derive_seed(7) == derive_seed(7, "")
 
 
+# -- record lines ------------------------------------------------------------------
+
+# what json.dumps escapes (quotes, backslashes, controls) and what it passes
+# through under ensure_ascii=False (U+2028, U+2029, DEL, non-BMP)
+_TEXT = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\u2029", "é", "\U0001f600"]),
+    st.characters(),
+))
+_FIELDS = dataclasses.fields(PromptedExample)
+
+
+@st.composite
+def _examples(draw) -> PromptedExample:
+    values = {f.name: draw(st.integers() if f.type == "int" else _TEXT) for f in _FIELDS}
+    if draw(st.integers(0, 3)) == 0:
+        # a lone surrogate, which no UTF-8 line can hold, in one text field
+        name = draw(st.sampled_from([f.name for f in _FIELDS if f.type == "str"]))
+        values[name] += draw(st.characters(categories=["Cs"]))
+    return PromptedExample(**values)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_examples())
+def test_encode_record_equals_json_dumps_of_the_record(ex):
+    try:
+        expected = reference_line(ex)
+    except UnicodeEncodeError:
+        with pytest.raises(UnicodeEncodeError):
+            encode_record(ex)
+    else:
+        assert encode_record(ex) == expected
+
+
+def test_a_lone_surrogate_is_refused_both_ways():
+    for text in ("\ud800", "a\udfffb"):
+        ex = _example(1, text=text)
+        with pytest.raises(UnicodeEncodeError):
+            reference_line(ex)
+        with pytest.raises(UnicodeEncodeError):
+            encode_record(ex)
+
+
 # -- the streaming bundle writer --------------------------------------------------
 
 
@@ -228,14 +280,11 @@ def test_streaming_writer_matches_over_many_write_chunks(tmp_path):
 def test_streaming_writer_encodes_each_listed_example_once(tmp_path, monkeypatch, all_fixture_tuples):
     # mix encodes each rendered example once, in its shard; a later stage
     # that lists the example again lists the same line
-    import signalmine.dataset_io as dataset_io
-
     monkeypatch.setattr(mixer, "worker_count", lambda: 1)
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "multiple_choice", stage=1),
                             MixEntry("daily_mail_summary", "generation", stage=2)), global_seed=3, name="s")
     encoded = []
-    monkeypatch.setattr(dataset_io, "example_to_record",
-                        lambda ex: encoded.append(ex) or example_to_record(ex))
+    monkeypatch.setattr(mixer, "encode_record", lambda ex: encoded.append(ex) or encode_record(ex))
     streams = {f"s.stage{stage}.{split}": records
                for (stage, split), records in mixer.mix(all_fixture_tuples, spec, REGISTRY).examples.items()}
     write_bundle(tmp_path / "b", streams)

@@ -33,21 +33,21 @@ MINES = (
 )
 
 # `extract` every fixture mine, then `mix --spec all_tasks --seed 7`.
-FIXTURE_BUNDLE_HASH = "ae9bd64b2ce2ab1d8f8ca82d5735b987582f866ceadde32ccc7c31623a041a3a"
+FIXTURE_BUNDLE_HASH = "4a2e52321197ecfa51f768bb5eb48e3cfacdf52a27afab2860191871b7ab56e2"
 # The same run's `manifest.json`: the spec digest and the seed it records.
 FIXTURE_SPEC_HASH = "9307ad9b762ce93e"
 # The same run, per stream: sha256 over its record lines sorted bytewise. The
 # bundle hash pins the shuffled order as well; these pin only which records
 # each stream holds, so they hold whatever order the shuffle starts from.
 FIXTURE_STREAM_DIGESTS = {
-    "all_tasks.stage1.train": "7c2e76b2f3653bd70439ea62ce3344f860999c0a3a8b5beac05a00399c8bfbc4",
-    "all_tasks.stage2.train": "94eecda0fcd195a8e29de29638faa28819be31df9f6bb38eedf07aacada66847",
+    "all_tasks.stage1.train": "30763fa623312eeb992950e4e0b1e1ef1b9d6bc7bea8447fc82b4aed3c051126",
+    "all_tasks.stage2.train": "c1058190430023a790f6898730f989fc10ee34a54661dce13c9776451f6b0916",
 }
 # The same run's `stats.tsv`, whose counts do not depend on record order.
 FIXTURE_STATS_DIGEST = "7219de68ac1c3b1f4a7447562a6cf30ca7126802c531aa13892ff7059633891d"
 # A generated corpus whose distractor pools exceed random.sample's set-size
 # threshold, so the indexed sampling path is pinned as well.
-SYNTHETIC_BUNDLE_HASH = "814a729eb8d20fbd97e6de21a104927c0feba31197165b876ea212f3403d36b7"
+SYNTHETIC_BUNDLE_HASH = "b1943d1f09389d55e9d9953455906f0d3e3d3f5822548bd2d3c5dd2ce853c77c"
 
 # sha256 over `extract --seed 7`'s tuple file followed by its report, keyed by
 # mine for its fixture dump and `unicode:<mine>` for `golden/unicode.jsonl`.

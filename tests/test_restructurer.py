@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from signalmine.restructurer import render as render_module
 from signalmine.restructurer.pools import DistractorPools
 from signalmine.restructurer.render import (
     ConfigError,
@@ -17,8 +18,8 @@ from signalmine.restructurer.render import (
     resolve_article,
     select_template,
 )
-from signalmine.restructurer.templates import load_manifest, load_registry, audit
-from signalmine.rng import derive_rng
+from signalmine.restructurer.templates import PromptRegistry, PromptTemplate, load_manifest, load_registry, audit
+from signalmine.rng import derive_rng, derive_seed
 from signalmine.signal_model import SignalTuple
 
 from conftest import extract_fixture
@@ -115,6 +116,52 @@ def test_select_template_is_deterministic(registry, fixture_pools):
     assert len(picks) == 1
     other = select_template(registry, tup.signal_type, "multiple_choice", tup, 43)
     assert isinstance(other.template_id, str)
+
+
+# a synthetic catalog: group "gN" of qa_triviaqa generation holds N templates
+CHOICE_LENGTHS = (2, 3, 5, 7)
+CHOICE_REGISTRY = PromptRegistry([
+    PromptTemplate(f"qa_triviaqa.g{n}.{i}", "qa_triviaqa", "generation", f"g{n}",
+                   "TEXT: {context} QUERY: {question}", "{answer}")
+    for n in CHOICE_LENGTHS for i in range(n)
+])
+CHOICE_KEYS = [f"{i:016x}" for i in range(7000)]  # fixed, tuple_key-shaped
+CHOICE_TUPLE = SignalTuple("qa_triviaqa", ("c", "q?", "a"), "qa/1")
+# chi-square critical values at p = 0.001 for n - 1 degrees of freedom: a
+# uniform choice exceeds them once in a thousand key sets
+CHI2_999 = {2: 10.83, 3: 13.82, 5: 18.47, 7: 22.46}
+
+
+def _choices(seed: int, n: int) -> list[str]:
+    return [select_template(CHOICE_REGISTRY, "qa_triviaqa", "generation", CHOICE_TUPLE, seed, f"g{n}", key).template_id
+            for key in CHOICE_KEYS]
+
+
+@pytest.mark.parametrize("n", CHOICE_LENGTHS)
+def test_template_choice_is_uniform_over_the_eligible_list(n):
+    counts = {tpl.template_id: 0 for tpl in CHOICE_REGISTRY.get("qa_triviaqa", "generation", f"g{n}")}
+    for template_id in _choices(11, n):
+        counts[template_id] += 1
+    expected = len(CHOICE_KEYS) / n
+    chi2 = sum((count - expected) ** 2 / expected for count in counts.values())
+    assert chi2 < CHI2_999[n], counts
+
+
+@pytest.mark.parametrize("n", CHOICE_LENGTHS)
+def test_template_choice_is_the_derived_seed_modulo_the_list(monkeypatch, n):
+    eligible = CHOICE_REGISTRY.get("qa_triviaqa", "generation", f"g{n}")
+    expected = [eligible[derive_seed(11, "select", "qa_triviaqa", "generation", f"g{n}", key) % n].template_id
+                for key in CHOICE_KEYS]
+
+    def no_rng(*args):
+        raise AssertionError("template choice built a random.Random")
+
+    monkeypatch.setattr(render_module, "derive_rng", no_rng)
+    assert _choices(11, n) == expected
+    assert _choices(11, n) == expected  # deterministic
+    # another seed chooses independently: it agrees about 1 time in n
+    same = sum(a == b for a, b in zip(expected, _choices(12, n)))
+    assert abs(same / len(CHOICE_KEYS) - 1 / n) < 0.03
 
 
 def test_render_replay_is_byte_identical(registry, fixture_pools):

@@ -289,9 +289,13 @@ def test_template_that_draws_nothing_seeds_no_rng(monkeypatch, registry, all_fix
     pools = DistractorPools.build(all_fixture_tuples)
     tup = next(t for t in all_fixture_tuples if t.signal_type == "daily_mail_summary")
     built = _count_render_rngs(monkeypatch)
-    example = render_with_selected(registry, tup, "generation", pools, 7)
-    template = registry.by_id[example.template_id]
-    assert not template.option_slots()
+    # a plain generation template: no options, no distractor, no entity
+    plain = registry.by_id["daily_mail_summary.gen.001"]
+    assert plain.placeholders() == {"summary", "text"}
+    with monkeypatch.context() as patch:
+        patch.setattr(render_module, "select_template", lambda *args: plain)
+        example = render_with_selected(registry, tup, "generation", pools, 7)
+    assert example.template_id == plain.template_id
     assert built == []
     # a multiple-choice render draws its options: one RNG
     render_with_selected(registry, tup, "multiple_choice", pools, 7)
