@@ -193,19 +193,22 @@ def mix_command(spec_arg, tuples_paths, out_path, seed):
     for p in tuples_paths:
         tuples.extend(load_tuples(Path(p).read_bytes(), p))
     registry = load_registry()
-    result = mix(tuples, spec, registry)
-    streams = {
-        f"{spec.name}.stage{stage}.{split}": examples
-        for (stage, split), examples in sorted(result.examples.items())
-    }
-    manifest_extra = {
-        "spec_name": spec.name,
-        "seed": seed,
-        "spec_hash": _spec_hash(spec),
-        "warnings": result.warnings,
-        "render_errors": result.errors,
-    }
-    bundle_hash = write_bundle(out_path, streams, manifest_extra)
+    # the record lines spill beside the bundle, on the disk it goes to
+    spill_dir = Path(out_path).parent
+    spill_dir.mkdir(parents=True, exist_ok=True)
+    with mix(tuples, spec, registry, spill_dir) as result:
+        streams = {
+            f"{spec.name}.stage{stage}.{split}": examples
+            for (stage, split), examples in sorted(result.examples.items())
+        }
+        manifest_extra = {
+            "spec_name": spec.name,
+            "seed": seed,
+            "spec_hash": _spec_hash(spec),
+            "warnings": result.warnings,
+            "render_errors": result.errors,
+        }
+        bundle_hash = write_bundle(out_path, streams, result.spill.line_of, manifest_extra)
     click.echo(f"bundle {bundle_hash}")
 
 

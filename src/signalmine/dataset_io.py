@@ -17,7 +17,7 @@ import tempfile
 from collections import Counter
 from json.encoder import encode_basestring as _quote  # json.dumps' escaper under ensure_ascii=False
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .signal_model import (CATALOG, FORMAT_VERSION, PromptedExample, SchemaError, example_from_record,
@@ -67,7 +67,9 @@ def encode_record(example: PromptedExample) -> bytes:
     ).encode("utf-8")
 
 
-Record = tuple[str, bytes]  # (signal type, record line from encode_record)
+# (signal type, reference to a record line from encode_record), which the
+# writer's `line_of` turns into the line
+Record = tuple[str, Any]
 
 _RECORDS_PER_WRITE = 1024
 
@@ -75,15 +77,19 @@ _RECORDS_PER_WRITE = 1024
 def write_bundle(
     path: str | os.PathLike,
     streams: Mapping[str, Sequence[Record]],
+    line_of: Callable[[Any], bytes],
     manifest_extra: Mapping | None = None,
 ) -> str:
     """Write dataset streams + manifest + stats atomically; returns the hash.
 
     `streams` maps file names (e.g. "mix.stage1.train") to their records in
-    file order. Files are written one at a time in sorted-name order while
-    the digest is updated, so the bundle is never held whole in memory. A
-    failed write leaves no visible bundle, and a bundle already at `path`
-    stays there until the new one replaces it.
+    file order, and `line_of` reads a record's line from its reference:
+    `mix` passes its spill's reader, which reads each line from disk, and a
+    caller holding lines in memory passes, say, `lines.__getitem__`. Files
+    are written one at a time in sorted-name order, a batch of lines at a
+    time, while the digest is updated, so neither the bundle nor a whole
+    stream is held in memory. A failed write leaves no visible bundle, and
+    a bundle already at `path` stays there until the new one replaces it.
     """
     path = Path(path)
     if path.exists() and not (path / MANIFEST_NAME).exists():
@@ -114,7 +120,7 @@ def write_bundle(
                     records = streams[name]
                     size = 0
                     for start in range(0, len(records), _RECORDS_PER_WRITE):
-                        body = b"".join([line for _, line in records[start:start + _RECORDS_PER_WRITE]])
+                        body = b"".join([line_of(ref) for _, ref in records[start:start + _RECORDS_PER_WRITE]])
                         fh.write(body)
                         digest.update(body)
                         size += len(body)

@@ -130,7 +130,7 @@ def extract_documents(
         kept.append((doc_id, doc))
     report.docs_processed += len(kept)
 
-    def shard(positions: list[int]) -> ShardResult:
+    def shard(positions: range) -> ShardResult:
         return _extract_shard(mine, adapter, primary_text, [(p, kept[p][1]) for p in positions],
                               seed, detector, options)
 

@@ -8,13 +8,23 @@ validation. Each stream is shuffled by one Fisher-Yates pass with the global
 seed over job order: entry by entry, each entry's capped tuples in order. That
 order is fixed by the spec and the tuple files, so bundles are byte-identical
 across runs and across any number of render processes.
+
+Record lines never gather in the parent. Each render shard appends its lines
+to its own spill file, an unlinked temporary file, and returns only where
+each line lies; a stream lists job numbers, and `Spill.line_of` reads a
+job's line back when the bundle is written. The parent's memory thus does
+not grow with the bundle, and no spill file outlives the process, however
+it ends.
 """
 
 from __future__ import annotations
 
+import os
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+import tempfile
+from array import array
+from dataclasses import dataclass
+from typing import BinaryIO, Iterable, Mapping, Sequence
 
 from .dataset_io import Record, encode_record
 from .restructurer.pools import DistractorPools
@@ -25,13 +35,65 @@ from .shards import run_shards, shard_plan, worker_count
 from .signal_model import MixEntry, MixSpec, SignalTuple
 
 
+# bytes a render shard buffers before it writes to its spill file
+_SPILL_BUFFER = 1 << 16
+
+
+class Spill:
+    """The record lines of one `mix`: one unlinked file per render shard in
+    `directory` (the system's temporary directory if None), and where in
+    them each job's line lies. The files have no name from the start, so
+    none is left on disk on any exit path; `close` frees their space and
+    descriptors."""
+
+    def __init__(self, directory: str | os.PathLike | None, shards: int, jobs: int):
+        self.files: list[BinaryIO] = []
+        try:
+            for _ in range(shards):
+                self.files.append(tempfile.TemporaryFile(buffering=_SPILL_BUFFER, dir=directory))
+        except BaseException:
+            self.close()
+            raise
+        # per job, the descriptor of its file and its line's offset and length
+        self._fds = array("i", bytes(4 * jobs))
+        self._offsets = array("Q", bytes(8 * jobs))
+        self._lengths = array("Q", bytes(8 * jobs))
+
+    def place(self, shard: int, positions: Sequence[int], spans: array) -> None:
+        """Record that the jobs at `positions` wrote the lines at `spans`
+        (offset, length pairs, in order) to the file of `shard`."""
+        fd = self.files[shard].fileno()
+        for position, offset, length in zip(positions, spans[0::2], spans[1::2]):
+            self._fds[position] = fd
+            self._offsets[position] = offset
+            self._lengths[position] = length
+
+    def line_of(self, job: int) -> bytes:
+        """The record line job number `job` rendered."""
+        return os.pread(self._fds[job], self._lengths[job], self._offsets[job])
+
+    def close(self) -> None:
+        for file in self.files:
+            file.close()
+
+
 @dataclass
 class MixResult:
-    # per (stage, split), the (signal type, record line) of each example in
-    # file order
-    examples: dict[tuple[int, str], list[Record]] = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-    errors: list[str] = field(default_factory=list)
+    """What `mix` rendered. Its spill files stay open until the end of the
+    `with` block it is used in, or `spill.close()`."""
+
+    # per (stage, split), the (signal type, job number) of each example in
+    # file order; `spill.line_of` reads a job's record line
+    examples: dict[tuple[int, str], list[Record]]
+    warnings: list[str]
+    errors: list[str]
+    spill: Spill
+
+    def __enter__(self) -> "MixResult":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.spill.close()
 
 
 def _entry_id(entry: MixEntry, index: int) -> str:
@@ -141,49 +203,55 @@ def split_assignments(
 
 
 Job = tuple[int, MixEntry, SignalTuple, str]  # (entry index, entry, tuple, tuple key)
-# per job, its record line (None where it rendered nothing); and per entry the
-# position of its first failing job and the error message
-ShardResult = tuple[list[bytes | None], dict[int, tuple[int, str]]]
+# per job, the offset and length of its record line in the shard's spill file
+# (length 0 where it rendered nothing); and per entry the position of its
+# first failing job and the error message
+ShardResult = tuple[array, dict[int, tuple[int, str]]]
 
 
-def _render_shard(jobs: Sequence[Job], registry, pools, seed: int, splits) -> ShardResult:
-    """Render `jobs` in order and encode each example as it renders. An
-    entry renders nothing more after its first render or config error."""
-    lines: list[bytes | None] = []
+def _render_shard(jobs: Sequence[Job], spill: BinaryIO, registry, pools, seed: int, splits) -> ShardResult:
+    """Render `jobs` in order, encode each example as it renders and append
+    its line to `spill`. An entry renders nothing more after its first
+    render or config error. `spill` is flushed before this returns: a forked
+    shard leaves through `os._exit`, which flushes nothing."""
+    spans = array("Q")
     errors: dict[int, tuple[int, str]] = {}
+    offset = 0
     for position, (index, entry, tup, key) in enumerate(jobs):
-        line = None
+        length = 0
         if index not in errors:
             try:
-                line = encode_record(render_with_selected(
+                length = spill.write(encode_record(render_with_selected(
                     registry, tup, entry.family, pools, seed, entry.template_group, key, splits[key]
-                ))
+                )))
             except (RenderError, ConfigError) as exc:
                 errors[index] = (position, f"{_entry_id(entry, index)}: {exc}")
-        lines.append(line)
-    return lines, errors
+        spans.append(offset)
+        spans.append(length)
+        offset += length
+    spill.flush()
+    return spans, errors
 
 
-def _render_sharded(
-    jobs: list[Job], plan: list[list[int]], *context
-) -> tuple[list[bytes | None], dict[int, str]]:
+def _render_sharded(jobs: list[Job], plan: list[range], spill: Spill, *context) -> dict[int, str]:
     """`_render_shard` over `jobs`, one shard of `plan` per process
-    (`run_shards`): each child inherits the pools and the split map. Returns
-    each job's record line (None where it rendered nothing), and each failed
-    entry's earliest error, which is the one a single process rendering
-    every job would report."""
-    results = run_shards(lambda shard: _render_shard([jobs[i] for i in shard], *context), plan, "render")
-    lines: list[bytes | None] = [None] * len(jobs)
+    (`run_shards`), each into its own file of `spill`: each child inherits
+    the pools, the split map and the spill files. Places every line in
+    `spill`, and returns each failed entry's earliest error, which is the
+    one a single process rendering every job would report."""
+    results = run_shards(
+        lambda shard: _render_shard([jobs[i] for i in plan[shard]], spill.files[shard], *context),
+        range(len(plan)), "render",
+    )
     first_errors: dict[int, tuple[int, str]] = {}
-    for shard, (shard_lines, shard_errors) in zip(plan, results):
-        for position, line in zip(shard, shard_lines):
-            lines[position] = line
+    for shard, (spans, shard_errors) in enumerate(results):
+        positions = plan[shard]
+        spill.place(shard, positions, spans)
         for index, (position, message) in shard_errors.items():
-            position = shard[position]
+            position = positions[position]
             if index not in first_errors or position < first_errors[index][0]:
                 first_errors[index] = (position, message)
-    errors = {index: message for index, (_, message) in first_errors.items()}
-    return lines, errors
+    return {index: message for index, (_, message) in first_errors.items()}
 
 
 def _check_renderable(entry: MixEntry, index: int, registry: PromptRegistry) -> None:
@@ -203,8 +271,11 @@ def mix(
     tuples: Iterable[SignalTuple],
     spec: MixSpec,
     registry: PromptRegistry,
+    spill_dir: str | os.PathLike | None = None,
 ) -> MixResult:
-    """Render capped, staged, split example streams for every spec entry."""
+    """Render capped, staged, split example streams for every spec entry.
+    The record lines go to spill files in `spill_dir` (the system's
+    temporary directory if None); the caller closes the result."""
     for index, entry in enumerate(spec.entries):
         if entry.weight > 0:
             _check_renderable(entry, index, registry)
@@ -221,7 +292,6 @@ def mix(
 
     capped, warnings = apply_caps(by_signal, spec, eligible=renderable)
     plan = stage_plan(spec)
-    result = MixResult(warnings=warnings)
     seed = spec.global_seed
     keys = [tuple_key(tup) for tup in all_tuples]
     splits = split_assignments(all_tuples, spec, keys)
@@ -231,20 +301,25 @@ def mix(
 
     jobs = [(index, entry, tup, key_of[id(tup)])
             for index, entry in enumerate(spec.entries) for tup in capped.get(index, [])]
-    lines, errors = _render_sharded(jobs, shard_plan(len(jobs), worker_count()), registry, pools, seed, splits)
-    result.errors.extend(errors[index] for index in sorted(errors))
-
-    merged = [(index, splits[key], (tup.signal_type, line))
-              for (index, _, tup, key), line in zip(jobs, lines) if index not in errors]
-    for stage, members in plan:
-        members = set(members)
-        buckets: dict[str, list[Record]] = {"train": [], "validation": []}
-        for index, split, record in merged:
-            if index in members:
-                buckets[split].append(record)
-        for split, stream in buckets.items():
-            rng = derive_rng(seed, "shuffle", spec.name, stage, split)
-            rng.shuffle(stream)
-            if stream or spec.split_ratio > 0 or split == "train":
-                result.examples[(stage, split)] = stream
-    return result
+    shards = shard_plan(len(jobs), worker_count())
+    spill = Spill(spill_dir, len(shards), len(jobs))
+    try:
+        errors = _render_sharded(jobs, shards, spill, registry, pools, seed, splits)
+        # one record per job, listed again by each stage that holds its entry
+        records = [(tup.signal_type, job) for job, (_, _, tup, _) in enumerate(jobs)]
+        examples: dict[tuple[int, str], list[Record]] = {}
+        for stage, members in plan:
+            members = set(members) - errors.keys()
+            buckets: dict[str, list[Record]] = {"train": [], "validation": []}
+            for (index, _, _, key), record in zip(jobs, records):
+                if index in members:
+                    buckets[splits[key]].append(record)
+            for split, stream in buckets.items():
+                rng = derive_rng(seed, "shuffle", spec.name, stage, split)
+                rng.shuffle(stream)
+                if stream or spec.split_ratio > 0 or split == "train":
+                    examples[(stage, split)] = stream
+    except BaseException:
+        spill.close()
+        raise
+    return MixResult(examples, warnings, [errors[index] for index in sorted(errors)], spill)

@@ -3,6 +3,9 @@
 `mix` renders and `extract` extracts this way. The caller builds its inputs
 once; a child inherits them with the rest of the parent's memory and sends
 its result back pickled through a pipe, so the inputs are never pickled.
+What a shard makes in bulk should not travel that way: a `mix` shard writes
+its record lines to a file it inherits, and pickles back only where they
+lie.
 """
 
 from __future__ import annotations
@@ -10,9 +13,10 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from typing import BinaryIO, Callable, TypeVar
+from typing import BinaryIO, Callable, Sequence, TypeVar
 
 Result = TypeVar("Result")
+Shard = TypeVar("Shard")
 
 
 def worker_count() -> int:
@@ -23,14 +27,15 @@ def worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def shard_plan(items: int, workers: int) -> list[list[int]]:
+def shard_plan(items: int, workers: int) -> list[range]:
     """The item positions of each shard: one shard per worker, but no more
     shards than items, and at least one. Positions are dealt round-robin,
     so each shard gets its share of every stretch of the list (jobs of one
     `mix` entry, documents of one size), and costs differ less between
-    shards than between equal runs of the list."""
+    shards than between equal runs of the list. Each shard is a `range`,
+    so a plan holds no list of positions."""
     shards = max(1, min(workers, items))
-    return [list(range(shard, items, shards)) for shard in range(shards)]
+    return [range(shard, items, shards) for shard in range(shards)]
 
 
 def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:
@@ -56,9 +61,10 @@ def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:
     return pid, open(read_fd, "rb")
 
 
-def run_shards(work: Callable[[list[int]], Result], plan: list[list[int]], name: str) -> list[Result]:
-    """`work(shard)` for each shard of `plan`, in plan order: the first
-    shard runs here, each other one in a forked child.
+def run_shards(work: Callable[[Shard], Result], plan: Sequence[Shard], name: str) -> list[Result]:
+    """`work(shard)` for each shard of `plan` (its positions, or whatever
+    names it to `work`), in plan order: the first shard runs here, each
+    other one in a forked child.
 
     A child that ends without a complete result raises `ChildProcessError`
     ("<name> worker <pid> exited without a complete result"); any other

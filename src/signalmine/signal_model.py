@@ -324,29 +324,47 @@ def _optional_int(rec: Mapping, key: str) -> int | None:
     return None if rec.get(key) is None else _json_int(rec[key], f"'{key}'")
 
 
+def _json_number(value: object, what: str) -> float:
+    """`value`, which must be a JSON number, as a float: a bool or a string
+    is refused, not converted."""
+    if type(value) not in (int, float):
+        raise SchemaError(f"mix spec: {what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_str(value: object, what: str) -> str:
+    if type(value) is not str:
+        raise SchemaError(f"mix spec: {what} must be a string, got {value!r}")
+    return value
+
+
+def _optional_str(rec: Mapping, key: str) -> str | None:
+    return None if rec.get(key) is None else _json_str(rec[key], f"'{key}'")
+
+
 def mixspec_from_record(rec: Mapping) -> MixSpec:
     try:
         entries = tuple(
             MixEntry(
-                signal_type=e["signal_type"],
-                family=e["family"],
-                weight=float(e.get("weight", 1.0)),
+                signal_type=_json_str(e["signal_type"], "'signal_type'"),
+                family=_json_str(e["family"], "'family'"),
+                weight=_json_number(e.get("weight", 1.0), "'weight'"),
                 cap=_optional_int(e, "cap"),
                 per_category_cap=_optional_int(e, "per_category_cap"),
                 stage=_json_int(e.get("stage", 1), "'stage'"),
-                template_group=e.get("template_group"),
+                template_group=_optional_str(e, "template_group"),
                 composition={value: _json_int(count, f"composition count for {value!r}")
                              for value, count in dict(e["composition"]).items()}
                 if e.get("composition") else None,
-                composition_key=e.get("composition_key"),
+                composition_key=_optional_str(e, "composition_key"),
             )
             for e in rec.get("entries", [])
         )
         return MixSpec(
             entries=entries,
-            split_ratio=float(rec.get("split_ratio", 0.0)),
+            split_ratio=_json_number(rec.get("split_ratio", 0.0), "'split_ratio'"),
             global_seed=_json_int(rec.get("global_seed", 0), "'global_seed'"),
-            name=rec.get("name", "mix"),
+            name=_json_str(rec.get("name", "mix"), "'name'"),
         )
     except SchemaError:
         raise

@@ -307,11 +307,12 @@ def _pipeline_bundle_hash(tmp_path, seed: int, registry) -> str:
         global_seed=seed,
         name="detspec",
     )
-    result = mix(tuples, spec, registry)
-    assert not result.errors
-    streams = {f"detspec.stage{stage}.{split}": exs
-               for (stage, split), exs in sorted(result.examples.items())}
-    return write_bundle(tmp_path / f"bundle-{seed}-{len(list(tmp_path.iterdir()))}", streams)
+    with mix(tuples, spec, registry) as result:
+        assert not result.errors
+        streams = {f"detspec.stage{stage}.{split}": exs
+                   for (stage, split), exs in sorted(result.examples.items())}
+        return write_bundle(tmp_path / f"bundle-{seed}-{len(list(tmp_path.iterdir()))}", streams,
+                            result.spill.line_of)
 
 
 def test_pipeline_determinism(tmp_path, registry):

@@ -227,7 +227,8 @@ _EXAMPLE_RECORD = {"v": "1", "source": "TEXT: t QUERY: q?", "target": "a", "sign
 def test_stats_on_an_example_record_of_the_wrong_type_is_one_schema_error_line(runner, tmp_path, key, value,
                                                                                message):
     def bundle_of(record, path):
-        write_bundle(path, {"m.stage1.train": [("qa_triviaqa", (json.dumps(record) + "\n").encode())]})
+        lines = [(json.dumps(record) + "\n").encode()]
+        write_bundle(path, {"m.stage1.train": [("qa_triviaqa", 0)]}, lines.__getitem__)
         return path
 
     good = bundle_of(_EXAMPLE_RECORD, tmp_path / "good")
@@ -941,13 +942,35 @@ _RT_TUPLE = {"v": "1", "signal_type": "rotten_tomatoes_sentiment", "source_doc":
      _RT_TUPLE, "mix spec: composition count for 'positive' must be an integer, got 1.5"),
     ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "global_seed": False},
      _RT_TUPLE, "mix spec: 'global_seed' must be an integer, got False"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "weight": True}]},
+     _RT_TUPLE, "mix spec: 'weight' must be a number, got True"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "weight": "1"}]},
+     _RT_TUPLE, "mix spec: 'weight' must be a number, got '1'"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "split_ratio": "0.5"},
+     _RT_TUPLE, "mix spec: 'split_ratio' must be a number, got '0.5'"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "split_ratio": False},
+     _RT_TUPLE, "mix spec: 'split_ratio' must be a number, got False"),
+    ({"entries": [{"signal_type": 5, "family": "generation"}]},
+     _RT_TUPLE, "mix spec: 'signal_type' must be a string, got 5"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": ["generation"]}]},
+     _RT_TUPLE, "mix spec: 'family' must be a string, got ['generation']"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "name": 5},
+     _RT_TUPLE, "mix spec: 'name' must be a string, got 5"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "template_group": 5}]},
+     _RT_TUPLE, "mix spec: 'template_group' must be a string, got 5"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation",
+                   "composition": {"positive": 1}, "composition_key": 5}]},
+     _RT_TUPLE, "mix spec: 'composition_key' must be a string, got 5"),
     (None, {**_RT_TUPLE, "fields": ["A fine film.", "positive"]},
      "tuple record 'fields' and 'meta' must be objects"),
     (None, {**_RT_TUPLE, "meta": "x"}, "tuple record 'fields' and 'meta' must be objects"),
     (None, {**_RT_TUPLE, "fields": {"review": 5, "sentiment": "positive"}},
      "tuple record 'source_doc', fields and meta values must be strings"),
 ], ids=["entry-without-family", "stage-not-a-number", "stage-a-float", "cap-a-float", "cap-a-bool",
-        "per-category-cap-a-float", "composition-count-a-float", "global-seed-a-bool", "fields-not-object",
+        "per-category-cap-a-float", "composition-count-a-float", "global-seed-a-bool", "weight-a-bool",
+        "weight-a-string", "split-ratio-a-string", "split-ratio-a-bool", "signal-type-a-number",
+        "family-a-list", "name-a-number", "template-group-a-number", "composition-key-a-number",
+        "fields-not-object",
         "meta-not-object", "field-not-a-string"])
 def test_mix_malformed_spec_entry_or_tuple_record_is_one_schema_error_line(runner, tmp_path, spec,
                                                                          tuple_record, message):

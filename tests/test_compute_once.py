@@ -235,8 +235,8 @@ def _assert_writers_agree(tmp_path: Path, streams: dict, extra: dict | None = No
         for ex in examples:
             if id(ex) not in lines:
                 lines[id(ex)] = encode_record(ex)
-    records = {name: [(ex.signal_type, lines[id(ex)]) for ex in examples] for name, examples in streams.items()}
-    got = write_bundle(tmp_path / "streamed", records, extra)
+    records = {name: [(ex.signal_type, id(ex)) for ex in examples] for name, examples in streams.items()}
+    got = write_bundle(tmp_path / "streamed", records, lines.__getitem__, extra)
     assert got == expected
     assert _bundle_bytes(tmp_path / "streamed") == _bundle_bytes(tmp_path / "reference")
     assert read_manifest(tmp_path / "streamed") == read_manifest(tmp_path / "reference")
@@ -285,9 +285,9 @@ def test_streaming_writer_encodes_each_listed_example_once(tmp_path, monkeypatch
                             MixEntry("daily_mail_summary", "generation", stage=2)), global_seed=3, name="s")
     encoded = []
     monkeypatch.setattr(mixer, "encode_record", lambda ex: encoded.append(ex) or encode_record(ex))
-    streams = {f"s.stage{stage}.{split}": records
-               for (stage, split), records in mixer.mix(all_fixture_tuples, spec, REGISTRY).examples.items()}
-    write_bundle(tmp_path / "b", streams)
-    lines = [line for records in streams.values() for _, line in records]
+    with mixer.mix(all_fixture_tuples, spec, REGISTRY) as result:
+        streams = {f"s.stage{stage}.{split}": records for (stage, split), records in result.examples.items()}
+        write_bundle(tmp_path / "b", streams, result.spill.line_of)
+    lines = [line for records in streams.values() for _, line in records]  # job numbers of spilled lines
     assert len(lines) > len({id(line) for line in lines})
     assert len(encoded) == len({id(ex) for ex in encoded}) == len({id(line) for line in lines})

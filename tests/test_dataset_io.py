@@ -41,14 +41,20 @@ def streams(n=10):
             "t.stage1.validation": [example(100 + i, split="validation") for i in range(3)]}
 
 
-def records(streams: dict) -> dict:
-    """`streams` of examples as `write_bundle` takes them."""
-    return {name: [(ex.signal_type, encode_record(ex)) for ex in examples] for name, examples in streams.items()}
+def records(streams: dict) -> tuple[dict, object]:
+    """`streams` of examples as `write_bundle` takes them: records that
+    number their lines, and the reader of the lines, held in memory."""
+    lines = []
+    numbered = {}
+    for name, examples in streams.items():
+        numbered[name] = [(ex.signal_type, len(lines) + i) for i, ex in enumerate(examples)]
+        lines.extend(map(encode_record, examples))
+    return numbered, lines.__getitem__
 
 
 def test_round_trip_byte_exact(tmp_path):
     path = tmp_path / "bundle"
-    write_bundle(path, records(streams()))
+    write_bundle(path, *records(streams()))
     back = read_examples(path, "t.stage1.train")
     assert back == streams()["t.stage1.train"]
 
@@ -56,20 +62,20 @@ def test_round_trip_byte_exact(tmp_path):
 def test_bundle_directory_keeps_the_umask_mode(tmp_path):
     old = os.umask(0o022)
     try:
-        write_bundle(tmp_path / "b", records(streams()))
+        write_bundle(tmp_path / "b", *records(streams()))
     finally:
         os.umask(old)
     assert (tmp_path / "b").stat().st_mode & 0o777 == 0o755
 
 
 def test_same_inputs_same_hash(tmp_path):
-    h1 = write_bundle(tmp_path / "b1", records(streams()))
-    h2 = write_bundle(tmp_path / "b2", records(streams()))
+    h1 = write_bundle(tmp_path / "b1", *records(streams()))
+    h2 = write_bundle(tmp_path / "b2", *records(streams()))
     assert h1 == h2
 
 
 def test_hash_changes_with_any_byte(tmp_path):
-    h1 = write_bundle(tmp_path / "b1", records(streams()))
+    h1 = write_bundle(tmp_path / "b1", *records(streams()))
     altered = streams()
     ex = altered["t.stage1.train"][0]
     altered["t.stage1.train"][0] = PromptedExample(
@@ -77,13 +83,13 @@ def test_hash_changes_with_any_byte(tmp_path):
         template_id=ex.template_id, family=ex.family, seed=ex.seed,
         split=ex.split, source_doc=ex.source_doc,
     )
-    h2 = write_bundle(tmp_path / "b2", records(altered))
+    h2 = write_bundle(tmp_path / "b2", *records(altered))
     assert h1 != h2
 
 
 def test_manifest_line_counts(tmp_path):
     path = tmp_path / "b"
-    write_bundle(path, records(streams()))
+    write_bundle(path, *records(streams()))
     manifest = read_manifest(path)
     assert manifest["files"]["t.stage1.train"]["lines"] == 10
     assert manifest["files"]["t.stage1.validation"]["lines"] == 3
@@ -93,7 +99,7 @@ def test_manifest_line_counts(tmp_path):
 
 def test_empty_bundle_is_valid(tmp_path):
     path = tmp_path / "b"
-    h = write_bundle(path, records({"t.stage1.train": []}))
+    h = write_bundle(path, *records({"t.stage1.train": []}))
     assert h
     manifest = verify_bundle(path)
     assert manifest["per_signal"] == {}
@@ -101,7 +107,7 @@ def test_empty_bundle_is_valid(tmp_path):
 
 def test_corruption_detected(tmp_path):
     path = tmp_path / "b"
-    write_bundle(path, records(streams()))
+    write_bundle(path, *records(streams()))
     target = path / "t.stage1.train"
     target.write_bytes(target.read_bytes().replace(b"question 3", b"question X"))
     with pytest.raises(IntegrityError):
@@ -112,35 +118,35 @@ def test_partial_write_leaves_nothing(tmp_path):
     path = tmp_path / "exists"
     path.mkdir()  # a non-bundle directory is never clobbered
     with pytest.raises(Exception):
-        write_bundle(path, records(streams()))
+        write_bundle(path, *records(streams()))
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".exists")]
     assert not leftovers
 
 
 def test_rewriting_a_bundle_is_idempotent(tmp_path):
     path = tmp_path / "b"
-    h1 = write_bundle(path, records(streams()))
-    h2 = write_bundle(path, records(streams()))
+    h1 = write_bundle(path, *records(streams()))
+    h2 = write_bundle(path, *records(streams()))
     assert h1 == h2
     verify_bundle(path)
 
 
 def test_stats_report_rows(tmp_path):
     path = tmp_path / "b"
-    write_bundle(path, records(streams()))
+    write_bundle(path, *records(streams()))
     table = stats_report(path)
     lines = table.strip().split("\n")
     assert lines[0] == "mine\tsignal\ttuple\tsamples"
     assert lines[1] == "qa_corpus\tqa_triviaqa\t(context,question,answer)\t13"
     # recomputed on an identical rewrite -> identical report
-    write_bundle(tmp_path / "b2", records(streams()))
+    write_bundle(tmp_path / "b2", *records(streams()))
     assert stats_report(tmp_path / "b2") == table
 
 
 def test_round_trip_file_bytes_are_identical(tmp_path):
-    write_bundle(tmp_path / "b1", records(streams()))
+    write_bundle(tmp_path / "b1", *records(streams()))
     back = {name: read_examples(tmp_path / "b1", name) for name in streams()}
-    write_bundle(tmp_path / "b2", records(back))
+    write_bundle(tmp_path / "b2", *records(back))
     for name in streams():
         assert (tmp_path / "b1" / name).read_bytes() == (tmp_path / "b2" / name).read_bytes()
 
@@ -157,7 +163,7 @@ def _tree(parent):
 
 def _replace_with_refused_rename(tmp_path, monkeypatch, refuse_when):
     path = tmp_path / "b"
-    write_bundle(path, records(streams()))
+    write_bundle(path, *records(streams()))
     before = _tree(tmp_path)
     real_rename = os.rename
 
@@ -168,7 +174,7 @@ def _replace_with_refused_rename(tmp_path, monkeypatch, refuse_when):
 
     monkeypatch.setattr("os.rename", rename)
     with pytest.raises(OSError, match="injected rename failure"):
-        write_bundle(path, records(streams(n=4)))
+        write_bundle(path, *records(streams(n=4)))
     monkeypatch.undo()
     assert _tree(tmp_path) == before  # old bytes intact, no temp or aside dir left
     verify_bundle(path)
@@ -186,7 +192,7 @@ def test_refused_rename_of_the_new_bundle_in_restores_the_old_one(tmp_path, monk
 
 def test_refused_rename_back_names_where_both_bundles_are(tmp_path, monkeypatch):
     path = tmp_path / "b"
-    write_bundle(path, records(streams()))
+    write_bundle(path, *records(streams()))
     old = _tree(path)
     real_rename = os.rename
 
@@ -198,7 +204,7 @@ def test_refused_rename_back_names_where_both_bundles_are(tmp_path, monkeypatch)
 
     monkeypatch.setattr("os.rename", rename)
     with pytest.raises(StrandedBundleError) as info:
-        write_bundle(path, records(streams(n=4)))
+        write_bundle(path, *records(streams(n=4)))
     monkeypatch.undo()
     assert not path.exists()
     (aside,) = tmp_path.glob(".b.old*")
@@ -211,15 +217,15 @@ def test_refused_rename_back_names_where_both_bundles_are(tmp_path, monkeypatch)
 
 def test_replacing_a_bundle_leaves_only_the_new_one(tmp_path):
     path = tmp_path / "b"
-    write_bundle(path, records(streams()))
-    write_bundle(path, records(streams(n=4)))
+    write_bundle(path, *records(streams()))
+    write_bundle(path, *records(streams(n=4)))
     assert [p.name for p in tmp_path.iterdir()] == ["b"]
     assert read_manifest(path)["files"]["t.stage1.train"]["lines"] == 4
 
 
 def test_write_failing_halfway_keeps_the_old_bundle(tmp_path, monkeypatch):
     path = tmp_path / "b"
-    write_bundle(path, records(streams()))
+    write_bundle(path, *records(streams()))
     before = _tree(tmp_path)
     real_open = open
     opened = []
@@ -235,7 +241,7 @@ def test_write_failing_halfway_keeps_the_old_bundle(tmp_path, monkeypatch):
 
     monkeypatch.setattr("builtins.open", failing_open)
     with pytest.raises(OSError, match="injected write failure"):
-        write_bundle(path, records(streams(n=4)))
+        write_bundle(path, *records(streams(n=4)))
     monkeypatch.undo()
     assert _tree(tmp_path) == before
 
@@ -257,7 +263,7 @@ def _rehash(path):
 
 def test_verify_mismatch_messages(tmp_path):
     path = tmp_path / "b"
-    recorded = write_bundle(path, records(streams()))
+    recorded = write_bundle(path, *records(streams()))
     target = path / "t.stage1.train"
     original = target.read_bytes()
 
@@ -284,7 +290,7 @@ def test_verify_mismatch_messages(tmp_path):
 ])
 def test_file_that_is_not_utf8_is_an_integrity_error(tmp_path, damage):
     path = tmp_path / "b"
-    write_bundle(path, records(streams()))
+    write_bundle(path, *records(streams()))
     target = path / "t.stage1.train"
     target.write_bytes(damage(target.read_bytes()))
     _rehash(path)
@@ -298,7 +304,7 @@ def test_file_that_is_not_utf8_is_an_integrity_error(tmp_path, damage):
 def test_character_split_across_chunks_verifies(tmp_path, monkeypatch):
     path = tmp_path / "b"
     ex = example(1)
-    write_bundle(path, records({"t.stage1.train": [
+    write_bundle(path, *records({"t.stage1.train": [
         PromptedExample(**{**ex.__dict__, "target": "réponse ünïcödé 答え " * (i + 1)}) for i in range(20)
     ]}))
     for size in (1, 2, 3, 7):
@@ -311,7 +317,7 @@ def test_verify_holds_one_chunk_not_a_file(tmp_path):
     big = [PromptedExample(**{**example(i).__dict__, "source": f"TEXT: {filler}{i} QUERY: q {i}?"})
            for i in range(2500)]
     path = tmp_path / "b"
-    write_bundle(path, records({"t.stage1.train": big, "t.stage1.validation": big[:500]}))
+    write_bundle(path, *records({"t.stage1.train": big, "t.stage1.validation": big[:500]}))
     largest = max(p.stat().st_size for p in path.iterdir())
     assert largest > 3_000_000
     tracemalloc.start()

@@ -20,7 +20,7 @@ def registry():
 
 def decoded(result) -> dict:
     """A mix result's record lines, read back as examples."""
-    return {key: [example_from_record(json.loads(line)) for _, line in records]
+    return {key: [example_from_record(json.loads(result.spill.line_of(job))) for _, job in records]
             for key, records in result.examples.items()}
 
 
@@ -156,9 +156,9 @@ def test_mix_end_to_end_no_leakage(registry):
         global_seed=11,
         name="leak",
     )
-    result = mix(tuples, spec, registry)
+    with mix(tuples, spec, registry) as result:
+        examples_of = decoded(result)
     assert not result.errors
-    examples_of = decoded(result)
     # a tuple's split is fixed before any entry renders it, so renderings can
     # never straddle train and validation; rotten tomatoes has exactly one
     # tuple per document, which makes the doc-level check exact there
@@ -182,9 +182,8 @@ def test_mix_determinism(registry):
         global_seed=21,
         name="det",
     )
-    a = mix(tuples, spec, registry)
-    b = mix(tuples, spec, registry)
-    assert a.examples == b.examples
+    with mix(tuples, spec, registry) as a, mix(tuples, spec, registry) as b:
+        assert decoded(a) == decoded(b)
 
 
 def test_all_tasks_preset_over_full_corpus(registry, tmp_path):
@@ -201,11 +200,11 @@ def test_all_tasks_preset_over_full_corpus(registry, tmp_path):
                      .read_text("utf-8"))
     rec["global_seed"] = 13
     spec = mixspec_from_record(rec)
-    result = mix(tuples, spec, registry)
+    with mix(tuples, spec, registry) as result:
+        examples_of = decoded(result)
     assert not result.errors, result.errors
     # the fixture corpus is tiny compared to the published caps
     assert any("shortfall" in w for w in result.warnings)
-    examples_of = decoded(result)
     emitted = {ex.signal_type for examples in examples_of.values() for ex in examples}
     # every task-relevant fixture signal with templates lands in the bundle
     assert "rotten_tomatoes_sentiment" in emitted

@@ -1,5 +1,6 @@
-"""`mix` renders its jobs in shards, one per CPU, forked; and a render builds
-its RNG only when it draws. Neither may change a byte of output."""
+"""`mix` renders its jobs in shards, one per CPU, forked, each spilling its
+record lines to an unlinked file; and a render builds its RNG only when it
+draws. None of it may change a byte of output."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import json
 import os
 import signal
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -54,6 +57,19 @@ def _no_child_left() -> bool:
     return False
 
 
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
+
+
+def _lines(result) -> dict:
+    """A mix result's streams with each job number read as its record line."""
+    return {key: [(signal_type, result.spill.line_of(job)) for signal_type, job in records]
+            for key, records in result.examples.items()}
+
+
 # -- the shard plan -------------------------------------------------------------
 
 
@@ -95,8 +111,8 @@ def test_one_cpu_renders_in_process(monkeypatch, registry, all_fixture_tuples):
     _workers(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", no_fork)
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),), global_seed=3, name="t")
-    result = mixer.mix(all_fixture_tuples, spec, registry)
-    assert result.examples and not result.errors
+    with mixer.mix(all_fixture_tuples, spec, registry) as result:
+        assert result.examples and not result.errors
 
 
 # -- byte identity -----------------------------------------------------------------
@@ -147,11 +163,12 @@ def test_examples_that_tie_up_to_target_or_source_merge_as_in_one_process(monkey
 
     def run(workers: int):
         _workers(monkeypatch, workers)
-        result = mixer.mix(tuples, spec, registry)
-        assert not result.errors
-        streams = {f"tie.stage{stage}.{split}": records for (stage, split), records in result.examples.items()}
-        out = tmp_path / f"bundle{workers}"
-        return result.examples, write_bundle(out, streams), (out / "stats.tsv").read_bytes()
+        with mixer.mix(tuples, spec, registry) as result:
+            assert not result.errors
+            streams = {f"tie.stage{stage}.{split}": records for (stage, split), records in result.examples.items()}
+            out = tmp_path / f"bundle{workers}"
+            bundle_hash = write_bundle(out, streams, result.spill.line_of)
+            return _lines(result), bundle_hash, (out / "stats.tsv").read_bytes()
 
     reference = run(1)
     examples = [json.loads(line) for _, line in reference[0][(2, "train")]]
@@ -178,10 +195,13 @@ def _failing_render(monkeypatch, bad_docs: set[str]) -> None:
     monkeypatch.setattr(mixer, "render_with_selected", fake)
 
 
-def _two_entry_mix(registry, tuples):
+def _two_entry_mix(registry, tuples, spill_dir=None):
+    """The errors and the streams, with their record lines, of a mix of two
+    entries, whose spill is closed again."""
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),
                             MixEntry("daily_mail_summary", "multiple_choice")), global_seed=3, name="t")
-    return mixer.mix(tuples, spec, registry)
+    with mixer.mix(tuples, spec, registry, spill_dir) as result:
+        return SimpleNamespace(errors=result.errors, examples=_lines(result))
 
 
 def test_earliest_error_of_an_entry_comes_from_a_later_shard(monkeypatch, registry):
@@ -204,7 +224,8 @@ def test_earliest_error_of_an_entry_comes_from_a_later_shard(monkeypatch, regist
     assert _no_child_left()
 
 
-def test_other_exception_in_a_child_is_raised_with_its_type_and_message(monkeypatch, registry):
+@needs_proc
+def test_other_exception_in_a_child_is_raised_with_its_type_and_message(monkeypatch, tmp_path, registry):
     parent = os.getpid()
     real = mixer.render_with_selected
 
@@ -216,13 +237,17 @@ def test_other_exception_in_a_child_is_raised_with_its_type_and_message(monkeypa
     monkeypatch.setattr(mixer, "render_with_selected", fake)
     _workers(monkeypatch, 2)
     tuples = [t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"]
+    fds = _open_fds()
     with pytest.raises(KeyError) as caught:
-        _two_entry_mix(registry, tuples)
+        _two_entry_mix(registry, tuples, tmp_path)
     assert caught.value.args == ("child went wrong",)
     assert _no_child_left()
+    assert list(tmp_path.iterdir()) == []
+    assert _open_fds() == fds
 
 
-def test_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch, registry):
+@needs_proc
+def test_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch, tmp_path, registry):
     parent = os.getpid()
 
     def fake(*args, **kwargs):
@@ -234,12 +259,16 @@ def test_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch, regist
     _workers(monkeypatch, 3)
     tuples = [t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"]
     started = time.monotonic()
+    fds = _open_fds()
     with pytest.raises(KeyboardInterrupt):
-        _two_entry_mix(registry, tuples)
+        _two_entry_mix(registry, tuples, tmp_path)
     assert time.monotonic() - started < 30
     assert _no_child_left()
+    assert list(tmp_path.iterdir()) == []
+    assert _open_fds() == fds
 
 
+@needs_proc
 def test_child_killed_mid_shard_keeps_the_old_bundle(monkeypatch, tmp_path):
     tuples = tmp_path / "in.tuples"
     tuples.write_text(dump_tuples(synthetic_tuples(200)), encoding="utf-8")
@@ -261,6 +290,7 @@ def test_child_killed_mid_shard_keeps_the_old_bundle(monkeypatch, tmp_path):
 
     monkeypatch.setattr(mixer, "render_with_selected", fake)
     _workers(monkeypatch, 2)
+    fds = _open_fds()
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert result.output.startswith("io-error: render worker ")
@@ -268,6 +298,67 @@ def test_child_killed_mid_shard_keeps_the_old_bundle(monkeypatch, tmp_path):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "in.tuples"]
     assert _no_child_left()
+    assert _open_fds() == fds
+
+
+# -- spill files and the parent's memory ------------------------------------------
+
+
+@needs_proc
+@pytest.mark.parametrize("workers", [1, 2])
+def test_spill_files_leave_no_file_and_no_descriptor_over_ten_runs(monkeypatch, tmp_path, workers):
+    tuples = tmp_path / "in.tuples"
+    tuples.write_text(dump_tuples(synthetic_tuples(40)), encoding="utf-8")
+    out = tmp_path / "bundle"
+    args = ["mix", "--spec", "all_tasks", "--tuples", str(tuples), "--out", str(out), "--seed", "7"]
+    _workers(monkeypatch, workers)
+    if workers == 1:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("one worker forks nothing"))
+    runner = CliRunner()
+    fds = _open_fds()
+    hashes = set()
+    for _ in range(10):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        hashes.add(result.output)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bundle", "in.tuples"]
+        assert _open_fds() == fds
+    assert len(hashes) == 1
+    assert _no_child_left()
+
+
+def test_spill_files_are_unlinked_and_closed_with_the_result(registry, tmp_path):
+    tuples = [t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"]
+    spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),), global_seed=3, name="t")
+    with mixer.mix(tuples, spec, registry, tmp_path) as result:
+        assert list(tmp_path.iterdir()) == []
+        files = result.spill.files
+        assert files and not any(f.closed for f in files)
+        assert result.spill.line_of(0).endswith(b"}\n")
+    assert all(f.closed for f in files)
+
+
+def test_mix_and_write_hold_less_than_the_bundle(monkeypatch, tmp_path, registry):
+    # the record lines are on disk, not in memory; one worker, so the traced
+    # process renders every job itself
+    _workers(monkeypatch, 1)
+    tuples = synthetic_tuples()
+    spec = MixSpec(entries=tuple(MixEntry(signal, family, stage=1 if family == "multiple_choice" else 2)
+                                 for signal in ("daily_mail_summary", "wikidata_relation")
+                                 for family in ("multiple_choice", "generation")),
+                   split_ratio=0.1, global_seed=7, name="synthetic")
+    out = tmp_path / "bundle"
+    tracemalloc.start()
+    try:
+        with mixer.mix(tuples, spec, registry, tmp_path) as result:
+            streams = {f"synthetic.stage{stage}.{split}": records
+                       for (stage, split), records in result.examples.items()}
+            assert write_bundle(out, streams, result.spill.line_of) == SYNTHETIC_BUNDLE_HASH
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bundle_bytes = sum((out / name).stat().st_size for name in streams)
+    assert peak < bundle_bytes
 
 
 # -- the render RNG is built at its first draw --------------------------------------
