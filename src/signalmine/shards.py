@@ -62,9 +62,9 @@ def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:
 
 
 def run_shards(work: Callable[[Shard], Result], plan: Sequence[Shard], name: str) -> list[Result]:
-    """`work(shard)` for each shard of `plan` (its positions, or whatever
-    names it to `work`), in plan order: the first shard runs here, each
-    other one in a forked child.
+    """`work(shard)` for each shard of `plan`, in plan order: the first
+    shard runs here, each other one in a forked child. A shard is whatever
+    `work` takes: its positions (`extract`) or its number (`mix`).
 
     A child that ends without a complete result raises `ChildProcessError`
     ("<name> worker <pid> exited without a complete result"); any other
