@@ -7,6 +7,7 @@ SIGNALMINE_SEED environment variable, else the --config file's `seed`.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -20,7 +21,6 @@ import click
 from . import __version__
 from .dataset_io import (
     IntegrityError,
-    encode_record,
     stats_report,
     verify_bundle,
     write_bundle,
@@ -31,13 +31,13 @@ from .eval_harness.gaokao import grade_gaokao, load_answers, load_paper
 from .eval_harness.scorers import ExternalCommandScorer, ReferenceScorer, ScorerError
 from .extractors import MINES, extract_documents, read_jsonl
 from .extractors.pwc import EntityDb
-from .mixer import mix
+from .mixer import mix, render_jobs
 from .normalizer import DetectorError
 from .report import ExtractionReport
 from .restructurer.pools import DistractorPools
-from .restructurer.render import ConfigError, RenderError, render_with_selected
+from .restructurer.render import ConfigError, RenderError, tuple_key
 from .restructurer.templates import audit, load_registry
-from .signal_model import SchemaError, load_mixspec, load_tuples, read_json
+from .signal_model import MixEntry, SchemaError, load_mixspec, load_tuples, read_json
 # not called here: extract shards encode their own lines. perfbench/worker.py
 # wraps cli.dump_tuples by name until it reads the program's own run records
 # (ROADMAP item 1)
@@ -136,34 +136,37 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
 
 
 @main.command()
-@click.option("--tuples", "tuples_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--tuples", "tuples_paths", required=True, multiple=True,
+              type=click.Path(exists=True, dir_okay=False))
 @click.option("--templates", "templates_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Template catalog (defaults to the bundled one).")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--family", type=click.Choice(["multiple_choice", "generation", "auto"]),
               default="auto", show_default=True)
 @_seed_option()
-def restructure(tuples_path, templates_path, out_path, family, seed):
+def restructure(tuples_paths, templates_path, out_path, family, seed):
     """Render each tuple into one prompted source/target example."""
     registry = load_registry(templates_path)
-    tuples = load_tuples(Path(tuples_path).read_bytes(), tuples_path)
-    pools = DistractorPools.build(tuples)
-    lines = []
-    for tup in tuples:
+    tuples = [tup for p in tuples_paths for tup in load_tuples(Path(p).read_bytes(), p)]
+    entries = {}
+    for signal_type in dict.fromkeys(tup.signal_type for tup in tuples):
+        fam = family
         if family == "auto":
-            fam = "cloze" if tup.signal_type == "plain_text_cloze" else None
+            fam = "cloze" if signal_type == "plain_text_cloze" else next(
+                (f for f in ("multiple_choice", "generation") if registry.get(signal_type, f)), None)
             if fam is None:
-                for candidate in ("multiple_choice", "generation"):
-                    if registry.get(tup.signal_type, candidate):
-                        fam = candidate
-                        break
-            if fam is None:
-                raise ConfigError(f"no templates at all for {tup.signal_type}")
-        else:
-            fam = family
-        lines.append(encode_record(render_with_selected(registry, tup, fam, pools, seed)))
-    write_files_atomic({out_path: b"".join(lines).decode("utf-8")})
-    click.echo(f"rendered {len(lines)} examples")
+                raise ConfigError(f"no templates at all for {signal_type}")
+        entries[signal_type] = MixEntry(signal_type, fam)
+    # all of entry 0: a shard stops at its first failure, and the earliest one is raised
+    jobs = [(0, entries[tup.signal_type], tup, tuple_key(tup)) for tup in tuples]
+    pools = DistractorPools.build(tuples)
+    splits = dict.fromkeys((key for *_, key in jobs), "train")
+    spill, errors = render_jobs(jobs, Path(out_path).parent, registry, pools, seed, splits)
+    with contextlib.closing(spill):
+        if errors:
+            raise errors[0]
+        write_files_atomic({out_path: b"".join(map(spill.line_of, range(len(jobs)))).decode("utf-8")})
+    click.echo(f"rendered {len(jobs)} examples")
 
 
 def _load_spec(spec_arg: str):
@@ -189,9 +192,7 @@ def mix_command(spec_arg, tuples_paths, out_path, seed):
     if seed is None:
         seed = spec.global_seed
     spec = dataclasses.replace(spec, global_seed=seed)
-    tuples = []
-    for p in tuples_paths:
-        tuples.extend(load_tuples(Path(p).read_bytes(), p))
+    tuples = [tup for p in tuples_paths for tup in load_tuples(Path(p).read_bytes(), p)]
     registry = load_registry()
     # the record lines spill beside the bundle, on the disk it goes to
     spill_dir = Path(out_path).parent
@@ -213,19 +214,10 @@ def mix_command(spec_arg, tuples_paths, out_path, seed):
 
 
 def _spec_hash(spec) -> str:
-    blob = json.dumps(
-        {
-            "name": spec.name,
-            "split_ratio": spec.split_ratio,
-            "entries": [
-                [e.signal_type, e.family, e.weight, e.cap, e.per_category_cap, e.stage,
-                 e.template_group, sorted((e.composition or {}).items()), e.composition_key]
-                for e in spec.entries
-            ],
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    """sha256 of the spec's fields but `global_seed`, which the manifest records apart."""
+    fields = dataclasses.asdict(spec)
+    del fields["global_seed"]
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @main.command()

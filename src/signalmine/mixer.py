@@ -14,7 +14,7 @@ to its own spill file, an unlinked temporary file, and returns only where
 each line lies; a stream lists job numbers, and `Spill.line_of` reads a
 job's line back when the bundle is written. The parent's memory thus does
 not grow with the bundle, and no spill file outlives the process, however
-it ends.
+it ends. `restructure` renders through `render_jobs` too.
 """
 
 from __future__ import annotations
@@ -205,19 +205,20 @@ def split_assignments(
 Job = tuple[int, MixEntry, SignalTuple, str]  # (entry index, entry, tuple, tuple key)
 # per job, the offset and length of its record line in the shard's spill file
 # (length 0 where it rendered nothing); and per entry the position of its
-# first failing job and the error message
-ShardResult = tuple[array, dict[int, tuple[int, str]]]
+# first failing job and the error it raised
+ShardResult = tuple[array, dict[int, tuple[int, Exception]]]
 
 
-def _render_shard(jobs: Sequence[Job], spill: BinaryIO, registry, pools, seed: int, splits) -> ShardResult:
-    """Render `jobs` in order, encode each example as it renders and append
-    its line to `spill`. An entry renders nothing more after its first
-    render or config error. `spill` is flushed before this returns: a forked
-    shard leaves through `os._exit`, which flushes nothing."""
+def _render_shard(jobs: Sequence[Job], positions, spill: BinaryIO, registry, pools, seed: int, splits) -> ShardResult:
+    """Render the jobs at `positions` in order, encode each example as it
+    renders and append its line to `spill`. An entry renders nothing more
+    after its first render or config error. `spill` is flushed before this
+    returns: a forked shard leaves through `os._exit`, which flushes nothing."""
     spans = array("Q")
-    errors: dict[int, tuple[int, str]] = {}
+    errors: dict[int, tuple[int, Exception]] = {}
     offset = 0
-    for position, (index, entry, tup, key) in enumerate(jobs):
+    for position in positions:
+        index, entry, tup, key = jobs[position]
         length = 0
         if index not in errors:
             try:
@@ -225,7 +226,7 @@ def _render_shard(jobs: Sequence[Job], spill: BinaryIO, registry, pools, seed: i
                     registry, tup, entry.family, pools, seed, entry.template_group, key, splits[key]
                 )))
             except (RenderError, ConfigError) as exc:
-                errors[index] = (position, f"{_entry_id(entry, index)}: {exc}")
+                errors[index] = (position, exc)
         spans.append(offset)
         spans.append(length)
         offset += length
@@ -233,25 +234,29 @@ def _render_shard(jobs: Sequence[Job], spill: BinaryIO, registry, pools, seed: i
     return spans, errors
 
 
-def _render_sharded(jobs: list[Job], plan: list[range], spill: Spill, *context) -> dict[int, str]:
-    """`_render_shard` over `jobs`, one shard of `plan` per process
-    (`run_shards`), each into its own file of `spill`: each child inherits
-    the pools, the split map and the spill files. Places every line in
-    `spill`, and returns each failed entry's earliest error, which is the
-    one a single process rendering every job would report."""
-    results = run_shards(
-        lambda shard: _render_shard([jobs[i] for i in plan[shard]], spill.files[shard], *context),
-        range(len(plan)), "render",
-    )
-    first_errors: dict[int, tuple[int, str]] = {}
-    for shard, (spans, shard_errors) in enumerate(results):
-        positions = plan[shard]
-        spill.place(shard, positions, spans)
-        for index, (position, message) in shard_errors.items():
-            position = positions[position]
-            if index not in first_errors or position < first_errors[index][0]:
-                first_errors[index] = (position, message)
-    return {index: message for index, (_, message) in first_errors.items()}
+def render_jobs(jobs: Sequence[Job], spill_dir, registry, pools, seed: int,
+                splits) -> tuple[Spill, dict[int, Exception]]:
+    """Render `jobs` into a new `Spill` in `spill_dir`, which the caller
+    closes: one shard per CPU (`run_shards`), each into its own spill file,
+    which a child inherits with the pools and splits. Also returns each failed
+    entry's earliest error: the one a single process rendering every job meets."""
+    plan = shard_plan(len(jobs), worker_count())
+    spill = Spill(spill_dir, len(plan), len(jobs))
+    try:
+        results = run_shards(
+            lambda shard: _render_shard(jobs, plan[shard], spill.files[shard], registry, pools, seed, splits),
+            range(len(plan)), "render",
+        )
+        first_errors: dict[int, tuple[int, Exception]] = {}
+        for shard, (spans, shard_errors) in enumerate(results):
+            spill.place(shard, plan[shard], spans)
+            for index, (position, exc) in shard_errors.items():
+                if index not in first_errors or position < first_errors[index][0]:
+                    first_errors[index] = (position, exc)
+    except BaseException:
+        spill.close()
+        raise
+    return spill, {index: exc for index, (_, exc) in first_errors.items()}
 
 
 def _check_renderable(entry: MixEntry, index: int, registry: PromptRegistry) -> None:
@@ -301,10 +306,8 @@ def mix(
 
     jobs = [(index, entry, tup, key_of[id(tup)])
             for index, entry in enumerate(spec.entries) for tup in capped.get(index, [])]
-    shards = shard_plan(len(jobs), worker_count())
-    spill = Spill(spill_dir, len(shards), len(jobs))
+    spill, errors = render_jobs(jobs, spill_dir, registry, pools, seed, splits)
     try:
-        errors = _render_sharded(jobs, shards, spill, registry, pools, seed, splits)
         # one record per job, listed again by each stage that holds its entry
         records = [(tup.signal_type, job) for job, (_, _, tup, _) in enumerate(jobs)]
         examples: dict[tuple[int, str], list[Record]] = {}
@@ -322,4 +325,5 @@ def mix(
     except BaseException:
         spill.close()
         raise
-    return MixResult(examples, warnings, [errors[index] for index in sorted(errors)], spill)
+    messages = [f"{_entry_id(spec.entries[index], index)}: {errors[index]}" for index in sorted(errors)]
+    return MixResult(examples, warnings, messages, spill)

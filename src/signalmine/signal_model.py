@@ -9,6 +9,7 @@ catalog is read-only after import.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -325,10 +326,12 @@ def _optional_int(rec: Mapping, key: str) -> int | None:
 
 
 def _json_number(value: object, what: str) -> float:
-    """`value`, which must be a JSON number, as a float: a bool or a string
-    is refused, not converted."""
+    """`value`, which must be a finite JSON number, as a float: a bool, a
+    string, NaN or an infinity (Python's `json` parses both) is refused."""
     if type(value) not in (int, float):
         raise SchemaError(f"mix spec: {what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise SchemaError(f"mix spec: {what} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -370,7 +373,7 @@ def mixspec_from_record(rec: Mapping) -> MixSpec:
         raise
     except KeyError as exc:
         raise SchemaError(f"mix spec entry missing key: {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:  # a value of the wrong type
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # a value of the wrong type or size
         raise SchemaError(f"mix spec: {exc}") from exc
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 from signalmine.cli import main
 from signalmine.dataset_io import write_bundle
 from signalmine.restructurer.templates import load_eval_prompts
+from signalmine.signal_model import MixEntry, MixSpec
 
 from conftest import FIXTURES
 
@@ -950,6 +952,18 @@ _RT_TUPLE = {"v": "1", "signal_type": "rotten_tomatoes_sentiment", "source_doc":
      _RT_TUPLE, "mix spec: 'split_ratio' must be a number, got '0.5'"),
     ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "split_ratio": False},
      _RT_TUPLE, "mix spec: 'split_ratio' must be a number, got False"),
+    # the NaN entry names no template group that exists: it once rendered nothing, without a word
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "weight": float("nan"),
+                   "template_group": "no_such_group"}]},
+     _RT_TUPLE, "mix spec: 'weight' must be a finite number, got nan"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "weight": float("inf")}]},
+     _RT_TUPLE, "mix spec: 'weight' must be a finite number, got inf"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "weight": 10 ** 400}]},
+     _RT_TUPLE, "mix spec: int too large to convert to float"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "split_ratio": float("nan")},
+     _RT_TUPLE, "mix spec: 'split_ratio' must be a finite number, got nan"),
+    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "split_ratio": float("-inf")},
+     _RT_TUPLE, "mix spec: 'split_ratio' must be a finite number, got -inf"),
     ({"entries": [{"signal_type": 5, "family": "generation"}]},
      _RT_TUPLE, "mix spec: 'signal_type' must be a string, got 5"),
     ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": ["generation"]}]},
@@ -968,7 +982,8 @@ _RT_TUPLE = {"v": "1", "signal_type": "rotten_tomatoes_sentiment", "source_doc":
      "tuple record 'source_doc', fields and meta values must be strings"),
 ], ids=["entry-without-family", "stage-not-a-number", "stage-a-float", "cap-a-float", "cap-a-bool",
         "per-category-cap-a-float", "composition-count-a-float", "global-seed-a-bool", "weight-a-bool",
-        "weight-a-string", "split-ratio-a-string", "split-ratio-a-bool", "signal-type-a-number",
+        "weight-a-string", "split-ratio-a-string", "split-ratio-a-bool", "weight-nan", "weight-infinity",
+        "weight-beyond-float-range", "split-ratio-nan", "split-ratio-minus-infinity", "signal-type-a-number",
         "family-a-list", "name-a-number", "template-group-a-number", "composition-key-a-number",
         "fields-not-object",
         "meta-not-object", "field-not-a-string"])
@@ -982,3 +997,45 @@ def test_mix_malformed_spec_entry_or_tuple_record_is_one_schema_error_line(runne
                                   "--out", str(tmp_path / "b")])
     assert result.exit_code == 1
     assert result.output == f"schema-error: {message}\n"
+
+
+def test_spec_hash_ignores_the_seed(runner, tmp_path):
+    tuples = run_extract(runner, tmp_path, "rotten_tomatoes")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}]}))
+    manifests = []
+    for seed in ("7", "8"):
+        out = tmp_path / f"bundle{seed}"
+        result = runner.invoke(main, ["mix", "--spec", str(spec), "--tuples", str(tuples), "--out", str(out),
+                                      "--seed", seed])
+        assert result.exit_code == 0, result.output
+        manifests.append(json.loads((out / "manifest.json").read_text(encoding="utf-8")))
+    assert [m["seed"] for m in manifests] == [7, 8]
+    assert manifests[0]["spec_hash"] == manifests[1]["spec_hash"]
+
+
+def test_spec_hash_changes_with_every_field_but_the_seed():
+    from signalmine.cli import _spec_hash
+
+    spec = MixSpec(entries=(MixEntry("rotten_tomatoes_sentiment", "multiple_choice", stage=1),
+                            MixEntry("daily_mail_summary", "generation", stage=2)),
+                   split_ratio=0.1, global_seed=7, name="t")
+    changed = {"signal_type": "wikidata_relation", "family": "multiple_choice", "weight": 0.5, "cap": 3,
+               "per_category_cap": 2, "stage": 1, "template_group": "g", "composition": {"positive": 1},
+               "composition_key": "rating"}
+    assert set(changed) == {field.name for field in dataclasses.fields(MixEntry)}
+    hashes = {_spec_hash(spec)}
+    for name, value in changed.items():
+        entries = (spec.entries[0], dataclasses.replace(spec.entries[1], **{name: value}))
+        hashes.add(_spec_hash(dataclasses.replace(spec, entries=entries)))
+    hashes.add(_spec_hash(dataclasses.replace(spec, name="u")))
+    hashes.add(_spec_hash(dataclasses.replace(spec, split_ratio=0.2)))
+    assert len(hashes) == 1 + len(changed) + 2
+    assert _spec_hash(dataclasses.replace(spec, global_seed=8)) == _spec_hash(spec)
+    # a composition is a mapping: the order of its keys is not part of the spec
+
+    def composed(composition):
+        entry = dataclasses.replace(spec.entries[0], composition=composition)
+        return _spec_hash(dataclasses.replace(spec, entries=(entry,)))
+
+    assert composed({"a": 1, "b": 2}) == composed({"b": 2, "a": 1})

@@ -17,6 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 import signalmine.cli as cli
+from signalmine import mixer
 from signalmine.cli import main
 from signalmine.eval_harness.scorers import ReferenceScorer
 from signalmine.restructurer.pools import DistractorPools
@@ -35,7 +36,7 @@ MINES = (
 # `extract` every fixture mine, then `mix --spec all_tasks --seed 7`.
 FIXTURE_BUNDLE_HASH = "4a2e52321197ecfa51f768bb5eb48e3cfacdf52a27afab2860191871b7ab56e2"
 # The same run's `manifest.json`: the spec digest and the seed it records.
-FIXTURE_SPEC_HASH = "9307ad9b762ce93e"
+FIXTURE_SPEC_HASH = "6328ab02ae433596"
 # The same run, per stream: sha256 over its record lines sorted bytewise. The
 # bundle hash pins the shuffled order as well; these pin only which records
 # each stream holds, so they hold whatever order the shuffle starts from.
@@ -68,6 +69,44 @@ EXTRACT_DIGESTS = {
     "plain_text": "ddf1645d7c5b4a900453624d072e3dd3d7394c9d06f2529e34394b25846e3977",
     "unicode:rotten_tomatoes": "0a9f44266c1c393b48381836f58c0ade191e61ec4e1fdfa8df8081775d8f1c95",
     "unicode:plain_text": "0da8d03269eb77c3fef3e68573a7b60349870487cf1ba181f76f60590372b005",
+}
+
+# `restructure --seed 3 --family <family>` of each fixture mine's tuple file
+# (`extract --seed 7`): sha256 over the examples file, or the one stderr line
+# of a run that fails. Pinned before `restructure` rendered through `mix`'s
+# render shards; the earliest failing tuple decides a failing run's line.
+RESTRUCTURE_OUTCOMES = {
+    "auto:rotten_tomatoes": "e0c836cb5c4ea8b690372944e6f1e24455f5aec9e359481c604e83bb27161d1f",
+    "auto:daily_mail": "5c5f28c09fae8d90ac75f2d11226814a5855c5b91750ec1d1f20a93633aeef42",
+    "auto:wikidata": "84a81200126052707ec94bca0d720023a5e071ba3f404cf0a41a5414721abca6",
+    "auto:wikihow": "e8d74fed3d5936d8e6616b433823dd4517473d06f23c894a87d958cdcafe0dfe",
+    "auto:wikipedia": "c093f0b1df9b14a6c8643ad4f2fcaf45f813d0bf3d7dfd19ca02180bbda8caf2",
+    "auto:wordnet": "481fddb15c79cf8f4b5fe2d60df238bfef230726660a51b5d3bb694aad6ca7bd",
+    "auto:qa_corpus": "f5178f0e0bbcb277ca042ac5f4e0e7e6cf6425a9cb7254cb28f808620c0e1146",
+    "auto:arxiv": "05770e6f9824e9b7dbcaaab88d5233e19e326b85e7d9fa2b7204bb5a963e8b54",
+    "auto:paperswithcode": "b77486ed3966f7b071b421aebb8a53b54cb87a59f151cf37d1ec28f5ff7bae40",
+    "auto:plain_text": "a046b19c7504636f20d022805326055d3902c354bb554229a88f7a84f903b067",
+    "multiple_choice:rotten_tomatoes": "e0c836cb5c4ea8b690372944e6f1e24455f5aec9e359481c604e83bb27161d1f",
+    "multiple_choice:daily_mail": "5c5f28c09fae8d90ac75f2d11226814a5855c5b91750ec1d1f20a93633aeef42",
+    "multiple_choice:wikidata": "84a81200126052707ec94bca0d720023a5e071ba3f404cf0a41a5414721abca6",
+    "multiple_choice:wikihow": "e8d74fed3d5936d8e6616b433823dd4517473d06f23c894a87d958cdcafe0dfe",
+    "multiple_choice:wikipedia": "c093f0b1df9b14a6c8643ad4f2fcaf45f813d0bf3d7dfd19ca02180bbda8caf2",
+    "multiple_choice:wordnet": "481fddb15c79cf8f4b5fe2d60df238bfef230726660a51b5d3bb694aad6ca7bd",
+    "multiple_choice:qa_corpus": "config-error: no templates for (qa_triviaqa, multiple_choice, group=None)",
+    "multiple_choice:arxiv": "05770e6f9824e9b7dbcaaab88d5233e19e326b85e7d9fa2b7204bb5a963e8b54",
+    "multiple_choice:paperswithcode":
+        "config-error: no templates for (paperswithcode_summary, multiple_choice, group=None)",
+    "multiple_choice:plain_text": "a046b19c7504636f20d022805326055d3902c354bb554229a88f7a84f903b067",
+    "generation:rotten_tomatoes": "c8a9faa37e02538845fe76442ee444b31bf8d81d5ee694f3e043da9c10091ba9",
+    "generation:daily_mail": "render-error: no applicable template for tuple of daily_mail_temporal (group=None)",
+    "generation:wikidata": "7da56a09d91a901fac66716f29208babeb043a5906adf46c64113d92d64254e0",
+    "generation:wikihow": "467aa928b27142b5829cfbf415f23ba246585a04bc41f2b02a7ac20421d5eabb",
+    "generation:wikipedia": "93ecf61b930ecf0dd3b82c00548bcab46e8492d03d4396de6ec62baa146d76ad",
+    "generation:wordnet": "03f6855c15f92ab055df6a7c84e3a7abc9f6184664a5e4d5b6beaa1b561a0172",
+    "generation:qa_corpus": "config-error: no templates for (qa_race, generation, group=None)",
+    "generation:arxiv": "3665c6441f9a5079ac8c5e367018dc8b0f73d13e05af810f168bd0ae4ea4beef",
+    "generation:paperswithcode": "13e56ae96088eb0091c889c92f479c5b5804904f81bc25086d704e39b80ca36e",
+    "generation:plain_text": "a046b19c7504636f20d022805326055d3902c354bb554229a88f7a84f903b067",
 }
 
 # sha256 over every request the scorer receives while `evaluate --seed 5`
@@ -279,6 +318,24 @@ def test_extract_output_digest(tmp_path, key):
     out = _extract(tmp_path, mine, dump)
     report = out.with_name(out.name + ".report.json")
     assert hashlib.sha256(out.read_bytes() + report.read_bytes()).hexdigest() == EXTRACT_DIGESTS[key]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_restructure_outcome_per_fixture_mine_at_any_worker_count(monkeypatch, tmp_path, fixture_tuple_files,
+                                                                   workers):
+    monkeypatch.setattr(mixer, "worker_count", lambda: workers)
+    outcomes = {}
+    for family in ("auto", "multiple_choice", "generation"):
+        for path in fixture_tuple_files:
+            out = tmp_path / f"{family}.{path.stem}.jsonl"
+            result = CliRunner().invoke(main, ["restructure", "--tuples", str(path), "--out", str(out),
+                                               "--seed", "3", "--family", family])
+            if result.exit_code == 0:
+                outcomes[f"{family}:{path.stem}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+            else:
+                assert result.exit_code == 1 and not out.exists()
+                outcomes[f"{family}:{path.stem}"] = result.output.rstrip("\n")
+    assert outcomes == RESTRUCTURE_OUTCOMES
 
 
 def test_synthetic_corpus_bundle_hash(tmp_path):

@@ -439,5 +439,64 @@ def test_restructure_output_is_unchanged_by_the_lazy_rng(monkeypatch, tmp_path, 
         return out.read_bytes()
 
     lazy = restructure(tmp_path / "lazy.jsonl")
+    # every fixture mine's tuples render, not only the last file's
+    examples = [json.loads(line) for line in lazy.splitlines()]
+    tuples = sum(path.read_bytes().count(b"\n") for path in fixture_tuple_files)
+    assert len(examples) == tuples
+    assert {"multiple_choice", "generation", "cloze"} <= {ex["family"] for ex in examples}
     monkeypatch.setattr(render_module, "_LazyRng", derive_rng)
-    assert lazy and lazy == restructure(tmp_path / "eager.jsonl")
+    assert lazy == restructure(tmp_path / "eager.jsonl")
+
+
+# -- restructure renders through the same shards ------------------------------------
+
+
+def _restructure(tmp_path, tuples: list, *extra: str):
+    """`restructure` of `tuples`, written to a tuple file in `tmp_path`: the
+    CLI result, and the output's bytes (None if it was not written)."""
+    path = tmp_path / "in.tuples"
+    path.write_text(dump_tuples(tuples), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    result = CliRunner().invoke(main, ["restructure", "--tuples", str(path), "--out", str(out),
+                                       "--seed", "3", *extra])
+    return result, out.read_bytes() if out.exists() else None
+
+
+def test_restructure_raises_the_earliest_failing_tuple_from_a_later_shard(monkeypatch, tmp_path):
+    tuples = [t for t in synthetic_tuples(12) if t.signal_type == "daily_mail_summary"]
+    # at 2 workers tuple 3 lies in the second shard, tuple 4 in the first
+    plan = mixer.shard_plan(len(tuples), 2)
+    assert 3 in plan[1] and 4 in plan[0]
+    _failing_render(monkeypatch, {tuples[3].source_doc, tuples[4].source_doc})
+    for workers in (1, 2, 3):
+        _workers(monkeypatch, workers)
+        result, out = _restructure(tmp_path, tuples, "--family", "multiple_choice")
+        assert (result.exit_code, result.output) == (1, f"render-error: bad {tuples[3].source_doc}\n")
+        assert out is None
+    assert _no_child_left()
+
+
+@needs_proc
+@pytest.mark.parametrize("workers", [1, 2])
+def test_restructure_leaves_no_spill_file_and_no_descriptor(monkeypatch, tmp_path, workers):
+    tuples = synthetic_tuples(40)
+    _workers(monkeypatch, workers)
+    if workers == 1:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("one worker forks nothing"))
+    fds = _open_fds()
+    outputs = set()
+    for _ in range(10):
+        result, out = _restructure(tmp_path, tuples)
+        assert result.exit_code == 0, result.output
+        outputs.add(out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.tuples", "out.jsonl"]
+        assert _open_fds() == fds
+    assert len(outputs) == 1
+    # and none after a failed render either
+    (tmp_path / "out.jsonl").unlink()
+    _failing_render(monkeypatch, {tuples[-1].source_doc})
+    result, out = _restructure(tmp_path, tuples, "--family", "multiple_choice")
+    assert result.output.startswith("render-error: ") and out is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.tuples"]
+    assert _open_fds() == fds
+    assert _no_child_left()

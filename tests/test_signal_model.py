@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, strategies as st
 
 from signalmine.signal_model import (
     CATALOG,
+    FAMILIES,
     TASK_SIGNAL_IDS,
     MixEntry,
     MixSpec,
@@ -12,6 +16,7 @@ from signalmine.signal_model import (
     SignalTuple,
     dump_tuples,
     load_tuples,
+    mixspec_from_record,
     validate_tuple,
 )
 
@@ -121,3 +126,57 @@ def test_serialized_field_order_is_declared_order():
     fields_blob = line.split('"fields": ')[1]
     positions = [fields_blob.index(f'"{name}"') for name in CATALOG["wikidata_relation"].field_names]
     assert positions == sorted(positions)
+
+
+_spec_text = st.text(max_size=6)
+_count = st.integers(min_value=1, max_value=10 ** 6)
+_ENTRY_KEYS = {
+    "weight": st.integers(min_value=0, max_value=100) | st.floats(min_value=0, max_value=1e9),
+    "cap": st.none() | _count,
+    "per_category_cap": st.none() | _count,
+    "stage": st.integers(min_value=1, max_value=2),
+    "template_group": st.none() | _spec_text,
+    "composition": st.none() | st.dictionaries(_spec_text, st.integers(min_value=0, max_value=50), max_size=3),
+    "composition_key": st.none() | _spec_text,
+}
+
+
+@st.composite
+def _mixspec_records(draw):
+    """Mix spec records as a JSON file holds them: every optional key of an
+    entry or the spec present or absent."""
+    entries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        entry = {"signal_type": draw(st.sampled_from(sorted(CATALOG))), "family": draw(st.sampled_from(FAMILIES))}
+        for key, values in _ENTRY_KEYS.items():
+            if draw(st.booleans()):
+                entry[key] = draw(values)
+        entries.append(entry)
+    rec = {"entries": entries}
+    for key, values in (("split_ratio", st.floats(min_value=0, max_value=1, exclude_max=True)),
+                        ("global_seed", st.integers(min_value=0, max_value=2 ** 63)), ("name", _spec_text)):
+        if draw(st.booleans()):
+            rec[key] = draw(values)
+    return rec
+
+
+@given(_mixspec_records())
+def test_mixspec_round_trips_through_its_dataclass_fields(rec):
+    try:
+        spec = mixspec_from_record(rec)
+    except SchemaError:
+        reject()  # not a spec: no entry with a positive weight, or stages with a gap
+    fields = dataclasses.asdict(spec)
+    assert mixspec_from_record(fields) == spec
+    # and through the JSON a spec file or a spec hash holds
+    assert mixspec_from_record(json.loads(json.dumps(fields, sort_keys=True))) == spec
+
+
+def test_every_preset_round_trips_through_its_dataclass_fields():
+    from importlib import resources
+
+    presets = [p for p in resources.files("signalmine").joinpath("presets").iterdir() if p.name.endswith(".json")]
+    assert len(presets) == 10
+    for preset in presets:
+        spec = mixspec_from_record(json.loads(preset.read_text("utf-8")))
+        assert mixspec_from_record(dataclasses.asdict(spec)) == spec
