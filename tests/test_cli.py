@@ -378,6 +378,23 @@ def test_restructure_with_custom_catalog(runner, tmp_path):
         assert out.exists()
 
 
+def test_restructure_refuses_a_signal_without_templates_before_any_render(runner, tmp_path, monkeypatch):
+    from signalmine import mixer
+
+    wn = run_extract(runner, tmp_path, "wordnet")
+    catalog = tmp_path / "catalog.jsonl"
+    catalog.write_text(json.dumps({
+        "id": "wordnet_pos.gen.900", "signal_type": "wordnet_pos", "family": "generation", "group": "pos",
+        "source": "TEXT: {sentence} QUERY: Part of speech of \"{word}\"?", "target": "{pos}",
+    }) + "\n")
+    first_without = next(json.loads(line)["signal_type"] for line in wn.read_text().splitlines()
+                         if json.loads(line)["signal_type"] != "wordnet_pos")
+    monkeypatch.setattr(mixer, "render_with_selected", lambda *args: pytest.fail("rendered"))
+    result = runner.invoke(main, ["restructure", "--tuples", str(wn), "--templates", str(catalog),
+                                  "--out", str(tmp_path / "ex.jsonl")])
+    assert (result.exit_code, result.output) == (1, f"config-error: no templates at all for {first_without}\n")
+
+
 @pytest.mark.parametrize("extra, message", [
     ({"requires": 5}, "'requires' that is not an object"),
     ({"requires": {"meta_equals": 5}}, "'requires.meta_equals' that is not an object of strings"),
