@@ -7,7 +7,6 @@ SIGNALMINE_SEED environment variable, else the --config file's `seed`.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -31,7 +30,7 @@ from .eval_harness.gaokao import grade_gaokao, load_answers, load_paper
 from .eval_harness.scorers import ExternalCommandScorer, ReferenceScorer, ScorerError
 from .extractors import MINES, extract_documents, read_jsonl
 from .extractors.pwc import EntityDb
-from .mixer import mix, render_jobs
+from .mixer import Spill, mix, render_jobs
 from .normalizer import DetectorError
 from .report import ExtractionReport
 from .restructurer.pools import DistractorPools
@@ -129,8 +128,8 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
     report = ExtractionReport()
     lines = extract_documents(mine, read_jsonl(in_path), seed=seed, report=report, options=options)
     write_files_atomic({
-        out_path: "".join(lines),
-        report_path or f"{out_path}.report.json": report.to_json() + "\n",
+        out_path: map(str.encode, lines),
+        report_path or f"{out_path}.report.json": [(report.to_json() + "\n").encode()],
     })
     click.echo(f"extracted {sum(report.accepted.values())} tuples from {report.docs_processed} documents")
 
@@ -158,14 +157,13 @@ def restructure(tuples_paths, templates_path, out_path, family, seed):
                 raise ConfigError(f"no templates at all for {signal_type}")
         entries[signal_type] = MixEntry(signal_type, fam)
     # all of entry 0: a shard stops at its first failure, and the earliest one is raised
-    jobs = [(0, entries[tup.signal_type], tup, tuple_key(tup)) for tup in tuples]
+    jobs = [(0, entries[tup.signal_type], tup, tuple_key(tup), "train") for tup in tuples]
     pools = DistractorPools.build(tuples)
-    splits = dict.fromkeys((key for *_, key in jobs), "train")
-    spill, errors = render_jobs(jobs, Path(out_path).parent, registry, pools, seed, splits)
-    with contextlib.closing(spill):
+    with Spill(Path(out_path).parent) as spill:
+        errors = render_jobs(jobs, spill, registry, pools, seed)
         if errors:
             raise errors[0]
-        write_files_atomic({out_path: b"".join(map(spill.line_of, range(len(jobs)))).decode("utf-8")})
+        write_files_atomic({out_path: map(spill.line_of, range(len(jobs)))})
     click.echo(f"rendered {len(jobs)} examples")
 
 
@@ -197,7 +195,8 @@ def mix_command(spec_arg, tuples_paths, out_path, seed):
     # the record lines spill beside the bundle, on the disk it goes to
     spill_dir = Path(out_path).parent
     spill_dir.mkdir(parents=True, exist_ok=True)
-    with mix(tuples, spec, registry, spill_dir) as result:
+    with Spill(spill_dir) as spill:
+        result = mix(tuples, spec, registry, spill)
         streams = {
             f"{spec.name}.stage{stage}.{split}": examples
             for (stage, split), examples in sorted(result.examples.items())
@@ -209,7 +208,7 @@ def mix_command(spec_arg, tuples_paths, out_path, seed):
             "warnings": result.warnings,
             "render_errors": result.errors,
         }
-        bundle_hash = write_bundle(out_path, streams, result.spill.line_of, manifest_extra)
+        bundle_hash = write_bundle(out_path, streams, spill.line_of, manifest_extra)
     click.echo(f"bundle {bundle_hash}")
 
 
@@ -258,7 +257,7 @@ def grade(paper_path, answers_path, essay_score, out_path):
             "sections": {s.name: {"score": s.score, "max": s.max_points} for s in sections},
             "total": total,
         }
-        write_files_atomic({out_path: json.dumps(report, indent=2, sort_keys=True) + "\n"})
+        write_files_atomic({out_path: [(json.dumps(report, indent=2, sort_keys=True) + "\n").encode()]})
 
 
 def _make_scorer(scorer_arg: str):
@@ -292,7 +291,7 @@ def evaluate(dataset, data_path, prompts_path, scorer_arg, out_path, seed):
         report = eval_dataset(dataset, records, scorer, seed=seed, prompts=prompts)
         body = json.dumps(report.to_record(), indent=2, sort_keys=True)
         if out_path:
-            write_files_atomic({out_path: body + "\n"})
+            write_files_atomic({out_path: [(body + "\n").encode()]})
         click.echo(body)
     finally:
         if isinstance(scorer, ExternalCommandScorer):

@@ -17,7 +17,7 @@ import tempfile
 from collections import Counter
 from json.encoder import encode_basestring as _quote  # json.dumps' escaper under ensure_ascii=False
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import __version__
 from .signal_model import (CATALOG, FORMAT_VERSION, PromptedExample, SchemaError, example_from_record,
@@ -84,8 +84,9 @@ def write_bundle(
 
     `streams` maps file names (e.g. "mix.stage1.train") to their records in
     file order, and `line_of` reads a record's line from its reference:
-    `mix` passes its spill's reader, which reads each line from disk, and a
-    caller holding lines in memory passes, say, `lines.__getitem__`. Files
+    the `mix` command passes `Spill.line_of`, which reads a job's line from
+    the spill file its shard wrote, and a caller holding lines in memory
+    passes, say, `lines.__getitem__`. Files
     are written one at a time in sorted-name order, a batch of lines at a
     time, while the digest is updated, so neither the bundle nor a whole
     stream is held in memory. A failed write leaves no visible bundle, and
@@ -184,20 +185,21 @@ def _swap_in(tmpdir: str, path: Path) -> None:
     shutil.rmtree(aside, ignore_errors=True)
 
 
-def write_files_atomic(files: Mapping[str | os.PathLike, str]) -> None:
-    """Write each UTF-8 text to a temp file beside its target, then rename
-    the temps into place, so a failed or killed write never leaves a
-    truncated target. On an exception the temps are removed and every target
-    not yet renamed keeps its previous bytes."""
+def write_files_atomic(files: Mapping[str | os.PathLike, Iterable[bytes]]) -> None:
+    """Write each target's UTF-8 chunks, in order, to a temp file beside it,
+    then rename the temps into place, so a failed or killed write never
+    leaves a truncated target. Chunks are written as they are drawn, so a
+    lazy iterable is never held whole. On an exception the temps are
+    removed and every target not yet renamed keeps its previous bytes."""
     temps: dict[str, Path] = {}  # temp path -> target, until renamed
     try:
-        for target, text in files.items():
+        for target, chunks in files.items():
             target = Path(target)
             # not mkstemp: its files are mode 0600, and outputs keep the umask's mode
             tmp = str(target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp"))
-            with open(tmp, "x", encoding="utf-8") as fh:
+            with open(tmp, "xb") as fh:
                 temps[tmp] = target
-                fh.write(text)
+                fh.writelines(chunks)
         for tmp, target in list(temps.items()):
             os.replace(tmp, target)
             del temps[tmp]

@@ -11,10 +11,11 @@ across runs and across any number of render processes.
 
 Record lines never gather in the parent. Each render shard appends its lines
 to its own spill file, an unlinked temporary file, and returns only where
-each line lies; a stream lists job numbers, and `Spill.line_of` reads a
+each line ends; a stream lists job numbers, and `Spill.line_of` reads a
 job's line back when the bundle is written. The parent's memory thus does
 not grow with the bundle, and no spill file outlives the process, however
-it ends. `restructure` renders through `render_jobs` too.
+it ends. The command that renders owns the `Spill` and closes it by leaving
+its `with` block. `restructure` renders through `render_jobs` too.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError, render_with_selected, tuple_key
 from .restructurer.templates import PromptRegistry
 from .rng import derive_rng
-from .shards import run_shards, shard_plan, worker_count
+from .shards import run_shards, shard_of, shard_plan, worker_count
 from .signal_model import MixEntry, MixSpec, SignalTuple
 
 
@@ -40,60 +41,48 @@ _SPILL_BUFFER = 1 << 16
 
 
 class Spill:
-    """The record lines of one `mix`: one unlinked file per render shard in
-    `directory` (the system's temporary directory if None), and where in
-    them each job's line lies. The files have no name from the start, so
-    none is left on disk on any exit path; `close` frees their space and
-    descriptors."""
+    """The record lines of one command: one unlinked file per render shard
+    in `directory`, and, per shard, the end of each of its jobs' lines in
+    its file. The files have no name from the start, so none is left on
+    disk on any exit path; leaving the `with` block closes every file
+    opened, freeing their space and descriptors."""
 
-    def __init__(self, directory: str | os.PathLike | None, shards: int, jobs: int):
+    def __init__(self, directory: str | os.PathLike):
+        self.directory = directory
         self.files: list[BinaryIO] = []
-        try:
-            for _ in range(shards):
-                self.files.append(tempfile.TemporaryFile(buffering=_SPILL_BUFFER, dir=directory))
-        except BaseException:
-            self.close()
-            raise
-        # per job, the descriptor of its file and its line's offset and length
-        self._fds = array("i", bytes(4 * jobs))
-        self._offsets = array("Q", bytes(8 * jobs))
-        self._lengths = array("Q", bytes(8 * jobs))
+        # per shard, an array('Q') of the cumulative end of each job's line
+        self.ends: list[array] = []
 
-    def place(self, shard: int, positions: Sequence[int], spans: array) -> None:
-        """Record that the jobs at `positions` wrote the lines at `spans`
-        (offset, length pairs, in order) to the file of `shard`."""
-        fd = self.files[shard].fileno()
-        for position, offset, length in zip(positions, spans[0::2], spans[1::2]):
-            self._fds[position] = fd
-            self._offsets[position] = offset
-            self._lengths[position] = length
+    def __enter__(self) -> "Spill":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for file in self.files:
+            file.close()
+
+    def open(self, shards: int) -> None:
+        """Open one spill file per shard; each is in `files` as soon as it
+        is open, so the `with` block closes it even if a later one fails."""
+        for _ in range(shards):
+            self.files.append(tempfile.TemporaryFile(buffering=_SPILL_BUFFER, dir=self.directory))
 
     def line_of(self, job: int) -> bytes:
         """The record line job number `job` rendered."""
-        return os.pread(self._fds[job], self._lengths[job], self._offsets[job])
-
-    def close(self) -> None:
-        for file in self.files:
-            file.close()
+        shard, slot = shard_of(job, len(self.files))
+        ends = self.ends[shard]
+        start = ends[slot - 1] if slot else 0
+        return os.pread(self.files[shard].fileno(), ends[slot] - start, start)
 
 
 @dataclass
 class MixResult:
-    """What `mix` rendered. Its spill files stay open until the end of the
-    `with` block it is used in, or `spill.close()`."""
+    """What `mix` rendered into its caller's `Spill`."""
 
     # per (stage, split), the (signal type, job number) of each example in
-    # file order; `spill.line_of` reads a job's record line
+    # file order; `Spill.line_of` reads a job's record line
     examples: dict[tuple[int, str], list[Record]]
     warnings: list[str]
     errors: list[str]
-    spill: Spill
-
-    def __enter__(self) -> "MixResult":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.spill.close()
 
 
 def _entry_id(entry: MixEntry, index: int) -> str:
@@ -202,61 +191,53 @@ def split_assignments(
     return {key: ("validation" if i < n_validation else "train") for i, key in enumerate(keys)}
 
 
-Job = tuple[int, MixEntry, SignalTuple, str]  # (entry index, entry, tuple, tuple key)
-# per job, the offset and length of its record line in the shard's spill file
-# (length 0 where it rendered nothing); and per entry the position of its
-# first failing job and the error it raised
+Job = tuple[int, MixEntry, SignalTuple, str, str]  # (entry index, entry, tuple, tuple key, split)
+# per job, the end of its record line in the shard's spill file (a job that
+# rendered nothing ends where the one before it did); and per entry the
+# position of its first failing job and the error it raised
 ShardResult = tuple[array, dict[int, tuple[int, Exception]]]
 
 
-def _render_shard(jobs: Sequence[Job], positions, spill: BinaryIO, registry, pools, seed: int, splits) -> ShardResult:
+def _render_shard(jobs: Sequence[Job], positions, spill: BinaryIO, registry, pools, seed: int) -> ShardResult:
     """Render the jobs at `positions` in order, encode each example as it
     renders and append its line to `spill`. An entry renders nothing more
     after its first render or config error. `spill` is flushed before this
     returns: a forked shard leaves through `os._exit`, which flushes nothing."""
-    spans = array("Q")
+    ends = array("Q")
     errors: dict[int, tuple[int, Exception]] = {}
-    offset = 0
+    end = 0
     for position in positions:
-        index, entry, tup, key = jobs[position]
-        length = 0
+        index, entry, tup, key, split = jobs[position]
         if index not in errors:
             try:
-                length = spill.write(encode_record(render_with_selected(
-                    registry, tup, entry.family, pools, seed, entry.template_group, key, splits[key]
+                end += spill.write(encode_record(render_with_selected(
+                    registry, tup, entry.family, pools, seed, entry.template_group, key, split
                 )))
             except (RenderError, ConfigError) as exc:
                 errors[index] = (position, exc)
-        spans.append(offset)
-        spans.append(length)
-        offset += length
+        ends.append(end)
     spill.flush()
-    return spans, errors
+    return ends, errors
 
 
-def render_jobs(jobs: Sequence[Job], spill_dir, registry, pools, seed: int,
-                splits) -> tuple[Spill, dict[int, Exception]]:
-    """Render `jobs` into a new `Spill` in `spill_dir`, which the caller
-    closes: one shard per CPU (`run_shards`), each into its own spill file,
-    which a child inherits with the pools and splits. Also returns each failed
-    entry's earliest error: the one a single process rendering every job meets."""
+def render_jobs(jobs: Sequence[Job], spill: Spill, registry, pools, seed: int) -> dict[int, Exception]:
+    """Render `jobs` into `spill`: one shard per CPU (`run_shards`), each
+    into its own spill file, which a child inherits with the pools. Returns
+    each failed entry's earliest error: the one a single process rendering
+    every job meets."""
     plan = shard_plan(len(jobs), worker_count())
-    spill = Spill(spill_dir, len(plan), len(jobs))
-    try:
-        results = run_shards(
-            lambda shard: _render_shard(jobs, plan[shard], spill.files[shard], registry, pools, seed, splits),
-            range(len(plan)), "render",
-        )
-        first_errors: dict[int, tuple[int, Exception]] = {}
-        for shard, (spans, shard_errors) in enumerate(results):
-            spill.place(shard, plan[shard], spans)
-            for index, (position, exc) in shard_errors.items():
-                if index not in first_errors or position < first_errors[index][0]:
-                    first_errors[index] = (position, exc)
-    except BaseException:
-        spill.close()
-        raise
-    return spill, {index: exc for index, (_, exc) in first_errors.items()}
+    spill.open(len(plan))
+    results = run_shards(
+        lambda shard: _render_shard(jobs, plan[shard], spill.files[shard], registry, pools, seed),
+        range(len(plan)), "render",
+    )
+    spill.ends = [ends for ends, _ in results]
+    first_errors: dict[int, tuple[int, Exception]] = {}
+    for _, shard_errors in results:
+        for index, (position, exc) in shard_errors.items():
+            if index not in first_errors or position < first_errors[index][0]:
+                first_errors[index] = (position, exc)
+    return {index: exc for index, (_, exc) in first_errors.items()}
 
 
 def _check_renderable(entry: MixEntry, index: int, registry: PromptRegistry) -> None:
@@ -272,15 +253,9 @@ def _check_renderable(entry: MixEntry, index: int, registry: PromptRegistry) -> 
         )
 
 
-def mix(
-    tuples: Iterable[SignalTuple],
-    spec: MixSpec,
-    registry: PromptRegistry,
-    spill_dir: str | os.PathLike | None = None,
-) -> MixResult:
+def mix(tuples: Iterable[SignalTuple], spec: MixSpec, registry: PromptRegistry, spill: Spill) -> MixResult:
     """Render capped, staged, split example streams for every spec entry.
-    The record lines go to spill files in `spill_dir` (the system's
-    temporary directory if None); the caller closes the result."""
+    The record lines go to `spill`, which the caller owns and closes."""
     for index, entry in enumerate(spec.entries):
         if entry.weight > 0:
             _check_renderable(entry, index, registry)
@@ -304,26 +279,22 @@ def mix(
     # every one alive while this map is in use
     key_of = {id(tup): key for tup, key in zip(all_tuples, keys)}
 
-    jobs = [(index, entry, tup, key_of[id(tup)])
+    jobs = [(index, entry, tup, key := key_of[id(tup)], splits[key])
             for index, entry in enumerate(spec.entries) for tup in capped.get(index, [])]
-    spill, errors = render_jobs(jobs, spill_dir, registry, pools, seed, splits)
-    try:
-        # one record per job, listed again by each stage that holds its entry
-        records = [(tup.signal_type, job) for job, (_, _, tup, _) in enumerate(jobs)]
-        examples: dict[tuple[int, str], list[Record]] = {}
-        for stage, members in plan:
-            members = set(members) - errors.keys()
-            buckets: dict[str, list[Record]] = {"train": [], "validation": []}
-            for (index, _, _, key), record in zip(jobs, records):
-                if index in members:
-                    buckets[splits[key]].append(record)
-            for split, stream in buckets.items():
-                rng = derive_rng(seed, "shuffle", spec.name, stage, split)
-                rng.shuffle(stream)
-                if stream or spec.split_ratio > 0 or split == "train":
-                    examples[(stage, split)] = stream
-    except BaseException:
-        spill.close()
-        raise
+    errors = render_jobs(jobs, spill, registry, pools, seed)
+    # one record per job, listed again by each stage that holds its entry
+    records = [(tup.signal_type, job) for job, (_, _, tup, _, _) in enumerate(jobs)]
+    examples: dict[tuple[int, str], list[Record]] = {}
+    for stage, members in plan:
+        members = set(members) - errors.keys()
+        buckets: dict[str, list[Record]] = {"train": [], "validation": []}
+        for (index, _, _, _, split), record in zip(jobs, records):
+            if index in members:
+                buckets[split].append(record)
+        for split, stream in buckets.items():
+            rng = derive_rng(seed, "shuffle", spec.name, stage, split)
+            rng.shuffle(stream)
+            if stream or spec.split_ratio > 0 or split == "train":
+                examples[(stage, split)] = stream
     messages = [f"{_entry_id(spec.entries[index], index)}: {errors[index]}" for index in sorted(errors)]
-    return MixResult(examples, warnings, messages, spill)
+    return MixResult(examples, warnings, messages)

@@ -5,7 +5,7 @@ once; a child inherits them with the rest of the parent's memory and sends
 its result back pickled through a pipe, so the inputs are never pickled.
 What a shard makes in bulk should not travel that way: a `mix` shard writes
 its record lines to a file it inherits, and pickles back only where they
-lie.
+end.
 """
 
 from __future__ import annotations
@@ -36,6 +36,12 @@ def shard_plan(items: int, workers: int) -> list[range]:
     so a plan holds no list of positions."""
     shards = max(1, min(workers, items))
     return [range(shard, items, shards) for shard in range(shards)]
+
+
+def shard_of(item: int, shards: int) -> tuple[int, int]:
+    """Where a `shard_plan` of `shards` shards puts position `item`: its
+    shard, and its place among that shard's positions."""
+    return item % shards, item // shards
 
 
 def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:

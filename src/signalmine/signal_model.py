@@ -280,8 +280,8 @@ class MixEntry:
             raise SchemaError(f"unknown signal type in mix entry: {self.signal_type}")
         if self.family not in FAMILIES:
             raise SchemaError(f"unknown family in mix entry: {self.family}")
-        if self.weight < 0:
-            raise SchemaError("mix weight must be non-negative")
+        if not 0 <= self.weight < math.inf:  # false for NaN too
+            raise SchemaError(f"mix weight must be a finite number >= 0, got {self.weight!r}")
         if self.cap is not None and self.cap <= 0:
             raise SchemaError("cap must be positive when given")
         if self.per_category_cap is not None and self.per_category_cap <= 0:

@@ -20,7 +20,7 @@ from signalmine.eval_harness.gaokao import GaokaoPaper, grade_gaokao
 from signalmine.extractors import arxiv, plain_text, qa, rotten_tomatoes, wikihow, wordnet
 from signalmine.extractors import ExtractContext
 from signalmine.extractors.plain_text import corrupt, reconstruct
-from signalmine.mixer import apply_caps, mix, split_assignments
+from signalmine.mixer import Spill, apply_caps, mix, split_assignments
 from signalmine.normalizer import is_english, strip_non_ascii, truncate_words, word_count
 from signalmine.report import ExtractionReport
 from signalmine.restructurer.pools import DistractorPools
@@ -307,12 +307,13 @@ def _pipeline_bundle_hash(tmp_path, seed: int, registry) -> str:
         global_seed=seed,
         name="detspec",
     )
-    with mix(tuples, spec, registry) as result:
+    with Spill(tmp_path) as spill:
+        result = mix(tuples, spec, registry, spill)
         assert not result.errors
         streams = {f"detspec.stage{stage}.{split}": exs
                    for (stage, split), exs in sorted(result.examples.items())}
         return write_bundle(tmp_path / f"bundle-{seed}-{len(list(tmp_path.iterdir()))}", streams,
-                            result.spill.line_of)
+                            spill.line_of)
 
 
 def test_pipeline_determinism(tmp_path, registry):

@@ -285,9 +285,10 @@ def test_streaming_writer_encodes_each_listed_example_once(tmp_path, monkeypatch
                             MixEntry("daily_mail_summary", "generation", stage=2)), global_seed=3, name="s")
     encoded = []
     monkeypatch.setattr(mixer, "encode_record", lambda ex: encoded.append(ex) or encode_record(ex))
-    with mixer.mix(all_fixture_tuples, spec, REGISTRY) as result:
+    with mixer.Spill(tmp_path) as spill:
+        result = mixer.mix(all_fixture_tuples, spec, REGISTRY, spill)
         streams = {f"s.stage{stage}.{split}": records for (stage, split), records in result.examples.items()}
-        write_bundle(tmp_path / "b", streams, result.spill.line_of)
+        write_bundle(tmp_path / "b", streams, spill.line_of)
     lines = [line for records in streams.values() for _, line in records]  # job numbers of spilled lines
     assert len(lines) > len({id(line) for line in lines})
     assert len(encoded) == len({id(ex) for ex in encoded}) == len({id(line) for line in lines})

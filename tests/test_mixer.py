@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from signalmine.mixer import apply_caps, mix, split_assignments, stage_plan
+from signalmine.mixer import Spill, apply_caps, mix, split_assignments, stage_plan
 from signalmine.restructurer.render import ConfigError
 from signalmine.restructurer.templates import load_registry
 from signalmine.signal_model import MixEntry, MixSpec, SignalTuple, example_from_record
@@ -18,9 +18,9 @@ def registry():
     return load_registry()
 
 
-def decoded(result) -> dict:
-    """A mix result's record lines, read back as examples."""
-    return {key: [example_from_record(json.loads(result.spill.line_of(job))) for _, job in records]
+def decoded(result, spill) -> dict:
+    """A mix result's record lines, read back from its spill as examples."""
+    return {key: [example_from_record(json.loads(spill.line_of(job))) for _, job in records]
             for key, records in result.examples.items()}
 
 
@@ -142,7 +142,7 @@ def test_split_is_per_tuple_and_exact_quota():
     assert counts.count("validation") == 100 and counts.count("train") == 900
 
 
-def test_mix_end_to_end_no_leakage(registry):
+def test_mix_end_to_end_no_leakage(registry, tmp_path):
     tuples = []
     for mine in ("rotten_tomatoes", "daily_mail", "wikihow"):
         tuples.extend(extract_fixture(mine)[0])
@@ -156,8 +156,9 @@ def test_mix_end_to_end_no_leakage(registry):
         global_seed=11,
         name="leak",
     )
-    with mix(tuples, spec, registry) as result:
-        examples_of = decoded(result)
+    with Spill(tmp_path) as spill:
+        result = mix(tuples, spec, registry, spill)
+        examples_of = decoded(result, spill)
     assert not result.errors
     # a tuple's split is fixed before any entry renders it, so renderings can
     # never straddle train and validation; rotten tomatoes has exactly one
@@ -174,7 +175,7 @@ def test_mix_end_to_end_no_leakage(registry):
     assert s1 <= s2
 
 
-def test_mix_determinism(registry):
+def test_mix_determinism(registry, tmp_path):
     tuples = extract_fixture("rotten_tomatoes")[0]
     spec = MixSpec(
         entries=(MixEntry("rotten_tomatoes_sentiment", "multiple_choice", cap=12),),
@@ -182,8 +183,9 @@ def test_mix_determinism(registry):
         global_seed=21,
         name="det",
     )
-    with mix(tuples, spec, registry) as a, mix(tuples, spec, registry) as b:
-        assert decoded(a) == decoded(b)
+    with Spill(tmp_path) as spill_a, Spill(tmp_path) as spill_b:
+        a, b = mix(tuples, spec, registry, spill_a), mix(tuples, spec, registry, spill_b)
+        assert decoded(a, spill_a) == decoded(b, spill_b)
 
 
 def test_all_tasks_preset_over_full_corpus(registry, tmp_path):
@@ -200,8 +202,9 @@ def test_all_tasks_preset_over_full_corpus(registry, tmp_path):
                      .read_text("utf-8"))
     rec["global_seed"] = 13
     spec = mixspec_from_record(rec)
-    with mix(tuples, spec, registry) as result:
-        examples_of = decoded(result)
+    with Spill(tmp_path) as spill:
+        result = mix(tuples, spec, registry, spill)
+        examples_of = decoded(result, spill)
     assert not result.errors, result.errors
     # the fixture corpus is tiny compared to the published caps
     assert any("shortfall" in w for w in result.warnings)

@@ -8,6 +8,7 @@ import dataclasses
 import json
 import os
 import signal
+import tempfile
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from signalmine import mixer
+from signalmine import cli, mixer
 from signalmine.cli import main
 from signalmine.dataset_io import write_bundle
 from signalmine.restructurer import render as render_module
@@ -30,6 +31,7 @@ from signalmine.restructurer.render import (
 )
 from signalmine.restructurer.templates import load_registry
 from signalmine.rng import derive_rng
+from signalmine.shards import shard_of
 from signalmine.signal_model import MixEntry, MixSpec, dump_tuples
 
 from test_golden import (  # noqa: F401 - fixture_tuple_files is a fixture
@@ -64,9 +66,10 @@ def _open_fds() -> int:
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors in /proc")
 
 
-def _lines(result) -> dict:
-    """A mix result's streams with each job number read as its record line."""
-    return {key: [(signal_type, result.spill.line_of(job)) for signal_type, job in records]
+def _lines(result, spill) -> dict:
+    """A mix result's streams with each job number read from its spill as
+    its record line."""
+    return {key: [(signal_type, spill.line_of(job)) for signal_type, job in records]
             for key, records in result.examples.items()}
 
 
@@ -82,6 +85,15 @@ def test_shard_plan_covers_every_job_once():
             assert all(list(shard) == sorted(shard) for shard in plan)
             sizes = [len(shard) for shard in plan]
             assert max(sizes) - min(sizes) <= 1
+
+
+def test_shard_of_inverts_the_shard_plan():
+    for items in range(51):
+        for workers in (1, 2, 3, 4):
+            plan = mixer.shard_plan(items, workers)
+            for shard, positions in enumerate(plan):
+                for slot, item in enumerate(positions):
+                    assert shard_of(item, len(plan)) == (shard, slot)
 
 
 def test_shard_plan_with_64_cpus_and_fewer_jobs(monkeypatch):
@@ -104,14 +116,15 @@ def test_one_worker_where_fork_or_affinity_is_missing(monkeypatch):
     assert mixer.worker_count() == 1
 
 
-def test_one_cpu_renders_in_process(monkeypatch, registry, all_fixture_tuples):
+def test_one_cpu_renders_in_process(monkeypatch, tmp_path, registry, all_fixture_tuples):
     def no_fork():
         raise AssertionError("one worker forks nothing")
 
     _workers(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", no_fork)
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),), global_seed=3, name="t")
-    with mixer.mix(all_fixture_tuples, spec, registry) as result:
+    with mixer.Spill(tmp_path) as spill:
+        result = mixer.mix(all_fixture_tuples, spec, registry, spill)
         assert result.examples and not result.errors
 
 
@@ -163,12 +176,13 @@ def test_examples_that_tie_up_to_target_or_source_merge_as_in_one_process(monkey
 
     def run(workers: int):
         _workers(monkeypatch, workers)
-        with mixer.mix(tuples, spec, registry) as result:
+        with mixer.Spill(tmp_path) as spill:
+            result = mixer.mix(tuples, spec, registry, spill)
             assert not result.errors
             streams = {f"tie.stage{stage}.{split}": records for (stage, split), records in result.examples.items()}
             out = tmp_path / f"bundle{workers}"
-            bundle_hash = write_bundle(out, streams, result.spill.line_of)
-            return _lines(result), bundle_hash, (out / "stats.tsv").read_bytes()
+            bundle_hash = write_bundle(out, streams, spill.line_of)
+            return _lines(result, spill), bundle_hash, (out / "stats.tsv").read_bytes()
 
     reference = run(1)
     examples = [json.loads(line) for _, line in reference[0][(2, "train")]]
@@ -195,30 +209,31 @@ def _failing_render(monkeypatch, bad_docs: set[str]) -> None:
     monkeypatch.setattr(mixer, "render_with_selected", fake)
 
 
-def _two_entry_mix(registry, tuples, spill_dir=None):
+def _two_entry_mix(registry, tuples, spill_dir):
     """The errors and the streams, with their record lines, of a mix of two
     entries, whose spill is closed again."""
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),
                             MixEntry("daily_mail_summary", "multiple_choice")), global_seed=3, name="t")
-    with mixer.mix(tuples, spec, registry, spill_dir) as result:
-        return SimpleNamespace(errors=result.errors, examples=_lines(result))
+    with mixer.Spill(spill_dir) as spill:
+        result = mixer.mix(tuples, spec, registry, spill)
+        return SimpleNamespace(errors=result.errors, examples=_lines(result, spill))
 
 
-def test_earliest_error_of_an_entry_comes_from_a_later_shard(monkeypatch, registry):
+def test_earliest_error_of_an_entry_comes_from_a_later_shard(monkeypatch, tmp_path, registry):
     tuples = [t for t in synthetic_tuples(12) if t.signal_type == "daily_mail_summary"]
     # entry 1's jobs are positions 12..23: its first failing job (position 17)
     # lies in a later shard than its second (position 18) at 2 and 3 workers
     first, second = tuples[5], tuples[6]
     _failing_render(monkeypatch, {first.source_doc, second.source_doc})
     _workers(monkeypatch, 1)
-    reference = _two_entry_mix(registry, tuples)
+    reference = _two_entry_mix(registry, tuples, tmp_path)
     assert reference.errors == [f"1:daily_mail_summary:multiple_choice: bad {first.source_doc}"]
     for workers in (2, 3):
         plan = mixer.shard_plan(len(tuples) * 2, workers)
         shard_of = {p: i for i, shard in enumerate(plan) for p in shard}
         assert shard_of[17] > shard_of[18]
         _workers(monkeypatch, workers)
-        got = _two_entry_mix(registry, tuples)
+        got = _two_entry_mix(registry, tuples, tmp_path)
         assert got.errors == reference.errors
         assert got.examples == reference.examples
     assert _no_child_left()
@@ -301,6 +316,50 @@ def test_child_killed_mid_shard_keeps_the_old_bundle(monkeypatch, tmp_path):
     assert _open_fds() == fds
 
 
+def _second_spill_file_fails(monkeypatch) -> None:
+    """`tempfile.TemporaryFile` opening its first file, and raising
+    `OSError` for the second."""
+    real = tempfile.TemporaryFile
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("no room for a second spill file")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", fake)
+
+
+@needs_proc
+def test_mix_whose_second_spill_file_cannot_open_closes_the_first(monkeypatch, tmp_path):
+    tuples = tmp_path / "in.tuples"
+    tuples.write_text(dump_tuples(synthetic_tuples(40)), encoding="utf-8")
+    out = tmp_path / "bundle"
+    _workers(monkeypatch, 2)
+    _second_spill_file_fails(monkeypatch)
+    fds = _open_fds()
+    result = CliRunner().invoke(main, ["mix", "--spec", "all_tasks", "--tuples", str(tuples),
+                                       "--out", str(out), "--seed", "7"])
+    assert (result.exit_code, result.output) == (1, "io-error: no room for a second spill file\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.tuples"]
+    assert _open_fds() == fds
+    assert _no_child_left()
+
+
+@needs_proc
+def test_restructure_whose_second_spill_file_cannot_open_closes_the_first(monkeypatch, tmp_path):
+    _workers(monkeypatch, 2)
+    _second_spill_file_fails(monkeypatch)
+    fds = _open_fds()
+    result, out = _restructure(tmp_path, synthetic_tuples(40))
+    assert (result.exit_code, result.output) == (1, "io-error: no room for a second spill file\n")
+    assert out is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.tuples"]
+    assert _open_fds() == fds
+    assert _no_child_left()
+
+
 # -- spill files and the parent's memory ------------------------------------------
 
 
@@ -330,11 +389,12 @@ def test_spill_files_leave_no_file_and_no_descriptor_over_ten_runs(monkeypatch, 
 def test_spill_files_are_unlinked_and_closed_with_the_result(registry, tmp_path):
     tuples = [t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"]
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),), global_seed=3, name="t")
-    with mixer.mix(tuples, spec, registry, tmp_path) as result:
+    with mixer.Spill(tmp_path) as spill:
+        mixer.mix(tuples, spec, registry, spill)
         assert list(tmp_path.iterdir()) == []
-        files = result.spill.files
+        files = spill.files
         assert files and not any(f.closed for f in files)
-        assert result.spill.line_of(0).endswith(b"}\n")
+        assert spill.line_of(0).endswith(b"}\n")
     assert all(f.closed for f in files)
 
 
@@ -350,15 +410,37 @@ def test_mix_and_write_hold_less_than_the_bundle(monkeypatch, tmp_path, registry
     out = tmp_path / "bundle"
     tracemalloc.start()
     try:
-        with mixer.mix(tuples, spec, registry, tmp_path) as result:
+        with mixer.Spill(tmp_path) as spill:
+            result = mixer.mix(tuples, spec, registry, spill)
             streams = {f"synthetic.stage{stage}.{split}": records
                        for (stage, split), records in result.examples.items()}
-            assert write_bundle(out, streams, result.spill.line_of) == SYNTHETIC_BUNDLE_HASH
+            assert write_bundle(out, streams, spill.line_of) == SYNTHETIC_BUNDLE_HASH
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     bundle_bytes = sum((out / name).stat().st_size for name in streams)
     assert peak < bundle_bytes
+
+
+def test_restructure_writes_its_output_without_holding_it(monkeypatch, tmp_path):
+    # the lines go from the spill to the output file one at a time; one
+    # worker, so the traced process renders every job itself
+    _workers(monkeypatch, 1)
+    real = cli.write_files_atomic
+    peaks = []
+
+    def traced(files):
+        tracemalloc.start()
+        try:
+            real(files)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "write_files_atomic", traced)
+    result, out = _restructure(tmp_path, synthetic_tuples())
+    assert result.exit_code == 0, result.output
+    assert len(peaks) == 1 and peaks[0] < len(out)
 
 
 # -- the render RNG is built at its first draw --------------------------------------

@@ -116,6 +116,14 @@ def test_mixentry_validation():
         MixEntry("qa_race", "multiple_choice", cap=0)
 
 
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf"), -1.0])
+def test_mixentry_weight_must_be_finite_and_non_negative(weight):
+    # a NaN weight once passed: `mix` checked its entry as off (nan > 0 is
+    # false) while `apply_caps` rendered it (nan == 0 is false too)
+    with pytest.raises(SchemaError, match="mix weight must be a finite number >= 0"):
+        MixEntry("wordnet_pos", "generation", weight=weight)
+
+
 def test_serialized_field_order_is_declared_order():
     tup = SignalTuple(
         "wikidata_relation",
