@@ -316,45 +316,28 @@ def test_child_killed_mid_shard_keeps_the_old_bundle(monkeypatch, tmp_path):
     assert _open_fds() == fds
 
 
-def _second_spill_file_fails(monkeypatch) -> None:
-    """`tempfile.TemporaryFile` opening its first file, and raising
-    `OSError` for the second."""
+@needs_proc
+@pytest.mark.parametrize("command", ["mix", "restructure"])
+def test_second_spill_file_that_cannot_open_is_one_io_error_and_closes_the_first(monkeypatch, tmp_path,
+                                                                                 command):
+    tuples = tmp_path / "in.tuples"
+    tuples.write_text(dump_tuples(synthetic_tuples(40)), encoding="utf-8")
+    out = {"mix": ["mix", "--spec", "all_tasks", "--out", str(tmp_path / "bundle")],
+           "restructure": ["restructure", "--out", str(tmp_path / "out.jsonl")]}[command]
     real = tempfile.TemporaryFile
-    calls = []
+    opened = []
 
-    def fake(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
+    def second_fails(*args, **kwargs):
+        opened.append(1)
+        if len(opened) == 2:
             raise OSError("no room for a second spill file")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(tempfile, "TemporaryFile", fake)
-
-
-@needs_proc
-def test_mix_whose_second_spill_file_cannot_open_closes_the_first(monkeypatch, tmp_path):
-    tuples = tmp_path / "in.tuples"
-    tuples.write_text(dump_tuples(synthetic_tuples(40)), encoding="utf-8")
-    out = tmp_path / "bundle"
+    monkeypatch.setattr(tempfile, "TemporaryFile", second_fails)
     _workers(monkeypatch, 2)
-    _second_spill_file_fails(monkeypatch)
     fds = _open_fds()
-    result = CliRunner().invoke(main, ["mix", "--spec", "all_tasks", "--tuples", str(tuples),
-                                       "--out", str(out), "--seed", "7"])
+    result = CliRunner().invoke(main, [*out, "--tuples", str(tuples), "--seed", "7"])
     assert (result.exit_code, result.output) == (1, "io-error: no room for a second spill file\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.tuples"]
-    assert _open_fds() == fds
-    assert _no_child_left()
-
-
-@needs_proc
-def test_restructure_whose_second_spill_file_cannot_open_closes_the_first(monkeypatch, tmp_path):
-    _workers(monkeypatch, 2)
-    _second_spill_file_fails(monkeypatch)
-    fds = _open_fds()
-    result, out = _restructure(tmp_path, synthetic_tuples(40))
-    assert (result.exit_code, result.output) == (1, "io-error: no room for a second spill file\n")
-    assert out is None
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.tuples"]
     assert _open_fds() == fds
     assert _no_child_left()
