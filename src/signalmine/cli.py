@@ -30,12 +30,13 @@ from .eval_harness.gaokao import grade_gaokao, load_answers, load_paper
 from .eval_harness.scorers import ExternalCommandScorer, ReferenceScorer, ScorerError
 from .extractors import MINES, extract_documents, read_jsonl
 from .extractors.pwc import EntityDb
-from .mixer import Spill, mix, render_jobs
+from .mixer import mix, render_jobs
 from .normalizer import DetectorError
 from .report import ExtractionReport
 from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError, tuple_key
 from .restructurer.templates import audit, load_registry
+from .shards import Spill
 from .signal_model import MixEntry, SchemaError, load_mixspec, load_tuples, read_json
 # not called here: extract shards encode their own lines. perfbench/worker.py
 # wraps cli.dump_tuples by name until it reads the program's own run records
@@ -126,11 +127,12 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
             raise SchemaError(f"{blocklist_path}: not UTF-8 text: {exc}") from exc
         options["property_blocklist"] = tuple(l.strip() for l in lines if l.strip())
     report = ExtractionReport()
-    lines = extract_documents(mine, read_jsonl(in_path), seed=seed, report=report, options=options)
-    write_files_atomic({
-        out_path: map(str.encode, lines),
-        report_path or f"{out_path}.report.json": [(report.to_json() + "\n").encode()],
-    })
+    with Spill(Path(out_path).parent) as spill:
+        lines = extract_documents(mine, read_jsonl(in_path), seed, report, spill, options=options)
+        write_files_atomic({
+            out_path: lines,
+            report_path or f"{out_path}.report.json": [(report.to_json() + "\n").encode()],
+        })
     click.echo(f"extracted {sum(report.accepted.values())} tuples from {report.docs_processed} documents")
 
 

@@ -6,17 +6,18 @@ the language gate, validation, canonical ordering, and the accepted counts
 (one per tuple returned, so the report matches the output by construction).
 All sampling inside adapters draws from an RNG keyed by (seed, mine, doc_id)
 so per-document work is order-independent, and the documents can be dealt
-into shards that run on every CPU.
+into shards that run on every CPU, each spilling its tuple lines to disk.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from ..normalizer import Detector, DetectorError, is_english, trigram_detector
 from ..report import ExtractionReport
-from ..shards import run_shards, shard_plan, worker_count
+from ..shards import Spill
 from ..signal_model import SchemaError, json_lines, tuple_line, validate_tuple
 
 from . import arxiv, daily_mail, plain_text, pwc, qa, rotten_tomatoes, wikidata, wikihow, wikipedia, wordnet
@@ -56,39 +57,41 @@ _ADAPTERS: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-Line = tuple[int, int, str]  # (document position, index in the adapter's output, tuple-file line)
-# the shard's lines and counts, and its first failing document's position
-# and exception (None if none failed)
-ShardResult = tuple[list[Line], ExtractionReport, tuple[int, Exception] | None]
+# per document, the end of its tuple lines in the spill file; the shard's
+# counts; and its first failing document's position and exception, or None
+ShardResult = tuple[array, tuple[ExtractionReport, tuple[int, Exception] | None]]
 
 
-def _extract_shard(mine, adapter, primary_text, docs: list[tuple[int, Mapping]], seed: int,
+def _extract_shard(mine, adapter, primary_text, kept, positions, spill: BinaryIO, seed: int,
                    detector: Detector, options: Mapping[str, object]) -> ShardResult:
-    """Gate, extract, validate and encode `docs`, (position, document)
-    pairs, in order. The shard stops at the first document that raises."""
+    """Gate, extract, validate and encode the (doc_id, document) pairs of
+    `kept` at `positions` into `spill`, stopping at the first that raises."""
     report = ExtractionReport()
     ctx = ExtractContext(seed=seed, report=report, options=options)
-    lines: list[Line] = []
-    for position, doc in docs:
+    ends = array("Q")
+    end = 0
+    for position in positions:
+        _, doc = kept[position]
         try:
             text = primary_text(doc)
             try:
-                if text and not is_english(text, detector):
-                    report.skip_doc(mine, "language")
-                    continue
+                skip = "language" if text and not is_english(text, detector) else None
             except DetectorError:
-                report.skip_doc(mine, "detector_error")
-                continue
-            for i, tup in enumerate(adapter(doc, ctx)):
-                verdict = validate_tuple(tup)
-                if not verdict:
-                    report.reject(tup.signal_type, f"invalid:{verdict.reason.split(':')[0]}")
-                    continue
-                report.accept(tup.signal_type)
-                lines.append((position, i, tuple_line(tup)))
+                skip = "detector_error"
+            if skip:
+                report.skip_doc(mine, skip)
+            else:
+                for tup in adapter(doc, ctx):
+                    verdict = validate_tuple(tup)
+                    if not verdict:
+                        report.reject(tup.signal_type, f"invalid:{verdict.reason.split(':')[0]}")
+                        continue
+                    report.accept(tup.signal_type)
+                    end += spill.write(tuple_line(tup).encode())
         except Exception as exc:  # noqa: BLE001 - raised by the parent unless an earlier document failed
-            return lines, report, (position, exc)
-    return lines, report, None
+            return ends, (report, (position, exc))
+        ends.append(end)
+    return ends, (report, None)
 
 
 def extract_documents(
@@ -96,17 +99,18 @@ def extract_documents(
     docs: Iterable[Mapping],
     seed: int,
     report: ExtractionReport,
+    spill: Spill,
     detector: Detector = trigram_detector,
     options: Mapping[str, object] | None = None,
-) -> list[str]:
-    """The tuple-file line of every accepted tuple, ordered by (doc_id,
-    position in its adapter's output).
+) -> Iterator[bytes]:
+    """The tuple-file lines of each document, in doc_id order, read from
+    `spill` as the caller draws them.
 
     Here the first document with a given id wins, and whole-corpus options
-    are built. The kept documents are then dealt into shards
-    (`run_shards`), each of which gates, extracts, validates and encodes
-    its documents. The counts land in `report`. If documents raise, the
-    error raised is that of the earliest one, as in one process.
+    are built. The kept documents are then dealt into shards (`Spill.run`),
+    each of which gates, extracts, validates and encodes its documents. The
+    counts land in `report`. If documents raise, the error raised is that
+    of the earliest one, as in one process.
     """
     if mine not in _ADAPTERS:
         raise SchemaError(f"unknown mine: {mine}")
@@ -130,20 +134,14 @@ def extract_documents(
         kept.append((doc_id, doc))
     report.docs_processed += len(kept)
 
-    def shard(positions: range) -> ShardResult:
-        return _extract_shard(mine, adapter, primary_text, [(p, kept[p][1]) for p in positions],
-                              seed, detector, options)
-
-    results = run_shards(shard, shard_plan(len(kept), worker_count()), "extract")
-    failures = [failure for _, _, failure in results if failure is not None]
+    results = spill.run(len(kept), lambda positions, file: _extract_shard(
+        mine, adapter, primary_text, kept, positions, file, seed, detector, options), "extract")
+    failures = [failure for _, failure in results if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    lines: list[Line] = []
-    for shard_lines, shard_report, _ in results:
-        lines.extend(shard_lines)
+    for shard_report, _ in results:
         report.add(shard_report)
-    lines.sort(key=lambda item: (kept[item[0]][0], item[1]))
-    return [line for _, _, line in lines]
+    return map(spill.line_of, sorted(range(len(kept)), key=lambda position: kept[position][0]))
 
 
 def read_jsonl(path: str) -> Iterator[dict]:

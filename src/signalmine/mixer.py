@@ -14,15 +14,13 @@ to its own spill file, an unlinked temporary file, and returns only where
 each line ends; a stream lists job numbers, and `Spill.line_of` reads a
 job's line back when the bundle is written. The parent's memory thus does
 not grow with the bundle, and no spill file outlives the process, however
-it ends. The command that renders owns the `Spill` and closes it by leaving
-its `with` block. `restructure` renders through `render_jobs` too.
+it ends. The command that renders owns the `Spill` (`shards.py`) and closes
+it by leaving its `with` block. `restructure` renders through `render_jobs` too.
 """
 
 from __future__ import annotations
 
-import os
 import random
-import tempfile
 from array import array
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Mapping, Sequence
@@ -32,46 +30,8 @@ from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError, render_with_selected, tuple_key
 from .restructurer.templates import PromptRegistry
 from .rng import derive_rng
-from .shards import run_shards, shard_of, shard_plan, worker_count
+from .shards import Spill
 from .signal_model import MixEntry, MixSpec, SignalTuple
-
-
-# bytes a render shard buffers before it writes to its spill file
-_SPILL_BUFFER = 1 << 16
-
-
-class Spill:
-    """The record lines of one command: one unlinked file per render shard
-    in `directory`, and, per shard, the end of each of its jobs' lines in
-    its file. The files have no name from the start, so none is left on
-    disk on any exit path; leaving the `with` block closes every file
-    opened, freeing their space and descriptors."""
-
-    def __init__(self, directory: str | os.PathLike):
-        self.directory = directory
-        self.files: list[BinaryIO] = []
-        # per shard, an array('Q') of the cumulative end of each job's line
-        self.ends: list[array] = []
-
-    def __enter__(self) -> "Spill":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        for file in self.files:
-            file.close()
-
-    def open(self, shards: int) -> None:
-        """Open one spill file per shard; each is in `files` as soon as it
-        is open, so the `with` block closes it even if a later one fails."""
-        for _ in range(shards):
-            self.files.append(tempfile.TemporaryFile(buffering=_SPILL_BUFFER, dir=self.directory))
-
-    def line_of(self, job: int) -> bytes:
-        """The record line job number `job` rendered."""
-        shard, slot = shard_of(job, len(self.files))
-        ends = self.ends[shard]
-        start = ends[slot - 1] if slot else 0
-        return os.pread(self.files[shard].fileno(), ends[slot] - start, start)
 
 
 @dataclass
@@ -201,8 +161,7 @@ ShardResult = tuple[array, dict[int, tuple[int, Exception]]]
 def _render_shard(jobs: Sequence[Job], positions, spill: BinaryIO, registry, pools, seed: int) -> ShardResult:
     """Render the jobs at `positions` in order, encode each example as it
     renders and append its line to `spill`. An entry renders nothing more
-    after its first render or config error. `spill` is flushed before this
-    returns: a forked shard leaves through `os._exit`, which flushes nothing."""
+    after its first render or config error."""
     ends = array("Q")
     errors: dict[int, tuple[int, Exception]] = {}
     end = 0
@@ -216,24 +175,17 @@ def _render_shard(jobs: Sequence[Job], positions, spill: BinaryIO, registry, poo
             except (RenderError, ConfigError) as exc:
                 errors[index] = (position, exc)
         ends.append(end)
-    spill.flush()
     return ends, errors
 
 
 def render_jobs(jobs: Sequence[Job], spill: Spill, registry, pools, seed: int) -> dict[int, Exception]:
-    """Render `jobs` into `spill`: one shard per CPU (`run_shards`), each
-    into its own spill file, which a child inherits with the pools. Returns
-    each failed entry's earliest error: the one a single process rendering
-    every job meets."""
-    plan = shard_plan(len(jobs), worker_count())
-    spill.open(len(plan))
-    results = run_shards(
-        lambda shard: _render_shard(jobs, plan[shard], spill.files[shard], registry, pools, seed),
-        range(len(plan)), "render",
-    )
-    spill.ends = [ends for ends, _ in results]
+    """Render `jobs` into `spill` (`Spill.run`), whose shards inherit the
+    pools. Returns each failed entry's earliest error: the one a single
+    process rendering every job meets."""
+    results = spill.run(len(jobs), lambda positions, file: _render_shard(
+        jobs, positions, file, registry, pools, seed), "render")
     first_errors: dict[int, tuple[int, Exception]] = {}
-    for _, shard_errors in results:
+    for shard_errors in results:
         for index, (position, exc) in shard_errors.items():
             if index not in first_errors or position < first_errors[index][0]:
                 first_errors[index] = (position, exc)

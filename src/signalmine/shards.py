@@ -1,11 +1,10 @@
 """Work dealt into shards, one per CPU, each past the first in a forked child.
 
-`mix` renders and `extract` extracts this way. The caller builds its inputs
-once; a child inherits them with the rest of the parent's memory and sends
-its result back pickled through a pipe, so the inputs are never pickled.
-What a shard makes in bulk should not travel that way: a `mix` shard writes
-its record lines to a file it inherits, and pickles back only where they
-end.
+`extract`, `mix` and `restructure` all run through a `Spill`. The caller
+builds its inputs once, and a child inherits them with the rest of the
+parent's memory. A shard appends each item's bytes to its own spill file and
+pickles back only where each item's bytes end, and a small result of its
+own; `Spill.line_of` reads an item's bytes back in any order.
 """
 
 from __future__ import annotations
@@ -13,10 +12,12 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from typing import BinaryIO, Callable, Sequence, TypeVar
+import tempfile
+from array import array
+from typing import BinaryIO, Callable, TypeVar
 
 Result = TypeVar("Result")
-Shard = TypeVar("Shard")
+_SPILL_BUFFER = 1 << 16  # bytes a shard buffers before it writes to its spill file
 
 
 def worker_count() -> int:
@@ -44,6 +45,52 @@ def shard_of(item: int, shards: int) -> tuple[int, int]:
     return item % shards, item // shards
 
 
+class Spill:
+    """The output of one command's shards: one unlinked file per shard in
+    `directory`, and per shard the end of each item's bytes in its file. No
+    file has a name, so none is left on disk on any exit path; leaving the
+    `with` block closes every file opened, freeing its space and descriptor."""
+
+    def __init__(self, directory: str | os.PathLike):
+        self.directory = directory
+        self.files: list[BinaryIO] = []
+        # per shard, an array('Q') of the cumulative end of each item's bytes
+        self.ends: list[array] = []
+
+    def __enter__(self) -> "Spill":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for file in self.files:
+            file.close()
+
+    def run(self, items: int, work: Callable[[range, BinaryIO], tuple[array, Result]],
+            name: str) -> list[Result]:
+        """`work(positions, file)` for each shard of a `shard_plan` of
+        `items`, each with its own spill file (`run_shards`). `work` appends
+        each position's bytes to `file` and returns their cumulative ends,
+        and a result of its own; those results return in shard order."""
+        plan = shard_plan(items, worker_count())
+        for _ in plan:  # each in `files` at once, so the `with` block closes it
+            self.files.append(tempfile.TemporaryFile(buffering=_SPILL_BUFFER, dir=self.directory))
+
+        def shard(number: int) -> tuple[array, Result]:
+            result = work(plan[number], self.files[number])
+            self.files[number].flush()  # a forked shard leaves by `os._exit`, which flushes nothing
+            return result
+
+        results = run_shards(shard, len(plan), name)
+        self.ends = [ends for ends, _ in results]
+        return [result for _, result in results]
+
+    def line_of(self, item: int) -> bytes:
+        """The bytes position `item` made."""
+        shard, slot = shard_of(item, len(self.files))
+        ends = self.ends[shard]
+        start = ends[slot - 1] if slot else 0
+        return os.pread(self.files[shard].fileno(), ends[slot] - start, start)
+
+
 def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:
     """Run `work()` in a forked child: its pid, and a pipe on which the
     child pickles `("ok", result)`, or `("raised", exception)`."""
@@ -67,10 +114,9 @@ def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:
     return pid, open(read_fd, "rb")
 
 
-def run_shards(work: Callable[[Shard], Result], plan: Sequence[Shard], name: str) -> list[Result]:
-    """`work(shard)` for each shard of `plan`, in plan order: the first
-    shard runs here, each other one in a forked child. A shard is whatever
-    `work` takes: its positions (`extract`) or its number (`mix`).
+def run_shards(work: Callable[[int], Result], shards: int, name: str) -> list[Result]:
+    """`work(shard)` for each shard number `0..shards-1`, in order: the
+    first shard runs here, each other one in a forked child.
 
     A child that ends without a complete result raises `ChildProcessError`
     ("<name> worker <pid> exited without a complete result"); any other
@@ -79,9 +125,9 @@ def run_shards(work: Callable[[Shard], Result], plan: Sequence[Shard], name: str
     """
     children: list[tuple[int, BinaryIO]] = []
     try:
-        for shard in plan[1:]:
+        for shard in range(1, shards):
             children.append(_fork(lambda shard=shard: work(shard)))
-        results = [work(plan[0])]
+        results = [work(0)]
         while children:
             pid, pipe = children[0]
             try:

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from signalmine.extractors import extract_documents, read_jsonl
 from signalmine.extractors.pwc import EntityDb
+from signalmine.normalizer import trigram_detector
 from signalmine.report import ExtractionReport
+from signalmine.shards import Spill
 from signalmine.signal_model import load_tuples
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -21,13 +24,22 @@ def always_english(_text: str) -> tuple[str, float]:
     return ("en", 1.0)
 
 
+def extract_lines(mine: str, docs, seed: int, report: ExtractionReport, detector=trigram_detector,
+                  options=None) -> list[str]:
+    """`extract_documents` through a spill of its own: the tuple-file lines,
+    each with its newline."""
+    with Spill(tempfile.gettempdir()) as spill:
+        text = b"".join(extract_documents(mine, docs, seed, report, spill, detector, options)).decode()
+    return [line + "\n" for line in text.split("\n")[:-1]]
+
+
 def extract_fixture(mine: str, seed: int = 7, **options):
     """Extract a fixture dump with a detector that admits every document
     (rule tests want to see the word-count gates, not the language detector)."""
     if mine == "paperswithcode" and "entity_db" not in options:
         options["entity_db"] = EntityDb(read_jsonl(str(FIXTURES / "mines" / "pwc_entity_db.jsonl")))
     report = ExtractionReport()
-    lines = extract_documents(
+    lines = extract_lines(
         mine,
         fixture_docs(mine),
         seed=seed,

@@ -20,13 +20,14 @@ from signalmine.eval_harness.gaokao import GaokaoPaper, grade_gaokao
 from signalmine.extractors import arxiv, plain_text, qa, rotten_tomatoes, wikihow, wordnet
 from signalmine.extractors import ExtractContext
 from signalmine.extractors.plain_text import corrupt, reconstruct
-from signalmine.mixer import Spill, apply_caps, mix, split_assignments
+from signalmine.mixer import apply_caps, mix, split_assignments
 from signalmine.normalizer import is_english, strip_non_ascii, truncate_words, word_count
 from signalmine.report import ExtractionReport
 from signalmine.restructurer.pools import DistractorPools
 from signalmine.restructurer.render import parse_options, render_cloze, render_with_selected
 from signalmine.restructurer.templates import load_registry
 from signalmine.rng import derive_rng
+from signalmine.shards import Spill
 from signalmine.signal_model import MixEntry, MixSpec, SignalTuple
 
 from conftest import extract_fixture, load_eval_fixture, gaokao_fixture

@@ -21,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signalmine import __version__
-from signalmine import mixer
+from signalmine import mixer, shards
 from signalmine.dataset_io import encode_record, read_manifest, render_stats_table, verify_bundle, write_bundle
 from signalmine.restructurer.templates import load_registry
 from signalmine.rng import derive_seed
+from signalmine.shards import Spill
 from signalmine.signal_model import CATALOG, FORMAT_VERSION, MixEntry, MixSpec, PromptedExample, SignalTuple
 
 REGISTRY = load_registry()
@@ -280,12 +281,12 @@ def test_streaming_writer_matches_over_many_write_chunks(tmp_path):
 def test_streaming_writer_encodes_each_listed_example_once(tmp_path, monkeypatch, all_fixture_tuples):
     # mix encodes each rendered example once, in its shard; a later stage
     # that lists the example again lists the same line
-    monkeypatch.setattr(mixer, "worker_count", lambda: 1)
+    monkeypatch.setattr(shards, "worker_count", lambda: 1)
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "multiple_choice", stage=1),
                             MixEntry("daily_mail_summary", "generation", stage=2)), global_seed=3, name="s")
     encoded = []
     monkeypatch.setattr(mixer, "encode_record", lambda ex: encoded.append(ex) or encode_record(ex))
-    with mixer.Spill(tmp_path) as spill:
+    with Spill(tmp_path) as spill:
         result = mixer.mix(all_fixture_tuples, spec, REGISTRY, spill)
         streams = {f"s.stage{stage}.{split}": records for (stage, split), records in result.examples.items()}
         write_bundle(tmp_path / "b", streams, spill.line_of)

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signalmine.extractors import ExtractContext, extract_documents
+from signalmine.extractors import ExtractContext
 from signalmine.extractors import (
     arxiv,
     daily_mail,
@@ -22,7 +22,7 @@ from signalmine.extractors.pwc import EntityDb
 from signalmine.report import ExtractionReport
 from signalmine.signal_model import LIST_SEP, SchemaError, dump_tuples, validate_tuple
 
-from conftest import always_english, extract_fixture, fixture_docs
+from conftest import always_english, extract_fixture, extract_lines, fixture_docs
 
 
 def ctx(seed: int = 7, **options) -> ExtractContext:
@@ -604,7 +604,7 @@ def test_accepted_counts_only_tuples_that_pass_validation(monkeypatch):
     docs = [{"doc_id": "a", "review": words(8), "rating": 5.0},
             {"doc_id": "b", "review": words(9), "rating": 1.0}]
     report = ExtractionReport()
-    out = extract_documents("rotten_tomatoes", docs, seed=1, report=report, detector=always_english)
+    out = extract_lines("rotten_tomatoes", docs, seed=1, report=report, detector=always_english)
     assert len(out) == 1
     assert sum(report.accepted.values()) == len(out)
     assert report.rejected == {("rotten_tomatoes_sentiment", "invalid:arity"): 1}
@@ -614,15 +614,15 @@ def test_language_gate_and_detector_errors_counted():
     docs = [{"doc_id": "a", "review": words(8), "rating": 5.0},
             {"doc_id": "b", "review": words(8), "rating": 5.0}]
     report = ExtractionReport()
-    out = extract_documents("rotten_tomatoes", docs, seed=1, report=report,
-                            detector=lambda t: ("fr", 1.0))
+    out = extract_lines("rotten_tomatoes", docs, seed=1, report=report,
+                        detector=lambda t: ("fr", 1.0))
     assert out == [] and report.skipped_docs[("rotten_tomatoes", "language")] == 2
 
     def flaky(_):
         raise RuntimeError("oracle down")
 
     report = ExtractionReport()
-    out = extract_documents("rotten_tomatoes", docs, seed=1, report=report, detector=flaky)
+    out = extract_lines("rotten_tomatoes", docs, seed=1, report=report, detector=flaky)
     assert out == [] and report.skipped_docs[("rotten_tomatoes", "detector_error")] == 2
 
 
@@ -630,23 +630,23 @@ def test_duplicate_doc_ids_skipped():
     docs = [{"doc_id": "a", "review": words(8), "rating": 5.0},
             {"doc_id": "a", "review": words(9), "rating": 5.0}]
     report = ExtractionReport()
-    out = extract_documents("rotten_tomatoes", docs, seed=1, report=report,
-                            detector=always_english)
+    out = extract_lines("rotten_tomatoes", docs, seed=1, report=report,
+                        detector=always_english)
     assert len(out) == 1 and report.skipped_docs[("rotten_tomatoes", "duplicate_doc_id")] == 1
 
 
 def test_unknown_mine_is_structural():
     with pytest.raises(SchemaError):
-        extract_documents("no_such_mine", [], seed=0, report=ExtractionReport())
+        extract_lines("no_such_mine", [], seed=0, report=ExtractionReport())
 
 
 def test_extraction_is_input_order_independent():
     docs = fixture_docs("daily_mail")
     report_a, report_b = ExtractionReport(), ExtractionReport()
-    forward = extract_documents("daily_mail", docs, seed=5, report=report_a,
-                                detector=always_english)
-    backward = extract_documents("daily_mail", list(reversed(docs)), seed=5,
-                                 report=report_b, detector=always_english)
+    forward = extract_lines("daily_mail", docs, seed=5, report=report_a,
+                            detector=always_english)
+    backward = extract_lines("daily_mail", list(reversed(docs)), seed=5,
+                             report=report_b, detector=always_english)
     assert "".join(forward) == "".join(backward)
     assert report_a.accepted == report_b.accepted
 
@@ -694,7 +694,7 @@ def test_wordnet_lemmas_do_not_depend_on_document_order():
     runs = []
     for order in (docs, docs[::-1]):
         report = ExtractionReport()
-        lines = extract_documents("wordnet", order, seed=1, report=report, detector=always_english)
+        lines = extract_lines("wordnet", order, seed=1, report=report, detector=always_english)
         runs.append(("".join(lines), report.to_json()))
     assert runs[0] == runs[1]
     assert "wordnet_pos:lemmatized_away" in runs[0][1]

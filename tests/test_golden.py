@@ -17,7 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 import signalmine.cli as cli
-from signalmine import mixer
+from signalmine import shards
 from signalmine.cli import main
 from signalmine.eval_harness.scorers import ReferenceScorer
 from signalmine.restructurer.pools import DistractorPools
@@ -323,7 +323,7 @@ def test_extract_output_digest(tmp_path, key):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_restructure_outcome_per_fixture_mine_at_any_worker_count(monkeypatch, tmp_path, fixture_tuple_files,
                                                                    workers):
-    monkeypatch.setattr(mixer, "worker_count", lambda: workers)
+    monkeypatch.setattr(shards, "worker_count", lambda: workers)
     outcomes = {}
     for family in ("auto", "multiple_choice", "generation"):
         for path in fixture_tuple_files:

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
-from signalmine.mixer import Spill, apply_caps, mix, split_assignments, stage_plan
+from signalmine.mixer import apply_caps, mix, split_assignments, stage_plan
 from signalmine.restructurer.render import ConfigError
 from signalmine.restructurer.templates import load_registry
+from signalmine.shards import Spill
 from signalmine.signal_model import MixEntry, MixSpec, SignalTuple, example_from_record
 
 from conftest import extract_fixture

@@ -1,5 +1,7 @@
-"""`extract` deals its documents into shards, one per CPU, forked. No worker
-count may change a byte of output, an error line, or leave a child behind."""
+"""`extract` deals its documents into shards, one per CPU, forked, each
+spilling its tuple lines to an unlinked file. No worker count may change a
+byte of output, an error line, or leave a child, a file or a descriptor
+behind."""
 
 from __future__ import annotations
 
@@ -7,26 +9,28 @@ import hashlib
 import os
 import signal
 import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
-from signalmine import extractors
+from signalmine import extractors, shards
 from signalmine.cli import main
+from signalmine.dataset_io import write_files_atomic
 from signalmine.extractors import extract_documents, read_jsonl
 from signalmine.report import ExtractionReport
 from signalmine.signal_model import SchemaError
-from signalmine.shards import shard_plan
+from signalmine.shards import Spill, shard_plan
 
-from conftest import FIXTURES, always_english
+from conftest import FIXTURES, always_english, extract_lines
 from test_golden import EXTRACT_DIGESTS, _extract
-from test_sharded_mix import _no_child_left
+from test_sharded_mix import _no_child_left, _open_fds, needs_proc
 
 RT_DUMP = FIXTURES / "mines" / "rotten_tomatoes.jsonl"
 
 
 def _workers(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(extractors, "worker_count", lambda: n)
+    monkeypatch.setattr(shards, "worker_count", lambda: n)
 
 
 def _rt_docs() -> list[dict]:
@@ -60,8 +64,8 @@ def test_one_cpu_extracts_in_process(monkeypatch):
 
     _workers(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", no_fork)
-    lines = extract_documents("rotten_tomatoes", _rt_docs(), seed=1, report=ExtractionReport(),
-                              detector=always_english)
+    lines = extract_lines("rotten_tomatoes", _rt_docs(), seed=1, report=ExtractionReport(),
+                          detector=always_english)
     assert lines
 
 
@@ -104,7 +108,7 @@ def test_other_exception_in_a_child_is_raised_with_its_type_and_message(monkeypa
     _adapter(monkeypatch, fake)
     _workers(monkeypatch, 2)
     with pytest.raises(KeyError) as caught:
-        extract_documents("rotten_tomatoes", _rt_docs(), seed=1, report=ExtractionReport())
+        extract_lines("rotten_tomatoes", _rt_docs(), seed=1, report=ExtractionReport())
     assert caught.value.args == ("child went wrong",)
     assert _no_child_left()
 
@@ -121,7 +125,7 @@ def test_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch):
     _workers(monkeypatch, 3)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        extract_documents("rotten_tomatoes", _rt_docs(), seed=1, report=ExtractionReport())
+        extract_lines("rotten_tomatoes", _rt_docs(), seed=1, report=ExtractionReport())
     assert time.monotonic() - started < 30
     assert _no_child_left()
 
@@ -150,4 +154,59 @@ def test_child_killed_mid_shard_keeps_the_old_tuples_and_report(monkeypatch, tmp
     assert result.output.startswith("io-error: extract worker ")
     assert result.output.count("\n") == 1
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert _no_child_left()
+
+
+def test_extract_and_write_hold_less_than_the_tuple_file(monkeypatch, tmp_path):
+    # the tuple lines are on disk, not in memory; one worker, so the traced
+    # process extracts every document itself
+    _workers(monkeypatch, 1)
+    fixture = list(read_jsonl(str(FIXTURES / "mines" / "daily_mail.jsonl")))
+    docs = [dict(doc, doc_id=f"{doc['doc_id']}.{copy}") for copy in range(40) for doc in fixture]
+    out = tmp_path / "dm.tuples"
+    report = ExtractionReport()
+    tracemalloc.start()
+    try:
+        with Spill(tmp_path) as spill:
+            write_files_atomic({out: extract_documents("daily_mail", docs, 1, report, spill, always_english)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes().count(b"\n") == sum(report.accepted.values()) > len(docs)
+    assert peak < out.stat().st_size
+
+
+@needs_proc
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extract_leaves_no_spill_file_and_no_descriptor(monkeypatch, tmp_path, workers):
+    out = tmp_path / "rt.tuples"
+    args = ["extract", "--mine", "rotten_tomatoes", "--in", str(RT_DUMP), "--out", str(out), "--seed", "7"]
+    _workers(monkeypatch, workers)
+    if workers == 1:
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("one worker forks nothing"))
+    runner = CliRunner()
+    fds = _open_fds()
+    outputs = set()
+    for _ in range(10):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        outputs.add(out.read_bytes())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rt.tuples", "rt.tuples.report.json"]
+        assert _open_fds() == fds
+    assert len(outputs) == 1
+    # and none after a failed extraction either
+    for path in tmp_path.iterdir():
+        path.unlink()
+    last = _rt_docs()[-1]["doc_id"]
+
+    def fake(real, doc, ctx):
+        if doc["doc_id"] == last:
+            raise SchemaError(f"bad {last}")
+        return real(doc, ctx)
+
+    _adapter(monkeypatch, fake)
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.output) == (1, f"schema-error: bad {last}\n")
+    assert list(tmp_path.iterdir()) == []
+    assert _open_fds() == fds
     assert _no_child_left()

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from signalmine import cli, mixer
+from signalmine import cli, mixer, shards
 from signalmine.cli import main
 from signalmine.dataset_io import write_bundle
 from signalmine.restructurer import render as render_module
@@ -31,9 +31,10 @@ from signalmine.restructurer.render import (
 )
 from signalmine.restructurer.templates import load_registry
 from signalmine.rng import derive_rng
-from signalmine.shards import shard_of
+from signalmine.shards import Spill, shard_of
 from signalmine.signal_model import MixEntry, MixSpec, dump_tuples
 
+from conftest import FIXTURES
 from test_golden import (  # noqa: F401 - fixture_tuple_files is a fixture
     FIXTURE_BUNDLE_HASH,
     SYNTHETIC_BUNDLE_HASH,
@@ -48,7 +49,7 @@ def registry():
 
 
 def _workers(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(mixer, "worker_count", lambda: n)
+    monkeypatch.setattr(shards, "worker_count", lambda: n)
 
 
 def _no_child_left() -> bool:
@@ -79,7 +80,7 @@ def _lines(result, spill) -> dict:
 def test_shard_plan_covers_every_job_once():
     for jobs in (0, 1, 2, 5, 17, 1000):
         for workers in (1, 2, 3, 8, 64):
-            plan = mixer.shard_plan(jobs, workers)
+            plan = shards.shard_plan(jobs, workers)
             assert len(plan) == max(1, min(workers, jobs))
             assert sorted(p for shard in plan for p in shard) == list(range(jobs))
             assert all(list(shard) == sorted(shard) for shard in plan)
@@ -90,7 +91,7 @@ def test_shard_plan_covers_every_job_once():
 def test_shard_of_inverts_the_shard_plan():
     for items in range(51):
         for workers in (1, 2, 3, 4):
-            plan = mixer.shard_plan(items, workers)
+            plan = shards.shard_plan(items, workers)
             for shard, positions in enumerate(plan):
                 for slot, item in enumerate(positions):
                     assert shard_of(item, len(plan)) == (shard, slot)
@@ -102,18 +103,18 @@ def test_shard_plan_with_64_cpus_and_fewer_jobs(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-    assert mixer.worker_count() == 64
-    plan = mixer.shard_plan(10, mixer.worker_count())
+    assert shards.worker_count() == 64
+    plan = shards.shard_plan(10, shards.worker_count())
     assert [list(shard) for shard in plan] == [[i] for i in range(10)]
-    assert [list(shard) for shard in mixer.shard_plan(0, mixer.worker_count())] == [[]]
+    assert [list(shard) for shard in shards.shard_plan(0, shards.worker_count())] == [[]]
 
 
 def test_one_worker_where_fork_or_affinity_is_missing(monkeypatch):
     monkeypatch.delattr(os, "fork")
-    assert mixer.worker_count() == 1
+    assert shards.worker_count() == 1
     monkeypatch.undo()
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert mixer.worker_count() == 1
+    assert shards.worker_count() == 1
 
 
 def test_one_cpu_renders_in_process(monkeypatch, tmp_path, registry, all_fixture_tuples):
@@ -123,7 +124,7 @@ def test_one_cpu_renders_in_process(monkeypatch, tmp_path, registry, all_fixture
     _workers(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", no_fork)
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),), global_seed=3, name="t")
-    with mixer.Spill(tmp_path) as spill:
+    with Spill(tmp_path) as spill:
         result = mixer.mix(all_fixture_tuples, spec, registry, spill)
         assert result.examples and not result.errors
 
@@ -176,7 +177,7 @@ def test_examples_that_tie_up_to_target_or_source_merge_as_in_one_process(monkey
 
     def run(workers: int):
         _workers(monkeypatch, workers)
-        with mixer.Spill(tmp_path) as spill:
+        with Spill(tmp_path) as spill:
             result = mixer.mix(tuples, spec, registry, spill)
             assert not result.errors
             streams = {f"tie.stage{stage}.{split}": records for (stage, split), records in result.examples.items()}
@@ -214,7 +215,7 @@ def _two_entry_mix(registry, tuples, spill_dir):
     entries, whose spill is closed again."""
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),
                             MixEntry("daily_mail_summary", "multiple_choice")), global_seed=3, name="t")
-    with mixer.Spill(spill_dir) as spill:
+    with Spill(spill_dir) as spill:
         result = mixer.mix(tuples, spec, registry, spill)
         return SimpleNamespace(errors=result.errors, examples=_lines(result, spill))
 
@@ -229,7 +230,7 @@ def test_earliest_error_of_an_entry_comes_from_a_later_shard(monkeypatch, tmp_pa
     reference = _two_entry_mix(registry, tuples, tmp_path)
     assert reference.errors == [f"1:daily_mail_summary:multiple_choice: bad {first.source_doc}"]
     for workers in (2, 3):
-        plan = mixer.shard_plan(len(tuples) * 2, workers)
+        plan = shards.shard_plan(len(tuples) * 2, workers)
         shard_of = {p: i for i, shard in enumerate(plan) for p in shard}
         assert shard_of[17] > shard_of[18]
         _workers(monkeypatch, workers)
@@ -317,13 +318,16 @@ def test_child_killed_mid_shard_keeps_the_old_bundle(monkeypatch, tmp_path):
 
 
 @needs_proc
-@pytest.mark.parametrize("command", ["mix", "restructure"])
+@pytest.mark.parametrize("command", ["mix", "restructure", "extract"])
 def test_second_spill_file_that_cannot_open_is_one_io_error_and_closes_the_first(monkeypatch, tmp_path,
                                                                                  command):
     tuples = tmp_path / "in.tuples"
     tuples.write_text(dump_tuples(synthetic_tuples(40)), encoding="utf-8")
-    out = {"mix": ["mix", "--spec", "all_tasks", "--out", str(tmp_path / "bundle")],
-           "restructure": ["restructure", "--out", str(tmp_path / "out.jsonl")]}[command]
+    dump = FIXTURES / "mines" / "rotten_tomatoes.jsonl"
+    argv = {"mix": ["mix", "--spec", "all_tasks", "--tuples", str(tuples), "--out", str(tmp_path / "bundle")],
+            "restructure": ["restructure", "--tuples", str(tuples), "--out", str(tmp_path / "out.jsonl")],
+            "extract": ["extract", "--mine", "rotten_tomatoes", "--in", str(dump), "--out", str(tmp_path / "rt.tuples")],
+            }[command]
     real = tempfile.TemporaryFile
     opened = []
 
@@ -336,7 +340,7 @@ def test_second_spill_file_that_cannot_open_is_one_io_error_and_closes_the_first
     monkeypatch.setattr(tempfile, "TemporaryFile", second_fails)
     _workers(monkeypatch, 2)
     fds = _open_fds()
-    result = CliRunner().invoke(main, [*out, "--tuples", str(tuples), "--seed", "7"])
+    result = CliRunner().invoke(main, [*argv, "--seed", "7"])
     assert (result.exit_code, result.output) == (1, "io-error: no room for a second spill file\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.tuples"]
     assert _open_fds() == fds
@@ -372,7 +376,7 @@ def test_spill_files_leave_no_file_and_no_descriptor_over_ten_runs(monkeypatch, 
 def test_spill_files_are_unlinked_and_closed_with_the_result(registry, tmp_path):
     tuples = [t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"]
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),), global_seed=3, name="t")
-    with mixer.Spill(tmp_path) as spill:
+    with Spill(tmp_path) as spill:
         mixer.mix(tuples, spec, registry, spill)
         assert list(tmp_path.iterdir()) == []
         files = spill.files
@@ -393,7 +397,7 @@ def test_mix_and_write_hold_less_than_the_bundle(monkeypatch, tmp_path, registry
     out = tmp_path / "bundle"
     tracemalloc.start()
     try:
-        with mixer.Spill(tmp_path) as spill:
+        with Spill(tmp_path) as spill:
             result = mixer.mix(tuples, spec, registry, spill)
             streams = {f"synthetic.stage{stage}.{split}": records
                        for (stage, split), records in result.examples.items()}
@@ -530,7 +534,7 @@ def _restructure(tmp_path, tuples: list, *extra: str):
 def test_restructure_raises_the_earliest_failing_tuple_from_a_later_shard(monkeypatch, tmp_path):
     tuples = [t for t in synthetic_tuples(12) if t.signal_type == "daily_mail_summary"]
     # at 2 workers tuple 3 lies in the second shard, tuple 4 in the first
-    plan = mixer.shard_plan(len(tuples), 2)
+    plan = shards.shard_plan(len(tuples), 2)
     assert 3 in plan[1] and 4 in plan[0]
     _failing_render(monkeypatch, {tuples[3].source_doc, tuples[4].source_doc})
     for workers in (1, 2, 3):
