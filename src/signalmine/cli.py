@@ -113,6 +113,9 @@ def main(ctx: click.Context, config_path: str | None) -> None:
 def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path):
     """Convert one mine's raw dump into validated signal tuples."""
     options: dict = {}
+    report_path = report_path or f"{out_path}.report.json"
+    if Path(report_path).resolve() == Path(out_path).resolve():
+        raise click.UsageError(f"--report {report_path} names the --out file")
     if mine == "paperswithcode" and not db_path:
         raise click.UsageError("--db is required for the paperswithcode mine")
     for flag, value, owner in (("--db", db_path, "paperswithcode"), ("--blocklist", blocklist_path, "wikidata")):
@@ -129,10 +132,7 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
     report = ExtractionReport()
     with Spill(Path(out_path).parent) as spill:
         lines = extract_documents(mine, read_jsonl(in_path), seed, report, spill, options=options)
-        write_files_atomic({
-            out_path: lines,
-            report_path or f"{out_path}.report.json": [(report.to_json() + "\n").encode()],
-        })
+        write_files_atomic({out_path: lines, report_path: [(report.to_json() + "\n").encode()]})
     click.echo(f"extracted {sum(report.accepted.values())} tuples from {report.docs_processed} documents")
 
 

@@ -65,13 +65,15 @@ ShardResult = tuple[array, tuple[ExtractionReport, tuple[int, Exception] | None]
 def _extract_shard(mine, adapter, primary_text, kept, positions, spill: BinaryIO, seed: int,
                    detector: Detector, options: Mapping[str, object]) -> ShardResult:
     """Gate, extract, validate and encode the (doc_id, document) pairs of
-    `kept` at `positions` into `spill`, stopping at the first that raises."""
+    `kept` at `positions` into `spill`, stopping at the first that raises.
+    A field of the wrong JSON type, which an adapter meets as a `TypeError`,
+    `ValueError` or `AttributeError`, is a `SchemaError` naming the document."""
     report = ExtractionReport()
     ctx = ExtractContext(seed=seed, report=report, options=options)
     ends = array("Q")
     end = 0
     for position in positions:
-        _, doc = kept[position]
+        doc_id, doc = kept[position]
         try:
             text = primary_text(doc)
             try:
@@ -89,6 +91,8 @@ def _extract_shard(mine, adapter, primary_text, kept, positions, spill: BinaryIO
                     report.accept(tup.signal_type)
                     end += spill.write(tuple_line(tup).encode())
         except Exception as exc:  # noqa: BLE001 - raised by the parent unless an earlier document failed
+            if isinstance(exc, (TypeError, ValueError, AttributeError)) and not isinstance(exc, SchemaError):
+                exc = SchemaError(f"{mine} document {doc_id}: a field has the wrong type: {exc}")
             return ends, (report, (position, exc))
         ends.append(end)
     return ends, (report, None)

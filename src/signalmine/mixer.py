@@ -133,14 +133,12 @@ def stage_plan(spec: MixSpec) -> list[tuple[int, list[int]]]:
 
 
 def split_assignments(
-    tuples: Sequence[SignalTuple], spec: MixSpec, tuple_keys: Sequence[str] | None = None
+    tuples: Sequence[SignalTuple], spec: MixSpec, tuple_keys: Sequence[str]
 ) -> dict[str, str]:
     """Tuple-level split map: a seeded shuffle of the distinct tuples with the
     first floor(ratio * n) going to validation. Exact quota, and a tuple's
-    split never depends on which entry renders it. `tuple_keys`, when given,
-    holds the `tuple_key` of each tuple, in order."""
-    if tuple_keys is None:
-        tuple_keys = [tuple_key(tup) for tup in tuples]
+    split never depends on which entry renders it. `tuple_keys` holds the
+    `tuple_key` of each tuple, in order."""
     keys = list(dict.fromkeys(tuple_keys))
     if spec.split_ratio <= 0:
         return {key: "train" for key in keys}

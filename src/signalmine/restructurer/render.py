@@ -305,23 +305,21 @@ def select_template(
     family: str,
     tup: SignalTuple,
     seed: int,
-    group: str | None = None,
-    key: str | None = None,
+    group: str | None,
+    key: str,
 ) -> PromptTemplate:
     """Uniform seeded choice among the templates applicable to this tuple.
 
     The index is the 64-bit derived seed modulo the number of eligible
     templates, so choosing builds no `random.Random`; the modulo biases no
     template by more than len(eligible) / 2**64. `key` is the tuple's
-    `tuple_key`, when the caller already has it.
+    `tuple_key`.
     """
     if not registry.get(signal_type, family, group):
         raise ConfigError(f"no templates for ({signal_type}, {family}, group={group})")
     eligible = registry.eligible(signal_type, family, group, tup)
     if not eligible:
         raise RenderError(f"no applicable template for tuple of {signal_type} (group={group})")
-    if key is None:
-        key = tuple_key(tup)
     return eligible[derive_seed(seed, "select", signal_type, family, group or "", key) % len(eligible)]
 
 
@@ -331,16 +329,14 @@ def render_with_selected(
     family: str,
     pools: DistractorPools,
     seed: int,
-    group: str | None = None,
-    key: str | None = None,
+    group: str | None,
+    key: str,
     split: str = "train",
 ) -> PromptedExample:
     """Select a template and render the tuple with it into an example of
     `split`; `key` as in `select_template`."""
     if tup.signal_type == "plain_text_cloze":
         return render_cloze(tup, seed, split)
-    if key is None:
-        key = tuple_key(tup)
     template = select_template(registry, tup.signal_type, family, tup, seed, group, key)
     rng = _LazyRng(seed, "render", template.template_id, key)
     return render(tup, template, pools, rng, seed=seed, split=split)

@@ -32,18 +32,30 @@ class SchemaError(ValueError):
     """Structural problem: unknown signal type, malformed record, bad spec."""
 
 
+def _loads(text: str):
+    """`json.loads(text)`, refusing a lone surrogate escape such as
+    "\\ud800": JSON allows it, but the `str` it gives cannot be encoded as
+    UTF-8, so no output could ever hold it (`UnicodeEncodeError`). Only
+    text that holds such an escape is checked."""
+    value = json.loads(text)
+    if "\\ud" in text or "\\uD" in text:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    return value
+
+
 def json_lines(lines: Iterable[str | bytes], name: str) -> Iterator[dict]:
     """The JSON object on each non-blank line of `lines`, text or UTF-8
-    bytes. A line that is not UTF-8, not JSON or not an object is one
-    `SchemaError` naming `name` and the 1-based line."""
+    bytes. A line that is not UTF-8, not JSON, not an object or not
+    encodable as UTF-8 is one `SchemaError` naming `name` and the 1-based
+    line."""
     for i, line in enumerate(lines, 1):
         try:
             if isinstance(line, bytes):
                 line = line.decode("utf-8")
             if not line.strip():
                 continue
-            rec = json.loads(line)
-        except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+            rec = _loads(line)
+        except ValueError as exc:  # UnicodeError or JSONDecodeError
             raise SchemaError(f"{name}:{i}: not a JSON record: {exc}") from exc
         if type(rec) is not dict:
             raise SchemaError(f"{name}:{i}: not a JSON record: expected a JSON object")
@@ -52,12 +64,13 @@ def json_lines(lines: Iterable[str | bytes], name: str) -> Iterator[dict]:
 
 def read_json(file, object_only: bool = True):
     """The JSON document in `file`, a path or a package resource. Bytes that
-    are not UTF-8, text that is not JSON, or (if `object_only`) a document
-    that is not an object are one `SchemaError` naming the file."""
+    are not UTF-8, text that is not JSON or not encodable as UTF-8, or (if
+    `object_only`) a document that is not an object are one `SchemaError`
+    naming the file."""
     data = (Path(file) if isinstance(file, (str, os.PathLike)) else file).read_bytes()
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        doc = _loads(data.decode("utf-8"))
+    except ValueError as exc:  # UnicodeError or JSONDecodeError
         raise SchemaError(f"{file}: not a JSON document: {exc}") from exc
     if object_only and type(doc) is not dict:
         raise SchemaError(f"{file}: not a JSON document: expected a JSON object")

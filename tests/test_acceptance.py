@@ -24,7 +24,7 @@ from signalmine.mixer import apply_caps, mix, split_assignments
 from signalmine.normalizer import is_english, strip_non_ascii, truncate_words, word_count
 from signalmine.report import ExtractionReport
 from signalmine.restructurer.pools import DistractorPools
-from signalmine.restructurer.render import parse_options, render_cloze, render_with_selected
+from signalmine.restructurer.render import parse_options, render_cloze, render_with_selected, tuple_key
 from signalmine.restructurer.templates import load_registry
 from signalmine.rng import derive_rng
 from signalmine.shards import Spill
@@ -279,7 +279,7 @@ def test_mc_option_property_ten_thousand(registry, corpus):
         while checked < 10_000:
             seed += 1
             for tup in eligible:
-                ex = render_with_selected(registry, tup, "multiple_choice", pools, seed)
+                ex = render_with_selected(registry, tup, "multiple_choice", pools, seed, None, tuple_key(tup))
                 options = parse_options(ex.source)
                 assert len(options) == len(set(options)), ex.template_id
                 assert 2 <= len(options) <= 10, ex.template_id
@@ -371,8 +371,9 @@ def test_mixer_caps_and_split_leakage(registry):
                 global_seed=rng.randrange(10_000),
                 name=f"s{trial % 17}",
             )
-            first = split_assignments(sample, spec)
-            assert split_assignments(sample, spec) == first
+            keys = [tuple_key(tup) for tup in sample]
+            first = split_assignments(sample, spec, keys)
+            assert split_assignments(sample, spec, keys) == first
             values = list(first.values())
             assert values.count("validation") == int(len(first) * ratio)
 

@@ -51,6 +51,18 @@ def test_extract_report(runner, tmp_path):
     assert doc["accepted"]["rotten_tomatoes_sentiment"] > 0
 
 
+@pytest.mark.parametrize("spelling", ["rt.tuples", "./rt.tuples"])
+def test_extract_report_naming_the_out_file_is_a_usage_error(runner, tmp_path, spelling):
+    result = runner.invoke(main, [
+        "extract", "--mine", "rotten_tomatoes",
+        "--in", str(FIXTURES / "mines" / "rotten_tomatoes.jsonl"),
+        "--out", str(tmp_path / "rt.tuples"), "--report", f"{tmp_path}/{spelling}",
+    ])
+    assert result.exit_code == 2
+    assert "names the --out file" in result.output
+    assert list(tmp_path.iterdir()) == []
+
+
 def _outputs(tmp_path):
     return {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
 
@@ -645,7 +657,9 @@ def test_evaluate_prompt_whose_answer_rule_is_not_an_object_is_one_schema_error_
     assert result.output.count("\n") == 1
 
 
-_FAULTS = {"not-utf8": b"\xff\xfe not UTF-8", "not-json": b"{bad", "not-an-object": b"[1]"}
+_FAULTS = {"not-utf8": b"\xff\xfe not UTF-8", "not-json": b"{bad", "not-an-object": b"[1]",
+           # JSON, but its string cannot be encoded as UTF-8
+           "lone-surrogate": b'{"doc_id": "\\ud800", "x": "\\ud800"}'}
 _LINE_FILE_OPTIONS = ["extract --in", "extract --db", "restructure --tuples", "restructure --templates",
                       "mix --tuples", "evaluate --data"]
 _DOCUMENT_OPTIONS = ["mix --spec", "evaluate --prompts", "grade --paper", "grade --answers", "validate", "stats"]
@@ -690,8 +704,8 @@ def _file_option_run(runner, tmp_path, option):
 ], ids=lambda value: value.replace(" ", ""))
 def test_bad_input_file_is_one_schema_error_line(runner, tmp_path, option, fault):
     """Every file-reading option against bytes that are not UTF-8, text that
-    is not JSON and JSON that is not an object; a line file's fault is on
-    its line 2."""
+    is not JSON, JSON that is not an object and JSON holding a lone
+    surrogate; a line file's fault is on its line 2."""
     args, path = _file_option_run(runner, tmp_path, option)
     path.write_bytes(b"\n" + _FAULTS[fault])
     result = runner.invoke(main, args)

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from signalmine.mixer import apply_caps, mix, split_assignments, stage_plan
-from signalmine.restructurer.render import ConfigError
+from signalmine.restructurer.render import ConfigError, tuple_key
 from signalmine.restructurer.templates import load_registry
 from signalmine.shards import Spill
 from signalmine.signal_model import MixEntry, MixSpec, SignalTuple, example_from_record
@@ -137,8 +137,9 @@ def test_split_is_per_tuple_and_exact_quota():
     spec = one_entry_spec()
     spec = MixSpec(entries=spec.entries, split_ratio=0.1, global_seed=9, name="s")
     tuples = category_tuples({"Sport": 1000})
-    splits = split_assignments(tuples, spec)
-    assert splits == split_assignments(tuples, spec)
+    keys = [tuple_key(tup) for tup in tuples]
+    splits = split_assignments(tuples, spec, keys)
+    assert splits == split_assignments(tuples, spec, keys)
     counts = list(splits.values())
     assert counts.count("validation") == 100 and counts.count("train") == 900
 

@@ -17,6 +17,7 @@ from signalmine.restructurer.render import (
     render_with_selected,
     resolve_article,
     select_template,
+    tuple_key,
 )
 from signalmine.restructurer.templates import PromptRegistry, PromptTemplate, load_manifest, load_registry, audit
 from signalmine.rng import derive_rng, derive_seed
@@ -111,10 +112,10 @@ def test_cloze_render_matches_worked_example():
 def test_select_template_is_deterministic(registry, fixture_pools):
     _, pools = fixture_pools
     tup = rt_tuple()
-    picks = {select_template(registry, tup.signal_type, "multiple_choice", tup, 42).template_id
+    picks = {select_template(registry, tup.signal_type, "multiple_choice", tup, 42, None, tuple_key(tup)).template_id
              for _ in range(10)}
     assert len(picks) == 1
-    other = select_template(registry, tup.signal_type, "multiple_choice", tup, 43)
+    other = select_template(registry, tup.signal_type, "multiple_choice", tup, 43, None, tuple_key(tup))
     assert isinstance(other.template_id, str)
 
 
@@ -172,8 +173,8 @@ def test_render_replay_is_byte_identical(registry, fixture_pools):
             templates = registry.get(tup.signal_type, fam)
             if not any(t.applies_to(tup) for t in templates):
                 continue
-            a = render_with_selected(registry, tup, fam, pools, 5)
-            b = render_with_selected(registry, tup, fam, pools, 5)
+            a = render_with_selected(registry, tup, fam, pools, 5, None, tuple_key(tup))
+            b = render_with_selected(registry, tup, fam, pools, 5, None, tuple_key(tup))
             assert a == b
             rendered += 1
     assert rendered > 100
@@ -187,7 +188,7 @@ def test_mc_option_invariants_on_fixture_corpus(registry, fixture_pools):
             templates = registry.get(tup.signal_type, "multiple_choice")
             if not any(t.applies_to(tup) for t in templates):
                 continue
-            ex = render_with_selected(registry, tup, "multiple_choice", pools, seed)
+            ex = render_with_selected(registry, tup, "multiple_choice", pools, seed, None, tuple_key(tup))
             options = parse_options(ex.source)
             assert len(options) == len(set(options)), ex.template_id
             assert 2 <= len(options) <= 10, ex.template_id
@@ -245,7 +246,7 @@ def test_distractors_differ_from_truth(registry, fixture_pools):
 
 def test_unknown_group_is_config_error(registry, fixture_pools):
     with pytest.raises(ConfigError):
-        select_template(registry, "qa_triviaqa", "multiple_choice", rt_tuple(), 0)
+        select_template(registry, "qa_triviaqa", "multiple_choice", rt_tuple(), 0, None, tuple_key(rt_tuple()))
 
 
 def test_small_pool_is_render_error(registry):
@@ -264,7 +265,7 @@ def test_requires_filters_templates(registry, fixture_pools):
                and t.extraction_meta["has_entities"] == "no"]
     assert empties
     for seed in range(6):
-        ex = render_with_selected(registry, empties[0], "multiple_choice", pools, seed)
+        ex = render_with_selected(registry, empties[0], "multiple_choice", pools, seed, None, tuple_key(empties[0]))
         # templates that need a concrete entity are never selected
         assert "{entity}" not in ex.source
 

@@ -6,6 +6,7 @@ behind."""
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import signal
 import time
@@ -55,6 +56,30 @@ def test_extract_output_digest_at_any_worker_count(monkeypatch, tmp_path, key, w
     out = _extract(tmp_path, mine, dump)
     report = out.with_name(out.name + ".report.json")
     assert hashlib.sha256(out.read_bytes() + report.read_bytes()).hexdigest() == EXTRACT_DIGESTS[key]
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mine,field,value", [
+    ("rotten_tomatoes", "rating", "abc"),  # ValueError in the adapter
+    ("rotten_tomatoes", "rating", [1]),  # TypeError
+    ("wikidata", "properties", [1, 2]),  # AttributeError
+    ("wikihow", "steps", "abc"),  # AttributeError
+])
+def test_field_of_the_wrong_json_type_is_one_schema_error_line(monkeypatch, tmp_path, mine, field, value,
+                                                                 workers):
+    # the bad document is second: at 2 workers a child extracts it
+    good, bad = list(read_jsonl(str(FIXTURES / "mines" / f"{mine}.jsonl")))[:2]
+    bad[field] = value
+    dump = tmp_path / "in.jsonl"
+    dump.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", encoding="utf-8")
+    _workers(monkeypatch, workers)
+    result = CliRunner().invoke(main, ["extract", "--mine", mine, "--in", str(dump),
+                                       "--out", str(tmp_path / "out.tuples")])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"schema-error: {mine} document {bad['doc_id']}: a field has the wrong type: ")
+    assert result.output.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
     assert _no_child_left()
 
 

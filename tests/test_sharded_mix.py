@@ -454,11 +454,11 @@ def test_template_that_draws_nothing_seeds_no_rng(monkeypatch, registry, all_fix
     assert plain.placeholders() == {"summary", "text"}
     with monkeypatch.context() as patch:
         patch.setattr(render_module, "select_template", lambda *args: plain)
-        example = render_with_selected(registry, tup, "generation", pools, 7)
+        example = render_with_selected(registry, tup, "generation", pools, 7, None, tuple_key(tup))
     assert example.template_id == plain.template_id
     assert built == []
     # a multiple-choice render draws its options: one RNG
-    render_with_selected(registry, tup, "multiple_choice", pools, 7)
+    render_with_selected(registry, tup, "multiple_choice", pools, 7, None, tuple_key(tup))
     assert len(built) == 1
 
 
@@ -494,7 +494,7 @@ def test_lazy_rng_renders_what_the_eager_one_did(registry, all_fixture_tuples):
     for signal_type, family in sorted(families):
         for tup in by_signal.get(signal_type, []):
             if registry.eligible(signal_type, family, None, tup):
-                assert (_outcome(render_with_selected, registry, tup, family, pools, 7)
+                assert (_outcome(render_with_selected, registry, tup, family, pools, 7, None, tuple_key(tup))
                         == _outcome(_eager, registry, tup, family, pools, 7))
 
 
