@@ -12,6 +12,7 @@ import hashlib
 import json
 import shlex
 import sys
+from array import array
 from importlib import resources
 from pathlib import Path
 
@@ -34,14 +35,16 @@ from .mixer import mix, render_jobs
 from .normalizer import DetectorError
 from .report import ExtractionReport
 from .restructurer.pools import DistractorPools
-from .restructurer.render import ConfigError, RenderError, tuple_key
+from .restructurer.render import ConfigError, RenderError
 from .restructurer.templates import audit, load_registry
 from .shards import Spill
-from .signal_model import MixEntry, SchemaError, load_mixspec, load_tuples, read_json
-# not called here: extract shards encode their own lines. perfbench/worker.py
-# wraps cli.dump_tuples by name until it reads the program's own run records
-# (ROADMAP item 1)
-from .signal_model import dump_tuples  # noqa: F401
+from .signal_model import MixEntry, SchemaError, load_mixspec, read_json
+from .store import SIGNALS, TupleStore
+# not called here: extract shards encode their own lines, and mix and
+# restructure read tuple files through a TupleStore. perfbench/worker.py wraps
+# cli.dump_tuples and cli.load_tuples by name until it reads the program's own
+# run records (ROADMAP item 1)
+from .signal_model import dump_tuples, load_tuples  # noqa: F401
 
 SEED_ENV = "SIGNALMINE_SEED"
 
@@ -116,6 +119,8 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
     report_path = report_path or f"{out_path}.report.json"
     if Path(report_path).resolve() == Path(out_path).resolve():
         raise click.UsageError(f"--report {report_path} names the --out file")
+    if Path(out_path).resolve() == Path(in_path).resolve():
+        raise click.UsageError(f"--out {out_path} names the --in file")
     if mine == "paperswithcode" and not db_path:
         raise click.UsageError("--db is required for the paperswithcode mine")
     for flag, value, owner in (("--db", db_path, "paperswithcode"), ("--blocklist", blocklist_path, "wikidata")):
@@ -147,26 +152,28 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
 @_seed_option()
 def restructure(tuples_paths, templates_path, out_path, family, seed):
     """Render each tuple into one prompted source/target example."""
+    if Path(out_path).resolve() in {Path(p).resolve() for p in tuples_paths}:
+        raise click.UsageError(f"--out {out_path} names a --tuples file")
     registry = load_registry(templates_path)
-    tuples = [tup for p in tuples_paths for tup in load_tuples(Path(p).read_bytes(), p)]
-    entries = {}
-    for signal_type in dict.fromkeys(tup.signal_type for tup in tuples):
-        fam = family
-        if family == "auto":
-            fam = "cloze" if signal_type == "plain_text_cloze" else next(
-                (f for f in ("multiple_choice", "generation") if registry.get(signal_type, f)), None)
-            if fam is None:
-                raise ConfigError(f"no templates at all for {signal_type}")
-        entries[signal_type] = MixEntry(signal_type, fam)
-    # all of entry 0: a shard stops at its first failure, and the earliest one is raised
-    jobs = [(0, entries[tup.signal_type], tup, tuple_key(tup), "train") for tup in tuples]
-    pools = DistractorPools.build(tuples)
-    with Spill(Path(out_path).parent) as spill:
-        errors = render_jobs(jobs, spill, registry, pools, seed)
+    with TupleStore(tuples_paths) as store, Spill(Path(out_path).parent) as spill:
+        pools = DistractorPools.build(store.scan())
+        # an entry for each signal type present, at the type's position in
+        # SIGNALS, so a job's entry index is its tuple's signal code
+        entries: list[MixEntry | None] = [None] * len(SIGNALS)
+        for code in dict.fromkeys(store.signal):
+            signal_type, fam = SIGNALS[code], family
+            if family == "auto":
+                fam = "cloze" if signal_type == "plain_text_cloze" else next(
+                    (f for f in ("multiple_choice", "generation") if registry.get(signal_type, f)), None)
+                if fam is None:
+                    raise ConfigError(f"no templates at all for {signal_type}")
+            entries[code] = MixEntry(signal_type, fam)
+        jobs = (entries, store.signal, array("I", range(len(store))), bytes(len(store)))
+        errors = render_jobs(jobs, store, spill, registry, pools, seed)
         if errors:
-            raise errors[0]
-        write_files_atomic({out_path: map(spill.line_of, range(len(jobs)))})
-    click.echo(f"rendered {len(jobs)} examples")
+            raise next(iter(errors.values()))  # the earliest
+        write_files_atomic({out_path: map(spill.line_of, range(len(store)))})
+    click.echo(f"rendered {len(store)} examples")
 
 
 def _load_spec(spec_arg: str):
@@ -192,13 +199,12 @@ def mix_command(spec_arg, tuples_paths, out_path, seed):
     if seed is None:
         seed = spec.global_seed
     spec = dataclasses.replace(spec, global_seed=seed)
-    tuples = [tup for p in tuples_paths for tup in load_tuples(Path(p).read_bytes(), p)]
     registry = load_registry()
     # the record lines spill beside the bundle, on the disk it goes to
     spill_dir = Path(out_path).parent
     spill_dir.mkdir(parents=True, exist_ok=True)
-    with Spill(spill_dir) as spill:
-        result = mix(tuples, spec, registry, spill)
+    with TupleStore(tuples_paths) as store, Spill(spill_dir) as spill:
+        result = mix(store, spec, registry, spill)
         streams = {
             f"{spec.name}.stage{stage}.{split}": examples
             for (stage, split), examples in sorted(result.examples.items())

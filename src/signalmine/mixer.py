@@ -9,13 +9,13 @@ seed over job order: entry by entry, each entry's capped tuples in order. That
 order is fixed by the spec and the tuple files, so bundles are byte-identical
 across runs and across any number of render processes.
 
-Record lines never gather in the parent. Each render shard appends its lines
-to its own spill file, an unlinked temporary file, and returns only where
-each line ends; a stream lists job numbers, and `Spill.line_of` reads a
-job's line back when the bundle is written. The parent's memory thus does
-not grow with the bundle, and no spill file outlives the process, however
-it ends. The command that renders owns the `Spill` (`shards.py`) and closes
-it by leaving its `with` block. `restructure` renders through `render_jobs` too.
+Neither tuples nor record lines gather in the parent. It scans the tuple
+files once and keeps per tuple its line's place, signal type, key and
+capped-on values (`store.TupleStore`), per entry the numbers of the tuples it
+can render, and per job 6 bytes: its entry and tuple number. A render shard
+reads and decodes its jobs' lines and appends their record lines to its spill
+file (`shards.Spill`); `Spill.line_of` reads a job's line back when the bundle
+is written. `restructure` renders through `render_jobs` too.
 """
 
 from __future__ import annotations
@@ -23,15 +23,16 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from typing import BinaryIO, Mapping, Sequence
 
 from .dataset_io import Record, encode_record
 from .restructurer.pools import DistractorPools
-from .restructurer.render import ConfigError, RenderError, render_with_selected, tuple_key
+from .restructurer.render import ConfigError, RenderError, render_with_selected
 from .restructurer.templates import PromptRegistry
 from .rng import derive_rng
 from .shards import Spill
 from .signal_model import MixEntry, MixSpec, SignalTuple
+from .store import SIGNALS, TupleStore
 
 
 @dataclass
@@ -57,39 +58,31 @@ def _sample_keep_order(items: Sequence, k: int, rng: random.Random) -> list:
     return [items[i] for i in picked]
 
 
-def _category_of(tup: SignalTuple, key: str) -> str:
-    return tup.extraction_meta.get(key, "")
-
-
 def apply_caps(
-    tuples_by_signal: Mapping[str, Sequence[SignalTuple]],
-    spec: MixSpec,
-    eligible=None,
-) -> tuple[dict[int, list[SignalTuple]], list[str]]:
+    store: TupleStore, eligible: Mapping[int, Sequence[int]], spec: MixSpec
+) -> tuple[dict[int, array], list[str]]:
     """Per-entry pools after per-category caps, composition constraints, and
-    the global cap. Shortfalls warn, they never fail. `eligible(entry, tuple)`
-    optionally restricts an entry's population (e.g. to renderable tuples)."""
-    out: dict[int, list[SignalTuple]] = {}
+    the global cap: numbers of the tuples in `store` that `eligible` lists for
+    each entry of positive weight. Shortfalls warn, they never fail."""
+    out: dict[int, array] = {}
     warnings: list[str] = []
     covered = {e.signal_type for e in spec.entries}
-    uncovered = sorted(set(tuples_by_signal) - covered)
+    uncovered = sorted({SIGNALS[code] for code in set(store.signal)} - covered)
     if uncovered:
         warnings.append(f"signals present but not covered by any entry: {', '.join(uncovered)}")
     for index, entry in enumerate(spec.entries):
         eid = _entry_id(entry, index)
         if entry.weight == 0:
-            out[index] = []
+            out[index] = array("I")
             continue
-        pool = list(tuples_by_signal.get(entry.signal_type, ()))
-        if eligible is not None:
-            pool = [t for t in pool if eligible(entry, t)]
+        pool = eligible[index]
         rng = derive_rng(spec.global_seed, "cap", spec.name, eid)
 
         if entry.composition:
             key = entry.composition_key or "category"
-            chosen: list[SignalTuple] = []
+            chosen: list[int] = []
             for value, want in sorted(entry.composition.items()):
-                bucket = [t for t in pool if _category_of(t, key) == value]
+                bucket = [t for t in pool if store.meta(key, t) == value]
                 if len(bucket) < want:
                     warnings.append(
                         f"{eid}: composition shortfall for {key}={value}: {len(bucket)} < {want}"
@@ -98,10 +91,10 @@ def apply_caps(
             pool = chosen
 
         if entry.per_category_cap is not None:
-            buckets: dict[str, list[SignalTuple]] = {}
-            for tup in pool:
-                buckets.setdefault(_category_of(tup, "category"), []).append(tup)
-            capped: list[SignalTuple] = []
+            buckets: dict[str, list[int]] = {}
+            for t in pool:
+                buckets.setdefault(store.meta("category", t), []).append(t)
+            capped: list[int] = []
             for value in sorted(buckets):
                 capped.extend(_sample_keep_order(buckets[value], entry.per_category_cap, rng))
             pool = capped
@@ -110,7 +103,7 @@ def apply_caps(
             if len(pool) < entry.cap:
                 warnings.append(f"{eid}: cap shortfall: {len(pool)} available < cap {entry.cap}")
             pool = _sample_keep_order(pool, entry.cap, rng)
-        out[index] = pool
+        out[index] = array("I", pool)
     return out, warnings
 
 
@@ -132,43 +125,44 @@ def stage_plan(spec: MixSpec) -> list[tuple[int, list[int]]]:
     return plan
 
 
-def split_assignments(
-    tuples: Sequence[SignalTuple], spec: MixSpec, tuple_keys: Sequence[str]
-) -> dict[str, str]:
-    """Tuple-level split map: a seeded shuffle of the distinct tuples with the
-    first floor(ratio * n) going to validation. Exact quota, and a tuple's
-    split never depends on which entry renders it. `tuple_keys` holds the
-    `tuple_key` of each tuple, in order."""
-    keys = list(dict.fromkeys(tuple_keys))
+def split_assignments(keys: Sequence[int], spec: MixSpec) -> bytes:
+    """Per tuple, 1 if it goes to validation: a seeded shuffle of the distinct
+    tuples sends the first floor(ratio * n) there. Exact quota, and a tuple's
+    split never depends on which entry renders it. `keys` holds each tuple's
+    `tuple_key` as an integer, which sorts as its fixed-width hex form does."""
     if spec.split_ratio <= 0:
-        return {key: "train" for key in keys}
-    keys.sort()
+        return bytes(len(keys))
+    distinct = sorted(set(keys))
     rng = derive_rng(spec.global_seed, "split", spec.name)
-    rng.shuffle(keys)
-    n_validation = int(len(keys) * spec.split_ratio)
-    return {key: ("validation" if i < n_validation else "train") for i, key in enumerate(keys)}
+    rng.shuffle(distinct)
+    validation = set(distinct[:int(len(distinct) * spec.split_ratio)])
+    return bytes(key in validation for key in keys)
 
 
-Job = tuple[int, MixEntry, SignalTuple, str, str]  # (entry index, entry, tuple, tuple key, split)
+# (entries, per job its entry's index, per job its tuple's number, per tuple 1 if in validation)
+Jobs = tuple[Sequence[MixEntry], array, array, bytes]
 # per job, the end of its record line in the shard's spill file (a job that
 # rendered nothing ends where the one before it did); and per entry the
 # position of its first failing job and the error it raised
 ShardResult = tuple[array, dict[int, tuple[int, Exception]]]
 
 
-def _render_shard(jobs: Sequence[Job], positions, spill: BinaryIO, registry, pools, seed: int) -> ShardResult:
-    """Render the jobs at `positions` in order, encode each example as it
-    renders and append its line to `spill`. An entry renders nothing more
-    after its first render or config error."""
+def _render_shard(jobs: Jobs, store: TupleStore, positions, spill: BinaryIO, registry, pools, seed) -> ShardResult:
+    """Render the jobs at `positions` in order, each from its tuple's line read
+    here, encode each example as it renders and append its line to `spill`.
+    An entry renders nothing more after its first render or config error."""
     ends = array("Q")
     errors: dict[int, tuple[int, Exception]] = {}
     end = 0
+    entries, entry_of, number_of, validation = jobs
     for position in positions:
-        index, entry, tup, key, split = jobs[position]
+        index = entry_of[position]
         if index not in errors:
+            entry, number = entries[index], number_of[position]
             try:
                 end += spill.write(encode_record(render_with_selected(
-                    registry, tup, entry.family, pools, seed, entry.template_group, key, split
+                    registry, store.tuple(number), entry.family, pools, seed, entry.template_group,
+                    store.key_of(number), "validation" if validation[number] else "train"
                 )))
             except (RenderError, ConfigError) as exc:
                 errors[index] = (position, exc)
@@ -176,18 +170,18 @@ def _render_shard(jobs: Sequence[Job], positions, spill: BinaryIO, registry, poo
     return ends, errors
 
 
-def render_jobs(jobs: Sequence[Job], spill: Spill, registry, pools, seed: int) -> dict[int, Exception]:
+def render_jobs(jobs: Jobs, store: TupleStore, spill: Spill, registry, pools, seed: int) -> dict[int, Exception]:
     """Render `jobs` into `spill` (`Spill.run`), whose shards inherit the
-    pools. Returns each failed entry's earliest error: the one a single
-    process rendering every job meets."""
-    results = spill.run(len(jobs), lambda positions, file: _render_shard(
-        jobs, positions, file, registry, pools, seed), "render")
+    pools and `store`. Returns each failed entry's earliest error, the one a
+    single process rendering every job meets, in the order of their jobs."""
+    results = spill.run(len(jobs[1]), lambda positions, file: _render_shard(
+        jobs, store, positions, file, registry, pools, seed), "render")
     first_errors: dict[int, tuple[int, Exception]] = {}
     for shard_errors in results:
         for index, (position, exc) in shard_errors.items():
             if index not in first_errors or position < first_errors[index][0]:
                 first_errors[index] = (position, exc)
-    return {index: exc for index, (_, exc) in first_errors.items()}
+    return {index: exc for index, (_, exc) in sorted(first_errors.items(), key=lambda item: item[1][0])}
 
 
 def _check_renderable(entry: MixEntry, index: int, registry: PromptRegistry) -> None:
@@ -203,44 +197,48 @@ def _check_renderable(entry: MixEntry, index: int, registry: PromptRegistry) -> 
         )
 
 
-def mix(tuples: Iterable[SignalTuple], spec: MixSpec, registry: PromptRegistry, spill: Spill) -> MixResult:
-    """Render capped, staged, split example streams for every spec entry.
-    The record lines go to `spill`, which the caller owns and closes."""
+def mix(store: TupleStore, spec: MixSpec, registry: PromptRegistry, spill: Spill) -> MixResult:
+    """Render capped, staged, split example streams for every spec entry from
+    the tuples `store` scans. The lines go to `spill`; the caller closes both."""
     for index, entry in enumerate(spec.entries):
         if entry.weight > 0:
             _check_renderable(entry, index, registry)
-    all_tuples = list(tuples)
-    by_signal: dict[str, list[SignalTuple]] = {}
-    for tup in all_tuples:
-        by_signal.setdefault(tup.signal_type, []).append(tup)
-    pools = DistractorPools.build(all_tuples)
+    # per entry of positive weight, the numbers of the tuples it can render
+    eligible = {index: array("I") for index, entry in enumerate(spec.entries) if entry.weight > 0}
+    entries_of: dict[str, list[int]] = {}
+    for index in eligible:
+        entries_of.setdefault(spec.entries[index].signal_type, []).append(index)
 
     def renderable(entry: MixEntry, tup: SignalTuple) -> bool:
         if entry.family == "cloze":
             return tup.signal_type == "plain_text_cloze"
         return bool(registry.eligible(entry.signal_type, entry.family, entry.template_group, tup))
 
-    capped, warnings = apply_caps(by_signal, spec, eligible=renderable)
+    meta_keys = {e.composition_key or "category" for e in spec.entries if e.composition}
+    meta_keys |= {"category" for e in spec.entries if e.per_category_cap}
+    pools = DistractorPools()
+    for number, tup in enumerate(store.scan(meta_keys)):
+        pools.observe(tup)
+        for index in entries_of.get(tup.signal_type, ()):
+            if renderable(spec.entries[index], tup):
+                eligible[index].append(number)
+    tup = None  # render_jobs holds no tuple but the one it renders
+    capped, warnings = apply_caps(store, eligible, spec)
     plan = stage_plan(spec)
     seed = spec.global_seed
-    keys = [tuple_key(tup) for tup in all_tuples]
-    splits = split_assignments(all_tuples, spec, keys)
-    # by identity: tuples hold a dict and do not hash, and all_tuples keeps
-    # every one alive while this map is in use
-    key_of = {id(tup): key for tup, key in zip(all_tuples, keys)}
-
-    jobs = [(index, entry, tup, key := key_of[id(tup)], splits[key])
-            for index, entry in enumerate(spec.entries) for tup in capped.get(index, [])]
-    errors = render_jobs(jobs, spill, registry, pools, seed)
+    entry_of = array("H", [index for index, pool in capped.items() for _ in pool])
+    number_of = array("I", [t for pool in capped.values() for t in pool])
+    validation = split_assignments(store.key, spec)
+    errors = render_jobs((spec.entries, entry_of, number_of, validation), store, spill, registry, pools, seed)
     # one record per job, listed again by each stage that holds its entry
-    records = [(tup.signal_type, job) for job, (_, _, tup, _, _) in enumerate(jobs)]
+    records = [(store.signal_of(t), job) for job, t in enumerate(number_of)]
     examples: dict[tuple[int, str], list[Record]] = {}
     for stage, members in plan:
         members = set(members) - errors.keys()
         buckets: dict[str, list[Record]] = {"train": [], "validation": []}
-        for (index, _, _, _, split), record in zip(jobs, records):
+        for record, index, t in zip(records, entry_of, number_of):
             if index in members:
-                buckets[split].append(record)
+                buckets["validation" if validation[t] else "train"].append(record)
         for split, stream in buckets.items():
             rng = derive_rng(seed, "shuffle", spec.name, stage, split)
             rng.shuffle(stream)

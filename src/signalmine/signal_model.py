@@ -22,7 +22,6 @@ FORMAT_VERSION = "1"
 LIST_SEP = " | "
 
 FAMILIES = ("multiple_choice", "generation", "cloze")
-SPLITS = ("train", "validation")
 
 # Marker used for an empty entity list: tuple fields must stay non-empty.
 NO_ENTITIES = "None"
@@ -43,23 +42,30 @@ def _loads(text: str):
     return value
 
 
+def json_line(line: str | bytes, name: str, number: int) -> dict | None:
+    """The JSON object on `line`, text or UTF-8 bytes, or None if it is
+    blank. A line that is not UTF-8, not JSON, not an object or not
+    encodable as UTF-8 is one `SchemaError` naming `name` and `number`, the
+    line's 1-based number."""
+    try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
+        if not line.strip():
+            return None
+        rec = _loads(line)
+    except ValueError as exc:  # UnicodeError or JSONDecodeError
+        raise SchemaError(f"{name}:{number}: not a JSON record: {exc}") from exc
+    if type(rec) is not dict:
+        raise SchemaError(f"{name}:{number}: not a JSON record: expected a JSON object")
+    return rec
+
+
 def json_lines(lines: Iterable[str | bytes], name: str) -> Iterator[dict]:
-    """The JSON object on each non-blank line of `lines`, text or UTF-8
-    bytes. A line that is not UTF-8, not JSON, not an object or not
-    encodable as UTF-8 is one `SchemaError` naming `name` and the 1-based
-    line."""
-    for i, line in enumerate(lines, 1):
-        try:
-            if isinstance(line, bytes):
-                line = line.decode("utf-8")
-            if not line.strip():
-                continue
-            rec = _loads(line)
-        except ValueError as exc:  # UnicodeError or JSONDecodeError
-            raise SchemaError(f"{name}:{i}: not a JSON record: {exc}") from exc
-        if type(rec) is not dict:
-            raise SchemaError(f"{name}:{i}: not a JSON record: expected a JSON object")
-        yield rec
+    """The JSON object on each non-blank line of `lines` (`json_line`)."""
+    for number, line in enumerate(lines, 1):
+        rec = json_line(line, name, number)
+        if rec is not None:
+            yield rec
 
 
 def read_json(file, object_only: bool = True):

@@ -11,7 +11,7 @@ from signalmine.extractors.pwc import EntityDb
 from signalmine.normalizer import trigram_detector
 from signalmine.report import ExtractionReport
 from signalmine.shards import Spill
-from signalmine.signal_model import load_tuples
+from signalmine.signal_model import dump_tuples, load_tuples
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -48,6 +48,19 @@ def extract_fixture(mine: str, seed: int = 7, **options):
         options=options,
     )
     return load_tuples("".join(lines)), report
+
+
+@pytest.fixture
+def tuple_file(tmp_path_factory):
+    """Writes tuples to a tuple file (`dump_tuples`) in a directory of its
+    own and returns its path: `mix` and `restructure` read tuples only from
+    their files."""
+    def write(tuples) -> Path:
+        path = tmp_path_factory.mktemp("tuples") / "in.tuples"
+        path.write_text(dump_tuples(tuples), encoding="utf-8")
+        return path
+
+    return write
 
 
 @pytest.fixture(scope="session")

@@ -29,6 +29,7 @@ from signalmine.restructurer.templates import load_registry
 from signalmine.rng import derive_rng
 from signalmine.shards import Spill
 from signalmine.signal_model import MixEntry, MixSpec, SignalTuple
+from signalmine.store import TupleStore
 
 from conftest import extract_fixture, load_eval_fixture, gaokao_fixture
 from verbatim_prompts import (
@@ -288,7 +289,7 @@ def test_mc_option_property_ten_thousand(registry, corpus):
         assert checked >= 10_000
 
 
-def _pipeline_bundle_hash(tmp_path, seed: int, registry) -> str:
+def _pipeline_bundle_hash(tmp_path, seed: int, registry, tuple_file) -> str:
     docs = {
         "rotten_tomatoes": "rotten_tomatoes",
         "wikidata": "wikidata",
@@ -308,8 +309,8 @@ def _pipeline_bundle_hash(tmp_path, seed: int, registry) -> str:
         global_seed=seed,
         name="detspec",
     )
-    with Spill(tmp_path) as spill:
-        result = mix(tuples, spec, registry, spill)
+    with TupleStore([tuple_file(tuples)]) as store, Spill(tmp_path) as spill:
+        result = mix(store, spec, registry, spill)
         assert not result.errors
         streams = {f"detspec.stage{stage}.{split}": exs
                    for (stage, split), exs in sorted(result.examples.items())}
@@ -317,17 +318,17 @@ def _pipeline_bundle_hash(tmp_path, seed: int, registry) -> str:
                             spill.line_of)
 
 
-def test_pipeline_determinism(tmp_path, registry):
+def test_pipeline_determinism(tmp_path, registry, tuple_file):
     """Same seed => identical bundle hash; 20 different seeds all differ."""
     with criterion("pipeline-determinism"):
-        a = _pipeline_bundle_hash(tmp_path, 7, registry)
-        b = _pipeline_bundle_hash(tmp_path, 7, registry)
+        a = _pipeline_bundle_hash(tmp_path, 7, registry, tuple_file)
+        b = _pipeline_bundle_hash(tmp_path, 7, registry, tuple_file)
         assert a == b
-        hashes = {_pipeline_bundle_hash(tmp_path, seed, registry) for seed in range(20)}
+        hashes = {_pipeline_bundle_hash(tmp_path, seed, registry, tuple_file) for seed in range(20)}
         assert len(hashes) == 20
 
 
-def test_mixer_caps_and_split_leakage(registry):
+def test_mixer_caps_and_split_leakage(registry, tuple_file):
     """Randomized caps are never exceeded; tuple splits never leak."""
     with criterion("mixer-caps-and-splits"):
         rng = random.Random(31)
@@ -341,7 +342,10 @@ def test_mixer_caps_and_split_leakage(registry):
                 f"daily_mail/d{i}",
                 {"category": cat},
             ))
-        by_signal = {"daily_mail_category": tuples}
+        with TupleStore([tuple_file(tuples)]) as store:
+            for _ in store.scan({"category"}):
+                pass
+        eligible = {0: range(len(tuples))}
         for trial in range(60):
             cap = rng.randint(1, 700)
             pcc = rng.choice([None, rng.randint(1, 120)])
@@ -350,8 +354,8 @@ def test_mixer_caps_and_split_leakage(registry):
                                   cap=cap, per_category_cap=pcc),),
                 global_seed=trial, name=f"r{trial}",
             )
-            capped, _ = apply_caps(by_signal, spec)
-            got = capped[0]
+            capped, _ = apply_caps(store, eligible, spec)
+            got = [tuples[n] for n in capped[0]]
             assert len(got) <= cap
             if pcc is not None:
                 per_cat: dict[str, int] = {}
@@ -371,11 +375,10 @@ def test_mixer_caps_and_split_leakage(registry):
                 global_seed=rng.randrange(10_000),
                 name=f"s{trial % 17}",
             )
-            keys = [tuple_key(tup) for tup in sample]
-            first = split_assignments(sample, spec, keys)
-            assert split_assignments(sample, spec, keys) == first
-            values = list(first.values())
-            assert values.count("validation") == int(len(first) * ratio)
+            keys = [int(tuple_key(tup), 16) for tup in sample]
+            first = split_assignments(keys, spec)
+            assert split_assignments(keys, spec) == first
+            assert list(first).count(1) == int(len(first) * ratio)
 
 
 def test_scoring_oracle_equivalence():

@@ -63,6 +63,28 @@ def test_extract_report_naming_the_out_file_is_a_usage_error(runner, tmp_path, s
     assert list(tmp_path.iterdir()) == []
 
 
+def test_extract_out_naming_the_in_file_is_a_usage_error(runner, tmp_path):
+    dump = tmp_path / "rt.jsonl"
+    dump.write_bytes((FIXTURES / "mines" / "rotten_tomatoes.jsonl").read_bytes())
+    before = dump.read_bytes()
+    result = runner.invoke(main, ["extract", "--mine", "rotten_tomatoes", "--in", str(dump),
+                                  "--out", f"{tmp_path}/./rt.jsonl"])
+    assert result.exit_code == 2
+    assert "names the --in file" in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["rt.jsonl"] and dump.read_bytes() == before
+
+
+def test_restructure_out_naming_a_tuples_file_is_a_usage_error(runner, tmp_path):
+    rt = run_extract(runner, tmp_path, "rotten_tomatoes")
+    wn = run_extract(runner, tmp_path, "wordnet")
+    before = _outputs(tmp_path)
+    result = runner.invoke(main, ["restructure", "--tuples", str(rt), "--tuples", str(wn),
+                                  "--out", f"{tmp_path}/./wordnet.tuples"])
+    assert result.exit_code == 2
+    assert "names a --tuples file" in result.output
+    assert _outputs(tmp_path) == before
+
+
 def _outputs(tmp_path):
     return {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
 

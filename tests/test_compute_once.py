@@ -26,6 +26,7 @@ from signalmine.dataset_io import encode_record, read_manifest, render_stats_tab
 from signalmine.restructurer.templates import load_registry
 from signalmine.rng import derive_seed
 from signalmine.shards import Spill
+from signalmine.store import TupleStore
 from signalmine.signal_model import CATALOG, FORMAT_VERSION, MixEntry, MixSpec, PromptedExample, SignalTuple
 
 REGISTRY = load_registry()
@@ -278,7 +279,7 @@ def test_streaming_writer_matches_over_many_write_chunks(tmp_path):
     _assert_writers_agree(tmp_path, streams)
 
 
-def test_streaming_writer_encodes_each_listed_example_once(tmp_path, monkeypatch, all_fixture_tuples):
+def test_streaming_writer_encodes_each_listed_example_once(tmp_path, monkeypatch, all_fixture_tuples, tuple_file):
     # mix encodes each rendered example once, in its shard; a later stage
     # that lists the example again lists the same line
     monkeypatch.setattr(shards, "worker_count", lambda: 1)
@@ -286,8 +287,8 @@ def test_streaming_writer_encodes_each_listed_example_once(tmp_path, monkeypatch
                             MixEntry("daily_mail_summary", "generation", stage=2)), global_seed=3, name="s")
     encoded = []
     monkeypatch.setattr(mixer, "encode_record", lambda ex: encoded.append(ex) or encode_record(ex))
-    with Spill(tmp_path) as spill:
-        result = mixer.mix(all_fixture_tuples, spec, REGISTRY, spill)
+    with TupleStore([tuple_file(all_fixture_tuples)]) as store, Spill(tmp_path) as spill:
+        result = mixer.mix(store, spec, REGISTRY, spill)
         streams = {f"s.stage{stage}.{split}": records for (stage, split), records in result.examples.items()}
         write_bundle(tmp_path / "b", streams, spill.line_of)
     lines = [line for records in streams.values() for _, line in records]  # job numbers of spilled lines

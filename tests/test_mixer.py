@@ -10,6 +10,7 @@ from signalmine.restructurer.render import ConfigError, tuple_key
 from signalmine.restructurer.templates import load_registry
 from signalmine.shards import Spill
 from signalmine.signal_model import MixEntry, MixSpec, SignalTuple, example_from_record
+from signalmine.store import TupleStore
 
 from conftest import extract_fixture
 
@@ -23,6 +24,24 @@ def decoded(result, spill) -> dict:
     """A mix result's record lines, read back from its spill as examples."""
     return {key: [example_from_record(json.loads(spill.line_of(job))) for _, job in records]
             for key, records in result.examples.items()}
+
+
+def capped_tuples(tuple_file, tuples: list[SignalTuple], spec: MixSpec):
+    """`apply_caps` over `tuples`, each eligible for every entry of its
+    signal type: the capped tuples per entry, and the warnings."""
+    with TupleStore([tuple_file(tuples)]) as store:
+        for _ in store.scan({"category"}):
+            pass
+        eligible = {index: [n for n, tup in enumerate(tuples) if tup.signal_type == entry.signal_type]
+                    for index, entry in enumerate(spec.entries) if entry.weight > 0}
+        capped, warnings = apply_caps(store, eligible, spec)
+    return {index: [tuples[n] for n in pool] for index, pool in capped.items()}, warnings
+
+
+def mixed(tuple_file, tuples, spec, registry, spill):
+    """`mix` of `tuples`, written to a tuple file."""
+    with TupleStore([tuple_file(tuples)]) as store:
+        return mix(store, spec, registry, spill)
 
 
 def category_tuples(counts: dict[str, int]) -> list[SignalTuple]:
@@ -48,10 +67,10 @@ def one_entry_spec(**over) -> MixSpec:
     return MixSpec(entries=(MixEntry(**defaults),), global_seed=3, name="t")
 
 
-def test_per_category_cap():
-    tuples = {"daily_mail_category": category_tuples({"Sport": 8000, "Travel": 1000})}
+def test_per_category_cap(tuple_file):
+    tuples = category_tuples({"Sport": 8000, "Travel": 1000})
     spec = one_entry_spec(per_category_cap=5000)
-    capped, warnings = apply_caps(tuples, spec)
+    capped, warnings = capped_tuples(tuple_file, tuples, spec)
     got = capped[0]
     by_cat = {}
     for t in got:
@@ -60,28 +79,28 @@ def test_per_category_cap():
     assert not warnings
 
 
-def test_zero_weight_entry_emits_nothing():
-    tuples = {"daily_mail_category": category_tuples({"Sport": 10})}
+def test_zero_weight_entry_emits_nothing(tuple_file):
+    tuples = category_tuples({"Sport": 10})
     # a zero-weight entry is legal as long as some entry has weight > 0
     spec = MixSpec(entries=(MixEntry("daily_mail_category", "multiple_choice", weight=0.0),
                             MixEntry("daily_mail_category", "generation")), global_seed=1, name="t")
-    capped, _ = apply_caps(tuples, spec)
+    capped, _ = capped_tuples(tuple_file, tuples, spec)
     assert capped[0] == []
     assert len(capped[1]) == 10
 
 
-def test_cap_shortfall_warns_not_fails():
-    tuples = {"daily_mail_category": category_tuples({"Sport": 50})}
+def test_cap_shortfall_warns_not_fails(tuple_file):
+    tuples = category_tuples({"Sport": 50})
     spec = one_entry_spec(cap=100)
-    capped, warnings = apply_caps(tuples, spec)
+    capped, warnings = capped_tuples(tuple_file, tuples, spec)
     assert len(capped[0]) == 50
     assert any("shortfall" in w for w in warnings)
 
 
-def test_composition_counts():
-    tuples = {"daily_mail_category": category_tuples({"Sport": 40, "Travel": 40, "News": 40})}
+def test_composition_counts(tuple_file):
+    tuples = category_tuples({"Sport": 40, "Travel": 40, "News": 40})
     spec = one_entry_spec(composition={"Sport": 10, "Travel": 5}, composition_key="category")
-    capped, warnings = apply_caps(tuples, spec)
+    capped, warnings = capped_tuples(tuple_file, tuples, spec)
     by_cat = {}
     for t in capped[0]:
         by_cat[t.extraction_meta["category"]] = by_cat.get(t.extraction_meta["category"], 0) + 1
@@ -89,12 +108,12 @@ def test_composition_counts():
     assert not warnings
 
 
-def test_caps_are_seeded_and_stable():
-    tuples = {"daily_mail_category": category_tuples({"Sport": 100})}
+def test_caps_are_seeded_and_stable(tuple_file):
+    tuples = category_tuples({"Sport": 100})
     spec = one_entry_spec(cap=10)
-    a, _ = apply_caps(tuples, dataclasses.replace(spec, global_seed=5))
-    b, _ = apply_caps(tuples, dataclasses.replace(spec, global_seed=5))
-    c, _ = apply_caps(tuples, dataclasses.replace(spec, global_seed=6))
+    a, _ = capped_tuples(tuple_file, tuples, dataclasses.replace(spec, global_seed=5))
+    b, _ = capped_tuples(tuple_file, tuples, dataclasses.replace(spec, global_seed=5))
+    c, _ = capped_tuples(tuple_file, tuples, dataclasses.replace(spec, global_seed=6))
     assert a == b
     assert a != c
 
@@ -137,14 +156,14 @@ def test_split_is_per_tuple_and_exact_quota():
     spec = one_entry_spec()
     spec = MixSpec(entries=spec.entries, split_ratio=0.1, global_seed=9, name="s")
     tuples = category_tuples({"Sport": 1000})
-    keys = [tuple_key(tup) for tup in tuples]
-    splits = split_assignments(tuples, spec, keys)
-    assert splits == split_assignments(tuples, spec, keys)
-    counts = list(splits.values())
-    assert counts.count("validation") == 100 and counts.count("train") == 900
+    keys = [int(tuple_key(tup), 16) for tup in tuples]
+    splits = split_assignments(keys, spec)
+    assert splits == split_assignments(keys, spec)
+    counts = list(splits)
+    assert counts.count(1) == 100 and counts.count(0) == 900
 
 
-def test_mix_end_to_end_no_leakage(registry, tmp_path):
+def test_mix_end_to_end_no_leakage(registry, tmp_path, tuple_file):
     tuples = []
     for mine in ("rotten_tomatoes", "daily_mail", "wikihow"):
         tuples.extend(extract_fixture(mine)[0])
@@ -159,7 +178,7 @@ def test_mix_end_to_end_no_leakage(registry, tmp_path):
         name="leak",
     )
     with Spill(tmp_path) as spill:
-        result = mix(tuples, spec, registry, spill)
+        result = mixed(tuple_file, tuples, spec, registry, spill)
         examples_of = decoded(result, spill)
     assert not result.errors
     # a tuple's split is fixed before any entry renders it, so renderings can
@@ -177,7 +196,7 @@ def test_mix_end_to_end_no_leakage(registry, tmp_path):
     assert s1 <= s2
 
 
-def test_mix_determinism(registry, tmp_path):
+def test_mix_determinism(registry, tmp_path, tuple_file):
     tuples = extract_fixture("rotten_tomatoes")[0]
     spec = MixSpec(
         entries=(MixEntry("rotten_tomatoes_sentiment", "multiple_choice", cap=12),),
@@ -186,11 +205,12 @@ def test_mix_determinism(registry, tmp_path):
         name="det",
     )
     with Spill(tmp_path) as spill_a, Spill(tmp_path) as spill_b:
-        a, b = mix(tuples, spec, registry, spill_a), mix(tuples, spec, registry, spill_b)
+        a = mixed(tuple_file, tuples, spec, registry, spill_a)
+        b = mixed(tuple_file, tuples, spec, registry, spill_b)
         assert decoded(a, spill_a) == decoded(b, spill_b)
 
 
-def test_all_tasks_preset_over_full_corpus(registry, tmp_path):
+def test_all_tasks_preset_over_full_corpus(registry, tmp_path, tuple_file):
     import json
     from importlib import resources
 
@@ -205,7 +225,7 @@ def test_all_tasks_preset_over_full_corpus(registry, tmp_path):
     rec["global_seed"] = 13
     spec = mixspec_from_record(rec)
     with Spill(tmp_path) as spill:
-        result = mix(tuples, spec, registry, spill)
+        result = mixed(tuple_file, tuples, spec, registry, spill)
         examples_of = decoded(result, spill)
     assert not result.errors, result.errors
     # the fixture corpus is tiny compared to the published caps
@@ -237,12 +257,9 @@ def test_every_preset_loads_and_plans():
         assert plan[0][0] == 1
 
 
-def test_uncovered_signals_are_warned():
-    tuples = {"daily_mail_category": category_tuples({"Sport": 3}),
-              "qa_triviaqa": []}
+def test_uncovered_signals_are_warned(tuple_file):
+    tuples = category_tuples({"Sport": 3})
     spec = one_entry_spec()
-    by_signal = dict(tuples)
-    by_signal["arxiv_summary"] = [SignalTuple(
-        "arxiv_summary", ("an abstract with enough words", "a title here"), "arxiv/a1")]
-    _, warnings = apply_caps(by_signal, spec)
+    tuples.append(SignalTuple("arxiv_summary", ("an abstract with enough words", "a title here"), "arxiv/a1"))
+    _, warnings = capped_tuples(tuple_file, tuples, spec)
     assert any("not covered" in w and "arxiv_summary" in w for w in warnings)

@@ -33,6 +33,7 @@ from signalmine.restructurer.templates import load_registry
 from signalmine.rng import derive_rng
 from signalmine.shards import Spill, shard_of
 from signalmine.signal_model import MixEntry, MixSpec, dump_tuples
+from signalmine.store import TupleStore
 
 from conftest import FIXTURES
 from test_golden import (  # noqa: F401 - fixture_tuple_files is a fixture
@@ -117,15 +118,15 @@ def test_one_worker_where_fork_or_affinity_is_missing(monkeypatch):
     assert shards.worker_count() == 1
 
 
-def test_one_cpu_renders_in_process(monkeypatch, tmp_path, registry, all_fixture_tuples):
+def test_one_cpu_renders_in_process(monkeypatch, tmp_path, registry, all_fixture_tuples, tuple_file):
     def no_fork():
         raise AssertionError("one worker forks nothing")
 
     _workers(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", no_fork)
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),), global_seed=3, name="t")
-    with Spill(tmp_path) as spill:
-        result = mixer.mix(all_fixture_tuples, spec, registry, spill)
+    with TupleStore([tuple_file(all_fixture_tuples)]) as store, Spill(tmp_path) as spill:
+        result = mixer.mix(store, spec, registry, spill)
         assert result.examples and not result.errors
 
 
@@ -166,7 +167,8 @@ def test_synthetic_bundle_hash_at_any_worker_count(monkeypatch, tmp_path, worker
     assert _no_child_left()
 
 
-def test_examples_that_tie_up_to_target_or_source_merge_as_in_one_process(monkeypatch, tmp_path, registry):
+def test_examples_that_tie_up_to_target_or_source_merge_as_in_one_process(monkeypatch, tmp_path, registry,
+                                                                           tuple_file):
     # most tuples share one document, so their examples tie on signal type,
     # document and template, and only target or source orders them
     tuples = [t for t in synthetic_tuples(60) if t.signal_type == "daily_mail_summary"]
@@ -174,11 +176,12 @@ def test_examples_that_tie_up_to_target_or_source_merge_as_in_one_process(monkey
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "multiple_choice", stage=1),
                             MixEntry("daily_mail_summary", "generation", stage=2)),
                    split_ratio=0.25, global_seed=5, name="tie")
+    path = tuple_file(tuples)
 
     def run(workers: int):
         _workers(monkeypatch, workers)
-        with Spill(tmp_path) as spill:
-            result = mixer.mix(tuples, spec, registry, spill)
+        with TupleStore([path]) as store, Spill(tmp_path) as spill:
+            result = mixer.mix(store, spec, registry, spill)
             assert not result.errors
             streams = {f"tie.stage{stage}.{split}": records for (stage, split), records in result.examples.items()}
             out = tmp_path / f"bundle{workers}"
@@ -210,38 +213,40 @@ def _failing_render(monkeypatch, bad_docs: set[str]) -> None:
     monkeypatch.setattr(mixer, "render_with_selected", fake)
 
 
-def _two_entry_mix(registry, tuples, spill_dir):
+def _two_entry_mix(registry, path, spill_dir):
     """The errors and the streams, with their record lines, of a mix of two
-    entries, whose spill is closed again."""
+    entries of the tuples at `path`, whose store and spill are closed again."""
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),
                             MixEntry("daily_mail_summary", "multiple_choice")), global_seed=3, name="t")
-    with Spill(spill_dir) as spill:
-        result = mixer.mix(tuples, spec, registry, spill)
+    with TupleStore([path]) as store, Spill(spill_dir) as spill:
+        result = mixer.mix(store, spec, registry, spill)
         return SimpleNamespace(errors=result.errors, examples=_lines(result, spill))
 
 
-def test_earliest_error_of_an_entry_comes_from_a_later_shard(monkeypatch, tmp_path, registry):
+def test_earliest_error_of_an_entry_comes_from_a_later_shard(monkeypatch, tmp_path, registry, tuple_file):
     tuples = [t for t in synthetic_tuples(12) if t.signal_type == "daily_mail_summary"]
+    path = tuple_file(tuples)
     # entry 1's jobs are positions 12..23: its first failing job (position 17)
     # lies in a later shard than its second (position 18) at 2 and 3 workers
     first, second = tuples[5], tuples[6]
     _failing_render(monkeypatch, {first.source_doc, second.source_doc})
     _workers(monkeypatch, 1)
-    reference = _two_entry_mix(registry, tuples, tmp_path)
+    reference = _two_entry_mix(registry, path, tmp_path)
     assert reference.errors == [f"1:daily_mail_summary:multiple_choice: bad {first.source_doc}"]
     for workers in (2, 3):
         plan = shards.shard_plan(len(tuples) * 2, workers)
         shard_of = {p: i for i, shard in enumerate(plan) for p in shard}
         assert shard_of[17] > shard_of[18]
         _workers(monkeypatch, workers)
-        got = _two_entry_mix(registry, tuples, tmp_path)
+        got = _two_entry_mix(registry, path, tmp_path)
         assert got.errors == reference.errors
         assert got.examples == reference.examples
     assert _no_child_left()
 
 
 @needs_proc
-def test_other_exception_in_a_child_is_raised_with_its_type_and_message(monkeypatch, tmp_path, registry):
+def test_other_exception_in_a_child_is_raised_with_its_type_and_message(monkeypatch, tmp_path, registry,
+                                                                       tuple_file):
     parent = os.getpid()
     real = mixer.render_with_selected
 
@@ -252,10 +257,10 @@ def test_other_exception_in_a_child_is_raised_with_its_type_and_message(monkeypa
 
     monkeypatch.setattr(mixer, "render_with_selected", fake)
     _workers(monkeypatch, 2)
-    tuples = [t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"]
+    path = tuple_file([t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"])
     fds = _open_fds()
     with pytest.raises(KeyError) as caught:
-        _two_entry_mix(registry, tuples, tmp_path)
+        _two_entry_mix(registry, path, tmp_path)
     assert caught.value.args == ("child went wrong",)
     assert _no_child_left()
     assert list(tmp_path.iterdir()) == []
@@ -263,7 +268,7 @@ def test_other_exception_in_a_child_is_raised_with_its_type_and_message(monkeypa
 
 
 @needs_proc
-def test_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch, tmp_path, registry):
+def test_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch, tmp_path, registry, tuple_file):
     parent = os.getpid()
 
     def fake(*args, **kwargs):
@@ -273,11 +278,11 @@ def test_interrupt_in_the_parent_kills_and_reaps_every_child(monkeypatch, tmp_pa
 
     monkeypatch.setattr(mixer, "render_with_selected", fake)
     _workers(monkeypatch, 3)
-    tuples = [t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"]
+    path = tuple_file([t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"])
     started = time.monotonic()
     fds = _open_fds()
     with pytest.raises(KeyboardInterrupt):
-        _two_entry_mix(registry, tuples, tmp_path)
+        _two_entry_mix(registry, path, tmp_path)
     assert time.monotonic() - started < 30
     assert _no_child_left()
     assert list(tmp_path.iterdir()) == []
@@ -373,11 +378,11 @@ def test_spill_files_leave_no_file_and_no_descriptor_over_ten_runs(monkeypatch, 
     assert _no_child_left()
 
 
-def test_spill_files_are_unlinked_and_closed_with_the_result(registry, tmp_path):
-    tuples = [t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"]
+def test_spill_files_are_unlinked_and_closed_with_the_result(registry, tmp_path, tuple_file):
+    path = tuple_file([t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"])
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),), global_seed=3, name="t")
-    with Spill(tmp_path) as spill:
-        mixer.mix(tuples, spec, registry, spill)
+    with TupleStore([path]) as store, Spill(tmp_path) as spill:
+        mixer.mix(store, spec, registry, spill)
         assert list(tmp_path.iterdir()) == []
         files = spill.files
         assert files and not any(f.closed for f in files)
@@ -385,11 +390,11 @@ def test_spill_files_are_unlinked_and_closed_with_the_result(registry, tmp_path)
     assert all(f.closed for f in files)
 
 
-def test_mix_and_write_hold_less_than_the_bundle(monkeypatch, tmp_path, registry):
+def test_mix_and_write_hold_less_than_the_bundle(monkeypatch, tmp_path, registry, tuple_file):
     # the record lines are on disk, not in memory; one worker, so the traced
     # process renders every job itself
     _workers(monkeypatch, 1)
-    tuples = synthetic_tuples()
+    path = tuple_file(synthetic_tuples())
     spec = MixSpec(entries=tuple(MixEntry(signal, family, stage=1 if family == "multiple_choice" else 2)
                                  for signal in ("daily_mail_summary", "wikidata_relation")
                                  for family in ("multiple_choice", "generation")),
@@ -397,8 +402,8 @@ def test_mix_and_write_hold_less_than_the_bundle(monkeypatch, tmp_path, registry
     out = tmp_path / "bundle"
     tracemalloc.start()
     try:
-        with Spill(tmp_path) as spill:
-            result = mixer.mix(tuples, spec, registry, spill)
+        with TupleStore([path]) as store, Spill(tmp_path) as spill:
+            result = mixer.mix(store, spec, registry, spill)
             streams = {f"synthetic.stage{stage}.{split}": records
                        for (stage, split), records in result.examples.items()}
             assert write_bundle(out, streams, spill.line_of) == SYNTHETIC_BUNDLE_HASH
