@@ -12,7 +12,6 @@ import hashlib
 import json
 import shlex
 import sys
-from array import array
 from importlib import resources
 from pathlib import Path
 
@@ -168,7 +167,7 @@ def restructure(tuples_paths, templates_path, out_path, family, seed):
                 if fam is None:
                     raise ConfigError(f"no templates at all for {signal_type}")
             entries[code] = MixEntry(signal_type, fam)
-        jobs = (entries, store.signal, array("I", range(len(store))), bytes(len(store)))
+        jobs = (entries, store.signal, range(len(store)), bytes(len(store)))
         errors = render_jobs(jobs, store, spill, registry, pools, seed)
         if errors:
             raise next(iter(errors.values()))  # the earliest

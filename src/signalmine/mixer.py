@@ -140,7 +140,7 @@ def split_assignments(keys: Sequence[int], spec: MixSpec) -> bytes:
 
 
 # (entries, per job its entry's index, per job its tuple's number, per tuple 1 if in validation)
-Jobs = tuple[Sequence[MixEntry], array, array, bytes]
+Jobs = tuple[Sequence[MixEntry], Sequence[int], Sequence[int], bytes]
 # per job, the end of its record line in the shard's spill file (a job that
 # rendered nothing ends where the one before it did); and per entry the
 # position of its first failing job and the error it raised
