@@ -6,10 +6,10 @@
 caller, which keeps what it needs of it and drops it. The store keeps 21
 bytes per tuple in `array`s: where its line lies, its signal type and its
 `tuple_key` as a 64-bit integer; and 4 bytes more for each `extraction_meta`
-key its caller names, such as the keys a mix spec caps on. A render shard reads back the line of each
-tuple it renders with `os.pread`, through the descriptor the scan opened,
-and decodes it again (`tuple`). Leaving the `with` block closes every file
-the scan opened.
+key the caller names, such as the keys a mix spec caps on. A render shard
+reads back the line of each tuple it renders with `os.pread`, through the
+descriptor the scan opened, and decodes it again (`tuple`). The command
+owns the store: leaving its `with` block closes every file the scan opened.
 """
 
 from __future__ import annotations
