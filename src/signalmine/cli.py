@@ -31,7 +31,7 @@ from .eval_harness.scorers import ExternalCommandScorer, ReferenceScorer, Scorer
 from .extractors import MINES, extract_documents, read_jsonl
 from .extractors.pwc import EntityDb
 from .mixer import mix, render_jobs
-from .normalizer import DetectorError
+from .normalizer import DetectorError, FieldError
 from .report import ExtractionReport
 from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError
@@ -126,7 +126,10 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
         if value and mine != owner:
             raise click.UsageError(f"{flag} is for the {owner} mine only, not {mine}")
     if db_path:
-        options["entity_db"] = EntityDb(read_jsonl(db_path))
+        try:
+            options["entity_db"] = EntityDb(read_jsonl(db_path))
+        except FieldError as exc:
+            raise SchemaError(f"{db_path}: {exc}") from exc
     if blocklist_path:
         try:
             lines = Path(blocklist_path).read_bytes().decode("utf-8").splitlines()

@@ -1,9 +1,14 @@
 """One streaming adapter per data mine.
 
-Every adapter is a pure function over a single parsed document record that
-reports the candidates it rejects; the runner handles doc-id uniqueness,
-the language gate, validation, canonical ordering, and the accepted counts
-(one per tuple returned, so the report matches the output by construction).
+Each adapter module declares `FIELDS`, the document fields it reads, and the
+runner reads every document through them (`normalizer.read`): text purified,
+gate text joined for the language gate, numbers as floats, lists without
+their empty texts, objects field by field. A null field reads as absent; one
+of another JSON type is one schema error naming the document and the field.
+Each adapter is a pure function of the values read that reports the
+candidates it rejects; the runner handles doc-id uniqueness, the language
+gate, validation, canonical ordering, and the accepted counts (one per tuple
+returned, so the report matches the output by construction).
 All sampling inside adapters draws from an RNG keyed by (seed, mine, doc_id)
 so per-document work is order-independent, and the documents can be dealt
 into shards that run on every CPU, each spilling its tuple lines to disk.
@@ -15,7 +20,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
-from ..normalizer import Detector, DetectorError, is_english, trigram_detector
+from ..normalizer import Detector, DetectorError, FieldError, is_english, purify, read, trigram_detector
 from ..report import ExtractionReport
 from ..shards import Spill
 from ..signal_model import SchemaError, json_lines, tuple_line, validate_tuple
@@ -43,17 +48,9 @@ class ExtractContext:
     options: Mapping[str, object] = field(default_factory=dict)
 
 
-_ADAPTERS: dict[str, tuple[Callable, Callable]] = {
-    "rotten_tomatoes": (rotten_tomatoes.extract, rotten_tomatoes.primary_text),
-    "daily_mail": (daily_mail.extract, daily_mail.primary_text),
-    "wikidata": (wikidata.extract, wikidata.primary_text),
-    "wikihow": (wikihow.extract, wikihow.primary_text),
-    "wikipedia": (wikipedia.extract, wikipedia.primary_text),
-    "wordnet": (wordnet.extract, wordnet.primary_text),
-    "qa_corpus": (qa.extract, qa.primary_text),
-    "arxiv": (arxiv.extract, arxiv.primary_text),
-    "paperswithcode": (pwc.extract, pwc.primary_text),
-    "plain_text": (plain_text.extract, plain_text.primary_text),
+_ADAPTERS: dict[str, tuple[Callable, dict]] = {
+    mine: (module.extract, module.FIELDS) for mine, module in zip(MINES, (
+        rotten_tomatoes, daily_mail, wikidata, wikihow, wikipedia, wordnet, qa, arxiv, pwc, plain_text))
 }
 
 
@@ -62,12 +59,11 @@ _ADAPTERS: dict[str, tuple[Callable, Callable]] = {
 ShardResult = tuple[array, tuple[ExtractionReport, tuple[int, Exception] | None]]
 
 
-def _extract_shard(mine, adapter, primary_text, kept, positions, spill: BinaryIO, seed: int,
+def _extract_shard(mine, adapter, fields, kept, positions, spill: BinaryIO, seed: int,
                    detector: Detector, options: Mapping[str, object]) -> ShardResult:
-    """Gate, extract, validate and encode the (doc_id, document) pairs of
-    `kept` at `positions` into `spill`, stopping at the first that raises.
-    A field of the wrong JSON type, which an adapter meets as a `TypeError`,
-    `ValueError` or `AttributeError`, is a `SchemaError` naming the document."""
+    """Read, gate, extract, validate and encode the (doc_id, document) pairs
+    of `kept` at `positions` into `spill`, stopping at the first that raises.
+    A field of the wrong JSON type is a `FieldError` naming the document."""
     report = ExtractionReport()
     ctx = ExtractContext(seed=seed, report=report, options=options)
     ends = array("Q")
@@ -75,7 +71,9 @@ def _extract_shard(mine, adapter, primary_text, kept, positions, spill: BinaryIO
     for position in positions:
         doc_id, doc = kept[position]
         try:
-            text = primary_text(doc)
+            gate: list[str] = []
+            values = read(doc, fields, gate)
+            text = " ".join(gate)
             try:
                 skip = "language" if text and not is_english(text, detector) else None
             except DetectorError:
@@ -83,16 +81,16 @@ def _extract_shard(mine, adapter, primary_text, kept, positions, spill: BinaryIO
             if skip:
                 report.skip_doc(mine, skip)
             else:
-                for tup in adapter(doc, ctx):
+                for tup in adapter({**values, "doc_id": doc["doc_id"]}, ctx):
                     verdict = validate_tuple(tup)
                     if not verdict:
                         report.reject(tup.signal_type, f"invalid:{verdict.reason.split(':')[0]}")
                         continue
                     report.accept(tup.signal_type)
                     end += spill.write(tuple_line(tup).encode())
+        except FieldError as exc:
+            return ends, (report, (position, FieldError(f"{mine} document {doc_id}: {exc}")))
         except Exception as exc:  # noqa: BLE001 - raised by the parent unless an earlier document failed
-            if isinstance(exc, (TypeError, ValueError, AttributeError)) and not isinstance(exc, SchemaError):
-                exc = SchemaError(f"{mine} document {doc_id}: a field has the wrong type: {exc}")
             return ends, (report, (position, exc))
         ends.append(end)
     return ends, (report, None)
@@ -112,17 +110,18 @@ def extract_documents(
 
     Here the first document with a given id wins, and whole-corpus options
     are built. The kept documents are then dealt into shards (`Spill.run`),
-    each of which gates, extracts, validates and encodes its documents. The
-    counts land in `report`. If documents raise, the error raised is that
-    of the earliest one, as in one process.
+    each of which reads, gates, extracts, validates and encodes its
+    documents. The counts land in `report`. If documents raise, the error
+    raised is that of the earliest one, as in one process.
     """
     if mine not in _ADAPTERS:
         raise SchemaError(f"unknown mine: {mine}")
-    adapter, primary_text = _ADAPTERS[mine]
+    adapter, fields = _ADAPTERS[mine]
     options = dict(options or {})
     if mine == "wordnet":
         docs = list(docs)
-        options["vocabulary"] = {wordnet.headword(d) for d in docs}
+        # every document's headword, before the shards check any field
+        options["vocabulary"] = {purify(str(d.get("word", ""))).lower() for d in docs}
 
     seen_ids: set[str] = set()
     kept: list[tuple[str, Mapping]] = []
@@ -139,7 +138,7 @@ def extract_documents(
     report.docs_processed += len(kept)
 
     results = spill.run(len(kept), lambda positions, file: _extract_shard(
-        mine, adapter, primary_text, kept, positions, file, seed, detector, options), "extract")
+        mine, adapter, fields, kept, positions, file, seed, detector, options), "extract")
     failures = [failure for _, failure in results if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]

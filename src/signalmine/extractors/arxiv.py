@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..normalizer import purify, truncate_words, word_count
+from ..normalizer import GATE, TEXT, truncate_words, word_count
 from ..signal_model import SignalTuple
 
 CATEGORY_SIGNAL = "arxiv_category"
@@ -29,16 +29,13 @@ MIN_ABSTRACT_WORDS = 20
 MAX_ABSTRACT_WORDS = 400
 
 
-def primary_text(doc: Mapping) -> str:
-    return purify(str(doc.get("abstract", "")))
+FIELDS = {"abstract": GATE, "title": TEXT, "categories": [TEXT]}
 
 
 def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     provenance = f"arxiv/{doc['doc_id']}"
-    title = purify(str(doc.get("title", "")))
-    abstract = purify(str(doc.get("abstract", "")))
-    categories = [purify(str(c)) for c in doc.get("categories", [])]
-    categories = [c for c in categories if c in DOMAINS]
+    title, abstract = doc["title"], doc["abstract"]
+    categories = [c for c in doc["categories"] if c in DOMAINS]
 
     out: list[SignalTuple] = []
     abstract_t = truncate_words(abstract, MAX_ABSTRACT_WORDS)

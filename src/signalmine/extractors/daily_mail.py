@@ -10,7 +10,7 @@ import re
 from typing import Mapping
 from urllib.parse import urlsplit
 
-from ..normalizer import purify, truncate_words, word_count
+from ..normalizer import GATE, TEXT, truncate_words, word_count
 from ..rng import derive_rng
 from ..signal_model import LIST_SEP, SignalTuple
 
@@ -30,8 +30,7 @@ MIN_SUMMARY_WORDS = 10
 MIN_TEMPORAL_BULLETS = 2
 
 
-def primary_text(doc: Mapping) -> str:
-    return purify(str(doc.get("body", "")))
+FIELDS = {"body": GATE, "url": str, "title": TEXT, "bullets": [TEXT]}
 
 
 def _blocked(summary: str) -> bool:
@@ -51,12 +50,8 @@ def category_from_url(url: str) -> str | None:
 def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     doc_id = doc["doc_id"]
     provenance = f"daily_mail/{doc_id}"
-    url = str(doc.get("url", ""))
-    title = purify(str(doc.get("title", "")))
-    body = purify(str(doc.get("body", "")))
-    bullets = [purify(str(b)) for b in doc.get("bullets", [])]
-    bullets = [b for b in bullets if b]
-    summary = purify(" ".join(bullets))
+    url, title, body, bullets = doc["url"], doc["title"], doc["body"], doc["bullets"]
+    summary = " ".join(bullets)
 
     if _blocked(summary):
         ctx.report.skip_doc("daily_mail", "summary_blocklist")

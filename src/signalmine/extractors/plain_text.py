@@ -12,7 +12,7 @@ import random
 import re
 from typing import Mapping
 
-from ..normalizer import purify
+from ..normalizer import GATE
 from ..signal_model import LIST_SEP, SchemaError, SignalTuple
 from ..rng import derive_rng
 
@@ -33,10 +33,9 @@ def sentinel(i: int) -> str:
 
 
 def corrupt(text: str, cloze_rate: float, rng: random.Random) -> tuple[str, list[str], list[str]] | None:
-    """Returns (corrupted_text, sentinels, spans), or None for untreatable text."""
+    """(corrupted_text, sentinels, spans) of purified `text`, or None if untreatable."""
     if not 0 < cloze_rate < 1:
         raise SchemaError(f"cloze_rate must be in (0, 1), got {cloze_rate}")
-    text = purify(text)
     tokens = text.split()
     n = len(tokens)
     if n < MIN_WORDS:
@@ -92,14 +91,12 @@ def reconstruct(corrupted_text: str, sentinels: list[str], spans: list[str]) -> 
     return " ".join(out)
 
 
-def primary_text(doc: Mapping) -> str:
-    return purify(str(doc.get("text", "")))
+FIELDS = {"text": GATE}
 
 
 def extract(doc: Mapping, ctx) -> list[SignalTuple]:
-    text = purify(str(doc.get("text", "")))
     rng = derive_rng(ctx.seed, "plain_text", doc["doc_id"])
-    result = corrupt(text, CLOZE_RATE, rng)
+    result = corrupt(doc["text"], CLOZE_RATE, rng)
     if result is None:
         ctx.report.reject(SIGNAL, "too_short")
         return []

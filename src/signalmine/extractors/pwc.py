@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping
 
-from ..normalizer import purify, truncate_words, word_count
+from ..normalizer import GATE, TEXT, read, truncate_words, word_count
 from ..signal_model import LIST_SEP, NO_ENTITIES, SchemaError, SignalTuple
 
 ENTITY_SIGNAL = "paperswithcode_entity"
@@ -38,8 +38,8 @@ class EntityDb:
     def __init__(self, entries: Iterable[Mapping]):
         self.by_key: dict[str, str] = {}
         for entry in entries:
-            surface = purify(str(entry.get("surface", "")))
-            etype = str(entry.get("type", "")).lower()
+            entry = read(entry, {"surface": TEXT, "type": str}, [])
+            surface, etype = entry["surface"], entry["type"].lower()
             if etype not in ENTITY_TYPES:
                 continue
             if len(surface) < MIN_ENTRY_CHARS or word_count(surface) > MAX_ENTRY_WORDS:
@@ -78,8 +78,7 @@ def match_entities(sentence: str, db: EntityDb) -> list[tuple[str, str]]:
     return found
 
 
-def primary_text(doc: Mapping) -> str:
-    return purify(" ".join(str(s) for s in doc.get("sentences", [])) + " " + str(doc.get("abstract", "")))
+FIELDS = {"sentences": [GATE], "abstract": GATE, "introduction": TEXT}
 
 
 def extract(doc: Mapping, ctx) -> list[SignalTuple]:
@@ -89,10 +88,7 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     provenance = f"paperswithcode/{doc['doc_id']}"
 
     out: list[SignalTuple] = []
-    for raw in doc.get("sentences", []):
-        sentence = purify(str(raw))
-        if not sentence:
-            continue
+    for sentence in doc["sentences"]:
         matches = match_entities(sentence, db)
         surfaces = []
         for span, _ in matches:
@@ -125,8 +121,7 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
                 )
             )
 
-    introduction = purify(str(doc.get("introduction", "")))
-    abstract = purify(str(doc.get("abstract", "")))
+    introduction, abstract = doc["introduction"], doc["abstract"]
     if not introduction or not abstract:
         ctx.report.reject(SUMMARY_SIGNAL, "missing_sections")
     elif word_count(introduction) < word_count(abstract):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from ..normalizer import purify, word_count
+from ..normalizer import GATE, TEXT, word_count
 from ..signal_model import LIST_SEP, SignalTuple
 
 CORPUS_KINDS = ("control", "dream", "logiqa", "reclor", "race", "race_c", "triviaqa")
@@ -27,23 +27,18 @@ def is_cloze_question(question: str) -> bool:
     return bool(_BLANK_RE.search(question))
 
 
-def primary_text(doc: Mapping) -> str:
-    return purify(str(doc.get("context", "")) + " " + str(doc.get("question", "")))
+FIELDS = {"context": GATE, "question": GATE, "kind": str, "answer": TEXT, "options": [TEXT], "source": str}
 
 
 def extract(doc: Mapping, ctx) -> list[SignalTuple]:
-    kind = str(doc.get("kind", "")).lower()
+    kind = doc["kind"].lower()
     if kind not in CORPUS_KINDS:
         ctx.report.skip_doc("qa_corpus", "unknown_corpus_kind")
         return []
     signal = signal_for(kind)
     provenance = f"qa_corpus/{doc['doc_id']}"
 
-    context = purify(str(doc.get("context", "")))
-    question = purify(str(doc.get("question", "")))
-    answer = purify(str(doc.get("answer", "")))
-    options = [purify(str(o)) for o in doc.get("options", [])]
-    options = [o for o in options if o]
+    context, question, answer, options = doc["context"], doc["question"], doc["answer"], doc["options"]
 
     if not answer:
         ctx.report.reject(signal, "missing_answer")
@@ -66,7 +61,7 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
         ctx.report.reject(signal, "question_terminal_mark")
         return []
     if kind == "triviaqa":
-        if str(doc.get("source", "web")).lower() != "web":
+        if (doc["source"] or "web").lower() != "web":
             ctx.report.reject(signal, "non_web_evidence")
             return []
         return [SignalTuple(signal, (context, question, answer), provenance)]

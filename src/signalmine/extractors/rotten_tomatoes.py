@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..normalizer import purify, word_count
+from ..normalizer import GATE, word_count
 from ..signal_model import SignalTuple
 
 SIGNAL = "rotten_tomatoes_sentiment"
@@ -19,17 +19,14 @@ NEGATIVE_BELOW = 2.5
 MIN_REVIEW_WORDS = 5
 
 
-def primary_text(doc: Mapping) -> str:
-    return purify(str(doc.get("review", "")))
+FIELDS = {"review": GATE, "rating": float}
 
 
 def extract(doc: Mapping, ctx) -> list[SignalTuple]:
-    review = purify(str(doc.get("review", "")))
-    rating = doc.get("rating")
+    review, rating = doc["review"], doc["rating"]
     if rating is None:
         ctx.report.reject(SIGNAL, "missing_rating")
         return []
-    rating = float(rating)
     if word_count(review) < MIN_REVIEW_WORDS:
         ctx.report.reject(SIGNAL, "short_review")
         return []

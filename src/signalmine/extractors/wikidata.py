@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping
 
-from ..normalizer import purify
+from ..normalizer import GATE, TEXT
 from ..rng import derive_rng
 from ..signal_model import SignalTuple
 
@@ -37,8 +37,11 @@ def property_blocked(name: str, extra_blocklist: Iterable[str] = ()) -> bool:
     return False
 
 
-def primary_text(doc: Mapping) -> str:
-    return purify(" ".join(str(p) for p in doc.get("paragraphs", [])))
+FIELDS = {
+    "paragraphs": [GATE],
+    "label": TEXT,
+    "properties": [{"property": TEXT, "object": TEXT, "pid": str}],
+}
 
 
 def _mentioning(paragraphs: list[str], *needles: str) -> list[str]:
@@ -53,20 +56,17 @@ def _mentioning(paragraphs: list[str], *needles: str) -> list[str]:
 def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     doc_id = doc["doc_id"]
     provenance = f"wikidata/{doc_id}"
-    subject = purify(str(doc.get("label", "")))
+    subject = doc["label"]
     if not subject:
         ctx.report.skip_doc("wikidata", "dangling_item")
         return []
-    paragraphs = [purify(str(p)) for p in doc.get("paragraphs", [])]
-    paragraphs = [p for p in paragraphs if p]
+    paragraphs = doc["paragraphs"]
     extra_blocklist = tuple(ctx.options.get("property_blocklist", ()))
     rng = derive_rng(ctx.seed, "wikidata", doc_id)
 
     out: list[SignalTuple] = []
-    for prop in doc.get("properties", []):
-        name = purify(str(prop.get("property", "")))
-        obj = purify(str(prop.get("object", "")))
-        pid = str(prop.get("pid", ""))
+    for prop in doc["properties"]:
+        name, obj, pid = prop["property"], prop["object"], prop["pid"]
         if not name or not obj:
             ctx.report.reject(RELATION_SIGNAL, "malformed_property")
             continue

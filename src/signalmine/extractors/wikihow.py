@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..normalizer import purify, word_count
+from ..normalizer import GATE, TEXT, purify, word_count
 from ..rng import derive_rng
 from ..signal_model import LIST_SEP, SignalTuple
 
@@ -52,8 +52,13 @@ MAX_HEADLINE_WORDS = 20
 MIN_PROCEDURE_STEPS = 2
 
 
-def primary_text(doc: Mapping) -> str:
-    return purify(str(doc.get("title_description", "")) + " " + str(doc.get("title", "")))
+FIELDS = {
+    "title_description": GATE,
+    "title": GATE,
+    "category_path": [TEXT],
+    "steps": [{"headline": TEXT, "description": TEXT}],
+    "related_questions": [TEXT],
+}
 
 
 def goal_from_title(title: str) -> str:
@@ -65,18 +70,10 @@ def goal_from_title(title: str) -> str:
 def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     doc_id = doc["doc_id"]
     provenance = f"wikihow/{doc_id}"
-    title = purify(str(doc.get("title", "")))
-    description = purify(str(doc.get("title_description", "")))
+    title, description = doc["title"], doc["title_description"]
     goal = purify(goal_from_title(title))
-    path = [purify(str(c)) for c in doc.get("category_path", [])]
-    path = [c for c in path if c]
-    steps = [
-        (purify(str(s.get("headline", ""))), purify(str(s.get("description", ""))))
-        for s in doc.get("steps", [])
-    ]
-    steps = [(h, d) for h, d in steps if h]
-    related = [purify(str(q)) for q in doc.get("related_questions", [])]
-    related = [q for q in related if q]
+    path, related = doc["category_path"], doc["related_questions"]
+    steps = [(s["headline"], s["description"]) for s in doc["steps"] if s["headline"]]
     rng = derive_rng(ctx.seed, "wikihow", doc_id)
 
     out: list[SignalTuple] = []
@@ -134,7 +131,7 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     elif not (title and steps):
         ctx.report.reject(QUESTION_SIGNAL, "missing_elements")
     else:
-        answer = purify(" ".join(h for h, _ in steps))
+        answer = " ".join(h for h, _ in steps)
         if description and answer:
             out.append(
                 SignalTuple(

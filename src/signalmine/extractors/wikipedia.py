@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from ..normalizer import purify, truncate_words, word_count
+from ..normalizer import GATE, TEXT, truncate_words, word_count
 from ..rng import derive_rng
 from ..signal_model import LIST_SEP, NO_ENTITIES, SignalTuple
 
@@ -41,10 +41,10 @@ MIN_PARAGRAPH_WORDS = 10
 TRUNCATE_WORDS = 256
 
 
-def primary_text(doc: Mapping) -> str:
-    parts = [str(p.get("text", "")) for p in doc.get("paragraphs", [])]
-    parts += [str(s.get("text", "")) for s in doc.get("sections", [])]
-    return purify(" ".join(parts))
+FIELDS = {
+    "paragraphs": [{"text": GATE, "links": [TEXT]}],
+    "sections": [{"title": TEXT, "text": GATE}],
+}
 
 
 def is_noisy(paragraph: str) -> bool:
@@ -82,11 +82,7 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     provenance = f"wikipedia/{doc_id}"
     rng = derive_rng(ctx.seed, "wikipedia", doc_id)
 
-    sections = [
-        (purify(str(s.get("title", ""))), purify(str(s.get("text", ""))))
-        for s in doc.get("sections", [])
-    ]
-    sections = [(t, x) for t, x in sections if t and x]
+    sections = [(s["title"], s["text"]) for s in doc["sections"] if s["title"] and s["text"]]
 
     out: list[SignalTuple] = []
 
@@ -109,20 +105,12 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
                 )
             )
 
-    paragraphs = []
-    entity_set: set[str] = set()
-    for p in doc.get("paragraphs", []):
-        text = purify(str(p.get("text", "")))
-        links = [purify(str(s)) for s in p.get("links", [])]
-        for surface in links:
-            if surface and not _is_reference_link(surface):
-                entity_set.add(surface)
-        paragraphs.append(text)
+    entity_set = {
+        surface for p in doc["paragraphs"] for surface in p["links"] if not _is_reference_link(surface)
+    }
 
     clean_paragraphs = []
-    for text in paragraphs:
-        if not text:
-            continue
+    for text in (p["text"] for p in doc["paragraphs"] if p["text"]):
         if is_noisy(text):
             ctx.report.reject(ENTITY_SIGNAL, "noise_words")
             continue

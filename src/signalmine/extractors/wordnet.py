@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..normalizer import purify
+from ..normalizer import GATE, TEXT
 from ..signal_model import LIST_SEP, SignalTuple
 from ..wordlists import STOP_WORDS
 
@@ -50,23 +50,17 @@ def lemmatize(word: str, pos: str, vocabulary: set[str]) -> str:
     return word
 
 
-def primary_text(doc: Mapping) -> str:
-    examples = []
-    for sense in doc.get("senses", []):
-        examples.extend(str(e) for e in sense.get("examples", []))
-    return purify(" ".join(examples))
-
-
-def headword(doc: Mapping) -> str:
-    """The purified, lower-cased word a record is about."""
-    return purify(str(doc.get("word", ""))).lower()
+FIELDS = {
+    "word": TEXT,
+    "senses": [{"pos": str, "meaning": TEXT, "examples": [GATE], "synonyms": [TEXT], "antonyms": [TEXT]}],
+}
 
 
 def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     # every document's headword, gathered by the runner before the first
     # document, so no lemma depends on document order
     vocabulary = ctx.options.get("vocabulary", frozenset())
-    word = headword(doc)
+    word = doc["word"].lower()
     provenance = f"wordnet/{doc['doc_id']}"
     if not word:
         ctx.report.skip_doc("wordnet", "missing_word")
@@ -77,7 +71,7 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     if len(word) < MIN_WORD_CHARS:
         ctx.report.skip_doc("wordnet", "too_short")
         return []
-    senses = doc.get("senses", [])
+    senses = doc["senses"]
     if not senses:
         ctx.report.skip_doc("wordnet", "not_in_lexicon")
         return []
@@ -85,12 +79,12 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
     out: list[SignalTuple] = []
     all_meanings: list[str] = []
     for sense in senses:
-        gloss = purify(str(sense.get("meaning", "")))
+        gloss = sense["meaning"]
         if gloss and gloss not in all_meanings:
             all_meanings.append(gloss)
 
     for sense in senses:
-        pos = str(sense.get("pos", "")).lower()
+        pos = sense["pos"].lower()
         if pos not in PARTS_OF_SPEECH:
             ctx.report.reject(POS_SIGNAL, "unknown_pos")
             continue
@@ -101,25 +95,20 @@ def extract(doc: Mapping, ctx) -> list[SignalTuple]:
             ctx.report.reject(POS_SIGNAL, "lemmatized_away")
             continue
 
-        examples = [purify(str(e)) for e in sense.get("examples", [])]
-        examples = [e for e in examples if e]
-        if not examples:
+        if not sense["examples"]:
             ctx.report.reject(POS_SIGNAL, "no_example_sentence")
             continue
-        sentence = examples[0]
-        gloss = purify(str(sense.get("meaning", "")))
-        synonyms = [purify(str(s)).lower() for s in sense.get("synonyms", [])]
-        synonyms = [s for s in synonyms if s and s != lemma]
-        antonyms = [purify(str(a)).lower() for a in sense.get("antonyms", [])]
-        antonyms = [a for a in antonyms if a]
+        sentence = sense["examples"][0]
+        synonyms = [s for s in map(str.lower, sense["synonyms"]) if s != lemma]
+        antonyms = [a.lower() for a in sense["antonyms"]]
 
         out.append(SignalTuple(POS_SIGNAL, (lemma, sentence, pos), provenance))
 
-        if gloss:
+        if sense["meaning"]:
             out.append(
                 SignalTuple(
                     MEANING_SIGNAL,
-                    (lemma, sentence, gloss, LIST_SEP.join(all_meanings)),
+                    (lemma, sentence, sense["meaning"], LIST_SEP.join(all_meanings)),
                     provenance,
                 )
             )

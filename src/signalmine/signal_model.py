@@ -173,12 +173,12 @@ class Verdict:
         return self.ok
 
 
-def validate_tuple(tup: SignalTuple, registry: Mapping[str, SignalType] = CATALOG) -> Verdict:
+def validate_tuple(tup: SignalTuple) -> Verdict:
     """Accept, or reject naming the first violated invariant.
 
     An unknown signal type is a structural error (raised), not a rejection.
     """
-    st = registry.get(tup.signal_type)
+    st = CATALOG.get(tup.signal_type)
     if st is None:
         raise SchemaError(f"unknown signal type: {tup.signal_type}")
     if len(tup.fields) != st.arity:

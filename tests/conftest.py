@@ -8,7 +8,7 @@ import pytest
 
 from signalmine.extractors import extract_documents, read_jsonl
 from signalmine.extractors.pwc import EntityDb
-from signalmine.normalizer import trigram_detector
+from signalmine.normalizer import read, trigram_detector
 from signalmine.report import ExtractionReport
 from signalmine.shards import Spill
 from signalmine.signal_model import dump_tuples, load_tuples
@@ -22,6 +22,12 @@ def fixture_docs(name: str) -> list[dict]:
 
 def always_english(_text: str) -> tuple[str, float]:
     return ("en", 1.0)
+
+
+def run_adapter(module, doc: dict, ctx) -> list:
+    """`module.extract` on `doc` as the extract runner hands it over: read
+    through the mine's `FIELDS`, with its doc_id."""
+    return module.extract({**read(doc, module.FIELDS, []), "doc_id": doc["doc_id"]}, ctx)
 
 
 def extract_lines(mine: str, docs, seed: int, report: ExtractionReport, detector=trigram_detector,

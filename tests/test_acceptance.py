@@ -31,7 +31,7 @@ from signalmine.shards import Spill
 from signalmine.signal_model import MixEntry, MixSpec, SignalTuple
 from signalmine.store import TupleStore
 
-from conftest import extract_fixture, load_eval_fixture, gaokao_fixture
+from conftest import extract_fixture, load_eval_fixture, gaokao_fixture, run_adapter
 from verbatim_prompts import (
     CLOZE_WORKED_ORIGINAL,
     CLOZE_WORKED_SOURCE,
@@ -93,22 +93,22 @@ def test_extraction_rule_suite():
             return " ".join(f"{p}{i}" for i in range(n))
 
         # review length: 4 rejected, 5 accepted
-        assert rotten_tomatoes.extract({"doc_id": "a", "review": w(4), "rating": 5.0}, c) == []
-        assert rotten_tomatoes.extract({"doc_id": "b", "review": w(5), "rating": 5.0}, c)
+        assert run_adapter(rotten_tomatoes, {"doc_id": "a", "review": w(4), "rating": 5.0}, c) == []
+        assert run_adapter(rotten_tomatoes, {"doc_id": "b", "review": w(5), "rating": 5.0}, c)
         # rating polarity: strict on both sides
-        assert rotten_tomatoes.extract({"doc_id": "c", "review": w(9), "rating": 3.5}, c) == []
-        assert rotten_tomatoes.extract({"doc_id": "d", "review": w(9), "rating": 2.5}, c) == []
+        assert run_adapter(rotten_tomatoes, {"doc_id": "c", "review": w(9), "rating": 3.5}, c) == []
+        assert run_adapter(rotten_tomatoes, {"doc_id": "d", "review": w(9), "rating": 2.5}, c) == []
 
         # qa context: 400 kept, 401 dropped
         base = {"doc_id": "q", "kind": "race", "question": "Why?",
                 "options": ["a", "b"], "answer": "a"}
-        assert qa.extract(dict(base, context=w(400)), c)
-        assert qa.extract(dict(base, context=w(401)), c) == []
+        assert run_adapter(qa, dict(base, context=w(400)), c)
+        assert run_adapter(qa, dict(base, context=w(401)), c) == []
 
         # word length: 2 chars pruned, 3 kept
         sense = [{"pos": "noun", "meaning": "m", "examples": ["an example sentence"]}]
-        assert wordnet.extract({"doc_id": "ab", "word": "ab", "senses": sense}, c) == []
-        assert wordnet.extract({"doc_id": "abc", "word": "abc", "senses": sense}, c)
+        assert run_adapter(wordnet, {"doc_id": "ab", "word": "ab", "senses": sense}, c) == []
+        assert run_adapter(wordnet, {"doc_id": "abc", "word": "abc", "senses": sense}, c)
 
         # step headline: 20 words kept, 21 dropped
         doc = {"doc_id": "h", "title": "How to X", "title_description": w(12),
@@ -116,20 +116,20 @@ def test_extraction_rule_suite():
                          {"headline": w(21, "x"), "description": w(40, "e")},
                          {"headline": w(3, "y"), "description": w(40, "f")}],
                "related_questions": [], "category_path": ["A", "Travel"]}
-        out = wikihow.extract(doc, c)
+        out = run_adapter(wikihow, doc, c)
         used = {h for t in out if t.signal_type == "wikihow_procedure"
                 for h in (t.fields[1], t.fields[2])}
         assert any(h.startswith("k") for h in used) and not any(h.startswith("x") for h in used)
 
         # arxiv gates: title 2/3 words, abstract 19/20 words, 400-word cap
         ax = {"doc_id": "x", "categories": ["Physics"]}
-        assert not [t for t in arxiv.extract(dict(ax, title=w(2), abstract=w(30)), c)
+        assert not [t for t in run_adapter(arxiv, dict(ax, title=w(2), abstract=w(30)), c)
                     if t.signal_type == "arxiv_summary"]
-        assert [t for t in arxiv.extract(dict(ax, title=w(3), abstract=w(30)), c)
+        assert [t for t in run_adapter(arxiv, dict(ax, title=w(3), abstract=w(30)), c)
                 if t.signal_type == "arxiv_summary"]
-        assert not [t for t in arxiv.extract(dict(ax, title=w(3), abstract=w(19)), c)
+        assert not [t for t in run_adapter(arxiv, dict(ax, title=w(3), abstract=w(19)), c)
                     if t.signal_type == "arxiv_summary"]
-        assert [t for t in arxiv.extract(dict(ax, title=w(3), abstract=w(20)), c)
+        assert [t for t in run_adapter(arxiv, dict(ax, title=w(3), abstract=w(20)), c)
                 if t.signal_type == "arxiv_summary"]
 
         # news-article gates: category summary 4/5, body 19/20, summary 9/10,
@@ -143,7 +143,7 @@ def test_extraction_rule_suite():
             return doc
 
         def dm_signals(**over):
-            return {t.signal_type for t in daily_mail.extract(dm(**over), c)}
+            return {t.signal_type for t in run_adapter(daily_mail, dm(**over), c)}
 
         assert "daily_mail_category" not in dm_signals(bullets=[w(4)])
         assert "daily_mail_category" in dm_signals(bullets=[w(5)])
@@ -161,21 +161,21 @@ def test_extraction_rule_suite():
                     "paragraphs": [{"text": t, "links": []} for t in paragraphs]}
 
         two = [{"title": "A", "text": w(10, "a")}, {"title": "B", "text": w(10, "b")}]
-        out = wikipedia.extract(wp(two), c)
+        out = run_adapter(wikipedia, wp(two), c)
         assert {t.fields[1] for t in out if t.signal_type == "wikipedia_sections"} == {"A", "B"}
         short_one = [{"title": "A", "text": w(9, "a")}, {"title": "B", "text": w(10, "b")}]
-        out = wikipedia.extract(wp(short_one), c)
+        out = run_adapter(wikipedia, wp(short_one), c)
         assert not [t for t in out if t.signal_type == "wikipedia_sections"]
-        out = wikipedia.extract(wp(two[:1]), c)
+        out = run_adapter(wikipedia, wp(two[:1]), c)
         assert not [t for t in out if t.signal_type == "wikipedia_sections"]
-        out = wikipedia.extract(wp([], paragraphs=[w(9)]), c)
+        out = run_adapter(wikipedia, wp([], paragraphs=[w(9)]), c)
         assert not [t for t in out if t.signal_type == "wikipedia_entities"]
-        out = wikipedia.extract(wp([], paragraphs=[w(10)]), c)
+        out = run_adapter(wikipedia, wp([], paragraphs=[w(10)]), c)
         assert [t for t in out if t.signal_type == "wikipedia_entities"]
 
         # how-to gates: procedure needs 2 eligible steps
         one_step = dict(doc, steps=doc["steps"][:1])
-        assert not [t for t in wikihow.extract(one_step, c)
+        assert not [t for t in run_adapter(wikihow, one_step, c)
                     if t.signal_type == "wikihow_procedure"]
 
         # typed-term database gates: 2/3 chars, 6/7 words, "other" 2/3 words

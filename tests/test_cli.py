@@ -741,6 +741,16 @@ def test_bad_input_file_is_one_schema_error_line(runner, tmp_path, option, fault
     assert result.output.count("\n") == 1
 
 
+def test_wrongly_typed_db_entry_is_one_schema_error_line(runner, tmp_path):
+    db = tmp_path / "db.jsonl"
+    db.write_text('{"surface": "ImageNet", "type": "dataset"}\n{"surface": 5, "type": "task"}\n')
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["extract", "--mine", "paperswithcode", "--in",
+                                  str(FIXTURES / "mines" / "paperswithcode.jsonl"), "--db", str(db), "--out", str(out)])
+    assert (result.exit_code, result.output) == (1, f"schema-error: {db}: 'surface' must be a string, got 5\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("dataset,family", [("conll03", "ner"), ("scitldr", "summarization")])
 def test_evaluate_with_the_bundled_family_prompts_reproduces_the_default_report(runner, tmp_path,
                                                                                dataset, family):

@@ -22,7 +22,7 @@ from signalmine.extractors.pwc import EntityDb
 from signalmine.report import ExtractionReport
 from signalmine.signal_model import LIST_SEP, SchemaError, dump_tuples, validate_tuple
 
-from conftest import always_english, extract_fixture, extract_lines, fixture_docs
+from conftest import always_english, extract_fixture, extract_lines, fixture_docs, run_adapter
 
 
 def ctx(seed: int = 7, **options) -> ExtractContext:
@@ -41,7 +41,7 @@ def words(n: int, prefix: str = "w") -> str:
 )
 def test_review_polarity_thresholds(rating, expected):
     c = ctx()
-    out = rotten_tomatoes.extract({"doc_id": "d", "review": words(8), "rating": rating}, c)
+    out = run_adapter(rotten_tomatoes, {"doc_id": "d", "review": words(8), "rating": rating}, c)
     if expected is None:
         assert out == []
     else:
@@ -50,13 +50,13 @@ def test_review_polarity_thresholds(rating, expected):
 
 def test_review_word_gate_boundary():
     c = ctx()
-    assert rotten_tomatoes.extract({"doc_id": "d", "review": words(4), "rating": 5.0}, c) == []
-    assert len(rotten_tomatoes.extract({"doc_id": "d", "review": words(5), "rating": 5.0}, c)) == 1
+    assert run_adapter(rotten_tomatoes, {"doc_id": "d", "review": words(4), "rating": 5.0}, c) == []
+    assert len(run_adapter(rotten_tomatoes, {"doc_id": "d", "review": words(5), "rating": 5.0}, c)) == 1
 
 
 def test_review_missing_rating_reported():
     c = ctx()
-    assert rotten_tomatoes.extract({"doc_id": "d", "review": words(8)}, c) == []
+    assert run_adapter(rotten_tomatoes, {"doc_id": "d", "review": words(8)}, c) == []
     assert c.report.rejected[("rotten_tomatoes_sentiment", "missing_rating")] == 1
 
 
@@ -74,36 +74,36 @@ def dm_doc(**over):
 
 
 def test_dm_category_from_url_path():
-    out = daily_mail.extract(dm_doc(), ctx())
+    out = run_adapter(daily_mail, dm_doc(), ctx())
     cat = [t for t in out if t.signal_type == "daily_mail_category"]
     assert cat and cat[0].fields[1] == "Sport"
 
 
 def test_dm_category_list_is_closed():
-    out = daily_mail.extract(dm_doc(url="https://example.co.uk/showbiz/a.html"), ctx())
+    out = run_adapter(daily_mail, dm_doc(url="https://example.co.uk/showbiz/a.html"), ctx())
     assert not [t for t in out if t.signal_type == "daily_mail_category"]
 
 
 def test_dm_blocklist_whole_word_case_insensitive():
     blocked = dm_doc(bullets=["Click Here for more on this great story"])
-    assert daily_mail.extract(blocked, ctx()) == []
+    assert run_adapter(daily_mail, blocked, ctx()) == []
     # "there" contains "here" but is a different word
     fine = dm_doc(bullets=[words(5) + " there it goes again", words(8, "b2")])
-    assert daily_mail.extract(fine, ctx()) != []
+    assert run_adapter(daily_mail, fine, ctx()) != []
     for term in ("Update", "FIND"):
-        assert daily_mail.extract(dm_doc(bullets=[f"{term} " + words(7)]), ctx()) == []
+        assert run_adapter(daily_mail, dm_doc(bullets=[f"{term} " + words(7)]), ctx()) == []
 
 
 def test_dm_category_summary_word_gate():
-    out = daily_mail.extract(dm_doc(bullets=[words(4)]), ctx())
+    out = run_adapter(daily_mail, dm_doc(bullets=[words(4)]), ctx())
     assert not [t for t in out if t.signal_type == "daily_mail_category"]
-    out = daily_mail.extract(dm_doc(bullets=[words(5)]), ctx())
+    out = run_adapter(daily_mail, dm_doc(bullets=[words(5)]), ctx())
     assert [t for t in out if t.signal_type == "daily_mail_category"]
 
 
 def test_dm_summary_gates():
     def summary_tuples(**over):
-        return [t for t in daily_mail.extract(dm_doc(**over), ctx())
+        return [t for t in run_adapter(daily_mail, dm_doc(**over), ctx())
                 if t.signal_type == "daily_mail_summary"]
 
     assert not summary_tuples(body=words(19))  # body < 20 words
@@ -114,13 +114,13 @@ def test_dm_summary_gates():
 
 
 def test_dm_truncation_to_400_words():
-    out = daily_mail.extract(dm_doc(body=words(450)), ctx())
+    out = run_adapter(daily_mail, dm_doc(body=words(450)), ctx())
     summary = [t for t in out if t.signal_type == "daily_mail_summary"][0]
     assert len(summary.named_fields()["text"].split()) == 400
 
 
 def test_dm_temporal_pairs():
-    out = daily_mail.extract(dm_doc(), ctx())
+    out = run_adapter(daily_mail, dm_doc(), ctx())
     temporal = [t for t in out if t.signal_type == "daily_mail_temporal"]
     order = [t for t in temporal if t.extraction_meta["variant"] == "order"]
     nxt = [t for t in temporal if t.extraction_meta["variant"] == "next"]
@@ -138,7 +138,7 @@ def test_dm_temporal_pairs():
 
 
 def test_dm_temporal_needs_two_bullets():
-    out = daily_mail.extract(dm_doc(bullets=[words(12, "only")]), ctx())
+    out = run_adapter(daily_mail, dm_doc(bullets=[words(12, "only")]), ctx())
     assert not [t for t in out if t.signal_type == "daily_mail_temporal"]
 
 
@@ -160,9 +160,9 @@ def test_wikidata_requires_comention_paragraph():
         "properties": [{"pid": "P1", "property": "part of", "object": "Beta"}],
         "paragraphs": ["Alpha appears alone in this paragraph of text"],
     }
-    assert wikidata.extract(doc, ctx()) == []
+    assert run_adapter(wikidata, doc, ctx()) == []
     doc["paragraphs"].append("Alpha and Beta appear together right here")
-    out = wikidata.extract(doc, ctx())
+    out = run_adapter(wikidata, doc, ctx())
     assert out and out[0].fields == (
         "Alpha and Beta appear together right here", "Alpha", "part of", "Beta")
 
@@ -174,7 +174,7 @@ def test_wikidata_instance_of_becomes_entity_typing():
         "properties": [{"pid": "P31", "property": "instance of", "object": "Widget"}],
         "paragraphs": ["Alpha is mentioned in this long enough paragraph"],
     }
-    out = wikidata.extract(doc, ctx())
+    out = run_adapter(wikidata, doc, ctx())
     assert [t.signal_type for t in out] == ["wikidata_entity"]
     assert out[0].fields[1:] == ("Alpha", "Widget")
 
@@ -186,7 +186,7 @@ def test_wikidata_id_only_item_yields_nothing():
         "properties": [{"pid": "P345", "property": "IMDb ID", "object": "tt01"}],
         "paragraphs": ["Alpha and tt01 sit together in this paragraph"],
     }
-    assert wikidata.extract(doc, ctx()) == []
+    assert run_adapter(wikidata, doc, ctx()) == []
 
 
 # --------------------------------------------------------------------- wikihow
@@ -208,7 +208,7 @@ def wh_doc(**over):
 
 
 def test_wikihow_excluded_categories():
-    out = wikihow.extract(wh_doc(category_path=["Scenes", "Screenplays"]), ctx())
+    out = run_adapter(wikihow, wh_doc(category_path=["Scenes", "Screenplays"]), ctx())
     assert not [t for t in out if t.signal_type == "wikihow_text_category"]
 
 
@@ -219,7 +219,7 @@ def test_wikihow_headline_word_gate_boundary():
         {"headline": words(21, "no"), "description": words(30, "d2")},
         {"headline": words(5, "yes"), "description": words(30, "d3")},
     ])
-    out = wikihow.extract(doc, c)
+    out = run_adapter(wikihow, doc, c)
     proc = [t for t in out if t.signal_type == "wikihow_procedure"]
     used = {h for t in proc for h in (t.fields[1], t.fields[2])}
     assert all(len(h.split()) <= 20 for h in used)
@@ -228,33 +228,33 @@ def test_wikihow_headline_word_gate_boundary():
 
 
 def test_wikihow_hierarchy_adjacent_pairs():
-    out = wikihow.extract(wh_doc(category_path=["A", "B", "C"]), ctx())
+    out = run_adapter(wikihow, wh_doc(category_path=["A", "B", "C"]), ctx())
     pairs = [t.fields for t in out if t.signal_type == "wikihow_category_hierarchy"]
     assert pairs == [("A", "B"), ("B", "C")]
 
 
 def test_wikihow_summary_headline_not_longer_than_description():
     doc = wh_doc(steps=[{"headline": words(10, "h"), "description": words(9, "d")}])
-    out = wikihow.extract(doc, ctx())
+    out = run_adapter(wikihow, doc, ctx())
     assert not [t for t in out if t.signal_type == "wikihow_summary"]
 
 
 def test_wikihow_procedure_needs_two_steps():
     doc = wh_doc(steps=[{"headline": words(4), "description": words(20)}])
-    out = wikihow.extract(doc, ctx())
+    out = run_adapter(wikihow, doc, ctx())
     assert not [t for t in out if t.signal_type == "wikihow_procedure"]
 
 
 def test_wikihow_question_needs_related():
-    out = wikihow.extract(wh_doc(related_questions=[]), ctx())
+    out = run_adapter(wikihow, wh_doc(related_questions=[]), ctx())
     assert not [t for t in out if t.signal_type == "wikihow_question"]
-    out = wikihow.extract(wh_doc(), ctx())
+    out = run_adapter(wikihow, wh_doc(), ctx())
     q = [t for t in out if t.signal_type == "wikihow_question"]
     assert q and q[0].named_fields()["answer"].startswith("h1x0")
 
 
 def test_wikihow_goal_strips_how_to():
-    out = wikihow.extract(wh_doc(), ctx())
+    out = run_adapter(wikihow, wh_doc(), ctx())
     goal = [t for t in out if t.signal_type == "wikihow_goal_step"][0]
     assert goal.fields[0] == "Clean a Window"
 
@@ -276,7 +276,7 @@ def wp_doc(**over):
 
 
 def test_wikipedia_needs_two_sections():
-    out = wikipedia.extract(wp_doc(sections=[{"title": "One", "text": words(12)}]), ctx())
+    out = run_adapter(wikipedia, wp_doc(sections=[{"title": "One", "text": words(12)}]), ctx())
     assert not [t for t in out if t.signal_type == "wikipedia_sections"]
 
 
@@ -286,7 +286,7 @@ def test_wikipedia_section_text_gate():
         {"title": "Two", "text": words(10, "b")},
         {"title": "Three", "text": words(10, "c")},
     ])
-    out = wikipedia.extract(doc, ctx())
+    out = run_adapter(wikipedia, doc, ctx())
     titles = {t.fields[1] for t in out if t.signal_type == "wikipedia_sections"}
     assert titles == {"Two", "Three"}
 
@@ -294,12 +294,12 @@ def test_wikipedia_section_text_gate():
 def test_wikipedia_noise_words_drop_paragraph():
     for noise in ("Please", "click", "WIKI", "copyright", "IP address"):
         doc = wp_doc(paragraphs=[{"text": f"{noise} " + words(12), "links": []}])
-        out = wikipedia.extract(doc, ctx())
+        out = run_adapter(wikipedia, doc, ctx())
         assert not [t for t in out if t.signal_type == "wikipedia_entities"], noise
 
 
 def test_wikipedia_reference_links_are_not_entities():
-    out = wikipedia.extract(wp_doc(), ctx())
+    out = run_adapter(wikipedia, wp_doc(), ctx())
     ents = [t for t in out if t.signal_type == "wikipedia_entities"][0]
     assert "[3]" not in ents.fields[1]
     assert ents.fields[1] == "Alpha Beta, Gamma"
@@ -312,13 +312,13 @@ def test_wikipedia_entity_longest_match_and_order():
 
 def test_wikipedia_paragraph_word_gate():
     doc = wp_doc(paragraphs=[{"text": words(9), "links": []}])
-    out = wikipedia.extract(doc, ctx())
+    out = run_adapter(wikipedia, doc, ctx())
     assert not [t for t in out if t.signal_type == "wikipedia_entities"]
 
 
 def test_wikipedia_sentiment_is_neutral_and_truncated():
     doc = wp_doc(paragraphs=[{"text": words(300), "links": []}])
-    out = wikipedia.extract(doc, ctx())
+    out = run_adapter(wikipedia, doc, ctx())
     senti = [t for t in out if t.signal_type == "wikipedia_sentiment"][0]
     assert senti.fields[1] == "neutral"
     assert len(senti.fields[0].split()) == 256
@@ -329,7 +329,7 @@ def test_wikipedia_section_truncation():
         {"title": "One", "text": words(257)},
         {"title": "Two", "text": words(30, "b")},
     ])
-    out = wikipedia.extract(doc, ctx())
+    out = run_adapter(wikipedia, doc, ctx())
     one = [t for t in out if t.signal_type == "wikipedia_sections" and t.fields[1] == "One"][0]
     assert len(one.fields[0].split()) == 256
 
@@ -357,10 +357,10 @@ def test_wordnet_word_length_gate():
     c = ctx()
     doc = {"doc_id": "ab", "word": "ab",
            "senses": [{"pos": "noun", "meaning": "m", "examples": ["ab is short"]}]}
-    assert wordnet.extract(doc, c) == []
+    assert run_adapter(wordnet, doc, c) == []
     doc = {"doc_id": "abc", "word": "abc",
            "senses": [{"pos": "noun", "meaning": "m", "examples": ["abc has three letters"]}]}
-    assert wordnet.extract(doc, c) != []
+    assert run_adapter(wordnet, doc, c) != []
 
 
 def test_wordnet_lemmatizer():
@@ -381,36 +381,36 @@ def qa_doc(**over):
 
 
 def test_qa_context_length_gate_boundary():
-    assert qa.extract(qa_doc(context=words(401)), ctx()) == []
-    assert qa.extract(qa_doc(context=words(400)), ctx()) != []
+    assert run_adapter(qa, qa_doc(context=words(401)), ctx()) == []
+    assert run_adapter(qa, qa_doc(context=words(400)), ctx()) != []
 
 
 def test_qa_question_terminal_mark():
-    assert qa.extract(qa_doc(question="What happened"), ctx()) == []
-    assert qa.extract(qa_doc(question="Complete the following:"), ctx()) != []
-    out = qa.extract(qa_doc(question="He felt ___ .", options=["tired", "sad"], answer="sad"),
+    assert run_adapter(qa, qa_doc(question="What happened"), ctx()) == []
+    assert run_adapter(qa, qa_doc(question="Complete the following:"), ctx()) != []
+    out = run_adapter(qa, qa_doc(question="He felt ___ .", options=["tired", "sad"], answer="sad"),
                      ctx())
     assert out and out[0].extraction_meta["is_cloze"] == "yes"
 
 
 def test_qa_triviaqa_web_only():
     doc = qa_doc(kind="triviaqa", options=[], source="wiki")
-    assert qa.extract(doc, ctx()) == []
+    assert run_adapter(qa, doc, ctx()) == []
     doc = qa_doc(kind="triviaqa", options=[], source="web")
-    out = qa.extract(doc, ctx())
+    out = run_adapter(qa, doc, ctx())
     assert out and out[0].signal_type == "qa_triviaqa"
 
 
 def test_qa_control_maps_to_nli_fields():
     doc = qa_doc(kind="control", question="All of them passed", options=[], answer="entailment")
-    out = qa.extract(doc, ctx())
+    out = run_adapter(qa, doc, ctx())
     assert out[0].signal_type == "qa_control"
     assert out[0].named_fields()["label"] == "entailment"
 
 
 def test_qa_missing_answer_reported():
     c = ctx()
-    assert qa.extract(qa_doc(answer=""), c) == []
+    assert run_adapter(qa, qa_doc(answer=""), c) == []
     assert c.report.rejected[("qa_race", "missing_answer")] == 1
 
 
@@ -423,15 +423,15 @@ def ax_doc(**over):
 
 
 def test_arxiv_single_category_rule():
-    out = arxiv.extract(ax_doc(categories=["Physics", "Statistics"]), ctx())
+    out = run_adapter(arxiv, ax_doc(categories=["Physics", "Statistics"]), ctx())
     assert not [t for t in out if t.signal_type == "arxiv_category"]
-    out = arxiv.extract(ax_doc(), ctx())
+    out = run_adapter(arxiv, ax_doc(), ctx())
     assert [t for t in out if t.signal_type == "arxiv_category"]
 
 
 def test_arxiv_summary_gates_boundaries():
     def summary(**over):
-        return [t for t in arxiv.extract(ax_doc(**over), ctx())
+        return [t for t in run_adapter(arxiv, ax_doc(**over), ctx())
                 if t.signal_type == "arxiv_summary"]
 
     assert not summary(title=words(2))
@@ -505,16 +505,16 @@ def test_pwc_longest_span_wins_no_overlap():
 
 def test_pwc_empty_db_is_structural_error():
     with pytest.raises(SchemaError):
-        pwc.extract({"doc_id": "p", "sentences": ["x"]}, ctx(entity_db=EntityDb([])))
+        run_adapter(pwc, {"doc_id": "p", "sentences": ["x"]}, ctx(entity_db=EntityDb([])))
 
 
 def test_pwc_summary_gate():
     db = make_db(("ok term", "task"))
     doc = {"doc_id": "p", "sentences": [], "abstract": words(30), "introduction": words(29)}
-    out = pwc.extract(doc, ctx(entity_db=db))
+    out = run_adapter(pwc, doc, ctx(entity_db=db))
     assert not [t for t in out if t.signal_type == "paperswithcode_summary"]
     doc["introduction"] = words(30, "i")
-    out = pwc.extract(doc, ctx(entity_db=db))
+    out = run_adapter(pwc, doc, ctx(entity_db=db))
     assert [t for t in out if t.signal_type == "paperswithcode_summary"]
 
 
@@ -522,7 +522,7 @@ def test_pwc_typing_tuples_carry_variant():
     db = make_db(("ImageNet", "dataset"))
     doc = {"doc_id": "p", "sentences": ["We evaluate on ImageNet today"],
            "abstract": words(10), "introduction": words(20)}
-    out = pwc.extract(doc, ctx(entity_db=db))
+    out = run_adapter(pwc, doc, ctx(entity_db=db))
     typed = [t for t in out if t.extraction_meta.get("variant") == "typing"]
     assert typed and typed[0].extraction_meta["entity_type"] == "dataset"
     listed = [t for t in out if t.extraction_meta.get("variant") == "entities"]
@@ -544,7 +544,7 @@ def test_cloze_spec_shape():
 
 def test_cloze_short_text_dropped():
     c = ctx()
-    assert plain_text.extract({"doc_id": "d", "text": "word"}, c) == []
+    assert run_adapter(plain_text, {"doc_id": "d", "text": "word"}, c) == []
     assert c.report.rejected[("plain_text_cloze", "too_short")] == 1
 
 
@@ -591,7 +591,7 @@ def test_extraction_determinism():
 def test_accepted_counts_only_tuples_that_pass_validation(monkeypatch):
     from signalmine import extractors
 
-    real_extract, primary_text = extractors._ADAPTERS["rotten_tomatoes"]
+    real_extract, fields = extractors._ADAPTERS["rotten_tomatoes"]
 
     def with_one_invalid(doc, ctx):
         # the real adapter's tuple for "a", minus a field: it fails validation
@@ -600,7 +600,7 @@ def test_accepted_counts_only_tuples_that_pass_validation(monkeypatch):
             out = [dataclasses.replace(tup, fields=tup.fields[:1]) for tup in out]
         return out
 
-    monkeypatch.setitem(extractors._ADAPTERS, "rotten_tomatoes", (with_one_invalid, primary_text))
+    monkeypatch.setitem(extractors._ADAPTERS, "rotten_tomatoes", (with_one_invalid, fields))
     docs = [{"doc_id": "a", "review": words(8), "rating": 5.0},
             {"doc_id": "b", "review": words(9), "rating": 1.0}]
     report = ExtractionReport()

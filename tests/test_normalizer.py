@@ -8,11 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from signalmine import normalizer
 from signalmine.normalizer import (
+    GATE,
+    TEXT,
     DetectorError,
     ENGLISH_THRESHOLD,
+    FieldError,
     is_english,
     normalize_whitespace,
     purify,
+    read,
     strip_non_ascii,
     trigram_detector,
     truncate_words,
@@ -165,6 +169,49 @@ def test_purify_matches_reference(text):
 def test_trigram_detector_matches_reference_exactly(text):
     assert trigram_detector(text) == reference_trigram_detector(text)
     assert trigram_detector(purify(text)) == reference_trigram_detector(reference_purify(text))
+
+
+@settings(max_examples=400)
+@given(st.lists(_TEXTS, max_size=6))
+def test_gate_text_reads_as_purify_of_the_raw_join(parts):
+    """The gate text, the purified non-empty GATE values joined by spaces,
+    differs from `purify` of the raw join only in separator characters at
+    part edges: it has the same tokens, so the same detector verdict, and is
+    empty exactly when that is. It is purified already, so a join of
+    purified texts needs no second `purify`."""
+    gate: list[str] = []
+    read({"parts": parts}, {"parts": [GATE]}, gate)
+    joined, reference = " ".join(gate), purify(" ".join(parts))
+    assert re.findall(r"[a-zA-Z']+", joined.lower()) == re.findall(r"[a-zA-Z']+", reference.lower())
+    assert trigram_detector(joined) == trigram_detector(reference)
+    assert bool(joined) == bool(reference)
+    assert purify(joined) == joined
+
+
+def test_read_checks_purifies_and_defaults_each_declared_field():
+    fields = {"t": TEXT, "g": GATE, "s": str, "n": float, "l": [TEXT], "o": [{"x": GATE, "y": [str]}]}
+    gate: list[str] = []
+    doc = {"t": " a\tb ", "g": "c  d", "s": " e ", "n": 3, "l": ["f", " \xa0", None], "o": [{"x": "h"}, None],
+           "unread": 5}
+    assert read(doc, fields, gate) == {"t": "a b", "g": "c d", "s": " e ", "n": 3.0, "l": ["f"],
+                                       "o": [{"x": "h", "y": []}, {"x": "", "y": []}]}
+    assert gate == ["c d", "h"]
+    # absent and null read alike
+    assert read({"t": None, "n": None, "o": None}, fields, gate) == read({}, fields, gate) == {
+        "t": "", "g": "", "s": "", "n": None, "l": [], "o": []}
+    for doc, message in [
+        ({"t": 5}, "'t' must be a string, got 5"),
+        ({"s": ["x"]}, "'s' must be a string, got ['x']"),
+        ({"n": True}, "'n' must be a number, got True"),
+        ({"n": "4.5"}, "'n' must be a number, got '4.5'"),
+        ({"n": 10 ** 400}, "'n' must be a number, got 1000"),
+        ({"l": "abc"}, "'l' must be a list, got 'abc'"),
+        ({"o": [{"y": [0]}]}, "'o[].y[]' must be a string, got 0"),
+        ({"o": [[]]}, "'o[]' must be an object, got []"),
+    ]:
+        with pytest.raises(FieldError) as caught:
+            read(doc, fields, [])
+        assert str(caught.value).startswith(message)
 
 
 def test_token_cache_is_bounded():

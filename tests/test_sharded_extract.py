@@ -8,17 +8,22 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import signal
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from signalmine import extractors, shards
 from signalmine.cli import main
 from signalmine.dataset_io import write_files_atomic
 from signalmine.extractors import extract_documents, read_jsonl
+from signalmine.normalizer import TEXT
 from signalmine.report import ExtractionReport
 from signalmine.signal_model import SchemaError
 from signalmine.shards import Spill, shard_plan
@@ -40,10 +45,11 @@ def _rt_docs() -> list[dict]:
 
 def _adapter(monkeypatch, fake) -> None:
     """Replace the rotten_tomatoes adapter with `fake(real, doc, ctx)`, and
-    its gate text with "", so every document reaches the adapter."""
+    declare its review plain text, not gate text, so every document reaches
+    the adapter."""
     real, _ = extractors._ADAPTERS["rotten_tomatoes"]
     monkeypatch.setitem(extractors._ADAPTERS, "rotten_tomatoes",
-                        (lambda doc, ctx: fake(real, doc, ctx), lambda doc: ""))
+                        (lambda doc, ctx: fake(real, doc, ctx), {"review": TEXT, "rating": float}))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -59,28 +65,93 @@ def test_extract_output_digest_at_any_worker_count(monkeypatch, tmp_path, key, w
     assert _no_child_left()
 
 
+def _extract_bad_second(tmp_path, mine, bad_fields) -> tuple[str, str]:
+    """`extract`'s output, and the doc_id of the second document, after
+    `bad_fields` replace fields of that document; at 2 workers a child
+    extracts it. Checks that the run exits 1, writes no file and leaves no
+    child."""
+    good, bad = list(read_jsonl(str(FIXTURES / "mines" / f"{mine}.jsonl")))[:2]
+    bad.update(bad_fields)
+    dump = tmp_path / "in.jsonl"
+    dump.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", encoding="utf-8")
+    db = ["--db", str(FIXTURES / "mines" / "pwc_entity_db.jsonl")] if mine == "paperswithcode" else []
+    result = CliRunner().invoke(main, ["extract", "--mine", mine, "--in", str(dump),
+                                       "--out", str(tmp_path / "out.tuples"), *db])
+    assert result.exit_code == 1, result.output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+    assert _no_child_left()
+    return result.output, bad["doc_id"]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("mine,field,value", [
-    ("rotten_tomatoes", "rating", "abc"),  # ValueError in the adapter
-    ("rotten_tomatoes", "rating", [1]),  # TypeError
-    ("wikidata", "properties", [1, 2]),  # AttributeError
-    ("wikihow", "steps", "abc"),  # AttributeError
+    ("rotten_tomatoes", "rating", "abc"),
+    ("rotten_tomatoes", "rating", [1]),
+    ("wikidata", "properties", [1, 2]),  # its items are objects
+    ("wikihow", "steps", "abc"),
+    # a string where a list belongs used to be iterated character by character
+    ("daily_mail", "bullets", "Officials said the road would reopen on Monday."),
+    ("qa_corpus", "options", "abc"),
 ])
 def test_field_of_the_wrong_json_type_is_one_schema_error_line(monkeypatch, tmp_path, mine, field, value,
                                                                  workers):
-    # the bad document is second: at 2 workers a child extracts it
-    good, bad = list(read_jsonl(str(FIXTURES / "mines" / f"{mine}.jsonl")))[:2]
-    bad[field] = value
-    dump = tmp_path / "in.jsonl"
-    dump.write_text(f"{json.dumps(good)}\n{json.dumps(bad)}\n", encoding="utf-8")
     _workers(monkeypatch, workers)
-    result = CliRunner().invoke(main, ["extract", "--mine", mine, "--in", str(dump),
-                                       "--out", str(tmp_path / "out.tuples")])
-    assert result.exit_code == 1
-    assert result.output.startswith(f"schema-error: {mine} document {bad['doc_id']}: a field has the wrong type: ")
-    assert result.output.count("\n") == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
-    assert _no_child_left()
+    output, doc_id = _extract_bad_second(tmp_path, mine, {field: value})
+    assert re.fullmatch(rf"schema-error: {mine} document {doc_id}: '{field}(\[\])?' must be an? \w+, got .*\n",
+                        output)
+
+
+def _declared(fields: dict, prefix: str = ""):
+    """(path, kind) of every field `fields` declares, nested ones and the
+    items of lists included, in the path syntax of `FieldError`."""
+    for key, kind in fields.items():
+        path = prefix + key
+        yield path, kind
+        while isinstance(kind, list):
+            kind = kind[0]
+            path += "[]"
+            yield path, kind
+        if isinstance(kind, dict):
+            yield from _declared(kind, path + ".")
+
+
+def _holding(path: str, value) -> dict:
+    """The top-level field of a document whose value at `path` is `value`."""
+    steps = re.findall(r"\[\]|[^.\[\]]+", path)
+    for step in reversed(steps[1:]):
+        value = [value] if step == "[]" else {step: value}
+    return {steps[0]: value}
+
+
+def _json_type(kind) -> str:
+    return "list" if isinstance(kind, list) else "object" if isinstance(kind, dict) else \
+        "number" if kind is float else "string"
+
+
+_OF_JSON_TYPE = {
+    "string": st.text(max_size=20),
+    "number": st.integers() | st.floats(allow_nan=False, allow_infinity=False),
+    "bool": st.booleans(),
+    "list": st.lists(st.integers() | st.text(max_size=5), max_size=3),
+    "object": st.dictionaries(st.text(max_size=5), st.integers(), max_size=3),
+}
+_WRONGLY_TYPED = [
+    (mine, path, json_type) for mine, (_, fields) in extractors._ADAPTERS.items()
+    for path, kind in _declared(fields) for json_type in _OF_JSON_TYPE if json_type != _json_type(kind)
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@given(data=st.data())
+@settings(max_examples=2, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_declared_field_of_every_wrong_json_type_is_one_schema_error_line(monkeypatch, data, workers):
+    _workers(monkeypatch, workers)
+    for mine, path, json_type in _WRONGLY_TYPED:
+        value = data.draw(_OF_JSON_TYPE[json_type], label=f"{mine} {path} {json_type}")
+        with tempfile.TemporaryDirectory() as tmp:
+            output, doc_id = _extract_bad_second(Path(tmp), mine, _holding(path, value))
+        assert output.startswith(f"schema-error: {mine} document {doc_id}: '{path}' must be "), output
+        assert output.count("\n") == 1
 
 
 def test_one_cpu_extracts_in_process(monkeypatch):
