@@ -120,8 +120,9 @@ def extract_documents(
     options = dict(options or {})
     if mine == "wordnet":
         docs = list(docs)
-        # every document's headword, before the shards check any field
-        options["vocabulary"] = {purify(str(d.get("word", ""))).lower() for d in docs}
+        # every document's headword, before the shards check any field; a
+        # null one is absent, as the shards read it
+        options["vocabulary"] = {purify(str(d.get("word") or "")).lower() for d in docs}
 
     seen_ids: set[str] = set()
     kept: list[tuple[str, Mapping]] = []

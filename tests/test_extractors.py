@@ -685,6 +685,16 @@ def test_cloze_round_trip_property(text, rate, seed):
     assert plain_text.reconstruct(corrupted, sentinels, spans) == text
 
 
+def test_wordnet_null_word_adds_nothing_to_the_vocabulary():
+    # read as "None", it made "nones" the inflection of a word no record has
+    sense = {"pos": "noun", "meaning": "m", "examples": ["nones are here today"]}
+    report = ExtractionReport()
+    lines = extract_lines("wordnet", [{"doc_id": "a", "word": None}, {"doc_id": "b", "word": "nones", "senses": [sense]}],
+                          seed=1, report=report, detector=always_english)
+    assert report.skipped_docs == {("wordnet", "missing_word"): 1}
+    assert report.accepted["wordnet_pos"] == 1 and len(lines) == 2
+
+
 def test_wordnet_lemmas_do_not_depend_on_document_order():
     """"run " purifies to "run", so "running" lemmatizes away whichever
     record comes first."""

@@ -124,8 +124,10 @@ def _holding(path: str, value) -> dict:
 
 
 def _json_type(kind) -> str:
-    return "list" if isinstance(kind, list) else "object" if isinstance(kind, dict) else \
-        "number" if kind is float else "string"
+    """The JSON type a field of `kind` holds."""
+    if isinstance(kind, (list, dict)):
+        return "list" if isinstance(kind, list) else "object"
+    return "number" if kind is float else "string"
 
 
 _OF_JSON_TYPE = {
