@@ -25,19 +25,18 @@ from .dataset_io import (
     write_bundle,
     write_files_atomic,
 )
-from .eval_harness.datasets import eval_dataset
+from .eval_harness.datasets import eval_dataset, load_prompts, record_reader
 from .eval_harness.gaokao import grade_gaokao, load_answers, load_paper
 from .eval_harness.scorers import ExternalCommandScorer, ReferenceScorer, ScorerError
-from .extractors import MINES, extract_documents, read_jsonl
-from .extractors.pwc import EntityDb
+from .extractors import MINES, extract_documents, pwc, read_jsonl
 from .mixer import mix, render_jobs
-from .normalizer import DetectorError, FieldError
+from .normalizer import DetectorError
 from .report import ExtractionReport
 from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError
 from .restructurer.templates import audit, load_registry
 from .shards import Spill
-from .signal_model import MixEntry, SchemaError, load_mixspec, read_json
+from .signal_model import MixEntry, SchemaError, load_mixspec, read, read_json
 from .store import SIGNALS, TupleStore
 # not called here: extract shards encode their own lines, and mix and
 # restructure read tuple files through a TupleStore. perfbench/worker.py wraps
@@ -126,10 +125,7 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
         if value and mine != owner:
             raise click.UsageError(f"{flag} is for the {owner} mine only, not {mine}")
     if db_path:
-        try:
-            options["entity_db"] = EntityDb(read_jsonl(db_path))
-        except FieldError as exc:
-            raise SchemaError(f"{db_path}: {exc}") from exc
+        options["entity_db"] = pwc.EntityDb(read_jsonl(db_path, lambda entry: read(entry, pwc.ENTRY)))
     if blocklist_path:
         try:
             lines = Path(blocklist_path).read_bytes().decode("utf-8").splitlines()
@@ -295,9 +291,8 @@ def evaluate(dataset, data_path, prompts_path, scorer_arg, out_path, seed):
     """Score a dataset with its 5-prompt set by its family's metric; reports avg/max/std."""
     scorer = _make_scorer(scorer_arg)
     try:
-        # any JSON value: eval_dataset checks the prompt list's shape
-        prompts = read_json(prompts_path, object_only=False) if prompts_path else None
-        records = list(read_jsonl(data_path))
+        prompts = load_prompts(prompts_path, dataset) if prompts_path else None
+        records = list(read_jsonl(data_path, record_reader(dataset)))
         report = eval_dataset(dataset, records, scorer, seed=seed, prompts=prompts)
         body = json.dumps(report.to_record(), indent=2, sort_keys=True)
         if out_path:

@@ -273,14 +273,8 @@ def verify_bundle(path: str | os.PathLike) -> dict:
 
 def read_examples(path: str | os.PathLike, name: str) -> list[PromptedExample]:
     file = Path(path) / name
-    examples = []
     with open(file, "rb") as fh:
-        for rec in json_lines(fh, str(file)):
-            try:
-                examples.append(example_from_record(rec))
-            except SchemaError as exc:
-                raise SchemaError(f"{file}: {exc}") from exc
-    return examples
+        return list(json_lines(fh, str(file), example_from_record))
 
 
 def stats_report(path: str | os.PathLike) -> str:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import re
+import reprlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..restructurer.render import format_options
-from ..restructurer.templates import answer_value, check_answer_rule, load_eval_prompts, rule_options, substitute
+from ..restructurer.templates import PROMPT, answer_value, load_eval_prompts, rule_options, substitute
 from ..rng import derive_rng
-from ..signal_model import SchemaError
+from ..signal_model import FieldError, SchemaError, as_declared, read, read_json, required
 from .mc import score_mc
 from .ner import eval_two_step_ner, micro_f1
 from .scorers import ModelScorer, ScorerError, prefetch
@@ -111,6 +112,33 @@ def subsample(records: list, cap: int, seed: int) -> list:
     return [records[i] for i in picked]
 
 
+def load_prompts(path: str, dataset: str) -> list:
+    """The prompts of the JSON list in `path`, which replace `dataset`'s
+    set, checked against PROMPT (closed) and kept as written. A refused one
+    is named from the set: '<dataset>[].answer.kind'."""
+    check = as_declared({dataset: required([PROMPT])})
+    return read_json(path, object_only=False, build=lambda doc: check({dataset: doc})[dataset])
+
+
+# an entity-recognition record: its text and its [surface, type] pairs
+NER_RECORD = {"text": required(str), "entities": [[str]]}
+
+
+def read_ner_record(rec: Mapping) -> dict:
+    """`rec`'s text and entities, read through NER_RECORD."""
+    values = read(rec, NER_RECORD)
+    for pair in values["entities"]:
+        if len(pair) != 2:
+            raise FieldError(f"'entities[]' must be a [surface, type] pair, got {reprlib.repr(pair)}")
+    return values
+
+
+def record_reader(dataset: str) -> Callable[[Mapping], Mapping] | None:
+    """How `eval_dataset` needs each record of `dataset` read, if at all."""
+    key = load_eval_prompts()["datasets"].get(dataset, dataset)
+    return read_ner_record if FAMILY_METRICS.get(key) == "micro_f1" else None
+
+
 def eval_dataset(
     dataset: str,
     records: list[Mapping],
@@ -118,8 +146,9 @@ def eval_dataset(
     seed: int = 0,
     prompts: list[Mapping] | None = None,
 ) -> EvalReport:
-    """Score `records` with the dataset's bundled 5-prompt set, or with
-    `prompts` in its place, by the metric of the dataset's prompt family."""
+    """Score `records`, read by `record_reader(dataset)`, with the dataset's
+    bundled 5-prompt set, or with `prompts` (`load_prompts`) in its place,
+    by the metric of the dataset's prompt family."""
     doc = load_eval_prompts()
     key = doc["datasets"].get(dataset, dataset)
     metric = FAMILY_METRICS.get(key, "accuracy")
@@ -127,24 +156,8 @@ def eval_dataset(
         if key not in doc["sets"]:
             raise SchemaError(f"no evaluation prompt set for dataset '{dataset}'")
         prompts = doc["sets"][key]
-    if not isinstance(prompts, list):
-        raise SchemaError(f"prompt set '{dataset}' must be a list of 5 prompts")
     if len(prompts) != 5:
         raise SchemaError(f"prompt set '{dataset}' must have 5 prompts, has {len(prompts)}")
-    for i, prompt in enumerate(prompts, 1):
-        if not (isinstance(prompt, dict) and isinstance(prompt.get("source"), str)
-                and isinstance(prompt.get("target"), str)):
-            raise SchemaError(f"prompt set '{dataset}': prompt {i} needs a string 'source' and 'target'")
-        if "answer" in prompt:
-            check_answer_rule(prompt["answer"], f"prompt set '{dataset}': prompt {i}")
-    if metric == "micro_f1":
-        for i, rec in enumerate(records, 1):
-            entities = rec.get("entities", [])
-            if not (isinstance(rec.get("text"), str) and isinstance(entities, list) and all(
-                    isinstance(pair, list) and len(pair) == 2 and all(isinstance(v, str) for v in pair)
-                    for pair in entities)):
-                raise SchemaError(f"dataset '{dataset}': record {i} needs a string 'text' and 'entities' "
-                                  "as a list of [surface, type] string pairs")
     cap = GENERATION_SAMPLE_CAP if metric in ("rouge1", "micro_f1") else CLASSIFICATION_SAMPLE_CAP
     records = subsample(list(records), cap, seed)
     if not records:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..signal_model import SchemaError, read_json
+from ..signal_model import SchemaError, default, read, read_json
 
 
 @dataclass(frozen=True)
@@ -66,35 +66,23 @@ class GaokaoPaper:
                 )
 
 
-def _load_object(path: str, by_section: str) -> dict:
-    """The JSON object in `path`, whose `by_section` entry maps sections to lists."""
-    doc = read_json(path)
-    lists = doc.get(by_section, {})
-    if not isinstance(lists, dict) or not all(isinstance(v, list) for v in lists.values()):
-        raise SchemaError(f"{path}: '{by_section}' is not an object of lists by section")
-    return doc
+# an exam paper: its id and, per section, the answer key
+PAPER = {"paper_id": default(str, "paper"), "gold": {str: [str]}}
+# an answers document: per section, the answer list or a raw score, and the essay score
+ANSWERS = {"sections": {str: [str]}, "section_scores": {str: float}, "essay_score": default(float, 0.0)}
 
 
 def load_paper(path: str) -> GaokaoPaper:
-    """A paper document: `paper_id` and `gold`, a section -> answer key list."""
-    doc = _load_object(path, "gold")
-    return GaokaoPaper(paper_id=doc.get("paper_id", "paper"), gold=dict(doc.get("gold", {})))
+    """The paper document in `path`, read through PAPER (closed)."""
+    return read_json(path, build=lambda doc: GaokaoPaper(**read(doc, PAPER, closed=True)))
 
 
 def load_answers(path: str) -> dict:
-    """An answers document as `grade_gaokao`'s keyword arguments. Every key
-    is optional: `sections` maps a section to its answer list,
-    `section_scores` a section to a raw score, and `essay_score` is a number."""
-    doc = _load_object(path, "sections")
-    scores = doc.get("section_scores", {})
-    if not isinstance(scores, dict):
-        raise SchemaError(f"{path}: 'section_scores' is not a JSON object")
-    try:
-        return {"answers": doc.get("sections", {}),
-                "section_scores": {name: float(v) for name, v in scores.items()},
-                "essay_score": float(doc.get("essay_score", 0.0))}
-    except (TypeError, ValueError) as exc:  # a score that is not a number
-        raise SchemaError(str(exc)) from exc
+    """The answers document in `path`, read through ANSWERS (closed), as
+    `grade_gaokao`'s keyword arguments."""
+    values = read_json(path, build=lambda doc: read(doc, ANSWERS, closed=True))
+    values["answers"] = values.pop("sections")
+    return values
 
 
 def grade_gaokao(

@@ -1,7 +1,7 @@
 """One streaming adapter per data mine.
 
 Each adapter module declares `FIELDS`, the document fields it reads, and the
-runner reads every document through them (`normalizer.read`): text purified,
+runner reads every document through them (`signal_model.read`): text purified,
 gate text joined for the language gate, numbers as floats, lists without
 their empty texts, objects field by field. A null field reads as absent; one
 of another JSON type is one schema error naming the document and the field.
@@ -20,10 +20,10 @@ from array import array
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
-from ..normalizer import Detector, DetectorError, FieldError, is_english, purify, read, trigram_detector
+from ..normalizer import Detector, DetectorError, is_english, purify, trigram_detector
 from ..report import ExtractionReport
 from ..shards import Spill
-from ..signal_model import SchemaError, json_lines, tuple_line, validate_tuple
+from ..signal_model import FieldError, SchemaError, json_lines, read, tuple_line, validate_tuple
 
 from . import arxiv, daily_mail, plain_text, pwc, qa, rotten_tomatoes, wikidata, wikihow, wikipedia, wordnet
 
@@ -148,6 +148,6 @@ def extract_documents(
     return map(spill.line_of, sorted(range(len(kept)), key=lambda position: kept[position][0]))
 
 
-def read_jsonl(path: str) -> Iterator[dict]:
+def read_jsonl(path: str, build: Callable | None = None) -> Iterator:
     with open(path, "rb") as fh:
-        yield from json_lines(fh, path)
+        yield from json_lines(fh, path, build)

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..normalizer import GATE, TEXT, truncate_words, word_count
-from ..signal_model import SignalTuple
+from ..normalizer import truncate_words, word_count
+from ..signal_model import GATE, TEXT, SignalTuple
 
 CATEGORY_SIGNAL = "arxiv_category"
 SUMMARY_SIGNAL = "arxiv_summary"

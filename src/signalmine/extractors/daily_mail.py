@@ -10,9 +10,9 @@ import re
 from typing import Mapping
 from urllib.parse import urlsplit
 
-from ..normalizer import GATE, TEXT, truncate_words, word_count
+from ..normalizer import truncate_words, word_count
 from ..rng import derive_rng
-from ..signal_model import LIST_SEP, SignalTuple
+from ..signal_model import GATE, LIST_SEP, TEXT, SignalTuple
 
 CATEGORY_SIGNAL = "daily_mail_category"
 SUMMARY_SIGNAL = "daily_mail_summary"

@@ -12,8 +12,7 @@ import random
 import re
 from typing import Mapping
 
-from ..normalizer import GATE
-from ..signal_model import LIST_SEP, SchemaError, SignalTuple
+from ..signal_model import GATE, LIST_SEP, SchemaError, SignalTuple
 from ..rng import derive_rng
 
 SIGNAL = "plain_text_cloze"

@@ -13,8 +13,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping
 
-from ..normalizer import GATE, TEXT, read, truncate_words, word_count
-from ..signal_model import LIST_SEP, NO_ENTITIES, SchemaError, SignalTuple
+from ..normalizer import truncate_words, word_count
+from ..signal_model import GATE, LIST_SEP, NO_ENTITIES, TEXT, SchemaError, SignalTuple
 
 ENTITY_SIGNAL = "paperswithcode_entity"
 SUMMARY_SIGNAL = "paperswithcode_summary"
@@ -34,11 +34,14 @@ def normalize_span(span: str) -> str:
     return _NON_ALNUM_RE.sub("", span).lower()
 
 
+# a database entry: `EntityDb` takes entries read through it (`signal_model.read`)
+ENTRY = {"surface": TEXT, "type": str}
+
+
 class EntityDb:
     def __init__(self, entries: Iterable[Mapping]):
         self.by_key: dict[str, str] = {}
         for entry in entries:
-            entry = read(entry, {"surface": TEXT, "type": str}, [])
             surface, etype = entry["surface"], entry["type"].lower()
             if etype not in ENTITY_TYPES:
                 continue

@@ -11,8 +11,8 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from ..normalizer import GATE, TEXT, word_count
-from ..signal_model import LIST_SEP, SignalTuple
+from ..normalizer import word_count
+from ..signal_model import GATE, LIST_SEP, TEXT, SignalTuple
 
 CORPUS_KINDS = ("control", "dream", "logiqa", "reclor", "race", "race_c", "triviaqa")
 MAX_CONTEXT_WORDS = 400

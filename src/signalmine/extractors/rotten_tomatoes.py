@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..normalizer import GATE, word_count
-from ..signal_model import SignalTuple
+from ..normalizer import word_count
+from ..signal_model import GATE, SignalTuple
 
 SIGNAL = "rotten_tomatoes_sentiment"
 

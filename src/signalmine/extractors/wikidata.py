@@ -11,9 +11,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping
 
-from ..normalizer import GATE, TEXT
 from ..rng import derive_rng
-from ..signal_model import SignalTuple
+from ..signal_model import GATE, TEXT, SignalTuple
 
 RELATION_SIGNAL = "wikidata_relation"
 ENTITY_SIGNAL = "wikidata_entity"

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..normalizer import GATE, TEXT, purify, word_count
+from ..normalizer import purify, word_count
 from ..rng import derive_rng
-from ..signal_model import LIST_SEP, SignalTuple
+from ..signal_model import GATE, LIST_SEP, TEXT, SignalTuple
 
 CATEGORY_SIGNAL = "wikihow_text_category"
 HIERARCHY_SIGNAL = "wikihow_category_hierarchy"

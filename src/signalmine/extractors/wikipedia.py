@@ -11,9 +11,9 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from ..normalizer import GATE, TEXT, truncate_words, word_count
+from ..normalizer import truncate_words, word_count
 from ..rng import derive_rng
-from ..signal_model import LIST_SEP, NO_ENTITIES, SignalTuple
+from ..signal_model import GATE, LIST_SEP, NO_ENTITIES, TEXT, SignalTuple
 
 SECTION_SIGNAL = "wikipedia_sections"
 ENTITY_SIGNAL = "wikipedia_entities"

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from ..normalizer import GATE, TEXT
-from ..signal_model import LIST_SEP, SignalTuple
+from ..signal_model import GATE, LIST_SEP, TEXT, SignalTuple
 from ..wordlists import STOP_WORDS
 
 POS_SIGNAL = "wordnet_pos"

@@ -1,5 +1,4 @@
-"""Text purification applied to every extracted field, and the reader that
-checks, purifies and gates the fields a mine declares.
+"""Text purification applied to every extracted field, and the language gate.
 
 Pipeline order is fixed: whitespace folding, ASCII stripping, whitespace
 folding again (stripping can merge words and leave double spaces), then the
@@ -12,11 +11,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-import reprlib
-import sys
-from typing import Callable, Mapping, Tuple
+from typing import Callable, Tuple
 
-from .signal_model import SchemaError
 from .wordlists import COMMON_WORDS, STOP_WORDS
 
 _WS_RE = re.compile(r"[ \t\n\r\f\v]+")
@@ -51,51 +47,6 @@ def purify(text: str) -> str:
         # stripping is the identity and folding is idempotent
         return normalize_whitespace(text)
     return normalize_whitespace(strip_non_ascii(normalize_whitespace(text)))
-
-
-TEXT, GATE = "text", "gate"
-
-
-class FieldError(SchemaError):
-    """A document field whose JSON type is not the one its mine declares."""
-
-
-def read(doc: Mapping, fields: Mapping, gate: list[str], prefix: str = "") -> dict:
-    """The `fields` of `doc`, each checked against its kind: TEXT or GATE (a
-    string, purified), str (a string as it is), float (a number, not a bool),
-    [kind] (a list, its empty texts dropped) or a dict of kinds (an object).
-    An absent or null field reads as "", None, [] or an object of defaults;
-    any other type is a `FieldError` naming its path. Each non-empty GATE
-    value is appended to `gate`, in declaration order."""
-    return {key: _value(doc.get(key), kind, prefix + key, gate) for key, kind in fields.items()}
-
-
-def _value(value, kind, path: str, gate: list[str]):
-    if isinstance(kind, list):
-        expected, ok = "a list", type(value) is list
-    elif isinstance(kind, dict):
-        expected, ok = "an object", type(value) is dict
-    elif kind is float:  # a bool is no number here, nor an int beyond a double's range
-        expected = "a number"
-        ok = type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
-    else:
-        expected, ok = "a string", type(value) is str
-    if not ok and value is not None:
-        raise FieldError(f"'{path}' must be {expected}, got {reprlib.repr(value)}")
-    if isinstance(kind, list):
-        items = [_value(item, kind[0], path + "[]", gate) for item in value or ()]
-        return [item for item in items if item != ""]
-    if isinstance(kind, dict):
-        return read(value or {}, kind, gate, path + ".")
-    if kind is float:
-        return None if value is None else float(value)
-    text = value or ""
-    if kind is str:
-        return text
-    text = purify(text)
-    if kind is GATE and text:
-        gate.append(text)
-    return text
 
 
 def word_count(text: str) -> int:

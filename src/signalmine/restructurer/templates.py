@@ -19,7 +19,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from ..signal_model import CATALOG, LIST_SEP, NO_ENTITIES, SchemaError, SignalTuple, json_lines, read_json
+from ..signal_model import (CATALOG, LIST_SEP, NO_ENTITIES, OneOf, SchemaError, SignalTuple, as_declared,
+                            json_lines, read, read_json, required)
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z0-9_]+)\}")
 OPTION_SLOT_RE = re.compile(r"^(.*)_(with|without)_or$")
@@ -120,30 +121,16 @@ def answer_value(rule: Mapping, values: Mapping[str, str]) -> str:
     raise SchemaError(f"unknown answer rule kind: {kind}")
 
 
-# per answer rule kind, the keys whose values must be strings
-_RULE_STRINGS = {"const": ("value",), "presence": ("present", "absent"), "cond": ("field",)}
+# the shape of an answer rule of each kind, as `answer_value` reads it
+RULE = OneOf(
+    const={"kind": str, "value": required(str)},
+    presence={"kind": str, "present": required(str), "absent": required(str), "field": str},
+    cond={"kind": str, "field": required(str),
+          "cases": required([{"literal": required(str), "value": required(str), "negate": bool}])},
+)
 
-
-def check_answer_rule(rule: object, owner: str) -> None:
-    """Raise `SchemaError`, naming `owner`, unless `answer_value` can read
-    `rule`: the keys its kind lists in `_RULE_STRINGS` hold strings, and so
-    does a presence rule's optional `field`; a `cond` rule has a list of
-    `cases`, each with string `literal` and `value` and an optional boolean
-    `negate`."""
-    if not isinstance(rule, dict) or rule.get("kind") not in _RULE_STRINGS:
-        raise SchemaError(f"{owner} has an answer rule that is not a const, presence or cond object")
-    kind = rule["kind"]
-    keys = _RULE_STRINGS[kind] + (("field",) if "field" in rule and kind == "presence" else ())
-    if not all(isinstance(rule.get(key), str) for key in keys):
-        raise SchemaError(f"{owner} has a '{kind}' answer rule without a string {' and '.join(map(repr, keys))}")
-    cases = rule.get("cases") if kind == "cond" else []
-    if not isinstance(cases, list):
-        raise SchemaError(f"{owner} has a 'cond' answer rule whose 'cases' is not a list")
-    for case in cases:
-        if not (isinstance(case, dict) and all(isinstance(case.get(key), str) for key in ("literal", "value"))):
-            raise SchemaError(f"{owner} has an answer case without a string 'value' and 'literal'")
-        if not isinstance(case.get("negate", False), bool):
-            raise SchemaError(f"{owner} has an answer case whose 'negate' is not true or false")
+# an evaluation prompt
+PROMPT = {"source": required(str), "target": required(str), "answer": RULE}
 
 
 def rule_options(rule: Mapping) -> list[str]:
@@ -200,55 +187,31 @@ class PromptTemplate:
         return True
 
 
-# per `requires` key, the container and item type `applies_to` reads
-_REQUIRES_SHAPES = {
-    "meta_equals": (dict, str),
-    "meta_nonempty": (list, str),
-    "field_list_min": (dict, int),
-    "meta_list_min": (dict, int),
+# a catalog line
+TEMPLATE = {
+    "id": required(str), "signal_type": required(str), "family": required(str), "group": str,
+    "source": required(str), "target": required(str), "answer": RULE,
+    "requires": {"meta_equals": {str: str}, "meta_nonempty": [str], "field_list_min": {str: int},
+                 "meta_list_min": {str: int}},
+    "slots": {str: str},
 }
 
 
-def _holds(value: object, container: type, kind: type) -> bool:
-    """Whether `value` is a `container` (dict or list) of `kind` items;
-    exact types, so a bool is not an integer."""
-    items = value.values() if isinstance(value, dict) else value
-    return isinstance(value, container) and all(type(item) is kind for item in items)
-
-
-def _check_shapes(rec: Mapping, owner: str) -> None:
-    """Raise `SchemaError`, naming `owner`, unless `rec`'s `slots` is an
-    object of strings and its `requires` an object whose keys hold what
-    `_REQUIRES_SHAPES` lists, where given."""
-    if not _holds(rec.get("slots", {}), dict, str):
-        raise SchemaError(f"{owner} has 'slots' that is not an object of strings")
-    requires = rec.get("requires", {})
-    if not isinstance(requires, dict):
-        raise SchemaError(f"{owner} has 'requires' that is not an object")
-    for key, (container, kind) in _REQUIRES_SHAPES.items():
-        if key in requires and not _holds(requires[key], container, kind):
-            shape = f"{'an object' if container is dict else 'a list'} of {'strings' if kind is str else 'integers'}"
-            raise SchemaError(f"{owner} has 'requires.{key}' that is not {shape}")
-
-
 def template_from_record(rec: Mapping) -> PromptTemplate:
-    keys = ("id", "signal_type", "family", "source", "target")
-    if not all(isinstance(rec.get(key), str) for key in keys) or not isinstance(rec.get("group", ""), str):
-        raise SchemaError("template record needs string 'id', 'signal_type', 'family', 'source' and "
-                          "'target', and a string 'group' if it has one")
-    if "answer" in rec:
-        check_answer_rule(rec["answer"], f"template {rec['id']}")
-    _check_shapes(rec, f"template {rec['id']}")
+    """The template of a catalog line, read through TEMPLATE (closed). Its
+    answer rule and requirements are kept as the line states them, the
+    objects the renderer and `applies_to` read by key."""
+    values = read(rec, TEMPLATE, closed=True)
     return PromptTemplate(
-        template_id=rec["id"],
-        signal_type=rec["signal_type"],
-        family=rec["family"],
-        group=rec.get("group", ""),
-        source_pattern=rec["source"],
-        target_pattern=rec["target"],
+        template_id=values["id"],
+        signal_type=values["signal_type"],
+        family=values["family"],
+        group=values["group"],
+        source_pattern=values["source"],
+        target_pattern=values["target"],
         answer=rec.get("answer"),
         requires=rec.get("requires"),
-        slots=rec.get("slots", {}),
+        slots=values["slots"],
     )
 
 
@@ -338,6 +301,9 @@ def validate_template(tpl: PromptTemplate) -> None:
     or a literal quoted list), generation prompts carry no option slots."""
     from .pools import legal_placeholder
 
+    if tpl.family not in ("multiple_choice", "generation"):
+        raise SchemaError(f"template {tpl.template_id}: family must be multiple_choice or generation, "
+                          f"got {tpl.family!r}")
     for pattern in (tpl.source_pattern, tpl.target_pattern):
         error = _compile(pattern)[1]
         if error is not None:
@@ -360,7 +326,7 @@ def validate_template(tpl: PromptTemplate) -> None:
 def load_registry(path: str | None = None) -> PromptRegistry:
     file = _data_file("templates.jsonl") if path is None else Path(path)
     with file.open("rb") as fh:
-        templates = [template_from_record(rec) for rec in json_lines(fh, str(file))]
+        templates = list(json_lines(fh, str(file), template_from_record))
     for tpl in templates:
         validate_template(tpl)
     return PromptRegistry(templates)
@@ -371,11 +337,13 @@ def load_manifest() -> dict:
 
 
 def load_gaokao_prompts() -> dict:
-    return read_json(_data_file("gaokao_prompts.json"))
+    return read_json(_data_file("gaokao_prompts.json"),
+                     build=as_declared({str: {"source": required(str), "target": required(str)}}))
 
 
 def load_eval_prompts() -> dict:
-    return read_json(_data_file("eval_prompts.json"))
+    return read_json(_data_file("eval_prompts.json"),
+                     build=as_declared({"datasets": {str: str}, "sets": {str: [PROMPT]}}))
 
 
 def audit(registry: PromptRegistry) -> dict:

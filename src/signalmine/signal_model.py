@@ -12,9 +12,13 @@ import json
 import math
 import os
 import re
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
+
+from .normalizer import purify
 
 FORMAT_VERSION = "1"
 
@@ -64,19 +68,25 @@ def json_line(line: str | bytes, name: str, number: int) -> dict | None:
     return rec
 
 
-def json_lines(lines: Iterable[str | bytes], name: str) -> Iterator[dict]:
-    """The JSON object on each non-blank line of `lines` (`json_line`)."""
+def json_lines(lines: Iterable[str | bytes], name: str, build: Callable | None = None) -> Iterator:
+    """The JSON object on each non-blank line of `lines` (`json_line`), or
+    what `build` makes of it; a `FieldError` of `build` names `name` and the
+    line."""
     for number, line in enumerate(lines, 1):
         rec = json_line(line, name, number)
         if rec is not None:
-            yield rec
+            try:
+                yield rec if build is None else build(rec)
+            except FieldError as exc:
+                raise FieldError(f"{name}:{number}: {exc}") from exc
 
 
-def read_json(file, object_only: bool = True):
-    """The JSON document in `file`, a path or a package resource. Bytes that
-    are not UTF-8, text that is not JSON or not encodable as UTF-8, or (if
-    `object_only`) a document that is not an object are one `SchemaError`
-    naming the file."""
+def read_json(file, object_only: bool = True, build: Callable | None = None):
+    """The JSON document in `file`, a path or a package resource, or what
+    `build` makes of it. Bytes that are not UTF-8, text that is not JSON or
+    not encodable as UTF-8, (if `object_only`) a document that is not an
+    object, or a `FieldError` of `build` are one `SchemaError` naming the
+    file."""
     data = (Path(file) if isinstance(file, (str, os.PathLike)) else file).read_bytes()
     try:
         doc = _loads(data.decode("utf-8"))
@@ -84,7 +94,132 @@ def read_json(file, object_only: bool = True):
         raise SchemaError(f"{file}: not a JSON document: {exc}") from exc
     if object_only and type(doc) is not dict:
         raise SchemaError(f"{file}: not a JSON document: expected a JSON object")
-    return doc
+    try:
+        return doc if build is None else build(doc)
+    except FieldError as exc:
+        raise FieldError(f"{file}: {exc}") from exc
+
+
+TEXT, GATE = "text", "gate"
+_REQUIRED = object()
+
+
+def required(kind):
+    """A declared key that must be given: absent or null, it is refused."""
+    return kind, _REQUIRED
+
+
+def default(kind, value):
+    """A declared key that reads as `value` when it is absent (`read`)."""
+    return kind, value
+
+
+class OneOf(dict):
+    """A kind: an object whose string `kind` names which of these shapes it has."""
+
+
+class FieldError(SchemaError):
+    """A JSON value or key that its declared shape refuses (`read`)."""
+
+
+def read(doc: Mapping, shape: Mapping, gate: list[str] | None = None, closed: bool = False) -> dict:
+    """The keys of `shape` in the object `doc`, each checked against its kind:
+    - TEXT or GATE: a string, purified; each non-empty GATE value is appended
+      to `gate`, in declaration order; str: a string as it is;
+    - float: a number, not a bool (nor an int beyond a double's range), as a
+      float; int: an integer, not a bool; bool;
+    - [kind]: a list (or tuple), without empty texts if a list of texts;
+    - a dict of kinds: an object of those keys; {str: kind}: an object of any
+      keys, its values of one kind; OneOf(name=shape, ...): an object whose
+      `kind` names its shape; required(kind), default(kind, value): see there.
+    An absent key reads as "", None, False, [], {} or an object of defaults.
+    In an open shape, undeclared keys are ignored and null reads as absent.
+    In a closed one, an undeclared key or a null is refused, but where a
+    key's declared default is None. A refused value is a `FieldError` naming
+    its path, such as 'steps[].headline' or 'requires.meta_equals.variant'."""
+    return _object(doc, shape, "", gate, closed)
+
+
+def as_declared(shape: Mapping) -> Callable:
+    """A `read_json` build that checks a document against the closed
+    `shape` and keeps it as written."""
+    def build(doc):
+        read(doc, shape, closed=True)
+        return doc
+    return build
+
+
+def _object(doc: Mapping, shape: Mapping, prefix: str, gate, closed: bool) -> dict:
+    kind = shape.get(str)
+    if kind is not None:  # free keys
+        return {key: _value(value, kind, prefix + key, gate, closed) for key, value in doc.items()}
+    if closed and not doc.keys() <= shape.keys():
+        key = next(key for key in doc if key not in shape)
+        raise FieldError(f"'{prefix}{key}' is not a declared key")
+    values = {}
+    for key, kind in shape.items():
+        value = doc.get(key)
+        strict = closed  # whether a null is refused
+        if type(kind) is tuple:
+            kind, fallback = kind
+            if value is None and fallback is _REQUIRED:
+                if key not in doc:
+                    raise FieldError(f"'{prefix}{key}' must be {_expected(kind)}, got nothing")
+                strict = True
+            elif value is None and (fallback is None or not closed or key not in doc):
+                values[key] = fallback
+                continue
+        values[key] = _value(value, kind, prefix + key, gate, strict and key in doc)
+    return values
+
+
+_TYPES = {float: "a number", int: "an integer", bool: "true or false"}
+_EMPTY = {float: None, int: None, bool: False}
+
+
+def _expected(kind) -> str:
+    if isinstance(kind, list):
+        return "a list"
+    return "an object" if isinstance(kind, dict) else _TYPES.get(kind, "a string")
+
+
+def _value(value, kind, path: str, gate, closed: bool):
+    if value is None:  # absent, or a null that reads as absent
+        if closed:
+            raise FieldError(f"'{path}' must be {_expected(kind)}, got None")
+        if isinstance(kind, list):
+            return []
+        if type(kind) is OneOf:
+            return None
+        return _object({}, kind, path + ".", gate, closed) if isinstance(kind, dict) else _EMPTY.get(kind, "")
+    if kind is TEXT or kind is GATE or kind is str:
+        if type(value) is str:
+            if kind is not str:
+                value = purify(value)
+                if kind is GATE and value:
+                    gate.append(value)
+            return value
+    elif kind is float:  # a bool is no number here, nor an int beyond a double's range
+        if type(value) is float or type(value) is int and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif isinstance(kind, list):  # or a tuple, as `dataclasses.asdict` gives
+        if type(value) is list or type(value) is tuple:
+            kind, path = kind[0], path + "[]"
+            items = [_value(item, kind, path, gate, closed) for item in value]
+            return [item for item in items if item != ""] if kind is TEXT or kind is GATE else items
+    elif type(kind) is OneOf:
+        if type(value) is dict:
+            name = value.get("kind")
+            if type(name) is not str or name not in kind:
+                raise FieldError(f"'{path}.kind' must be one of {', '.join(map(repr, kind))}, "
+                                 f"got {reprlib.repr(name)}")
+            return _object(value, kind[name], path + ".", gate, closed)
+    elif isinstance(kind, dict):
+        if type(value) is dict:
+            return _object(value, kind, path + ".", gate, closed)
+    elif type(value) is kind:
+        return value
+    raise FieldError(f"'{path}' must be {_expected(kind)}, got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -269,20 +404,16 @@ class PromptedExample:
         return Verdict(True)
 
 
+# a bundle record, as `dataset_io.encode_record` writes it
+EXAMPLE = {"source": required(str), "target": required(str), "signal_type": required(str),
+           "template_id": required(str), "family": required(str), "seed": required(int),
+           "split": default(str, "train"), "source_doc": str, "v": str}
+
+
 def example_from_record(rec: Mapping) -> PromptedExample:
-    """The example a bundle record holds. A missing key, a text value that
-    is not a string or a seed that is not a JSON integer is a
-    `SchemaError`."""
-    try:
-        values = {key: rec[key] for key in ("source", "target", "signal_type", "template_id", "family", "seed")}
-    except KeyError as exc:
-        raise SchemaError(f"example record missing key: {exc}") from exc
-    values["split"] = rec.get("split", "train")
-    values["source_doc"] = rec.get("source_doc", "")
-    for key, value in values.items():
-        if type(value) is not (int if key == "seed" else str):
-            kind = "an integer" if key == "seed" else "a string"
-            raise SchemaError(f"example record '{key}' must be {kind}, got {value!r}")
+    """The example a bundle record holds, read through EXAMPLE (closed)."""
+    values = read(rec, EXAMPLE, closed=True)
+    del values["v"]
     return PromptedExample(**values)
 
 
@@ -327,6 +458,8 @@ class MixSpec:
             raise SchemaError("mix spec needs at least one entry with weight > 0")
         if not (0 <= self.split_ratio < 1):
             raise SchemaError("split_ratio must be in [0, 1)")
+        if self.global_seed < 0:
+            raise SchemaError(f"global_seed must be >= 0, got {self.global_seed}")
         stages = sorted({e.stage for e in self.entries})
         if stages != list(range(1, len(stages) + 1)):
             raise SchemaError(f"stages must be contiguous from 1, got {stages}")
@@ -336,70 +469,25 @@ class MixSpec:
         return sorted({e.stage for e in self.entries})
 
 
-def _json_int(value: object, what: str) -> int:
-    """`value`, which must be a JSON integer: a bool or a float (1.0
-    included) is refused, not truncated."""
-    if type(value) is not int:
-        raise SchemaError(f"mix spec: {what} must be an integer, got {value!r}")
-    return value
-
-
-def _optional_int(rec: Mapping, key: str) -> int | None:
-    return None if rec.get(key) is None else _json_int(rec[key], f"'{key}'")
-
-
-def _json_number(value: object, what: str) -> float:
-    """`value`, which must be a finite JSON number, as a float: a bool, a
-    string, NaN or an infinity (Python's `json` parses both) is refused."""
-    if type(value) not in (int, float):
-        raise SchemaError(f"mix spec: {what} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise SchemaError(f"mix spec: {what} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _json_str(value: object, what: str) -> str:
-    if type(value) is not str:
-        raise SchemaError(f"mix spec: {what} must be a string, got {value!r}")
-    return value
-
-
-def _optional_str(rec: Mapping, key: str) -> str | None:
-    return None if rec.get(key) is None else _json_str(rec[key], f"'{key}'")
+# a mix spec file; `MixEntry` and `MixSpec` check the values' ranges
+MIX_ENTRY = {
+    "signal_type": required(str), "family": required(str), "weight": default(float, 1.0),
+    "cap": default(int, None), "per_category_cap": default(int, None), "stage": default(int, 1),
+    "template_group": default(str, None), "composition": default({str: int}, None),
+    "composition_key": default(str, None),
+}
+MIX_SPEC = {"entries": [MIX_ENTRY], "split_ratio": default(float, 0.0), "global_seed": default(int, 0),
+            "name": default(str, "mix")}
 
 
 def mixspec_from_record(rec: Mapping) -> MixSpec:
-    try:
-        entries = tuple(
-            MixEntry(
-                signal_type=_json_str(e["signal_type"], "'signal_type'"),
-                family=_json_str(e["family"], "'family'"),
-                weight=_json_number(e.get("weight", 1.0), "'weight'"),
-                cap=_optional_int(e, "cap"),
-                per_category_cap=_optional_int(e, "per_category_cap"),
-                stage=_json_int(e.get("stage", 1), "'stage'"),
-                template_group=_optional_str(e, "template_group"),
-                composition={value: _json_int(count, f"composition count for {value!r}")
-                             for value, count in dict(e["composition"]).items()}
-                if e.get("composition") else None,
-                composition_key=_optional_str(e, "composition_key"),
-            )
-            for e in rec.get("entries", [])
-        )
-        return MixSpec(
-            entries=entries,
-            split_ratio=_json_number(rec.get("split_ratio", 0.0), "'split_ratio'"),
-            global_seed=_json_int(rec.get("global_seed", 0), "'global_seed'"),
-            name=_json_str(rec.get("name", "mix"), "'name'"),
-        )
-    except SchemaError:
-        raise
-    except KeyError as exc:
-        raise SchemaError(f"mix spec entry missing key: {exc}") from exc
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:  # a value of the wrong type or size
-        raise SchemaError(f"mix spec: {exc}") from exc
+    """The mix spec `rec` holds, read through MIX_SPEC (closed)."""
+    values = read(rec, MIX_SPEC, closed=True)
+    # an empty composition counts nothing, as an absent one
+    entries = tuple(MixEntry(**{**e, "composition": e["composition"] or None}) for e in values["entries"])
+    return MixSpec(**{**values, "entries": entries})
 
 
 def load_mixspec(file) -> MixSpec:
     """The mix spec in `file`, a path or a package resource."""
-    return mixspec_from_record(read_json(file))
+    return read_json(file, build=mixspec_from_record)

@@ -2,16 +2,17 @@ from __future__ import annotations
 
 import json
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from signalmine.extractors import extract_documents, read_jsonl
-from signalmine.extractors.pwc import EntityDb
-from signalmine.normalizer import read, trigram_detector
+from signalmine.extractors.pwc import ENTRY, EntityDb
+from signalmine.normalizer import trigram_detector
 from signalmine.report import ExtractionReport
 from signalmine.shards import Spill
-from signalmine.signal_model import dump_tuples, load_tuples
+from signalmine.signal_model import dump_tuples, load_tuples, read
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -43,7 +44,8 @@ def extract_fixture(mine: str, seed: int = 7, **options):
     """Extract a fixture dump with a detector that admits every document
     (rule tests want to see the word-count gates, not the language detector)."""
     if mine == "paperswithcode" and "entity_db" not in options:
-        options["entity_db"] = EntityDb(read_jsonl(str(FIXTURES / "mines" / "pwc_entity_db.jsonl")))
+        options["entity_db"] = EntityDb(read_jsonl(str(FIXTURES / "mines" / "pwc_entity_db.jsonl"),
+                                                   partial(read, shape=ENTRY)))
     report = ExtractionReport()
     lines = extract_lines(
         mine,

@@ -10,8 +10,9 @@ from click.testing import CliRunner
 
 from signalmine.cli import main
 from signalmine.dataset_io import write_bundle
-from signalmine.restructurer.templates import load_eval_prompts
-from signalmine.signal_model import MixEntry, MixSpec
+from signalmine.eval_harness.gaokao import ANSWERS, PAPER
+from signalmine.restructurer.templates import PROMPT, TEMPLATE, load_eval_prompts
+from signalmine.signal_model import MIX_SPEC, MixEntry, MixSpec, OneOf, required
 
 from conftest import FIXTURES
 
@@ -272,7 +273,7 @@ def test_stats_on_an_example_record_of_the_wrong_type_is_one_schema_error_line(r
     bad = bundle_of({**_EXAMPLE_RECORD, key: value}, tmp_path / "bad")
     result = runner.invoke(main, ["stats", "--bundle", str(bad)])
     assert result.exit_code == 1
-    assert result.output == f"schema-error: {bad / 'm.stage1.train'}: example record {message}\n"
+    assert result.output == f"schema-error: {bad / 'm.stage1.train'}:1: {message}\n"
 
 
 def test_restructure_command(runner, tmp_path):
@@ -430,9 +431,9 @@ def test_restructure_refuses_a_signal_without_templates_before_any_render(runner
 
 
 @pytest.mark.parametrize("extra, message", [
-    ({"requires": 5}, "'requires' that is not an object"),
-    ({"requires": {"meta_equals": 5}}, "'requires.meta_equals' that is not an object of strings"),
-    ({"slots": 5}, "'slots' that is not an object of strings"),
+    ({"requires": 5}, "'requires' must be an object, got 5"),
+    ({"requires": {"meta_equals": 5}}, "'requires.meta_equals' must be an object, got 5"),
+    ({"slots": 5}, "'slots' must be an object, got 5"),
 ], ids=["requires-not-object", "meta-equals-not-object", "slots-not-object"])
 def test_restructure_template_of_the_wrong_shape_is_one_schema_error_line(runner, tmp_path, extra, message):
     tuples = run_extract(runner, tmp_path, "rotten_tomatoes")
@@ -446,7 +447,7 @@ def test_restructure_template_of_the_wrong_shape_is_one_schema_error_line(runner
         "--out", str(tmp_path / "ex.jsonl"), "--family", "generation",
     ])
     assert result.exit_code == 1
-    assert result.output == f"schema-error: template rt.gen.900 has {message}\n"
+    assert result.output == f"schema-error: {catalog}:1: {message}\n"
 
 
 def test_evaluate_with_external_scorer(runner, tmp_path):
@@ -550,15 +551,15 @@ def test_evaluate_ner_set_with_one_entity_type_is_one_schema_error_line(runner, 
     assert result.output.count("\n") == 1
 
 
-@pytest.mark.parametrize("change", [
-    {"entities": 5},
-    {"entities": [["Mozart"]]},
-    {"entities": [["Mozart", 5]]},
-    {"entities": ["Mozart"]},
-    {"text": 5},
-    {"text": None},
+@pytest.mark.parametrize("change,message", [
+    ({"entities": 5}, "'entities' must be a list, got 5"),
+    ({"entities": [["Mozart"]]}, "'entities[]' must be a [surface, type] pair, got ['Mozart']"),
+    ({"entities": [["Mozart", 5]]}, "'entities[][]' must be a string, got 5"),
+    ({"entities": ["Mozart"]}, "'entities[]' must be a list, got 'Mozart'"),
+    ({"text": 5}, "'text' must be a string, got 5"),
+    ({"text": None}, "'text' must be a string, got None"),
 ], ids=["entities-number", "pair-of-one", "type-not-string", "pair-not-list", "text-number", "text-null"])
-def test_evaluate_malformed_ner_record_is_one_schema_error_line(runner, tmp_path, change):
+def test_evaluate_malformed_ner_record_is_one_schema_error_line(runner, tmp_path, change, message):
     records = [json.loads(line) for line in (FIXTURES / "eval" / "conll03.jsonl").read_text().splitlines()
                if line.strip()]
     records[2].update(change)
@@ -566,8 +567,7 @@ def test_evaluate_malformed_ner_record_is_one_schema_error_line(runner, tmp_path
     data.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     result = runner.invoke(main, ["evaluate", "--dataset", "conll03", "--data", str(data), "--seed", "5"])
     assert result.exit_code == 1
-    assert result.output == ("schema-error: dataset 'conll03': record 3 needs a string 'text' and "
-                             "'entities' as a list of [surface, type] string pairs\n")
+    assert result.output == f"schema-error: {data}:3: {message}\n"
 
 
 def _report_command(command, out):
@@ -667,6 +667,7 @@ def test_evaluate_unbound_prompt_placeholder_is_render_error(runner, tmp_path):
 
 @pytest.mark.parametrize("answer", [5, "Yes", [1], None])
 def test_evaluate_prompt_whose_answer_rule_is_not_an_object_is_one_schema_error_line(runner, tmp_path, answer):
+    # absent, a prompt has no rule; null is no rule of any kind
     prompts = [{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}", "answer": answer}] * 5
     path = tmp_path / "prompts.json"
     path.write_text(json.dumps(prompts))
@@ -675,8 +676,7 @@ def test_evaluate_prompt_whose_answer_rule_is_not_an_object_is_one_schema_error_
         "--prompts", str(path), "--seed", "1",
     ])
     assert result.exit_code == 1
-    assert result.output.startswith("schema-error: prompt set 'rte': prompt 1 ")
-    assert result.output.count("\n") == 1
+    assert result.output == f"schema-error: {path}: 'rte[].answer' must be an object, got {answer!r}\n"
 
 
 _FAULTS = {"not-utf8": b"\xff\xfe not UTF-8", "not-json": b"{bad", "not-an-object": b"[1]",
@@ -741,13 +741,117 @@ def test_bad_input_file_is_one_schema_error_line(runner, tmp_path, option, fault
     assert result.output.count("\n") == 1
 
 
+# one value of each JSON type
+_OF_JSON_TYPE = {"string": "x", "integer": 7, "number": 1.5, "bool": True, "list": [], "object": {}, "null": None}
+_EXPECTED = {float: "a number", int: "an integer", bool: "true or false"}
+
+
+def _takes(kind) -> set[str]:
+    """The JSON types a value of `kind` may have."""
+    if isinstance(kind, (list, dict)):
+        return {"list" if isinstance(kind, list) else "object"}
+    return {float: {"number", "integer"}, int: {"integer"}, bool: {"bool"}}.get(kind, {"string"})
+
+
+def _expected(kind) -> str:
+    if isinstance(kind, (list, dict)):
+        return "a list" if isinstance(kind, list) else "an object"
+    return _EXPECTED.get(kind, "a string")
+
+
+def _skeleton(kind):
+    """A value of `kind` that its declaration accepts, every key given."""
+    kind = kind[0] if type(kind) is tuple else kind
+    if isinstance(kind, list):
+        return [_skeleton(kind[0])]
+    if type(kind) is OneOf:
+        name = next(iter(kind))
+        return {**_skeleton(kind[name]), "kind": name}
+    if isinstance(kind, dict):
+        return {"k": _skeleton(kind[str])} if str in kind else {key: _skeleton(sub) for key, sub in kind.items()}
+    return {float: 1.0, int: 1, bool: True}.get(kind, "x")
+
+
+def _refused(kind, path: str, place):
+    """(document, message) for every JSON type that `kind`, declared at
+    `path`, refuses in a closed shape, and for everything declared under it,
+    where `place(value)` is the document holding `value` at `path`; and an
+    undeclared key of each object shape."""
+    kind, fallback = kind if type(kind) is tuple else (kind, "")
+    for json_type, value in _OF_JSON_TYPE.items():
+        if json_type not in _takes(kind) and not (value is None and fallback is None):
+            yield place(value), f"'{path}' must be {_expected(kind)}, got {value!r}"
+    if isinstance(kind, list):
+        yield from _refused(kind[0], path + "[]", lambda v: place([v]))
+    elif type(kind) is OneOf:
+        for name, shape in kind.items():
+            # the rule's kind picks its shape
+            yield from _refused_keys(shape, path + ".", lambda d, name=name: place({**d, "kind": name}), "kind")
+    elif isinstance(kind, dict):
+        yield from _refused_keys(kind, path + "." if path else "", place)
+
+
+def _refused_keys(shape, prefix: str, place, skip: str = ""):
+    if str in shape:
+        yield from _refused(shape[str], prefix + "k", lambda v: place({"k": v}))
+        return
+    base = _skeleton(shape)
+    yield place({**base, "undeclared": 1}), f"'{prefix}undeclared' is not a declared key"
+    for key, kind in shape.items():
+        if key != skip:
+            yield from _refused(kind, prefix + key, lambda v, key=key: place({**base, key: v}))
+
+
+def _identity(doc):
+    return doc
+
+
+# per declaration: the command that reads a file of it, where the file's
+# errors are located, and the refused documents with their messages
+_DECLARED = {
+    "mix --spec": (["mix", "--spec", "{file}", "--tuples", "{empty}", "--out", "{out}"], "{file}",
+                   lambda: _refused_keys(MIX_SPEC, "", _identity)),
+    "restructure --templates": (["restructure", "--tuples", "{empty}", "--templates", "{file}", "--out", "{out}"],
+                                "{file}:1", lambda: _refused_keys(TEMPLATE, "", _identity)),
+    # the file is a list of prompts, named by its prompt set
+    "evaluate --prompts": (["evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
+                            "--prompts", "{file}", "--out", "{out}"], "{file}",
+                           lambda: _refused(required([PROMPT]), "rte", _identity)),
+    "grade --paper": (["grade", "--paper", "{file}", "--answers", str(FIXTURES / "gaokao" / "answers_2019_np2_rst.json"),
+                       "--out", "{out}"], "{file}", lambda: _refused_keys(PAPER, "", _identity)),
+    "grade --answers": (["grade", "--paper", str(FIXTURES / "gaokao" / "paper_2019_np2.json"), "--answers", "{file}",
+                         "--out", "{out}"], "{file}", lambda: _refused_keys(ANSWERS, "", _identity)),
+}
+
+
+@pytest.mark.parametrize("option", sorted(_DECLARED))
+def test_every_declared_path_of_every_wrong_json_type_is_one_schema_error_line(runner, tmp_path, option):
+    """Each value of a JSON type its declaration refuses, at every declared
+    path, and an undeclared key in each object: one line naming the file and
+    the path, exit 1, and no output."""
+    args, where, refused = _DECLARED[option]
+    file, empty, out = tmp_path / "input", tmp_path / "empty.tuples", tmp_path / "out"
+    empty.write_text("")
+    names = {"file": file, "empty": empty, "out": out}
+    args = [arg.format(**names) for arg in args]
+    where = where.format(**names)
+    cases = list(refused())
+    assert len(cases) > 10
+    for doc, message in cases:
+        text = json.dumps(doc)
+        file.write_text(text + "\n" if option == "restructure --templates" else text)
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.output) == (1, f"schema-error: {where}: {message}\n"), text
+        assert not out.exists()
+
+
 def test_wrongly_typed_db_entry_is_one_schema_error_line(runner, tmp_path):
     db = tmp_path / "db.jsonl"
     db.write_text('{"surface": "ImageNet", "type": "dataset"}\n{"surface": 5, "type": "task"}\n')
     out = tmp_path / "out"
     result = runner.invoke(main, ["extract", "--mine", "paperswithcode", "--in",
                                   str(FIXTURES / "mines" / "paperswithcode.jsonl"), "--db", str(db), "--out", str(out)])
-    assert (result.exit_code, result.output) == (1, f"schema-error: {db}: 'surface' must be a string, got 5\n")
+    assert (result.exit_code, result.output) == (1, f"schema-error: {db}:2: 'surface' must be a string, got 5\n")
     assert not out.exists()
 
 
@@ -767,41 +871,32 @@ def test_evaluate_with_the_bundled_family_prompts_reproduces_the_default_report(
     assert custom.output == default.output
 
 
+_RTE_PROMPT = {"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}"}
+
+
 @pytest.mark.parametrize("prompts,message", [
-    ([1, 2, 3, 4, 5], "prompt set 'rte': prompt 1 needs a string 'source' and 'target'"),
-    ([{"source": "x"}] * 5, "prompt set 'rte': prompt 1 needs a string 'source' and 'target'"),
-    ({"sets": {}, "datasets": {}}, "prompt set 'rte' must be a list of 5 prompts"),
-    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
-       "answer": {"kind": "cond", "field": "label", "cases": [5]}}] * 5,
-     "prompt set 'rte': prompt 1 has an answer case without a string 'value' and 'literal'"),
-    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
-       "answer": {"kind": "cond", "field": "label", "cases": [{"negate": False}]}}] * 5,
-     "prompt set 'rte': prompt 1 has an answer case without a string 'value' and 'literal'"),
-    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
-       "answer": {"kind": "cond", "cases": [{"literal": "yes", "value": "Yes"}]}}] * 5,
-     "prompt set 'rte': prompt 1 has a 'cond' answer rule without a string 'field'"),
-    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
-       "answer": {"kind": "cond", "field": "label"}}] * 5,
-     "prompt set 'rte': prompt 1 has a 'cond' answer rule whose 'cases' is not a list"),
-    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
-       "answer": {"kind": "cond", "field": "label", "cases": [{"literal": "yes", "value": "Yes",
-                                                               "negate": "no"}]}}] * 5,
-     "prompt set 'rte': prompt 1 has an answer case whose 'negate' is not true or false"),
-    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
-       "answer": {"kind": "const"}}] * 5,
-     "prompt set 'rte': prompt 1 has a 'const' answer rule without a string 'value'"),
-    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
-       "answer": {"kind": "presence", "present": "Yes"}}] * 5,
-     "prompt set 'rte': prompt 1 has a 'presence' answer rule without a string 'present' and 'absent'"),
-    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
-       "answer": {"kind": "presence", "present": "Yes", "absent": "No", "field": 5}}] * 5,
-     "prompt set 'rte': prompt 1 has a 'presence' answer rule without a string 'present' and 'absent' "
-     "and 'field'"),
-    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}",
-       "answer": {"kind": "lookup"}}] * 5,
-     "prompt set 'rte': prompt 1 has an answer rule that is not a const, presence or cond object"),
-    ([{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}", "answer": [1]}] * 5,
-     "prompt set 'rte': prompt 1 has an answer rule that is not a const, presence or cond object"),
+    ([1, 2, 3, 4, 5], "'rte[]' must be an object, got 1"),
+    ([{"source": "x"}] * 5, "'rte[].target' must be a string, got nothing"),
+    ({"sets": {}, "datasets": {}}, "'rte' must be a list, got {'datasets': {}, 'sets': {}}"),
+    ([{**_RTE_PROMPT, "answer": {"kind": "cond", "field": "label", "cases": [5]}}] * 5,
+     "'rte[].answer.cases[]' must be an object, got 5"),
+    ([{**_RTE_PROMPT, "answer": {"kind": "cond", "field": "label", "cases": [{"negate": False}]}}] * 5,
+     "'rte[].answer.cases[].literal' must be a string, got nothing"),
+    ([{**_RTE_PROMPT, "answer": {"kind": "cond", "cases": [{"literal": "yes", "value": "Yes"}]}}] * 5,
+     "'rte[].answer.field' must be a string, got nothing"),
+    ([{**_RTE_PROMPT, "answer": {"kind": "cond", "field": "label"}}] * 5,
+     "'rte[].answer.cases' must be a list, got nothing"),
+    ([{**_RTE_PROMPT, "answer": {"kind": "cond", "field": "label",
+                                 "cases": [{"literal": "yes", "value": "Yes", "negate": "no"}]}}] * 5,
+     "'rte[].answer.cases[].negate' must be true or false, got 'no'"),
+    ([{**_RTE_PROMPT, "answer": {"kind": "const"}}] * 5, "'rte[].answer.value' must be a string, got nothing"),
+    ([{**_RTE_PROMPT, "answer": {"kind": "presence", "present": "Yes"}}] * 5,
+     "'rte[].answer.absent' must be a string, got nothing"),
+    ([{**_RTE_PROMPT, "answer": {"kind": "presence", "present": "Yes", "absent": "No", "field": 5}}] * 5,
+     "'rte[].answer.field' must be a string, got 5"),
+    ([{**_RTE_PROMPT, "answer": {"kind": "lookup"}}] * 5,
+     "'rte[].answer.kind' must be one of 'const', 'presence', 'cond', got 'lookup'"),
+    ([{**_RTE_PROMPT, "answer": [1]}] * 5, "'rte[].answer' must be an object, got [1]"),
 ], ids=["not-objects", "no-target", "prompt-document", "case-not-object", "case-without-value",
         "cond-without-field", "cond-without-cases", "negate-not-boolean", "const-without-value",
         "presence-without-absent", "presence-field-not-string", "unknown-kind", "rule-not-object"])
@@ -813,7 +908,7 @@ def test_evaluate_wrongly_shaped_prompts_file_is_one_schema_error_line(runner, t
         "--prompts", str(path),
     ])
     assert result.exit_code == 1
-    assert result.output == f"schema-error: {message}\n"
+    assert result.output == f"schema-error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize("command,option", [
@@ -988,56 +1083,52 @@ _RT_TUPLE = {"v": "1", "signal_type": "rotten_tomatoes_sentiment", "source_doc":
              "fields": {"review": "A fine film.", "sentiment": "positive"}}
 
 
+_RT_ENTRY = {"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}
+
+
+# <spec> stands for the spec file's path
 @pytest.mark.parametrize("spec,tuple_record,message", [
     ({"entries": [{"signal_type": "rotten_tomatoes_sentiment"}]}, _RT_TUPLE,
-     "mix spec entry missing key: 'family'"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "stage": "x"}]},
-     _RT_TUPLE, "mix spec: 'stage' must be an integer, got 'x'"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "stage": 1.7}]},
-     _RT_TUPLE, "mix spec: 'stage' must be an integer, got 1.7"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "cap": 2.5}]},
-     _RT_TUPLE, "mix spec: 'cap' must be an integer, got 2.5"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "cap": True}]},
-     _RT_TUPLE, "mix spec: 'cap' must be an integer, got True"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation",
-                   "per_category_cap": 1.0}]},
-     _RT_TUPLE, "mix spec: 'per_category_cap' must be an integer, got 1.0"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation",
-                   "composition": {"positive": 1.5}}]},
-     _RT_TUPLE, "mix spec: composition count for 'positive' must be an integer, got 1.5"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "global_seed": False},
-     _RT_TUPLE, "mix spec: 'global_seed' must be an integer, got False"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "weight": True}]},
-     _RT_TUPLE, "mix spec: 'weight' must be a number, got True"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "weight": "1"}]},
-     _RT_TUPLE, "mix spec: 'weight' must be a number, got '1'"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "split_ratio": "0.5"},
-     _RT_TUPLE, "mix spec: 'split_ratio' must be a number, got '0.5'"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "split_ratio": False},
-     _RT_TUPLE, "mix spec: 'split_ratio' must be a number, got False"),
+     "<spec>: 'entries[].family' must be a string, got nothing"),
+    ({"entries": [{**_RT_ENTRY, "stage": "x"}]}, _RT_TUPLE, "<spec>: 'entries[].stage' must be an integer, got 'x'"),
+    ({"entries": [{**_RT_ENTRY, "stage": 1.7}]}, _RT_TUPLE, "<spec>: 'entries[].stage' must be an integer, got 1.7"),
+    ({"entries": [{**_RT_ENTRY, "cap": 2.5}]}, _RT_TUPLE, "<spec>: 'entries[].cap' must be an integer, got 2.5"),
+    ({"entries": [{**_RT_ENTRY, "cap": True}]}, _RT_TUPLE, "<spec>: 'entries[].cap' must be an integer, got True"),
+    ({"entries": [{**_RT_ENTRY, "per_category_cap": 1.0}]},
+     _RT_TUPLE, "<spec>: 'entries[].per_category_cap' must be an integer, got 1.0"),
+    ({"entries": [{**_RT_ENTRY, "composition": {"positive": 1.5}}]},
+     _RT_TUPLE, "<spec>: 'entries[].composition.positive' must be an integer, got 1.5"),
+    ({"entries": [_RT_ENTRY], "global_seed": False},
+     _RT_TUPLE, "<spec>: 'global_seed' must be an integer, got False"),
+    ({"entries": [{**_RT_ENTRY, "weight": True}]}, _RT_TUPLE, "<spec>: 'entries[].weight' must be a number, got True"),
+    ({"entries": [{**_RT_ENTRY, "weight": "1"}]}, _RT_TUPLE, "<spec>: 'entries[].weight' must be a number, got '1'"),
+    ({"entries": [_RT_ENTRY], "split_ratio": "0.5"}, _RT_TUPLE, "<spec>: 'split_ratio' must be a number, got '0.5'"),
+    ({"entries": [_RT_ENTRY], "split_ratio": False}, _RT_TUPLE, "<spec>: 'split_ratio' must be a number, got False"),
     # the NaN entry names no template group that exists: it once rendered nothing, without a word
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "weight": float("nan"),
-                   "template_group": "no_such_group"}]},
-     _RT_TUPLE, "mix spec: 'weight' must be a finite number, got nan"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "weight": float("inf")}]},
-     _RT_TUPLE, "mix spec: 'weight' must be a finite number, got inf"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "weight": 10 ** 400}]},
-     _RT_TUPLE, "mix spec: int too large to convert to float"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "split_ratio": float("nan")},
-     _RT_TUPLE, "mix spec: 'split_ratio' must be a finite number, got nan"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "split_ratio": float("-inf")},
-     _RT_TUPLE, "mix spec: 'split_ratio' must be a finite number, got -inf"),
-    ({"entries": [{"signal_type": 5, "family": "generation"}]},
-     _RT_TUPLE, "mix spec: 'signal_type' must be a string, got 5"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": ["generation"]}]},
-     _RT_TUPLE, "mix spec: 'family' must be a string, got ['generation']"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}], "name": 5},
-     _RT_TUPLE, "mix spec: 'name' must be a string, got 5"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation", "template_group": 5}]},
-     _RT_TUPLE, "mix spec: 'template_group' must be a string, got 5"),
-    ({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation",
-                   "composition": {"positive": 1}, "composition_key": 5}]},
-     _RT_TUPLE, "mix spec: 'composition_key' must be a string, got 5"),
+    ({"entries": [{**_RT_ENTRY, "weight": float("nan"), "template_group": "no_such_group"}]},
+     _RT_TUPLE, "mix weight must be a finite number >= 0, got nan"),
+    ({"entries": [{**_RT_ENTRY, "weight": float("inf")}]},
+     _RT_TUPLE, "mix weight must be a finite number >= 0, got inf"),
+    ({"entries": [{**_RT_ENTRY, "weight": 10 ** 400}]},
+     _RT_TUPLE, "<spec>: 'entries[].weight' must be a number, got 100000000000000000...0000000000000000000"),
+    ({"entries": [_RT_ENTRY], "split_ratio": float("nan")}, _RT_TUPLE, "split_ratio must be in [0, 1)"),
+    ({"entries": [_RT_ENTRY], "split_ratio": float("-inf")}, _RT_TUPLE, "split_ratio must be in [0, 1)"),
+    ({"entries": [{**_RT_ENTRY, "signal_type": 5}]},
+     _RT_TUPLE, "<spec>: 'entries[].signal_type' must be a string, got 5"),
+    ({"entries": [{**_RT_ENTRY, "family": ["generation"]}]},
+     _RT_TUPLE, "<spec>: 'entries[].family' must be a string, got ['generation']"),
+    ({"entries": [_RT_ENTRY], "name": 5}, _RT_TUPLE, "<spec>: 'name' must be a string, got 5"),
+    ({"entries": [{**_RT_ENTRY, "template_group": 5}]},
+     _RT_TUPLE, "<spec>: 'entries[].template_group' must be a string, got 5"),
+    ({"entries": [{**_RT_ENTRY, "composition": {"positive": 1}, "composition_key": 5}]},
+     _RT_TUPLE, "<spec>: 'entries[].composition_key' must be a string, got 5"),
+    ({"entries": 5}, _RT_TUPLE, "<spec>: 'entries' must be a list, got 5"),
+    ({"entries": [{**_RT_ENTRY, "composition": [1, 2]}]},
+     _RT_TUPLE, "<spec>: 'entries[].composition' must be an object, got [1, 2]"),
+    ({"entries": [{**_RT_ENTRY, "per_categroy_cap": 5}]},
+     _RT_TUPLE, "<spec>: 'entries[].per_categroy_cap' is not a declared key"),
+    ({"entries": [_RT_ENTRY], "split_ratoi": 0.5}, _RT_TUPLE, "<spec>: 'split_ratoi' is not a declared key"),
+    ({"entries": [_RT_ENTRY], "global_seed": -1}, _RT_TUPLE, "global_seed must be >= 0, got -1"),
     (None, {**_RT_TUPLE, "fields": ["A fine film.", "positive"]},
      "tuple record 'fields' and 'meta' must be objects"),
     (None, {**_RT_TUPLE, "meta": "x"}, "tuple record 'fields' and 'meta' must be objects"),
@@ -1048,7 +1139,8 @@ _RT_TUPLE = {"v": "1", "signal_type": "rotten_tomatoes_sentiment", "source_doc":
         "weight-a-string", "split-ratio-a-string", "split-ratio-a-bool", "weight-nan", "weight-infinity",
         "weight-beyond-float-range", "split-ratio-nan", "split-ratio-minus-infinity", "signal-type-a-number",
         "family-a-list", "name-a-number", "template-group-a-number", "composition-key-a-number",
-        "fields-not-object",
+        "entries-a-number", "composition-a-list", "misspelt-entry-key", "misspelt-spec-key",
+        "global-seed-negative", "fields-not-object",
         "meta-not-object", "field-not-a-string"])
 def test_mix_malformed_spec_entry_or_tuple_record_is_one_schema_error_line(runner, tmp_path, spec,
                                                                          tuple_record, message):
@@ -1059,7 +1151,7 @@ def test_mix_malformed_spec_entry_or_tuple_record_is_one_schema_error_line(runne
     result = runner.invoke(main, ["mix", "--spec", str(spec_path), "--tuples", str(tuples),
                                   "--out", str(tmp_path / "b")])
     assert result.exit_code == 1
-    assert result.output == f"schema-error: {message}\n"
+    assert result.output == f"schema-error: {message.replace('<spec>', str(spec_path))}\n"
 
 
 def test_spec_hash_ignores_the_seed(runner, tmp_path):

@@ -8,20 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from signalmine import normalizer
 from signalmine.normalizer import (
-    GATE,
-    TEXT,
     DetectorError,
     ENGLISH_THRESHOLD,
-    FieldError,
     is_english,
     normalize_whitespace,
     purify,
-    read,
     strip_non_ascii,
     trigram_detector,
     truncate_words,
     word_count,
 )
+from signalmine.signal_model import GATE, TEXT, FieldError, read
 from signalmine.wordlists import COMMON_WORDS
 
 

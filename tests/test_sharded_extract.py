@@ -23,9 +23,8 @@ from signalmine import extractors, shards
 from signalmine.cli import main
 from signalmine.dataset_io import write_files_atomic
 from signalmine.extractors import extract_documents, read_jsonl
-from signalmine.normalizer import TEXT
 from signalmine.report import ExtractionReport
-from signalmine.signal_model import SchemaError
+from signalmine.signal_model import TEXT, SchemaError
 from signalmine.shards import Spill, shard_plan
 
 from conftest import FIXTURES, always_english, extract_lines

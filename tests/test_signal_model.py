@@ -10,13 +10,18 @@ from signalmine.signal_model import (
     CATALOG,
     FAMILIES,
     TASK_SIGNAL_IDS,
+    FieldError,
     MixEntry,
     MixSpec,
+    OneOf,
     SchemaError,
     SignalTuple,
+    default,
     dump_tuples,
     load_tuples,
     mixspec_from_record,
+    read,
+    required,
     validate_tuple,
 )
 
@@ -188,3 +193,42 @@ def test_every_preset_round_trips_through_its_dataclass_fields():
     for preset in presets:
         spec = mixspec_from_record(json.loads(preset.read_text("utf-8")))
         assert mixspec_from_record(dataclasses.asdict(spec)) == spec
+
+
+_RULE = OneOf(a={"kind": str, "x": required(int)}, b={"kind": str, "y": bool})
+_SHAPE = {"i": int, "b": bool, "m": {str: int}, "r": required(str), "d": default(float, 1.0),
+          "n": default(str, None), "s": [str], "u": _RULE}
+
+
+def test_read_kinds_for_declared_inputs():
+    doc = {"i": 3, "b": False, "m": {"p": 1, "q": 2}, "r": "x", "d": 2, "n": "", "s": ("", "t"),
+           "u": {"kind": "a", "x": 4}}
+    assert read(doc, _SHAPE, closed=True) == {"i": 3, "b": False, "m": {"p": 1, "q": 2}, "r": "x", "d": 2.0,
+                                              "n": "", "s": ["", "t"], "u": {"kind": "a", "x": 4}}
+    # absent keys read as their kind's or their declared default; null, in an open shape, as absent
+    empty = {"i": None, "b": False, "m": {}, "r": "x", "d": 1.0, "n": None, "s": [], "u": None}
+    assert read({"r": "x"}, _SHAPE, closed=True) == read({"r": "x", "i": None, "d": None, "u": None}, _SHAPE) == empty
+    assert read({"r": "x", "n": None}, _SHAPE, closed=True)["n"] is None
+    assert read({"r": "x", "u": {"kind": "b"}}, _SHAPE)["u"] == {"kind": "b", "y": False}
+    for doc, closed, message in [
+        ({}, False, "'r' must be a string, got nothing"),
+        ({"r": None}, False, "'r' must be a string, got None"),
+        ({"r": "x", "i": True}, False, "'i' must be an integer, got True"),
+        ({"r": "x", "i": 1.0}, False, "'i' must be an integer, got 1.0"),
+        ({"r": "x", "b": 0}, False, "'b' must be true or false, got 0"),
+        ({"r": "x", "m": {"p": "1"}}, False, "'m.p' must be an integer, got '1'"),
+        ({"r": "x", "u": {"kind": "c"}}, False, "'u.kind' must be one of 'a', 'b', got 'c'"),
+        ({"r": "x", "u": {"x": 1}}, False, "'u.kind' must be one of 'a', 'b', got None"),
+        ({"r": "x", "u": {"kind": "a"}}, False, "'u.x' must be an integer, got nothing"),
+        ({"r": "x", "u": {"kind": "b", "x": 1}}, True, "'u.x' is not a declared key"),
+        ({"r": "x", "extra": 1}, True, "'extra' is not a declared key"),
+        # in a closed shape, null is a value, read only where the declared default is None
+        ({"r": "x", "i": None}, True, "'i' must be an integer, got None"),
+        ({"r": "x", "d": None}, True, "'d' must be a number, got None"),
+        ({"r": "x", "u": None}, True, "'u' must be an object, got None"),
+        ({"r": "x", "m": {"p": None}}, True, "'m.p' must be an integer, got None"),
+        ({"r": "x", "s": ["t", None]}, True, "'s[]' must be a string, got None"),
+    ]:
+        with pytest.raises(FieldError) as caught:
+            read(doc, _SHAPE, closed=closed)
+        assert str(caught.value) == message
