@@ -427,6 +427,9 @@ def test_registry_rejects_malformed_templates(tmp_path):
         ({"requires": {"meta_list_min": {"c": True}}}, "'requires.meta_list_min.c' must be an integer, got True"),
         ({"requires": {"meta_list_min": [2]}}, "'requires.meta_list_min' must be an object, got [2]"),
         ({"requires": {"bogus": 1}}, "'requires.bogus' is not a declared key"),
+        # an unhashable kind once escaped as a TypeError
+        ({"answer": {"kind": ["const"], "value": "x"}},
+         "'answer.kind' must be one of 'const', 'presence', 'cond', got ['const']"),
         ({"slots": 5}, "'slots' must be an object, got 5"),
         ({"slots": {"x": 5}}, "'slots.x' must be a string, got 5"),
         ({"extra": 1}, "'extra' is not a declared key"),
