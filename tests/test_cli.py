@@ -777,9 +777,10 @@ def _refused(kind, path: str, place):
     `path`, refuses in a closed shape, and for everything declared under it,
     where `place(value)` is the document holding `value` at `path`; and an
     undeclared key of each object shape."""
-    kind, fallback = kind if type(kind) is tuple else (kind, "")
+    nullable = type(kind) is tuple and kind[1] is None  # a declared default of None
+    kind = kind[0] if type(kind) is tuple else kind
     for json_type, value in _OF_JSON_TYPE.items():
-        if json_type not in _takes(kind) and not (value is None and fallback is None):
+        if json_type not in _takes(kind) and not (value is None and nullable):
             yield place(value), f"'{path}' must be {_expected(kind)}, got {value!r}"
     if isinstance(kind, list):
         yield from _refused(kind[0], path + "[]", lambda v: place([v]))
