@@ -74,6 +74,10 @@ class _Commands(click.Group):
             _fail(exc)
 
 
+# a --config file: its seed, if any; nothing else is read (open)
+CONFIG = {"seed": int}
+
+
 def _seed_option(default: int | None = 0, fallback: str = "0"):
     # click resolves --seed, then the environment, then ctx.default_map (the
     # config file), then `default`
@@ -91,13 +95,11 @@ def main(ctx: click.Context, config_path: str | None) -> None:
     if not config_path:
         return
     try:
-        config = read_json(config_path)
+        seed = read_json(config_path, build=lambda doc: read(doc, CONFIG))["seed"]
     except (OSError, SchemaError) as exc:
         raise click.UsageError(f"bad config file: {exc}") from exc
-    if "seed" in config:
-        if isinstance(config["seed"], (bool, float)):  # click's INT would truncate them
-            raise click.UsageError(f"bad config file: seed {json.dumps(config['seed'])} is not an integer")
-        ctx.default_map = {name: {"seed": config["seed"]} for name in ctx.command.commands}
+    if seed is not None:
+        ctx.default_map = {name: {"seed": seed} for name in ctx.command.commands}
 
 
 @main.command()

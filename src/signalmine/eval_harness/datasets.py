@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Sequence
 from ..restructurer.render import format_options
 from ..restructurer.templates import PROMPT, answer_value, load_eval_prompts, rule_options, substitute
 from ..rng import derive_rng
-from ..signal_model import FieldError, SchemaError, as_declared, read, read_json, required
+from ..signal_model import FieldError, SchemaError, read, read_json, required
 from .mc import score_mc
 from .ner import eval_two_step_ner, micro_f1
 from .scorers import ModelScorer, ScorerError, prefetch
@@ -94,13 +94,13 @@ def summarize(dataset: str, metric: str, per_prompt: Sequence[float]) -> EvalRep
 def _candidates_and_gold(
     prompt: Mapping, record: Mapping, view: Mapping[str, str], spaces: Mapping[str, list[str]]
 ) -> tuple[list[str], str]:
-    rule = prompt.get("answer")
+    rule = prompt["answer"]
     if rule:
         options = rule_options(rule)
         return options, answer_value(rule, view)
     target_name = prompt["target"].strip("{}")
     gold = view.get(target_name, "")
-    options = [str(o) for o in record.get("options", [])] or list(spaces.get(target_name, []))
+    options = record.get("options") or list(spaces.get(target_name, []))
     return options, gold
 
 
@@ -114,10 +114,10 @@ def subsample(records: list, cap: int, seed: int) -> list:
 
 def load_prompts(path: str, dataset: str) -> list:
     """The prompts of the JSON list in `path`, which replace `dataset`'s
-    set, checked against PROMPT (closed) and kept as written. A refused one
-    is named from the set: '<dataset>[].answer.kind'."""
-    check = as_declared({dataset: required([PROMPT])})
-    return read_json(path, object_only=False, build=lambda doc: check({dataset: doc})[dataset])
+    set, read through PROMPT (closed). A refused one is named from the set:
+    '<dataset>[].answer.kind'."""
+    shape = {dataset: required([PROMPT])}
+    return read_json(path, object_only=False, build=lambda doc: read({dataset: doc}, shape, closed=True)[dataset])
 
 
 # an entity-recognition record: its text and its [surface, type] pairs
@@ -133,10 +133,19 @@ def read_ner_record(rec: Mapping) -> dict:
     return values
 
 
+# a record of an option-scored set: the candidate answers it lists, if any
+OPTION_RECORD = {"options": [str]}
+
+
+def read_option_record(rec: Mapping) -> Mapping:
+    """`rec`, its `options` read through OPTION_RECORD if it has the key."""
+    return {**rec, **read(rec, OPTION_RECORD)} if "options" in rec else rec
+
+
 def record_reader(dataset: str) -> Callable[[Mapping], Mapping] | None:
     """How `eval_dataset` needs each record of `dataset` read, if at all."""
     key = load_eval_prompts()["datasets"].get(dataset, dataset)
-    return read_ner_record if FAMILY_METRICS.get(key) == "micro_f1" else None
+    return {"micro_f1": read_ner_record, "accuracy": read_option_record}.get(FAMILY_METRICS.get(key, "accuracy"))
 
 
 def eval_dataset(
@@ -167,7 +176,7 @@ def eval_dataset(
         type_prompts = doc["sets"].get("ner_type")
         if not type_prompts or len(type_prompts) != len(prompts):
             raise SchemaError("entity-typing prompt set missing or mismatched")
-        type_labels = sorted({t for rec in records for _, t in rec.get("entities", [])})
+        type_labels = sorted({t for rec in records for _, t in rec["entities"]})
         if not type_labels:
             raise SchemaError("entity records carry no type labels")
         if len(type_labels) < 2:
@@ -186,7 +195,7 @@ def eval_dataset(
                     prompt["source"],
                     type_prompts[i]["source"],
                 )
-                gold = [(s, t) for s, t in rec.get("entities", [])]
+                gold = [(s, t) for s, t in rec["entities"]]
                 pairs.append((predicted, gold))
             per_prompt.append(micro_f1(pairs))
         return summarize(dataset, metric, per_prompt)
@@ -196,7 +205,7 @@ def eval_dataset(
     spaces: dict[str, list[str]] = {}
     if metric == "accuracy":
         for prompt in prompts:
-            if prompt.get("answer"):
+            if prompt["answer"]:
                 continue
             name = prompt["target"].strip("{}")
             if name not in spaces:

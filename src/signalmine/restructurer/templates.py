@@ -19,8 +19,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from ..signal_model import (CATALOG, LIST_SEP, NO_ENTITIES, OneOf, SchemaError, SignalTuple, as_declared,
-                            json_lines, read, read_json, required)
+from ..signal_model import (CATALOG, LIST_SEP, NO_ENTITIES, OneOf, SchemaError, SignalTuple, default, json_lines,
+                            read, read_json, required)
 
 PLACEHOLDER_RE = re.compile(r"\{([A-Za-z0-9_]+)\}")
 OPTION_SLOT_RE = re.compile(r"^(.*)_(with|without)_or$")
@@ -98,39 +98,34 @@ def substitute(pattern: str, bindings: Mapping[str, str]) -> str:
 
 
 def answer_value(rule: Mapping, values: Mapping[str, str]) -> str:
-    """The answer a rule gives for a record's field values; a `cond` rule
-    whose field is missing, or whose cases all miss, raises `RenderError`."""
-    kind = rule.get("kind")
+    """The answer a rule read through RULE gives for a record's field values;
+    a `cond` rule whose field is missing, or whose cases all miss, raises
+    `RenderError`."""
+    kind = rule["kind"]
     if kind == "const":
         return rule["value"]
     if kind == "presence":
-        raw = values.get(rule.get("field", "entities")) or ""
-        present = bool(raw) and raw != NO_ENTITIES
-        return rule["present"] if present else rule["absent"]
-    if kind == "cond":
-        value = values.get(rule["field"])
-        if value is None:
-            raise RenderError(f"answer rule needs field '{rule['field']}'")
-        for case in rule["cases"]:
-            if case.get("negate"):
-                if value != case["literal"]:
-                    return case["value"]
-            elif value == case["literal"]:
-                return case["value"]
-        raise RenderError(f"answer rule has no case for value '{value}'")
-    raise SchemaError(f"unknown answer rule kind: {kind}")
+        raw = values.get(rule["field"])
+        return rule["present"] if raw and raw != NO_ENTITIES else rule["absent"]
+    value = values.get(rule["field"])  # a `cond` rule
+    if value is None:
+        raise RenderError(f"answer rule needs field '{rule['field']}'")
+    for case in rule["cases"]:
+        if (value == case["literal"]) != case["negate"]:
+            return case["value"]
+    raise RenderError(f"answer rule has no case for value '{value}'")
 
 
 # the shape of an answer rule of each kind, as `answer_value` reads it
 RULE = OneOf(
     const={"kind": str, "value": required(str)},
-    presence={"kind": str, "present": required(str), "absent": required(str), "field": str},
+    presence={"kind": str, "present": required(str), "absent": required(str), "field": default(str, "entities")},
     cond={"kind": str, "field": required(str),
           "cases": required([{"literal": required(str), "value": required(str), "negate": bool}])},
 )
 
-# an evaluation prompt
-PROMPT = {"source": required(str), "target": required(str), "answer": RULE}
+# an evaluation prompt; a null answer is none, so a prompt read reads back the same
+PROMPT = {"source": required(str), "target": required(str), "answer": default(RULE, None)}
 
 
 def rule_options(rule: Mapping) -> list[str]:
@@ -167,40 +162,38 @@ class PromptTemplate:
         return bases
 
     def applies_to(self, tup: SignalTuple) -> bool:
-        if not self.requires:
+        """Whether `tup` meets the template's `requires`, as TEMPLATE reads it."""
+        if self.requires is None:
             return True
-        meta_equals = self.requires.get("meta_equals", {})
-        for key, value in meta_equals.items():
+        for key, value in self.requires["meta_equals"].items():
             if tup.extraction_meta.get(key) != value:
                 return False
-        for key in self.requires.get("meta_nonempty", ()):
+        for key in self.requires["meta_nonempty"]:
             if not tup.extraction_meta.get(key):
                 return False
-        for fname, minimum in self.requires.get("field_list_min", {}).items():
+        for fname, minimum in self.requires["field_list_min"].items():
             raw = tup.get(fname) or ""
-            if len([v for v in raw.split(LIST_SEP) if v]) < int(minimum):
+            if len([v for v in raw.split(LIST_SEP) if v]) < minimum:
                 return False
-        for key, minimum in self.requires.get("meta_list_min", {}).items():
+        for key, minimum in self.requires["meta_list_min"].items():
             raw = tup.extraction_meta.get(key, "")
-            if len([v for v in raw.split(LIST_SEP) if v]) < int(minimum):
+            if len([v for v in raw.split(LIST_SEP) if v]) < minimum:
                 return False
         return True
 
 
-# a catalog line
+# a catalog line; an absent or null `answer` or `requires` reads as None
 TEMPLATE = {
     "id": required(str), "signal_type": required(str), "family": required(str), "group": str,
-    "source": required(str), "target": required(str), "answer": RULE,
-    "requires": {"meta_equals": {str: str}, "meta_nonempty": [str], "field_list_min": {str: int},
-                 "meta_list_min": {str: int}},
+    "source": required(str), "target": required(str), "answer": default(RULE, None),
+    "requires": default({"meta_equals": {str: str}, "meta_nonempty": [str], "field_list_min": {str: int},
+                         "meta_list_min": {str: int}}, None),
     "slots": {str: str},
 }
 
 
 def template_from_record(rec: Mapping) -> PromptTemplate:
-    """The template of a catalog line, read through TEMPLATE (closed). Its
-    answer rule and requirements are kept as the line states them, the
-    objects the renderer and `applies_to` read by key."""
+    """The template of a catalog line, read through TEMPLATE (closed)."""
     values = read(rec, TEMPLATE, closed=True)
     return PromptTemplate(
         template_id=values["id"],
@@ -209,8 +202,8 @@ def template_from_record(rec: Mapping) -> PromptTemplate:
         group=values["group"],
         source_pattern=values["source"],
         target_pattern=values["target"],
-        answer=rec.get("answer"),
-        requires=rec.get("requires"),
+        answer=values["answer"],
+        requires=values["requires"],
         slots=values["slots"],
     )
 
@@ -336,14 +329,18 @@ def load_manifest() -> dict:
     return read_json(_data_file("registry_manifest.json"))
 
 
+# the exam prompts: per question kind, its source and target patterns
+GAOKAO_PROMPTS = {str: {"source": required(str), "target": required(str)}}
+# the evaluation prompts: each dataset's prompt family, and each family's prompt set
+EVAL_PROMPTS = {"datasets": {str: str}, "sets": {str: [PROMPT]}}
+
+
 def load_gaokao_prompts() -> dict:
-    return read_json(_data_file("gaokao_prompts.json"),
-                     build=as_declared({str: {"source": required(str), "target": required(str)}}))
+    return read_json(_data_file("gaokao_prompts.json"), build=lambda doc: read(doc, GAOKAO_PROMPTS, closed=True))
 
 
 def load_eval_prompts() -> dict:
-    return read_json(_data_file("eval_prompts.json"),
-                     build=as_declared({"datasets": {str: str}, "sets": {str: [PROMPT]}}))
+    return read_json(_data_file("eval_prompts.json"), build=lambda doc: read(doc, EVAL_PROMPTS, closed=True))
 
 
 def audit(registry: PromptRegistry) -> dict:

@@ -140,15 +140,6 @@ def read(doc: Mapping, shape: Mapping, gate: list[str] | None = None, closed: bo
     return _object(doc, shape, "", gate, closed)
 
 
-def as_declared(shape: Mapping) -> Callable:
-    """A `read_json` build that checks a document against the closed
-    `shape` and keeps it as written."""
-    def build(doc):
-        read(doc, shape, closed=True)
-        return doc
-    return build
-
-
 def _object(doc: Mapping, shape: Mapping, prefix: str, gate, closed: bool) -> dict:
     kind = shape.get(str)
     if kind is not None:  # free keys
@@ -430,18 +421,19 @@ class MixEntry:
     composition_key: str | None = None  # field/meta key the composition counts
 
     def __post_init__(self) -> None:
+        # each refusal names the key as a spec file holds it
         if self.signal_type not in CATALOG:
-            raise SchemaError(f"unknown signal type in mix entry: {self.signal_type}")
+            raise FieldError(f"'entries[].signal_type' must be a catalog signal type, got {self.signal_type!r}")
         if self.family not in FAMILIES:
-            raise SchemaError(f"unknown family in mix entry: {self.family}")
+            raise FieldError(f"'entries[].family' must be one of {', '.join(map(repr, FAMILIES))}, "
+                             f"got {self.family!r}")
         if not 0 <= self.weight < math.inf:  # false for NaN too
-            raise SchemaError(f"mix weight must be a finite number >= 0, got {self.weight!r}")
-        if self.cap is not None and self.cap <= 0:
-            raise SchemaError("cap must be positive when given")
-        if self.per_category_cap is not None and self.per_category_cap <= 0:
-            raise SchemaError("per_category_cap must be positive when given")
+            raise FieldError(f"'entries[].weight' must be a finite number >= 0, got {self.weight!r}")
+        for key, cap in (("cap", self.cap), ("per_category_cap", self.per_category_cap)):
+            if cap is not None and cap <= 0:
+                raise FieldError(f"'entries[].{key}' must be positive, got {cap}")
         if self.stage < 1:
-            raise SchemaError("stage must be >= 1")
+            raise FieldError(f"'entries[].stage' must be >= 1, got {self.stage}")
 
 
 @dataclass(frozen=True)
@@ -452,24 +444,22 @@ class MixSpec:
     name: str = "mix"
 
     def __post_init__(self) -> None:
-        if not self.entries:
-            raise SchemaError("mix spec has no entries")
         if not any(e.weight > 0 for e in self.entries):
-            raise SchemaError("mix spec needs at least one entry with weight > 0")
+            raise FieldError("'entries' must hold an entry of weight > 0")
         if not (0 <= self.split_ratio < 1):
-            raise SchemaError("split_ratio must be in [0, 1)")
+            raise FieldError(f"'split_ratio' must be in [0, 1), got {self.split_ratio!r}")
         if self.global_seed < 0:
-            raise SchemaError(f"global_seed must be >= 0, got {self.global_seed}")
-        stages = sorted({e.stage for e in self.entries})
+            raise FieldError(f"'global_seed' must be >= 0, got {self.global_seed}")
+        stages = self.stages
         if stages != list(range(1, len(stages) + 1)):
-            raise SchemaError(f"stages must be contiguous from 1, got {stages}")
+            raise FieldError(f"'entries[].stage' values must be contiguous from 1, got {stages}")
 
     @property
     def stages(self) -> list[int]:
         return sorted({e.stage for e in self.entries})
 
 
-# a mix spec file; `MixEntry` and `MixSpec` check the values' ranges
+# a mix spec file; `MixEntry` and `MixSpec` check the values' ranges, naming the key
 MIX_ENTRY = {
     "signal_type": required(str), "family": required(str), "weight": default(float, 1.0),
     "cap": default(int, None), "per_category_cap": default(int, None), "stage": default(int, 1),

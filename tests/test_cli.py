@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from signalmine.cli import main
+from signalmine.cli import CONFIG, main
 from signalmine.dataset_io import write_bundle
+from signalmine.eval_harness.datasets import OPTION_RECORD
 from signalmine.eval_harness.gaokao import ANSWERS, PAPER
 from signalmine.restructurer.templates import PROMPT, TEMPLATE, load_eval_prompts
 from signalmine.signal_model import MIX_SPEC, MixEntry, MixSpec, OneOf, required
@@ -667,14 +668,19 @@ def test_evaluate_unbound_prompt_placeholder_is_render_error(runner, tmp_path):
 
 @pytest.mark.parametrize("answer", [5, "Yes", [1], None])
 def test_evaluate_prompt_whose_answer_rule_is_not_an_object_is_one_schema_error_line(runner, tmp_path, answer):
-    # absent, a prompt has no rule; null is no rule of any kind
-    prompts = [{"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}", "answer": answer}] * 5
+    # absent or null, a prompt has no rule
+    prompt = {"source": "TEXT: {premise} QUERY: {hypothesis}?", "target": "{label}"}
     path = tmp_path / "prompts.json"
-    path.write_text(json.dumps(prompts))
-    result = runner.invoke(main, [
-        "evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
-        "--prompts", str(path), "--seed", "1",
-    ])
+    path.write_text(json.dumps([{**prompt, "answer": answer}] * 5))
+    args = ["evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
+            "--prompts", str(path), "--seed", "1"]
+    result = runner.invoke(main, args)
+    if answer is None:
+        path.write_text(json.dumps([prompt] * 5))
+        without = runner.invoke(main, args)
+        assert without.exit_code == 0, without.output
+        assert (result.exit_code, result.output) == (0, without.output)
+        return
     assert result.exit_code == 1
     assert result.output == f"schema-error: {path}: 'rte[].answer' must be an object, got {answer!r}\n"
 
@@ -772,35 +778,39 @@ def _skeleton(kind):
     return {float: 1.0, int: 1, bool: True}.get(kind, "x")
 
 
-def _refused(kind, path: str, place):
+def _refused(kind, path: str, place, closed: bool = True):
     """(document, message) for every JSON type that `kind`, declared at
-    `path`, refuses in a closed shape, and for everything declared under it,
-    where `place(value)` is the document holding `value` at `path`; and an
-    undeclared key of each object shape."""
-    nullable = type(kind) is tuple and kind[1] is None  # a declared default of None
+    `path`, refuses in a closed shape (or an open one, where null reads as
+    absent), and for everything declared under it, where `place(value)` is
+    the document holding `value` at `path`; and, if closed, an undeclared
+    key of each object shape."""
+    # null reads as absent in an open shape, and where the declared default is None
+    nullable = not closed or type(kind) is tuple and kind[1] is None
     kind = kind[0] if type(kind) is tuple else kind
     for json_type, value in _OF_JSON_TYPE.items():
         if json_type not in _takes(kind) and not (value is None and nullable):
             yield place(value), f"'{path}' must be {_expected(kind)}, got {value!r}"
     if isinstance(kind, list):
-        yield from _refused(kind[0], path + "[]", lambda v: place([v]))
+        yield from _refused(kind[0], path + "[]", lambda v: place([v]), closed)
     elif type(kind) is OneOf:
         for name, shape in kind.items():
             # the rule's kind picks its shape
-            yield from _refused_keys(shape, path + ".", lambda d, name=name: place({**d, "kind": name}), "kind")
+            yield from _refused_keys(shape, path + ".", lambda d, name=name: place({**d, "kind": name}), "kind",
+                                     closed)
     elif isinstance(kind, dict):
-        yield from _refused_keys(kind, path + "." if path else "", place)
+        yield from _refused_keys(kind, path + "." if path else "", place, closed=closed)
 
 
-def _refused_keys(shape, prefix: str, place, skip: str = ""):
+def _refused_keys(shape, prefix: str, place, skip: str = "", closed: bool = True):
     if str in shape:
-        yield from _refused(shape[str], prefix + "k", lambda v: place({"k": v}))
+        yield from _refused(shape[str], prefix + "k", lambda v: place({"k": v}), closed)
         return
     base = _skeleton(shape)
-    yield place({**base, "undeclared": 1}), f"'{prefix}undeclared' is not a declared key"
+    if closed:
+        yield place({**base, "undeclared": 1}), f"'{prefix}undeclared' is not a declared key"
     for key, kind in shape.items():
         if key != skip:
-            yield from _refused(kind, prefix + key, lambda v, key=key: place({**base, key: v}))
+            yield from _refused(kind, prefix + key, lambda v, key=key: place({**base, key: v}), closed)
 
 
 def _identity(doc):
@@ -844,6 +854,55 @@ def test_every_declared_path_of_every_wrong_json_type_is_one_schema_error_line(r
         result = runner.invoke(main, args)
         assert (result.exit_code, result.output) == (1, f"schema-error: {where}: {message}\n"), text
         assert not out.exists()
+
+
+# per open declaration: the command that reads a file of it, its exit code
+# and the line that ends its output when the file holds a refused value
+_OPEN = {
+    "--config": (["--config", "{file}", "extract", "--mine", "rotten_tomatoes",
+                  "--in", str(FIXTURES / "mines" / "rotten_tomatoes.jsonl"), "--out", "{out}"],
+                 2, "Error: bad config file: {file}: {message}", CONFIG),
+    # a record of an option-scored set
+    "evaluate --data": (["evaluate", "--dataset", "wiki80", "--data", "{file}", "--out", "{out}"],
+                        1, "schema-error: {file}:1: {message}", OPTION_RECORD),
+}
+
+
+@pytest.mark.parametrize("option", sorted(_OPEN))
+def test_every_declared_path_of_an_open_input_refuses_each_wrong_json_type(runner, tmp_path, option):
+    """An open shape reads null as absent and ignores undeclared keys; each
+    other value of a JSON type its declaration refuses, at every declared
+    path, ends the run naming the file and the path, with no output: a
+    usage error for --config, one schema-error line for a data file."""
+    args, code, last_line, shape = _OPEN[option]
+    file, out = tmp_path / "input", tmp_path / "out"
+    args = [arg.format(file=file, out=out) for arg in args]
+    cases = list(_refused_keys(shape, "", _identity, closed=False))
+    assert len(cases) >= 5
+    for doc, message in cases:
+        text = json.dumps(doc)
+        file.write_text(text + "\n")
+        result = runner.invoke(main, args)
+        expected = last_line.format(file=file, message=message)
+        assert result.exit_code == code, text
+        assert result.output == f"{expected}\n" if code == 1 else result.output.endswith(f"\n{expected}\n"), text
+        assert not out.exists()
+
+
+def test_evaluate_records_whose_options_are_null_score_against_the_label_space(runner, tmp_path):
+    """A null `options` reads as absent: the record is scored against the
+    dataset's label space, not a list of its own."""
+    lines = (FIXTURES / "eval" / "semeval2007.jsonl").read_text().splitlines()
+    given = [json.loads(line) for line in lines]
+    absent = [{k: v for k, v in rec.items() if k != "options"} for rec in given]
+    data = tmp_path / "semeval2007.jsonl"
+    reports = []
+    for records in (given, absent, [{**rec, "options": None} for rec in absent]):
+        data.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        result = runner.invoke(main, ["evaluate", "--dataset", "semeval2007", "--data", str(data), "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        reports.append(result.output)
+    assert reports[0] != reports[1] == reports[2]
 
 
 def test_wrongly_typed_db_entry_is_one_schema_error_line(runner, tmp_path):
@@ -1033,9 +1092,10 @@ def test_extract_uses_the_environment_and_config_seed(runner, tmp_path):
 @pytest.mark.parametrize("env,config", [
     ("-5", None), ("abc", None),
     (None, {"seed": "abc"}), (None, {"seed": -4}), (None, [1]),
-    (None, {"seed": 1.7}), (None, {"seed": True}),
+    (None, {"seed": 1.7}), (None, {"seed": True}), (None, {"seed": [1]}), (None, {"seed": {"a": 1}}),
+    (None, {"seed": "5"}),
 ], ids=["env-negative", "env-not-int", "config-not-int", "config-negative", "config-not-object",
-        "config-float", "config-bool"])
+        "config-float", "config-bool", "config-list", "config-object", "config-numeric-string"])
 def test_invalid_seed_is_usage_error(runner, tmp_path, env, config):
     pre = ["--config", _config(tmp_path, config)] if config is not None else []
     out = tmp_path / "rt.tuples"
@@ -1107,13 +1167,15 @@ _RT_ENTRY = {"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}
     ({"entries": [_RT_ENTRY], "split_ratio": False}, _RT_TUPLE, "<spec>: 'split_ratio' must be a number, got False"),
     # the NaN entry names no template group that exists: it once rendered nothing, without a word
     ({"entries": [{**_RT_ENTRY, "weight": float("nan"), "template_group": "no_such_group"}]},
-     _RT_TUPLE, "mix weight must be a finite number >= 0, got nan"),
+     _RT_TUPLE, "<spec>: 'entries[].weight' must be a finite number >= 0, got nan"),
     ({"entries": [{**_RT_ENTRY, "weight": float("inf")}]},
-     _RT_TUPLE, "mix weight must be a finite number >= 0, got inf"),
+     _RT_TUPLE, "<spec>: 'entries[].weight' must be a finite number >= 0, got inf"),
     ({"entries": [{**_RT_ENTRY, "weight": 10 ** 400}]},
      _RT_TUPLE, "<spec>: 'entries[].weight' must be a number, got 100000000000000000...0000000000000000000"),
-    ({"entries": [_RT_ENTRY], "split_ratio": float("nan")}, _RT_TUPLE, "split_ratio must be in [0, 1)"),
-    ({"entries": [_RT_ENTRY], "split_ratio": float("-inf")}, _RT_TUPLE, "split_ratio must be in [0, 1)"),
+    ({"entries": [_RT_ENTRY], "split_ratio": float("nan")},
+     _RT_TUPLE, "<spec>: 'split_ratio' must be in [0, 1), got nan"),
+    ({"entries": [_RT_ENTRY], "split_ratio": float("-inf")},
+     _RT_TUPLE, "<spec>: 'split_ratio' must be in [0, 1), got -inf"),
     ({"entries": [{**_RT_ENTRY, "signal_type": 5}]},
      _RT_TUPLE, "<spec>: 'entries[].signal_type' must be a string, got 5"),
     ({"entries": [{**_RT_ENTRY, "family": ["generation"]}]},
@@ -1129,7 +1191,7 @@ _RT_ENTRY = {"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}
     ({"entries": [{**_RT_ENTRY, "per_categroy_cap": 5}]},
      _RT_TUPLE, "<spec>: 'entries[].per_categroy_cap' is not a declared key"),
     ({"entries": [_RT_ENTRY], "split_ratoi": 0.5}, _RT_TUPLE, "<spec>: 'split_ratoi' is not a declared key"),
-    ({"entries": [_RT_ENTRY], "global_seed": -1}, _RT_TUPLE, "global_seed must be >= 0, got -1"),
+    ({"entries": [_RT_ENTRY], "global_seed": -1}, _RT_TUPLE, "<spec>: 'global_seed' must be >= 0, got -1"),
     (None, {**_RT_TUPLE, "fields": ["A fine film.", "positive"]},
      "tuple record 'fields' and 'meta' must be objects"),
     (None, {**_RT_TUPLE, "meta": "x"}, "tuple record 'fields' and 'meta' must be objects"),

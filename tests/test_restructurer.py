@@ -405,7 +405,9 @@ def test_registry_rejects_malformed_templates(tmp_path):
     assert refusal(dict(base, family="multiple-choice")) == \
         "template x.mc.1: family must be multiple_choice or generation, got 'multiple-choice'"
     answer = {"kind": "cond", "field": "sentiment", "cases": [{"literal": "positive", "value": "Yes"}]}
-    assert load_one(dict(base, answer=answer)).by_id["x.mc.1"].answer == answer
+    # read, a case's `negate` is false when the line leaves it out
+    assert load_one(dict(base, answer=answer)).by_id["x.mc.1"].answer == \
+        dict(answer, cases=[{"literal": "positive", "value": "Yes", "negate": False}])
     assert refusal(dict(base, answer={k: v for k, v in answer.items() if k != "field"})) == \
         f"{path}:1: 'answer.field' must be a string, got nothing"
     assert refusal(dict(base, answer=dict(answer, cases=[{"literal": "positive"}]))) == \
@@ -435,6 +437,50 @@ def test_registry_rejects_malformed_templates(tmp_path):
         ({"extra": 1}, "'extra' is not a declared key"),
     ]:
         assert refusal(dict(base, **bad)) == f"{path}:1: {message}"
+
+
+def test_what_read_returns_reads_back_unchanged():
+    """The values `read` returns are the only copy the program keeps of a
+    catalog line or a prompt document: read again, also after a JSON dump,
+    through the same closed shape, they are equal to what was read."""
+    import json
+    from importlib import resources
+
+    from signalmine.restructurer.templates import (EVAL_PROMPTS, GAOKAO_PROMPTS, TEMPLATE, load_eval_prompts,
+                                                   load_gaokao_prompts)
+    from signalmine.signal_model import read
+
+    def reads_back(values, shape):
+        assert read(values, shape, closed=True) == values
+        assert read(json.loads(json.dumps(values)), shape, closed=True) == values
+
+    reads_back(load_eval_prompts(), EVAL_PROMPTS)
+    reads_back(load_gaokao_prompts(), GAOKAO_PROMPTS)
+    catalog = resources.files("signalmine.restructurer").joinpath("data", "templates.jsonl")
+    for line in catalog.read_text(encoding="utf-8").splitlines():
+        reads_back(read(json.loads(line), TEMPLATE, closed=True), TEMPLATE)
+
+    base = {"id": "x.mc.1", "signal_type": "rotten_tomatoes_sentiment", "family": "multiple_choice",
+            "source": "s", "target": "t"}
+    requires = {"meta_equals": {"variant": "a"}, "meta_nonempty": ["b"], "field_list_min": {"review": 1},
+                "meta_list_min": {"c": 2}}
+    for answer, as_read in [
+        ({"kind": "const", "value": "v"}, {"kind": "const", "value": "v"}),
+        ({"kind": "presence", "present": "Yes", "absent": "No"},
+         {"kind": "presence", "present": "Yes", "absent": "No", "field": "entities"}),
+        ({"kind": "cond", "field": "f", "cases": [{"literal": "a", "value": "v"},
+                                                  {"literal": "b", "value": "w", "negate": True}]},
+         {"kind": "cond", "field": "f", "cases": [{"literal": "a", "value": "v", "negate": False},
+                                                  {"literal": "b", "value": "w", "negate": True}]}),
+    ]:
+        values = read({**base, "answer": answer, "requires": requires}, TEMPLATE, closed=True)
+        assert (values["answer"], values["requires"]) == (as_read, requires)
+        reads_back(values, TEMPLATE)
+    # an absent or null rule or requirement reads as None, and builds nothing
+    for line in (base, {**base, "answer": None, "requires": None}):
+        values = read(line, TEMPLATE, closed=True)
+        assert (values["answer"], values["requires"]) == (None, None)
+        reads_back(values, TEMPLATE)
 
 
 @pytest.mark.parametrize("pattern, expected", [

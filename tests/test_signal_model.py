@@ -125,7 +125,7 @@ def test_mixentry_validation():
 def test_mixentry_weight_must_be_finite_and_non_negative(weight):
     # a NaN weight once passed: `mix` checked its entry as off (nan > 0 is
     # false) while `apply_caps` rendered it (nan == 0 is false too)
-    with pytest.raises(SchemaError, match="mix weight must be a finite number >= 0"):
+    with pytest.raises(SchemaError, match=r"'entries\[\]\.weight' must be a finite number >= 0"):
         MixEntry("wordnet_pos", "generation", weight=weight)
 
 
