@@ -1,13 +1,13 @@
 """Mixing: caps, composition constraints, curriculum stages, splits.
 
-An entry's weight only switches it on or off: weight 0 renders nothing, and
-any positive weight renders the entry's whole capped pool. Weights are not
-sampling proportions; caps set each entry's size. Splits are assigned
-per tuple, never per example, so no tuple's renderings leak across train and
-validation. Each stream is shuffled by one Fisher-Yates pass with the global
-seed over job order: entry by entry, each entry's capped tuples in order. That
-order is fixed by the spec and the tuple files, so bundles are byte-identical
-across runs and across any number of render processes.
+Every entry renders its whole capped pool: caps, per-category caps and
+compositions set each entry's size, and an entry is left out of a mix by
+leaving it out of the spec. Splits are assigned per tuple, never per
+example, so no tuple's renderings leak across train and validation. Each
+stream is shuffled by one Fisher-Yates pass with the global seed over job
+order: entry by entry, each entry's capped tuples in order. That order is
+fixed by the spec and the tuple files, so bundles are byte-identical across
+runs and across any number of render processes.
 
 Neither tuples nor record lines gather in the parent. It scans the tuple
 files once and keeps per tuple its line's place, signal type, key and
@@ -63,7 +63,7 @@ def apply_caps(
 ) -> tuple[dict[int, array], list[str]]:
     """Per-entry pools after per-category caps, composition constraints, and
     the global cap: numbers of the tuples in `store` that `eligible` lists for
-    each entry of positive weight. Shortfalls warn, they never fail."""
+    each entry, keyed by its index. Shortfalls warn, they never fail."""
     out: dict[int, array] = {}
     warnings: list[str] = []
     covered = {e.signal_type for e in spec.entries}
@@ -72,9 +72,6 @@ def apply_caps(
         warnings.append(f"signals present but not covered by any entry: {', '.join(uncovered)}")
     for index, entry in enumerate(spec.entries):
         eid = _entry_id(entry, index)
-        if entry.weight == 0:
-            out[index] = array("I")
-            continue
         pool = eligible[index]
         rng = derive_rng(spec.global_seed, "cap", spec.name, eid)
 
@@ -201,10 +198,9 @@ def mix(store: TupleStore, spec: MixSpec, registry: PromptRegistry, spill: Spill
     """Render capped, staged, split example streams for every spec entry from
     the tuples `store` scans. The lines go to `spill`; the caller closes both."""
     for index, entry in enumerate(spec.entries):
-        if entry.weight > 0:
-            _check_renderable(entry, index, registry)
-    # per entry of positive weight, the numbers of the tuples it can render
-    eligible = {index: array("I") for index, entry in enumerate(spec.entries) if entry.weight > 0}
+        _check_renderable(entry, index, registry)
+    # per entry, the numbers of the tuples it can render
+    eligible = {index: array("I") for index in range(len(spec.entries))}
     entries_of: dict[str, list[int]] = {}
     for index in eligible:
         entries_of.setdefault(spec.entries[index].signal_type, []).append(index)

@@ -9,7 +9,6 @@ catalog is read-only after import.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import reprlib
@@ -133,9 +132,10 @@ def read(doc: Mapping, shape: Mapping, gate: list[str] | None = None, closed: bo
       keys, its values of one kind; OneOf(name=shape, ...): an object whose
       `kind` names its shape; required(kind), default(kind, value): see there.
     An absent key reads as "", None, False, [], {} or an object of defaults.
-    In an open shape, undeclared keys are ignored and null reads as absent.
-    In a closed one, an undeclared key or a null is refused, but where a
-    key's declared default is None. A refused value is a `FieldError` naming
+    In an open shape, undeclared keys are ignored and null reads as absent,
+    but as an item of a [str] list, which is refused. In a closed one, an
+    undeclared key or a null is refused, but where a key's declared default
+    is None. A refused value is a `FieldError` naming
     its path, such as 'steps[].headline' or 'requires.meta_equals.variant'."""
     return _object(doc, shape, "", gate, closed)
 
@@ -196,7 +196,8 @@ def _value(value, kind, path: str, gate, closed: bool):
     elif isinstance(kind, list):  # or a tuple, as `dataclasses.asdict` gives
         if type(value) is list or type(value) is tuple:
             kind, path = kind[0], path + "[]"
-            items = [_value(item, kind, path, gate, closed) for item in value]
+            # a null item of a list of strings is refused in an open shape too
+            items = [_value(item, kind, path, gate, closed or kind is str) for item in value]
             return [item for item in items if item != ""] if kind is TEXT or kind is GATE else items
     elif type(kind) is OneOf:
         if type(value) is dict:
@@ -412,7 +413,6 @@ def example_from_record(rec: Mapping) -> PromptedExample:
 class MixEntry:
     signal_type: str
     family: str
-    weight: float = 1.0
     cap: int | None = None
     per_category_cap: int | None = None
     stage: int = 1
@@ -427,8 +427,6 @@ class MixEntry:
         if self.family not in FAMILIES:
             raise FieldError(f"'entries[].family' must be one of {', '.join(map(repr, FAMILIES))}, "
                              f"got {self.family!r}")
-        if not 0 <= self.weight < math.inf:  # false for NaN too
-            raise FieldError(f"'entries[].weight' must be a finite number >= 0, got {self.weight!r}")
         for key, cap in (("cap", self.cap), ("per_category_cap", self.per_category_cap)):
             if cap is not None and cap <= 0:
                 raise FieldError(f"'entries[].{key}' must be positive, got {cap}")
@@ -444,8 +442,8 @@ class MixSpec:
     name: str = "mix"
 
     def __post_init__(self) -> None:
-        if not any(e.weight > 0 for e in self.entries):
-            raise FieldError("'entries' must hold an entry of weight > 0")
+        if not self.entries:
+            raise FieldError("'entries' must hold an entry")
         if not (0 <= self.split_ratio < 1):
             raise FieldError(f"'split_ratio' must be in [0, 1), got {self.split_ratio!r}")
         if self.global_seed < 0:
@@ -461,7 +459,7 @@ class MixSpec:
 
 # a mix spec file; `MixEntry` and `MixSpec` check the values' ranges, naming the key
 MIX_ENTRY = {
-    "signal_type": required(str), "family": required(str), "weight": default(float, 1.0),
+    "signal_type": required(str), "family": required(str),
     "cap": default(int, None), "per_category_cap": default(int, None), "stage": default(int, 1),
     "template_group": default(str, None), "composition": default({str: int}, None),
     "composition_key": default(str, None),

@@ -6,6 +6,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from signalmine.extractors import extract_documents, read_jsonl
 from signalmine.extractors.pwc import ENTRY, EntityDb
@@ -56,6 +57,15 @@ def extract_fixture(mine: str, seed: int = 7, **options):
         options=options,
     )
     return load_tuples("".join(lines)), report
+
+
+@pytest.fixture(scope="session", autouse=True)
+def unicode_tables():
+    """Builds hypothesis's unicode tables once, before any test draws text.
+    In a checkout without `.hypothesis/`, building them takes seconds, and the
+    first test to draw a string would fail its health check as slow input
+    generation."""
+    st.text().validate()
 
 
 @pytest.fixture

