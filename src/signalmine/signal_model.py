@@ -135,8 +135,8 @@ def read(doc: Mapping, shape: Mapping, gate: list[str] | None = None, closed: bo
     In an open shape, undeclared keys are ignored and null reads as absent,
     but as an item of a [str] list, which is refused. In a closed one, an
     undeclared key or a null is refused, but where a key's declared default
-    is None. A refused value is a `FieldError` naming
-    its path, such as 'steps[].headline' or 'requires.meta_equals.variant'."""
+    is None. A refused value is a `FieldError` naming its path, such as
+    'steps[].headline' or 'requires.meta_equals.variant'."""
     return _object(doc, shape, "", gate, closed)
 
 
@@ -196,8 +196,8 @@ def _value(value, kind, path: str, gate, closed: bool):
     elif isinstance(kind, list):  # or a tuple, as `dataclasses.asdict` gives
         if type(value) is list or type(value) is tuple:
             kind, path = kind[0], path + "[]"
-            # a null item of a list of strings is refused in an open shape too
-            items = [_value(item, kind, path, gate, closed or kind is str) for item in value]
+            closed = closed or kind is str  # a null string item is refused in an open shape too
+            items = [_value(item, kind, path, gate, closed) for item in value]
             return [item for item in items if item != ""] if kind is TEXT or kind is GATE else items
     elif type(kind) is OneOf:
         if type(value) is dict:
