@@ -14,8 +14,10 @@ Writes `BENCH_<workload>_<date>.json` at the repository root (`_2`, `_3`,
 ... before `.json` if that file exists) with every run's metrics, each
 side's median and quartiles per end-to-end metric (the quartile method of
 perfbench/baseline.py), the number of pairs the change won (ties count for
-neither side) and the Python version, and prints a summary. Per metric it
-reports three rules:
+neither side) and the Python version, and prints a summary. Where both
+sides of a pair print a bundle hash (mix-all-tasks), the pair records
+whether they are equal, and the summary counts the pairs that are
+(`same_bundle`). Per metric it reports three rules:
 
 - `within_bound`: the change's median is no worse than the parent's by more
   than the metric's relative `bound` in BENCHMARK.json (a bound of 0.25 lets
@@ -134,12 +136,16 @@ def main() -> int:
             pair = {"pair": i, "seed": seed, "order": order}
             for side in order:
                 pair[side] = run_once(Path(tmp) / side, args.workload, seed, seconds)
+            if "bundle_hash" in pair["parent"] and "bundle_hash" in pair["change"]:
+                pair["same_bundle"] = pair["parent"]["bundle_hash"] == pair["change"]["bundle_hash"]
             pairs.append(pair)
             print(f"pair {i} seed {seed} " + " ".join(
                 f"{side} {pair[side].get('metrics', {}).get('wall_s', float('nan')):.4f}" for side in order
             ), flush=True)
 
     summary = summarize(pairs, bench["end_to_end"])
+    compared = [p["same_bundle"] for p in pairs if "same_bundle" in p]
+    bundles = {"same_bundle": {"pairs": len(compared), "equal": sum(compared)}} if compared else {}
     today = datetime.date.today().isoformat()
     doc = {
         "workload": args.workload,
@@ -151,7 +157,7 @@ def main() -> int:
         "parent": sides["parent"],
         "change": sides["change"],
         "seeds": seeds,
-        "summary": summary,
+        "summary": {**summary, **bundles},
         "pairs": pairs,
     }
     # a second measurement on the same day never replaces the first
@@ -168,6 +174,8 @@ def main() -> int:
               + (f"; within bound: {entry['within_bound']}; resolved: {entry['resolved']}"
                  if "within_bound" in entry else "")
               + (f"; claim holds: {entry['claim_holds']}" if "claim_holds" in entry else ""))
+    if compared:
+        print(f"same bundle: {sum(compared)}/{len(compared)} pairs")
     failed = [(p["pair"], side) for p in pairs for side in ("parent", "change")
               if p[side].get("exit") != 0 or not p[side].get("correct")]
     if failed:

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 data error (single-line `<class>: <message>` on
 stderr), 2 usage error. All randomness flows from --seed, else the
-SIGNALMINE_SEED environment variable, else the --config file's `seed`.
+SIGNALMINE_SEED environment variable, else 0: a mix spec says what to mix,
+not how to draw. No command writes an output to a path given as one of its
+inputs.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError
 from .restructurer.templates import audit, load_registry
 from .shards import Spill
-from .signal_model import MixEntry, SchemaError, load_mixspec, read, read_json
+from .signal_model import MixEntry, SchemaError, load_mixspec, read
 from .store import SIGNALS, TupleStore
 # not called here: extract shards encode their own lines, and mix and
 # restructure read tuple files through a TupleStore. perfbench/worker.py wraps
@@ -74,39 +76,40 @@ class _Commands(click.Group):
             _fail(exc)
 
 
-# a --config file: its seed, if any; nothing else is read (open)
-CONFIG = {"seed": int}
+# every command's seed: click resolves --seed, then the environment, then 0
+_seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, envvar=SEED_ENV,
+                            help=f"Random seed (default: ${SEED_ENV} or 0).")
 
 
-def _seed_option(default: int | None = 0, fallback: str = "0"):
-    # click resolves --seed, then the environment, then ctx.default_map (the
-    # config file), then `default`
-    return click.option("--seed", type=click.IntRange(min=0), default=default, envvar=SEED_ENV,
-                        help=f"Random seed (default: ${SEED_ENV} or config or {fallback}).")
+def _check_outputs(outputs: dict[str, str | None], inputs: dict[str, str | tuple[str, ...] | None]) -> None:
+    """A usage error if an output path (flag -> path or None) names an input
+    file (flag -> path, a repeatable flag's paths, or None) or an earlier
+    output, so that no run replaces what it reads or what it writes."""
+    named: dict[Path, str] = {}
+    for flag, paths in inputs.items():
+        if isinstance(paths, tuple):
+            named.update((Path(path).resolve(), f"a {flag}") for path in paths)
+        elif paths:
+            named[Path(paths).resolve()] = f"the {flag}"
+    for flag, path in outputs.items():
+        if path:
+            resolved = Path(path).resolve()
+            if resolved in named:
+                raise click.UsageError(f"{flag} {path} names {named[resolved]} file")
+            named[resolved] = f"the {flag}"
 
 
 @click.group(cls=_Commands)
 @click.version_option(__version__)
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-              default=None, help="JSON object whose `seed` is the default seed; nothing else is read.")
-@click.pass_context
-def main(ctx: click.Context, config_path: str | None) -> None:
+def main() -> None:
     """Mine signal tuples, render prompted examples, mix datasets, evaluate."""
-    if not config_path:
-        return
-    try:
-        seed = read_json(config_path, build=lambda doc: read(doc, CONFIG))["seed"]
-    except (OSError, SchemaError) as exc:
-        raise click.UsageError(f"bad config file: {exc}") from exc
-    if seed is not None:
-        ctx.default_map = {name: {"seed": seed} for name in ctx.command.commands}
 
 
 @main.command()
 @click.option("--mine", "mine", required=True, type=click.Choice(MINES))
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@_seed_option()
+@_seed_option
 @click.option("--db", "db_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Typed term database (paperswithcode mine).")
 @click.option("--blocklist", "blocklist_path", type=click.Path(exists=True, dir_okay=False),
@@ -117,10 +120,8 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
     """Convert one mine's raw dump into validated signal tuples."""
     options: dict = {}
     report_path = report_path or f"{out_path}.report.json"
-    if Path(report_path).resolve() == Path(out_path).resolve():
-        raise click.UsageError(f"--report {report_path} names the --out file")
-    if Path(out_path).resolve() == Path(in_path).resolve():
-        raise click.UsageError(f"--out {out_path} names the --in file")
+    _check_outputs({"--out": out_path, "--report": report_path},
+                   {"--in": in_path, "--db": db_path, "--blocklist": blocklist_path})
     if mine == "paperswithcode" and not db_path:
         raise click.UsageError("--db is required for the paperswithcode mine")
     for flag, value, owner in (("--db", db_path, "paperswithcode"), ("--blocklist", blocklist_path, "wikidata")):
@@ -149,11 +150,10 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--family", type=click.Choice(["multiple_choice", "generation", "auto"]),
               default="auto", show_default=True)
-@_seed_option()
+@_seed_option
 def restructure(tuples_paths, templates_path, out_path, family, seed):
     """Render each tuple into one prompted source/target example."""
-    if Path(out_path).resolve() in {Path(p).resolve() for p in tuples_paths}:
-        raise click.UsageError(f"--out {out_path} names a --tuples file")
+    _check_outputs({"--out": out_path}, {"--tuples": tuples_paths, "--templates": templates_path})
     registry = load_registry(templates_path)
     with TupleStore(tuples_paths) as store, Spill(Path(out_path).parent) as spill:
         pools = DistractorPools.build(store.scan())
@@ -192,19 +192,16 @@ def _load_spec(spec_arg: str):
 @click.option("--tuples", "tuples_paths", required=True, multiple=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_path", required=True, type=click.Path(file_okay=False))
-@_seed_option(default=None, fallback="the spec's global_seed")
+@_seed_option
 def mix_command(spec_arg, tuples_paths, out_path, seed):
     """Cap, render, stage, split, and write a dataset bundle."""
     spec = _load_spec(spec_arg)
-    if seed is None:
-        seed = spec.global_seed
-    spec = dataclasses.replace(spec, global_seed=seed)
     registry = load_registry()
     # the record lines spill beside the bundle, on the disk it goes to
     spill_dir = Path(out_path).parent
     spill_dir.mkdir(parents=True, exist_ok=True)
     with TupleStore(tuples_paths) as store, Spill(spill_dir) as spill:
-        result = mix(store, spec, registry, spill)
+        result = mix(store, spec, registry, spill, seed)
         streams = {
             f"{spec.name}.stage{stage}.{split}": examples
             for (stage, split), examples in sorted(result.examples.items())
@@ -221,10 +218,8 @@ def mix_command(spec_arg, tuples_paths, out_path, seed):
 
 
 def _spec_hash(spec) -> str:
-    """sha256 of the spec's fields but `global_seed`, which the manifest records apart."""
-    fields = dataclasses.asdict(spec)
-    del fields["global_seed"]
-    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()[:16]
+    """sha256 of the spec's fields; the manifest records the run's seed apart."""
+    return hashlib.sha256(json.dumps(dataclasses.asdict(spec), sort_keys=True).encode()).hexdigest()[:16]
 
 
 @main.command()
@@ -251,6 +246,7 @@ def validate(bundle_path):
               help="Write the per-section breakdown as JSON.")
 def grade(paper_path, answers_path, essay_score, out_path):
     """Grade an exam answer file; prints per-section scores and the total."""
+    _check_outputs({"--out": out_path}, {"--paper": paper_path, "--answers": answers_path})
     paper = load_paper(paper_path)
     answers = load_answers(answers_path)
     if essay_score is not None:
@@ -288,9 +284,10 @@ def _make_scorer(scorer_arg: str):
 @click.option("--scorer", "scorer_arg", default="reference", show_default=True,
               help="'reference' or 'external-cmd:<command line>'.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-@_seed_option()
+@_seed_option
 def evaluate(dataset, data_path, prompts_path, scorer_arg, out_path, seed):
     """Score a dataset with its 5-prompt set by its family's metric; reports avg/max/std."""
+    _check_outputs({"--out": out_path}, {"--data": data_path, "--prompts": prompts_path})
     scorer = _make_scorer(scorer_arg)
     try:
         prompts = load_prompts(prompts_path, dataset) if prompts_path else None

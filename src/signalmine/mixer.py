@@ -4,7 +4,7 @@ Every entry renders its whole capped pool: caps, per-category caps and
 compositions set each entry's size, and an entry is left out of a mix by
 leaving it out of the spec. Splits are assigned per tuple, never per
 example, so no tuple's renderings leak across train and validation. Each
-stream is shuffled by one Fisher-Yates pass with the global seed over job
+stream is shuffled by one Fisher-Yates pass with the run's seed over job
 order: entry by entry, each entry's capped tuples in order. That order is
 fixed by the spec and the tuple files, so bundles are byte-identical across
 runs and across any number of render processes.
@@ -59,7 +59,7 @@ def _sample_keep_order(items: Sequence, k: int, rng: random.Random) -> list:
 
 
 def apply_caps(
-    store: TupleStore, eligible: Mapping[int, Sequence[int]], spec: MixSpec
+    store: TupleStore, eligible: Mapping[int, Sequence[int]], spec: MixSpec, seed: int
 ) -> tuple[dict[int, array], list[str]]:
     """Per-entry pools after per-category caps, composition constraints, and
     the global cap: numbers of the tuples in `store` that `eligible` lists for
@@ -73,7 +73,7 @@ def apply_caps(
     for index, entry in enumerate(spec.entries):
         eid = _entry_id(entry, index)
         pool = eligible[index]
-        rng = derive_rng(spec.global_seed, "cap", spec.name, eid)
+        rng = derive_rng(seed, "cap", spec.name, eid)
 
         if entry.composition:
             key = entry.composition_key or "category"
@@ -122,7 +122,7 @@ def stage_plan(spec: MixSpec) -> list[tuple[int, list[int]]]:
     return plan
 
 
-def split_assignments(keys: Sequence[int], spec: MixSpec) -> bytes:
+def split_assignments(keys: Sequence[int], spec: MixSpec, seed: int) -> bytes:
     """Per tuple, 1 if it goes to validation: a seeded shuffle of the distinct
     tuples sends the first floor(ratio * n) there. Exact quota, and a tuple's
     split never depends on which entry renders it. `keys` holds each tuple's
@@ -130,7 +130,7 @@ def split_assignments(keys: Sequence[int], spec: MixSpec) -> bytes:
     if spec.split_ratio <= 0:
         return bytes(len(keys))
     distinct = sorted(set(keys))
-    rng = derive_rng(spec.global_seed, "split", spec.name)
+    rng = derive_rng(seed, "split", spec.name)
     rng.shuffle(distinct)
     validation = set(distinct[:int(len(distinct) * spec.split_ratio)])
     return bytes(key in validation for key in keys)
@@ -194,9 +194,10 @@ def _check_renderable(entry: MixEntry, index: int, registry: PromptRegistry) -> 
         )
 
 
-def mix(store: TupleStore, spec: MixSpec, registry: PromptRegistry, spill: Spill) -> MixResult:
+def mix(store: TupleStore, spec: MixSpec, registry: PromptRegistry, spill: Spill, seed: int) -> MixResult:
     """Render capped, staged, split example streams for every spec entry from
-    the tuples `store` scans. The lines go to `spill`; the caller closes both."""
+    the tuples `store` scans, every draw derived from `seed`. The lines go to
+    `spill`; the caller closes both."""
     for index, entry in enumerate(spec.entries):
         _check_renderable(entry, index, registry)
     # per entry, the numbers of the tuples it can render
@@ -219,12 +220,11 @@ def mix(store: TupleStore, spec: MixSpec, registry: PromptRegistry, spill: Spill
             if renderable(spec.entries[index], tup):
                 eligible[index].append(number)
     tup = None  # render_jobs holds no tuple but the one it renders
-    capped, warnings = apply_caps(store, eligible, spec)
+    capped, warnings = apply_caps(store, eligible, spec, seed)
     plan = stage_plan(spec)
-    seed = spec.global_seed
     entry_of = array("H", [index for index, pool in capped.items() for _ in pool])
     number_of = array("I", [t for pool in capped.values() for t in pool])
-    validation = split_assignments(store.key, spec)
+    validation = split_assignments(store.key, spec, seed)
     errors = render_jobs((spec.entries, entry_of, number_of, validation), store, spill, registry, pools, seed)
     # one record per job, listed again by each stage that holds its entry
     records = [(store.signal_of(t), job) for job, t in enumerate(number_of)]

@@ -133,9 +133,9 @@ def read(doc: Mapping, shape: Mapping, gate: list[str] | None = None, closed: bo
       `kind` names its shape; required(kind), default(kind, value): see there.
     An absent key reads as "", None, False, [], {} or an object of defaults.
     In an open shape, undeclared keys are ignored and null reads as absent,
-    but as an item of a [str] list, which is refused. In a closed one, an
-    undeclared key or a null is refused, but where a key's declared default
-    is None. A refused value is a `FieldError` naming its path, such as
+    but as an item of a list of neither texts nor objects (such as [str] or
+    [[str]]), which is refused. In a closed one, an undeclared key or a null
+    is refused, but where a key's declared default is None. A refused value is a `FieldError` naming its path, such as
     'steps[].headline' or 'requires.meta_equals.variant'."""
     return _object(doc, shape, "", gate, closed)
 
@@ -196,7 +196,8 @@ def _value(value, kind, path: str, gate, closed: bool):
     elif isinstance(kind, list):  # or a tuple, as `dataclasses.asdict` gives
         if type(value) is list or type(value) is tuple:
             kind, path = kind[0], path + "[]"
-            closed = closed or kind is str  # a null string item is refused in an open shape too
+            # a null item is refused in an open shape too, but a text's or an object's
+            closed = closed or not (kind is TEXT or kind is GATE or isinstance(kind, dict))
             items = [_value(item, kind, path, gate, closed) for item in value]
             return [item for item in items if item != ""] if kind is TEXT or kind is GATE else items
     elif type(kind) is OneOf:
@@ -438,7 +439,6 @@ class MixEntry:
 class MixSpec:
     entries: tuple[MixEntry, ...]
     split_ratio: float = 0.0
-    global_seed: int = 0
     name: str = "mix"
 
     def __post_init__(self) -> None:
@@ -446,8 +446,6 @@ class MixSpec:
             raise FieldError("'entries' must hold an entry")
         if not (0 <= self.split_ratio < 1):
             raise FieldError(f"'split_ratio' must be in [0, 1), got {self.split_ratio!r}")
-        if self.global_seed < 0:
-            raise FieldError(f"'global_seed' must be >= 0, got {self.global_seed}")
         stages = self.stages
         if stages != list(range(1, len(stages) + 1)):
             raise FieldError(f"'entries[].stage' values must be contiguous from 1, got {stages}")
@@ -464,8 +462,7 @@ MIX_ENTRY = {
     "template_group": default(str, None), "composition": default({str: int}, None),
     "composition_key": default(str, None),
 }
-MIX_SPEC = {"entries": [MIX_ENTRY], "split_ratio": default(float, 0.0), "global_seed": default(int, 0),
-            "name": default(str, "mix")}
+MIX_SPEC = {"entries": [MIX_ENTRY], "split_ratio": default(float, 0.0), "name": default(str, "mix")}
 
 
 def mixspec_from_record(rec: Mapping) -> MixSpec:

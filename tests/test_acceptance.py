@@ -306,11 +306,10 @@ def _pipeline_bundle_hash(tmp_path, seed: int, registry, tuple_file) -> str:
             MixEntry("plain_text_cloze", "cloze"),
         ),
         split_ratio=0.25,
-        global_seed=seed,
         name="detspec",
     )
     with TupleStore([tuple_file(tuples)]) as store, Spill(tmp_path) as spill:
-        result = mix(store, spec, registry, spill)
+        result = mix(store, spec, registry, spill, seed)
         assert not result.errors
         streams = {f"detspec.stage{stage}.{split}": exs
                    for (stage, split), exs in sorted(result.examples.items())}
@@ -352,9 +351,9 @@ def test_mixer_caps_and_split_leakage(registry, tuple_file):
             spec = MixSpec(
                 entries=(MixEntry("daily_mail_category", "multiple_choice",
                                   cap=cap, per_category_cap=pcc),),
-                global_seed=trial, name=f"r{trial}",
+                name=f"r{trial}",
             )
-            capped, _ = apply_caps(store, eligible, spec)
+            capped, _ = apply_caps(store, eligible, spec, trial)
             got = [tuples[n] for n in capped[0]]
             assert len(got) <= cap
             if pcc is not None:
@@ -369,15 +368,15 @@ def test_mixer_caps_and_split_leakage(registry, tuple_file):
         sample = tuples[:50]
         for trial in range(1000):
             ratio = rng.uniform(0.05, 0.9)
+            seed = rng.randrange(10_000)
             spec = MixSpec(
                 entries=(MixEntry("daily_mail_category", "multiple_choice"),),
                 split_ratio=ratio,
-                global_seed=rng.randrange(10_000),
                 name=f"s{trial % 17}",
             )
             keys = [int(tuple_key(tup), 16) for tup in sample]
-            first = split_assignments(keys, spec)
-            assert split_assignments(keys, spec) == first
+            first = split_assignments(keys, spec, seed)
+            assert split_assignments(keys, spec, seed) == first
             assert list(first).count(1) == int(len(first) * ratio)
 
 

@@ -284,11 +284,11 @@ def test_streaming_writer_encodes_each_listed_example_once(tmp_path, monkeypatch
     # that lists the example again lists the same line
     monkeypatch.setattr(shards, "worker_count", lambda: 1)
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "multiple_choice", stage=1),
-                            MixEntry("daily_mail_summary", "generation", stage=2)), global_seed=3, name="s")
+                            MixEntry("daily_mail_summary", "generation", stage=2)), name="s")
     encoded = []
     monkeypatch.setattr(mixer, "encode_record", lambda ex: encoded.append(ex) or encode_record(ex))
     with TupleStore([tuple_file(all_fixture_tuples)]) as store, Spill(tmp_path) as spill:
-        result = mixer.mix(store, spec, REGISTRY, spill)
+        result = mixer.mix(store, spec, REGISTRY, spill, 3)
         streams = {f"s.stage{stage}.{split}": records for (stage, split), records in result.examples.items()}
         write_bundle(tmp_path / "b", streams, spill.line_of)
     lines = [line for records in streams.values() for _, line in records]  # job numbers of spilled lines

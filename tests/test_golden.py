@@ -347,8 +347,7 @@ def test_synthetic_corpus_bundle_hash(tmp_path):
         for family in ("multiple_choice", "generation")
     ]
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"name": "synthetic", "split_ratio": 0.1, "global_seed": 7,
-                                "entries": entries}), encoding="utf-8")
+    spec.write_text(json.dumps({"name": "synthetic", "split_ratio": 0.1, "entries": entries}), encoding="utf-8")
     assert _mix(tmp_path, str(spec), [tuples]) == SYNTHETIC_BUNDLE_HASH
 
 

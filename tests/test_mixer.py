@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -26,22 +25,22 @@ def decoded(result, spill) -> dict:
             for key, records in result.examples.items()}
 
 
-def capped_tuples(tuple_file, tuples: list[SignalTuple], spec: MixSpec):
-    """`apply_caps` over `tuples`, each eligible for every entry of its
-    signal type: the capped tuples per entry, and the warnings."""
+def capped_tuples(tuple_file, tuples: list[SignalTuple], spec: MixSpec, seed: int = 3):
+    """`apply_caps` with `seed` over `tuples`, each eligible for every entry
+    of its signal type: the capped tuples per entry, and the warnings."""
     with TupleStore([tuple_file(tuples)]) as store:
         for _ in store.scan({"category"}):
             pass
         eligible = {index: [n for n, tup in enumerate(tuples) if tup.signal_type == entry.signal_type]
                     for index, entry in enumerate(spec.entries)}
-        capped, warnings = apply_caps(store, eligible, spec)
+        capped, warnings = apply_caps(store, eligible, spec, seed)
     return {index: [tuples[n] for n in pool] for index, pool in capped.items()}, warnings
 
 
-def mixed(tuple_file, tuples, spec, registry, spill):
-    """`mix` of `tuples`, written to a tuple file."""
+def mixed(tuple_file, tuples, spec, registry, spill, seed):
+    """`mix` with `seed` of `tuples`, written to a tuple file."""
     with TupleStore([tuple_file(tuples)]) as store:
-        return mix(store, spec, registry, spill)
+        return mix(store, spec, registry, spill, seed)
 
 
 def category_tuples(counts: dict[str, int]) -> list[SignalTuple]:
@@ -64,7 +63,7 @@ def category_tuples(counts: dict[str, int]) -> list[SignalTuple]:
 def one_entry_spec(**over) -> MixSpec:
     defaults = dict(signal_type="daily_mail_category", family="multiple_choice")
     defaults.update(over)
-    return MixSpec(entries=(MixEntry(**defaults),), global_seed=3, name="t")
+    return MixSpec(entries=(MixEntry(**defaults),), name="t")
 
 
 def test_per_category_cap(tuple_file):
@@ -101,9 +100,9 @@ def test_composition_counts(tuple_file):
 def test_caps_are_seeded_and_stable(tuple_file):
     tuples = category_tuples({"Sport": 100})
     spec = one_entry_spec(cap=10)
-    a, _ = capped_tuples(tuple_file, tuples, dataclasses.replace(spec, global_seed=5))
-    b, _ = capped_tuples(tuple_file, tuples, dataclasses.replace(spec, global_seed=5))
-    c, _ = capped_tuples(tuple_file, tuples, dataclasses.replace(spec, global_seed=6))
+    a, _ = capped_tuples(tuple_file, tuples, spec, seed=5)
+    b, _ = capped_tuples(tuple_file, tuples, spec, seed=5)
+    c, _ = capped_tuples(tuple_file, tuples, spec, seed=6)
     assert a == b
     assert a != c
 
@@ -113,14 +112,14 @@ def test_stage_plan_two_stage_curriculum():
         MixEntry("wikidata_relation", "multiple_choice", stage=1),
         MixEntry("wikidata_entity", "multiple_choice", stage=1),
         MixEntry("wikipedia_entities", "generation", stage=2),
-    ), name="ie", global_seed=0)
+    ), name="ie")
     plan = stage_plan(spec)
     assert plan[0] == (1, [0, 1])
     assert plan[1] == (2, [0, 1, 2])  # stage 2 is the union
 
 
 def test_stage_plan_single_stage_passthrough():
-    spec = MixSpec(entries=(MixEntry("wikidata_relation", "generation"),), name="x", global_seed=0)
+    spec = MixSpec(entries=(MixEntry("wikidata_relation", "generation"),), name="x")
     assert stage_plan(spec) == [(1, [0])]
 
 
@@ -128,7 +127,7 @@ def test_stage_plan_rejects_generation_in_stage_one():
     spec = MixSpec(entries=(
         MixEntry("wikidata_relation", "generation", stage=1),
         MixEntry("wikidata_relation", "multiple_choice", stage=2),
-    ), name="bad", global_seed=0)
+    ), name="bad")
     with pytest.raises(ConfigError):
         stage_plan(spec)
 
@@ -137,18 +136,18 @@ def test_stage_plan_rejects_generation_only_curriculum():
     spec = MixSpec(entries=(
         MixEntry("wikidata_relation", "cloze", stage=1),
         MixEntry("wikidata_relation", "generation", stage=2),
-    ), name="bad", global_seed=0)
+    ), name="bad")
     with pytest.raises(ConfigError):
         stage_plan(spec)
 
 
 def test_split_is_per_tuple_and_exact_quota():
     spec = one_entry_spec()
-    spec = MixSpec(entries=spec.entries, split_ratio=0.1, global_seed=9, name="s")
+    spec = MixSpec(entries=spec.entries, split_ratio=0.1, name="s")
     tuples = category_tuples({"Sport": 1000})
     keys = [int(tuple_key(tup), 16) for tup in tuples]
-    splits = split_assignments(keys, spec)
-    assert splits == split_assignments(keys, spec)
+    splits = split_assignments(keys, spec, 9)
+    assert splits == split_assignments(keys, spec, 9)
     counts = list(splits)
     assert counts.count(1) == 100 and counts.count(0) == 900
 
@@ -164,11 +163,10 @@ def test_mix_end_to_end_no_leakage(registry, tmp_path, tuple_file):
             MixEntry("rotten_tomatoes_sentiment", "generation", stage=2),
         ),
         split_ratio=0.4,
-        global_seed=11,
         name="leak",
     )
     with Spill(tmp_path) as spill:
-        result = mixed(tuple_file, tuples, spec, registry, spill)
+        result = mixed(tuple_file, tuples, spec, registry, spill, 11)
         examples_of = decoded(result, spill)
     assert not result.errors
     # a tuple's split is fixed before any entry renders it, so renderings can
@@ -191,12 +189,11 @@ def test_mix_determinism(registry, tmp_path, tuple_file):
     spec = MixSpec(
         entries=(MixEntry("rotten_tomatoes_sentiment", "multiple_choice", cap=12),),
         split_ratio=0.2,
-        global_seed=21,
         name="det",
     )
     with Spill(tmp_path) as spill_a, Spill(tmp_path) as spill_b:
-        a = mixed(tuple_file, tuples, spec, registry, spill_a)
-        b = mixed(tuple_file, tuples, spec, registry, spill_b)
+        a = mixed(tuple_file, tuples, spec, registry, spill_a, 21)
+        b = mixed(tuple_file, tuples, spec, registry, spill_b, 21)
         assert decoded(a, spill_a) == decoded(b, spill_b)
 
 
@@ -212,10 +209,9 @@ def test_all_tasks_preset_over_full_corpus(registry, tmp_path, tuple_file):
         tuples.extend(extract_fixture(mine)[0])
     rec = json.loads(resources.files("signalmine").joinpath("presets", "all_tasks.json")
                      .read_text("utf-8"))
-    rec["global_seed"] = 13
     spec = mixspec_from_record(rec)
     with Spill(tmp_path) as spill:
-        result = mixed(tuple_file, tuples, spec, registry, spill)
+        result = mixed(tuple_file, tuples, spec, registry, spill, 13)
         examples_of = decoded(result, spill)
     assert not result.errors, result.errors
     # the fixture corpus is tiny compared to the published caps
@@ -245,6 +241,18 @@ def test_every_preset_loads_and_plans():
         spec = mixspec_from_record(rec)
         plan = stage_plan(spec)
         assert plan[0][0] == 1
+
+
+def test_every_preset_is_in_canonical_form():
+    """A preset's bytes are its JSON as `json.dumps(..., indent=1,
+    sort_keys=True)` writes it, and a newline: an edit by hand keeps that form."""
+    from importlib import resources
+
+    presets = [p for p in resources.files("signalmine").joinpath("presets").iterdir() if p.name.endswith(".json")]
+    assert len(presets) == 10
+    for preset in presets:
+        text = preset.read_bytes().decode("utf-8")
+        assert text == json.dumps(json.loads(text), indent=1, sort_keys=True) + "\n", preset.name
 
 
 def test_uncovered_signals_are_warned(tuple_file):

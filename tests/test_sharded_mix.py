@@ -124,9 +124,9 @@ def test_one_cpu_renders_in_process(monkeypatch, tmp_path, registry, all_fixture
 
     _workers(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", no_fork)
-    spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),), global_seed=3, name="t")
+    spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),), name="t")
     with TupleStore([tuple_file(all_fixture_tuples)]) as store, Spill(tmp_path) as spill:
-        result = mixer.mix(store, spec, registry, spill)
+        result = mixer.mix(store, spec, registry, spill, 3)
         assert result.examples and not result.errors
 
 
@@ -160,8 +160,7 @@ def test_synthetic_bundle_hash_at_any_worker_count(monkeypatch, tmp_path, worker
         for family in ("multiple_choice", "generation")
     ]
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"name": "synthetic", "split_ratio": 0.1, "global_seed": 7,
-                                "entries": entries}), encoding="utf-8")
+    spec.write_text(json.dumps({"name": "synthetic", "split_ratio": 0.1, "entries": entries}), encoding="utf-8")
     _workers(monkeypatch, workers)
     assert _mix_hash(tmp_path, str(spec), [tuples]) == SYNTHETIC_BUNDLE_HASH
     assert _no_child_left()
@@ -175,13 +174,13 @@ def test_examples_that_tie_up_to_target_or_source_merge_as_in_one_process(monkey
     tuples = [dataclasses.replace(t, source_doc="daily_mail/one") if i % 6 else t for i, t in enumerate(tuples)]
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "multiple_choice", stage=1),
                             MixEntry("daily_mail_summary", "generation", stage=2)),
-                   split_ratio=0.25, global_seed=5, name="tie")
+                   split_ratio=0.25, name="tie")
     path = tuple_file(tuples)
 
     def run(workers: int):
         _workers(monkeypatch, workers)
         with TupleStore([path]) as store, Spill(tmp_path) as spill:
-            result = mixer.mix(store, spec, registry, spill)
+            result = mixer.mix(store, spec, registry, spill, 5)
             assert not result.errors
             streams = {f"tie.stage{stage}.{split}": records for (stage, split), records in result.examples.items()}
             out = tmp_path / f"bundle{workers}"
@@ -217,9 +216,9 @@ def _two_entry_mix(registry, path, spill_dir):
     """The errors and the streams, with their record lines, of a mix of two
     entries of the tuples at `path`, whose store and spill are closed again."""
     spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),
-                            MixEntry("daily_mail_summary", "multiple_choice")), global_seed=3, name="t")
+                            MixEntry("daily_mail_summary", "multiple_choice")), name="t")
     with TupleStore([path]) as store, Spill(spill_dir) as spill:
-        result = mixer.mix(store, spec, registry, spill)
+        result = mixer.mix(store, spec, registry, spill, 3)
         return SimpleNamespace(errors=result.errors, examples=_lines(result, spill))
 
 
@@ -380,9 +379,9 @@ def test_spill_files_leave_no_file_and_no_descriptor_over_ten_runs(monkeypatch, 
 
 def test_spill_files_are_unlinked_and_closed_with_the_result(registry, tmp_path, tuple_file):
     path = tuple_file([t for t in synthetic_tuples(10) if t.signal_type == "daily_mail_summary"])
-    spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),), global_seed=3, name="t")
+    spec = MixSpec(entries=(MixEntry("daily_mail_summary", "generation"),), name="t")
     with TupleStore([path]) as store, Spill(tmp_path) as spill:
-        mixer.mix(store, spec, registry, spill)
+        mixer.mix(store, spec, registry, spill, 3)
         assert list(tmp_path.iterdir()) == []
         files = spill.files
         assert files and not any(f.closed for f in files)
@@ -398,12 +397,12 @@ def test_mix_and_write_hold_less_than_the_bundle(monkeypatch, tmp_path, registry
     spec = MixSpec(entries=tuple(MixEntry(signal, family, stage=1 if family == "multiple_choice" else 2)
                                  for signal in ("daily_mail_summary", "wikidata_relation")
                                  for family in ("multiple_choice", "generation")),
-                   split_ratio=0.1, global_seed=7, name="synthetic")
+                   split_ratio=0.1, name="synthetic")
     out = tmp_path / "bundle"
     tracemalloc.start()
     try:
         with TupleStore([path]) as store, Spill(tmp_path) as spill:
-            result = mixer.mix(store, spec, registry, spill)
+            result = mixer.mix(store, spec, registry, spill, 7)
             streams = {f"synthetic.stage{stage}.{split}": records
                        for (stage, split), records in result.examples.items()}
             assert write_bundle(out, streams, spill.line_of) == SYNTHETIC_BUNDLE_HASH

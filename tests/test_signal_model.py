@@ -155,8 +155,7 @@ def _mixspec_records(draw):
                 entry[key] = draw(values)
         entries.append(entry)
     rec = {"entries": entries}
-    for key, values in (("split_ratio", st.floats(min_value=0, max_value=1, exclude_max=True)),
-                        ("global_seed", st.integers(min_value=0, max_value=2 ** 63)), ("name", _spec_text)):
+    for key, values in (("split_ratio", st.floats(min_value=0, max_value=1, exclude_max=True)), ("name", _spec_text)):
         if draw(st.booleans()):
             rec[key] = draw(values)
     return rec

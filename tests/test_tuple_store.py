@@ -25,7 +25,7 @@ from test_sharded_mix import _no_child_left, _open_fds, needs_proc
 # fixture tuples (`extract --seed 7`), as the parent commit of the tuple
 # store wrote it: every tuple twice, and each copy in the same split
 DUP_BUNDLE_HASH = "2515ae1ec9656dda4ba4f6e0039fae3e650a280f9929e6d781b6c7cf9d49ed38"
-DUP_SPEC = {"name": "dup", "split_ratio": 0.25, "global_seed": 0, "entries": [
+DUP_SPEC = {"name": "dup", "split_ratio": 0.25, "entries": [
     {"signal_type": "daily_mail_category", "family": "multiple_choice", "per_category_cap": 3, "stage": 1},
     {"signal_type": "daily_mail_summary", "family": "multiple_choice", "stage": 1},
     {"signal_type": "daily_mail_summary", "family": "generation", "stage": 2},
