@@ -135,8 +135,9 @@ def read(doc: Mapping, shape: Mapping, gate: list[str] | None = None, closed: bo
     In an open shape, undeclared keys are ignored and null reads as absent,
     but as an item of a list of neither texts nor objects (such as [str] or
     [[str]]), which is refused. In a closed one, an undeclared key or a null
-    is refused, but where a key's declared default is None. A refused value is a `FieldError` naming its path, such as
-    'steps[].headline' or 'requires.meta_equals.variant'."""
+    is refused, but where a key's declared default is None. A refused value
+    is a `FieldError` naming its path, such as 'steps[].headline' or
+    'requires.meta_equals.variant'."""
     return _object(doc, shape, "", gate, closed)
 
 
