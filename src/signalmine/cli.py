@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 data error (single-line `<class>: <message>` on
 stderr), 2 usage error. All randomness flows from --seed, else the
 SIGNALMINE_SEED environment variable, else 0: a mix spec says what to mix,
 not how to draw. No command writes an output to a path given as one of its
-inputs.
+inputs. Once its usage checks pass, and before it reads any input, a command
+makes the missing directories that hold its outputs.
 """
 
 from __future__ import annotations
@@ -81,10 +82,12 @@ _seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, env
                             help=f"Random seed (default: ${SEED_ENV} or 0).")
 
 
-def _check_outputs(outputs: dict[str, str | None], inputs: dict[str, str | tuple[str, ...] | None]) -> None:
+def _prepare_outputs(outputs: dict[str, str | None], inputs: dict[str, str | tuple[str, ...] | None]) -> None:
     """A usage error if an output path (flag -> path or None) names an input
     file (flag -> path, a repeatable flag's paths, or None) or an earlier
-    output, so that no run replaces what it reads or what it writes."""
+    output, so that no run replaces what it reads or what it writes; else
+    the directory that holds each output is made, if missing. A command
+    calls this last among its usage checks, before it reads any input."""
     named: dict[Path, str] = {}
     for flag, paths in inputs.items():
         if isinstance(paths, tuple):
@@ -97,6 +100,9 @@ def _check_outputs(outputs: dict[str, str | None], inputs: dict[str, str | tuple
             if resolved in named:
                 raise click.UsageError(f"{flag} {path} names {named[resolved]} file")
             named[resolved] = f"the {flag}"
+    for path in outputs.values():
+        if path:
+            Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
 @click.group(cls=_Commands)
@@ -120,13 +126,13 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
     """Convert one mine's raw dump into validated signal tuples."""
     options: dict = {}
     report_path = report_path or f"{out_path}.report.json"
-    _check_outputs({"--out": out_path, "--report": report_path},
-                   {"--in": in_path, "--db": db_path, "--blocklist": blocklist_path})
     if mine == "paperswithcode" and not db_path:
         raise click.UsageError("--db is required for the paperswithcode mine")
     for flag, value, owner in (("--db", db_path, "paperswithcode"), ("--blocklist", blocklist_path, "wikidata")):
         if value and mine != owner:
             raise click.UsageError(f"{flag} is for the {owner} mine only, not {mine}")
+    _prepare_outputs({"--out": out_path, "--report": report_path},
+                     {"--in": in_path, "--db": db_path, "--blocklist": blocklist_path})
     if db_path:
         options["entity_db"] = pwc.EntityDb(read_jsonl(db_path, lambda entry: read(entry, pwc.ENTRY)))
     if blocklist_path:
@@ -153,7 +159,7 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
 @_seed_option
 def restructure(tuples_paths, templates_path, out_path, family, seed):
     """Render each tuple into one prompted source/target example."""
-    _check_outputs({"--out": out_path}, {"--tuples": tuples_paths, "--templates": templates_path})
+    _prepare_outputs({"--out": out_path}, {"--tuples": tuples_paths, "--templates": templates_path})
     registry = load_registry(templates_path)
     with TupleStore(tuples_paths) as store, Spill(Path(out_path).parent) as spill:
         pools = DistractorPools.build(store.scan())
@@ -176,13 +182,14 @@ def restructure(tuples_paths, templates_path, out_path, family, seed):
     click.echo(f"rendered {len(store)} examples")
 
 
-def _load_spec(spec_arg: str):
+def _spec_file(spec_arg: str):
+    """The mix spec file `spec_arg` names: a path, else a bundled preset."""
     path = Path(spec_arg)
     if path.exists():
-        return load_mixspec(path)
+        return path
     preset = resources.files("signalmine").joinpath("presets", f"{spec_arg}.json")
     if preset.is_file():
-        return load_mixspec(preset)
+        return preset
     raise click.UsageError(f"unknown mix spec: {spec_arg}")
 
 
@@ -195,12 +202,12 @@ def _load_spec(spec_arg: str):
 @_seed_option
 def mix_command(spec_arg, tuples_paths, out_path, seed):
     """Cap, render, stage, split, and write a dataset bundle."""
-    spec = _load_spec(spec_arg)
+    spec_file = _spec_file(spec_arg)
+    _prepare_outputs({"--out": out_path}, {"--tuples": tuples_paths})
+    spec = load_mixspec(spec_file)
     registry = load_registry()
     # the record lines spill beside the bundle, on the disk it goes to
-    spill_dir = Path(out_path).parent
-    spill_dir.mkdir(parents=True, exist_ok=True)
-    with TupleStore(tuples_paths) as store, Spill(spill_dir) as spill:
+    with TupleStore(tuples_paths) as store, Spill(Path(out_path).parent) as spill:
         result = mix(store, spec, registry, spill, seed)
         streams = {
             f"{spec.name}.stage{stage}.{split}": examples
@@ -246,7 +253,7 @@ def validate(bundle_path):
               help="Write the per-section breakdown as JSON.")
 def grade(paper_path, answers_path, essay_score, out_path):
     """Grade an exam answer file; prints per-section scores and the total."""
-    _check_outputs({"--out": out_path}, {"--paper": paper_path, "--answers": answers_path})
+    _prepare_outputs({"--out": out_path}, {"--paper": paper_path, "--answers": answers_path})
     paper = load_paper(paper_path)
     answers = load_answers(answers_path)
     if essay_score is not None:
@@ -287,8 +294,8 @@ def _make_scorer(scorer_arg: str):
 @_seed_option
 def evaluate(dataset, data_path, prompts_path, scorer_arg, out_path, seed):
     """Score a dataset with its 5-prompt set by its family's metric; reports avg/max/std."""
-    _check_outputs({"--out": out_path}, {"--data": data_path, "--prompts": prompts_path})
     scorer = _make_scorer(scorer_arg)
+    _prepare_outputs({"--out": out_path}, {"--data": data_path, "--prompts": prompts_path})
     try:
         prompts = load_prompts(prompts_path, dataset) if prompts_path else None
         records = list(read_jsonl(data_path, record_reader(dataset)))

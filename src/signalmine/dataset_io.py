@@ -20,8 +20,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import __version__
-from .signal_model import (CATALOG, FORMAT_VERSION, PromptedExample, SchemaError, example_from_record,
-                           json_lines, read_json)
+from .signal_model import (CATALOG, FORMAT_VERSION, PromptedExample, SchemaError, default, example_from_record,
+                           json_lines, read, read_json, required)
 
 DIGEST_ALGORITHM = "sha256"
 MANIFEST_NAME = "manifest.json"
@@ -105,10 +105,8 @@ def write_bundle(
     # order; fed as each file is written
     digest = hashlib.sha256()
     files: dict[str, dict] = {}
-    parent = path.parent
-    parent.mkdir(parents=True, exist_ok=True)
     # not mkdtemp: its directories are mode 0700, and a bundle keeps the umask's mode
-    tmpdir = str(parent / f".{path.name}.tmp{os.urandom(4).hex()}")
+    tmpdir = str(path.parent / f".{path.name}.tmp{os.urandom(4).hex()}")
     os.mkdir(tmpdir)
     try:
         for name in sorted([*streams, STATS_NAME]):
@@ -211,8 +209,18 @@ def write_files_atomic(files: Mapping[str | os.PathLike, Iterable[bytes]]) -> No
                 pass
 
 
+# a bundle's manifest.json: what `write_bundle` writes, and what `mix` adds
+MANIFEST = {
+    "digest_algorithm": required(str), "bundle_hash": required(str), "tool_version": required(str),
+    "files": required({str: {"lines": required(int), "bytes": required(int)}}), "per_signal": required({str: int}),
+    "spec_name": default(str, None), "seed": default(int, None), "spec_hash": default(str, None),
+    "warnings": [str], "render_errors": [str],
+}
+
+
 def read_manifest(path: str | os.PathLike) -> dict:
-    return read_json(Path(path) / MANIFEST_NAME)
+    """The manifest of the bundle at `path`, read through MANIFEST (closed)."""
+    return read_json(Path(path) / MANIFEST_NAME, build=lambda doc: read(doc, MANIFEST, closed=True))
 
 
 _VERIFY_CHUNK = 1 << 18
@@ -241,14 +249,13 @@ def _scan_file(file: Path, digest) -> tuple[int, bool]:
 
 
 def verify_bundle(path: str | os.PathLike) -> dict:
-    """Recompute the digest and line counts; IntegrityError on any mismatch
-    or a listed file that is not UTF-8. Files are read in fixed chunks, so
-    no file is held whole in memory."""
+    """Recompute the digest and line counts; IntegrityError on any mismatch,
+    a stream file the manifest does not list or a listed file that is
+    missing or not UTF-8. Files are read in fixed chunks, so no file is held
+    whole in memory."""
     path = Path(path)
     manifest = read_manifest(path)
-    files = manifest.get("files", {})
-    if not (isinstance(files, dict) and all(isinstance(info, dict) for info in files.values())):
-        raise IntegrityError(f"{path / MANIFEST_NAME}: 'files' is not an object of objects")
+    files = manifest["files"]
     digest = hashlib.sha256()
     scanned: dict[str, tuple[int, bool]] = {}
     for name in sorted(os.listdir(path)):
@@ -258,15 +265,18 @@ def verify_bundle(path: str | os.PathLike) -> dict:
         scanned[name] = _scan_file(path / name, digest)
         digest.update(b"\x00")
     actual_hash = digest.hexdigest()
-    if actual_hash != manifest.get("bundle_hash"):
-        raise IntegrityError(f"bundle hash mismatch: {actual_hash} != {manifest.get('bundle_hash')}")
+    if actual_hash != manifest["bundle_hash"]:
+        raise IntegrityError(f"bundle hash mismatch: {actual_hash} != {manifest['bundle_hash']}")
+    unlisted = [name for name in scanned if name != STATS_NAME and name not in files]
+    if unlisted:
+        raise IntegrityError(f"unlisted bundle file: {unlisted[0]}")
     for name, info in files.items():
         if name not in scanned:
             raise IntegrityError(f"missing bundle file: {name}")
         lines, utf8 = scanned[name]
         if not utf8:
             raise IntegrityError(f"{name}: not valid UTF-8")
-        if info.get("lines") is not None and lines != info["lines"]:
+        if lines != info["lines"]:
             raise IntegrityError(f"{name}: {lines} lines, manifest says {info['lines']}")
     return manifest
 
@@ -281,7 +291,7 @@ def stats_report(path: str | os.PathLike) -> str:
     """Statistics rows recomputed from the bundle's actual files."""
     manifest = verify_bundle(path)
     per_signal: dict[str, int] = {}
-    for name in manifest.get("files", {}):
+    for name in manifest["files"]:
         for ex in read_examples(path, name):
             per_signal[ex.signal_type] = per_signal.get(ex.signal_type, 0) + 1
     return render_stats_table(per_signal)

@@ -325,8 +325,13 @@ def load_registry(path: str | None = None) -> PromptRegistry:
     return PromptRegistry(templates)
 
 
+# the frozen registry manifest: per signal type, its template count per family
+REGISTRY_MANIFEST = {"per_signal": {str: {str: int}}, "total": int}
+
+
 def load_manifest() -> dict:
-    return read_json(_data_file("registry_manifest.json"))
+    return read_json(_data_file("registry_manifest.json"),
+                     build=lambda doc: read(doc, REGISTRY_MANIFEST, closed=True))
 
 
 # the exam prompts: per question kind, its source and target patterns

@@ -49,11 +49,12 @@ def _loads(text: str):
     return value
 
 
-def json_line(line: str | bytes, name: str, number: int) -> dict | None:
-    """The JSON object on `line`, text or UTF-8 bytes, or None if it is
-    blank. A line that is not UTF-8, not JSON, not an object or not
-    encodable as UTF-8 is one `SchemaError` naming `name` and `number`, the
-    line's 1-based number."""
+def json_line(line: str | bytes, name: str, number: int, build: Callable | None = None):
+    """The JSON object on `line`, text or UTF-8 bytes, or what `build` makes
+    of it, or None if the line is blank. A line that is not UTF-8, not JSON,
+    not an object or not encodable as UTF-8, or a `FieldError` of `build`,
+    is one `SchemaError` naming `name` and `number`, the line's 1-based
+    number."""
     try:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
@@ -64,20 +65,18 @@ def json_line(line: str | bytes, name: str, number: int) -> dict | None:
         raise SchemaError(f"{name}:{number}: not a JSON record: {exc}") from exc
     if type(rec) is not dict:
         raise SchemaError(f"{name}:{number}: not a JSON record: expected a JSON object")
-    return rec
+    try:
+        return rec if build is None else build(rec)
+    except FieldError as exc:
+        raise FieldError(f"{name}:{number}: {exc}") from exc
 
 
 def json_lines(lines: Iterable[str | bytes], name: str, build: Callable | None = None) -> Iterator:
-    """The JSON object on each non-blank line of `lines` (`json_line`), or
-    what `build` makes of it; a `FieldError` of `build` names `name` and the
-    line."""
+    """What `json_line` reads from each non-blank line of `lines`."""
     for number, line in enumerate(lines, 1):
-        rec = json_line(line, name, number)
+        rec = json_line(line, name, number, build)
         if rec is not None:
-            try:
-                yield rec if build is None else build(rec)
-            except FieldError as exc:
-                raise FieldError(f"{name}:{number}: {exc}") from exc
+            yield rec
 
 
 def read_json(file, object_only: bool = True, build: Callable | None = None):
@@ -332,27 +331,38 @@ def tuple_to_record(tup: SignalTuple) -> dict:
     return rec
 
 
+# a tuple-file line; `tuple_from_record` also checks it against the catalog
+TUPLE = {"v": str, "signal_type": required(str), "fields": required({str: str}), "source_doc": required(str),
+         "meta": {str: str}}
+
+
 def tuple_from_record(rec: Mapping) -> SignalTuple:
-    try:
-        signal_type = rec["signal_type"]
-        named = rec["fields"]
-        source_doc = rec["source_doc"]
-    except KeyError as exc:
-        raise SchemaError(f"tuple record missing key: {exc}") from exc
+    """The tuple a tuple-file line holds. It must read through TUPLE (closed),
+    name a catalog signal type and give each field that type declares; else
+    it is a `FieldError` naming the key.
+
+    The checks below accept just what that reading accepts, at a fraction
+    of its cost (a test pins them to it); a record they refuse is read
+    through TUPLE only to word the refusal."""
+    signal_type, named, source_doc = rec.get("signal_type"), rec.get("fields"), rec.get("source_doc")
     meta = rec.get("meta", {})
     st = CATALOG.get(signal_type) if type(signal_type) is str else None
-    if st is None:
-        raise SchemaError(f"unknown signal type: {signal_type}")
-    if type(named) is not dict or type(meta) is not dict:
-        raise SchemaError("tuple record 'fields' and 'meta' must be objects")
-    try:
-        fields = tuple(map(named.__getitem__, st.field_names))
-        "".join((source_doc, *fields, *meta.values()))  # TypeError unless all are strings
-    except KeyError as exc:
-        raise SchemaError(f"tuple record missing field: {exc}") from exc
-    except TypeError as exc:
-        raise SchemaError("tuple record 'source_doc', fields and meta values must be strings") from exc
-    return SignalTuple(signal_type, fields, source_doc, dict(meta))
+    # the three required keys, "v" and "meta" if given, and no other
+    if (st is not None and type(named) is dict and type(meta) is dict
+            and len(rec) == 3 + ("v" in rec) + ("meta" in rec)):
+        try:
+            fields = tuple(map(named.__getitem__, st.field_names))
+            # a TypeError unless each is a string
+            "".join((rec.get("v", ""), source_doc, *named.values(), *meta.values()))
+            return SignalTuple(signal_type, fields, source_doc, dict(meta))
+        except (KeyError, TypeError):
+            pass
+    values = read(rec, TUPLE, closed=True)
+    signal_type = values["signal_type"]
+    if signal_type not in CATALOG:
+        raise FieldError(f"'signal_type' must be a catalog signal type, got {reprlib.repr(signal_type)}")
+    missing = next(name for name in CATALOG[signal_type].field_names if name not in values["fields"])
+    raise FieldError(f"'fields.{missing}' must be a string, got nothing")
 
 
 def tuple_line(tup: SignalTuple) -> str:
@@ -369,7 +379,7 @@ def load_tuples(text: str | bytes, name: str = "<tuples>") -> list[SignalTuple]:
     """The tuples in `text`, a tuple file's text or UTF-8 bytes; `name`
     names it in errors."""
     lines = text.split(b"\n" if isinstance(text, bytes) else "\n")
-    return [tuple_from_record(rec) for rec in json_lines(lines, name)]
+    return list(json_lines(lines, name, tuple_from_record))
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,8 @@ class TupleStore:
             self.first.append(len(self))
             offset = 0
             for number, line in enumerate(file, 1):
-                rec = json_line(line.removesuffix(b"\n"), path, number)
-                if rec is not None:
-                    tup = tuple_from_record(rec)
+                tup = json_line(line.removesuffix(b"\n"), path, number, tuple_from_record)
+                if tup is not None:
                     self.offset.append(offset)
                     self.size.append(len(line))
                     self.signal.append(_CODE[tup.signal_type])
@@ -103,8 +102,7 @@ class TupleStore:
         size, offset = self.size[number], self.offset[number]
         line = os.pread(self.files[file].fileno(), size, offset)
         try:
-            rec = json_line(line, self.paths[file], 0) if len(line) == size else None
-            tup = None if rec is None else tuple_from_record(rec)
+            tup = json_line(line, self.paths[file], 0, tuple_from_record) if len(line) == size else None
         except SchemaError:
             tup = None
         if tup is None or tup.signal_type != self.signal_of(number):

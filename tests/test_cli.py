@@ -11,11 +11,11 @@ import pytest
 from click.testing import CliRunner
 
 from signalmine.cli import main
-from signalmine.dataset_io import write_bundle
+from signalmine.dataset_io import MANIFEST, write_bundle
 from signalmine.eval_harness.datasets import OPTION_RECORD
 from signalmine.eval_harness.gaokao import ANSWERS, PAPER
 from signalmine.restructurer.templates import PROMPT, TEMPLATE, load_eval_prompts
-from signalmine.signal_model import MIX_SPEC, MixEntry, MixSpec, OneOf, required
+from signalmine.signal_model import MIX_SPEC, TUPLE, MixEntry, MixSpec, OneOf, required
 
 from conftest import FIXTURES
 
@@ -141,6 +141,34 @@ def test_an_output_naming_an_input_file_is_a_usage_error(runner, tmp_path, args,
     path = args[args.index(out_flag) + 1]
     assert f"Error: {out_flag} {path} names the {in_flag} file\n" in result.output
     assert _outputs(tmp_path) == before
+
+
+# per command: a run whose output, given as {dir}/..., is written there, and
+# the same run with a usage error
+@pytest.mark.parametrize("args,output,usage_error", [
+    (["extract", "--mine", "rotten_tomatoes", "--in", str(FIXTURES / "mines" / "rotten_tomatoes.jsonl"),
+      "--out", "{dir}/x.tuples"], "x.tuples", ["--blocklist", "{tuples}"]),
+    (["restructure", "--tuples", "{tuples}", "--out", "{dir}/x.jsonl"], "x.jsonl", ["--family", "cloze"]),
+    (["mix", "--spec", "{spec}", "--tuples", "{tuples}", "--out", "{dir}/b"], "b/manifest.json",
+     ["--spec", "no_such_spec"]),
+    (["evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"), "--out", "{dir}/r.json"],
+     "r.json", ["--scorer", "no-such-scorer"]),
+    (["grade", "--paper", str(FIXTURES / "gaokao" / "paper_2019_np2.json"),
+      "--answers", str(FIXTURES / "gaokao" / "answers_2019_np2_rst.json"), "--out", "{dir}/g.json"],
+     "g.json", ["--essay-score", "many"]),
+], ids=["extract", "restructure", "mix", "evaluate", "grade"])
+def test_an_output_in_a_missing_directory_is_written_there_and_a_usage_error_makes_none(
+        runner, tmp_path, args, output, usage_error):
+    tuples, spec = tmp_path / "rt.tuples", tmp_path / "spec.json"
+    tuples.write_text(json.dumps(_RT_TUPLE) + "\n")
+    spec.write_text(json.dumps({"entries": [{"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}]}))
+    names = {"dir": tmp_path / "new" / "dir", "tuples": tuples, "spec": spec}
+    result = runner.invoke(main, [arg.format(**names) for arg in [*args, *usage_error]])
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "new").exists()
+    result = runner.invoke(main, [arg.format(**names) for arg in args])
+    assert result.exit_code == 0, result.output
+    assert (names["dir"] / output).is_file()
 
 
 def test_extract_failed_rename_keeps_previous_output(runner, tmp_path, monkeypatch):
@@ -280,22 +308,57 @@ def test_validate_detects_corruption(runner, tmp_path):
     assert result.output.startswith("integrity-error:") or "integrity-error:" in result.output
 
 
-@pytest.mark.parametrize("files", [5, ["clismoke.stage1.train"], {"clismoke.stage1.train": 5}],
-                         ids=["number", "list", "entry-not-object"])
-@pytest.mark.parametrize("command", ["validate", "stats"])
-def test_manifest_files_of_the_wrong_shape_is_one_integrity_error_line(runner, tmp_path, files, command):
+def _clismoke_bundle(runner, tmp_path):
+    """A bundle `mix` wrote from the rotten_tomatoes fixture: its train and
+    validation streams."""
     rt = run_extract(runner, tmp_path, "rotten_tomatoes")
     bundle = tmp_path / "b"
     result = runner.invoke(main, ["mix", "--spec", str(_write_spec(tmp_path)), "--tuples", str(rt),
                                   "--out", str(bundle), "--seed", "7"])
     assert result.exit_code == 0, result.output
+    return bundle
+
+
+def _edit_manifest(bundle, edit) -> None:
     manifest = json.loads((bundle / "manifest.json").read_text())
-    manifest["files"] = files
+    edit(manifest)
     (bundle / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("files,message", [
+    (5, "'files' must be an object, got 5"),
+    (["clismoke.stage1.train"], "'files' must be an object, got ['clismoke.stage1.train']"),
+    ({"clismoke.stage1.train": 5}, "'files.clismoke.stage1.train' must be an object, got 5"),
+], ids=["number", "list", "entry-not-object"])
+@pytest.mark.parametrize("command", ["validate", "stats"])
+def test_manifest_files_of_the_wrong_shape_is_one_schema_error_line(runner, tmp_path, files, message, command):
+    bundle = _clismoke_bundle(runner, tmp_path)
+    _edit_manifest(bundle, lambda manifest: manifest.update(files=files))
     result = runner.invoke(main, [command, "--bundle", str(bundle)])
     assert result.exit_code == 1
-    assert result.output == (f"integrity-error: {bundle / 'manifest.json'}: "
-                             "'files' is not an object of objects\n")
+    assert result.output == f"schema-error: {bundle / 'manifest.json'}: {message}\n"
+
+
+def _set_lines(manifest):
+    manifest["files"]["clismoke.stage1.train"]["lines"] = str(manifest["files"]["clismoke.stage1.train"]["lines"])
+
+
+@pytest.mark.parametrize("edit,line", [
+    (lambda manifest: manifest.update(files={}), "integrity-error: unlisted bundle file: clismoke.stage1.train"),
+    (lambda manifest: manifest["files"].pop("clismoke.stage1.validation"),
+     "integrity-error: unlisted bundle file: clismoke.stage1.validation"),
+    (lambda manifest: manifest.pop("bundle_hash"),
+     "schema-error: {manifest}: 'bundle_hash' must be a string, got nothing"),
+    (_set_lines, "schema-error: {manifest}: 'files.clismoke.stage1.train.lines' must be an integer, got '8'"),
+], ids=["files-empty", "files-omit-a-stream", "bundle-hash-absent", "lines-a-string"])
+@pytest.mark.parametrize("command", ["validate", "stats"])
+def test_manifest_that_omits_a_stream_or_a_required_key_is_one_error_line(runner, tmp_path, edit, line, command):
+    """`files` lists exactly the bundle's streams: every file but
+    manifest.json and stats.tsv."""
+    bundle = _clismoke_bundle(runner, tmp_path)
+    _edit_manifest(bundle, edit)
+    result = runner.invoke(main, [command, "--bundle", str(bundle)])
+    assert (result.exit_code, result.output) == (1, line.format(manifest=bundle / "manifest.json") + "\n")
 
 
 _EXAMPLE_RECORD = {"v": "1", "source": "TEXT: t QUERY: q?", "target": "a", "signal_type": "qa_triviaqa",
@@ -899,7 +962,12 @@ _DECLARED = {
                        "--out", "{out}"], "{file}", lambda: _refused_keys(PAPER, "", _identity)),
     "grade --answers": (["grade", "--paper", str(FIXTURES / "gaokao" / "paper_2019_np2.json"), "--answers", "{file}",
                          "--out", "{out}"], "{file}", lambda: _refused_keys(ANSWERS, "", _identity)),
+    "mix --tuples": (["mix", "--spec", "all_tasks", "--tuples", "{file}", "--out", "{out}"], "{file}:1",
+                     lambda: _refused_keys(TUPLE, "", _identity)),
+    # the file is the manifest of the bundle directory that holds it
+    "validate --bundle": (["validate", "--bundle", "{dir}"], "{file}", lambda: _refused_keys(MANIFEST, "", _identity)),
 }
+_LINE_FILES = {"restructure --templates", "mix --tuples"}
 
 
 @pytest.mark.parametrize("option", sorted(_DECLARED))
@@ -908,16 +976,17 @@ def test_every_declared_path_of_every_wrong_json_type_is_one_schema_error_line(r
     path, and an undeclared key in each object: one line naming the file and
     the path, exit 1, and no output."""
     args, where, refused = _DECLARED[option]
-    file, empty, out = tmp_path / "input", tmp_path / "empty.tuples", tmp_path / "out"
+    file, empty, out = tmp_path / "in" / "manifest.json", tmp_path / "empty.tuples", tmp_path / "out"
+    file.parent.mkdir()
     empty.write_text("")
-    names = {"file": file, "empty": empty, "out": out}
+    names = {"file": file, "dir": file.parent, "empty": empty, "out": out}
     args = [arg.format(**names) for arg in args]
     where = where.format(**names)
     cases = list(refused())
     assert len(cases) > 10
     for doc, message in cases:
         text = json.dumps(doc)
-        file.write_text(text + "\n" if option == "restructure --templates" else text)
+        file.write_text(text + "\n" if option in _LINE_FILES else text)
         result = runner.invoke(main, args)
         assert (result.exit_code, result.output) == (1, f"schema-error: {where}: {message}\n"), text
         assert not out.exists()
@@ -1204,7 +1273,7 @@ _RT_TUPLE = {"v": "1", "signal_type": "rotten_tomatoes_sentiment", "source_doc":
 _RT_ENTRY = {"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}
 
 
-# <spec> stands for the spec file's path
+# <spec> and <tuples> stand for the paths of the spec file and the tuple file
 @pytest.mark.parametrize("spec,tuple_record,message", [
     ({"entries": [{"signal_type": "rotten_tomatoes_sentiment"}]}, _RT_TUPLE,
      "<spec>: 'entries[].family' must be a string, got nothing"),
@@ -1241,10 +1310,10 @@ _RT_ENTRY = {"signal_type": "rotten_tomatoes_sentiment", "family": "generation"}
     # the seed is a run argument (--seed or $SIGNALMINE_SEED), not part of the spec
     ({"entries": [_RT_ENTRY], "global_seed": 0}, _RT_TUPLE, "<spec>: 'global_seed' is not a declared key"),
     (None, {**_RT_TUPLE, "fields": ["A fine film.", "positive"]},
-     "tuple record 'fields' and 'meta' must be objects"),
-    (None, {**_RT_TUPLE, "meta": "x"}, "tuple record 'fields' and 'meta' must be objects"),
+     "<tuples>:1: 'fields' must be an object, got ['A fine film.', 'positive']"),
+    (None, {**_RT_TUPLE, "meta": "x"}, "<tuples>:1: 'meta' must be an object, got 'x'"),
     (None, {**_RT_TUPLE, "fields": {"review": 5, "sentiment": "positive"}},
-     "tuple record 'source_doc', fields and meta values must be strings"),
+     "<tuples>:1: 'fields.review' must be a string, got 5"),
 ], ids=["entry-without-family", "stage-not-a-number", "stage-a-float", "cap-a-float", "cap-a-bool",
         "per-category-cap-a-float", "composition-count-a-float", "weight-undeclared",
         "split-ratio-a-string", "split-ratio-a-bool", "split-ratio-nan", "split-ratio-minus-infinity",
@@ -1261,7 +1330,8 @@ def test_mix_malformed_spec_entry_or_tuple_record_is_one_schema_error_line(runne
     result = runner.invoke(main, ["mix", "--spec", str(spec_path), "--tuples", str(tuples),
                                   "--out", str(tmp_path / "b")])
     assert result.exit_code == 1
-    assert result.output == f"schema-error: {message.replace('<spec>', str(spec_path))}\n"
+    message = message.replace("<spec>", str(spec_path)).replace("<tuples>", str(tuples))
+    assert result.output == f"schema-error: {message}\n"
     assert not (tmp_path / "b").exists()
 
 

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import reprlib
 
 import pytest
-from hypothesis import given, reject, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from signalmine.signal_model import (
     CATALOG,
@@ -15,6 +16,7 @@ from signalmine.signal_model import (
     MixSpec,
     OneOf,
     SchemaError,
+    TUPLE,
     SignalTuple,
     default,
     dump_tuples,
@@ -22,6 +24,7 @@ from signalmine.signal_model import (
     mixspec_from_record,
     read,
     required,
+    tuple_from_record,
     validate_tuple,
 )
 
@@ -93,6 +96,80 @@ def test_round_trip_keeps_line_separators_inside_a_field():
     tup = SignalTuple("rotten_tomatoes_sentiment", ("a\u2028b\x85c", "positive"), "rotten_tomatoes/d1")
     assert load_tuples(dump_tuples([tup])) == [tup]
     assert load_tuples(dump_tuples([tup]).encode()) == [tup]
+
+
+_json_value = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=3),
+                        st.lists(st.text(max_size=2), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.text(max_size=2), max_size=2))
+_name = st.text(alphabet="abcdefg_", max_size=8)
+
+
+def _mutations(draw, rec: dict) -> None:
+    """Up to two edits of `rec`: an undeclared key, a declared key given a
+    value of any JSON type or removed, an unknown signal type, a field or a
+    meta value of any JSON type, a field removed."""
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        edit = draw(st.sampled_from(["key", "value", "remove", "signal", "fields", "meta", "drop-field"]))
+        if edit == "key":
+            rec[draw(_name)] = draw(_json_value)
+        elif edit == "value":
+            rec[draw(st.sampled_from(sorted(TUPLE)))] = draw(_json_value)
+        elif edit == "remove":
+            rec.pop(draw(st.sampled_from(sorted(TUPLE))), None)
+        elif edit == "signal":
+            rec["signal_type"] = draw(_name)
+        else:
+            named = rec.setdefault("meta", {}) if edit == "meta" else rec.get("fields")
+            if type(named) is dict:
+                key = draw(_name | st.sampled_from(sorted(named) or [""]))
+                if edit == "drop-field":
+                    named.pop(key, None)
+                else:
+                    named[key] = draw(_json_value)
+
+
+@st.composite
+def _tuple_records(draw):
+    """Tuple records as a tuple file holds them, edited (`_mutations`)."""
+    signal_type = draw(st.sampled_from(sorted(CATALOG)))
+    rec = {"signal_type": signal_type, "fields": {name: draw(_clean_text) for name in CATALOG[signal_type].field_names},
+           "source_doc": draw(_clean_text)}
+    if draw(st.booleans()):
+        rec["v"] = draw(st.sampled_from(["1", ""]))
+    if draw(st.booleans()):
+        rec["meta"] = draw(st.dictionaries(_name, _clean_text, max_size=2))
+    _mutations(draw, rec)
+    return rec
+
+
+def _declared_tuple(rec) -> SignalTuple:
+    """The tuple `rec` holds, read through TUPLE (closed) and checked against
+    the catalog, or the `FieldError` that refuses it."""
+    values = read(rec, TUPLE, closed=True)
+    st_ = CATALOG.get(values["signal_type"])
+    if st_ is None:
+        raise FieldError(f"'signal_type' must be a catalog signal type, got {reprlib.repr(values['signal_type'])}")
+    for name in st_.field_names:
+        if name not in values["fields"]:
+            raise FieldError(f"'fields.{name}' must be a string, got nothing")
+    fields = tuple(values["fields"][name] for name in st_.field_names)
+    return SignalTuple(values["signal_type"], fields, values["source_doc"], values["meta"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_tuple_records())
+def test_tuple_from_record_accepts_exactly_what_its_declaration_accepts(rec):
+    """The hand-written checks of `tuple_from_record` accept a record if and
+    only if TUPLE and the catalog do, and a refused record is refused with
+    their message."""
+    try:
+        expected = _declared_tuple(rec)
+    except FieldError as exc:
+        with pytest.raises(FieldError) as caught:
+            tuple_from_record(rec)
+        assert str(caught.value) == str(exc)
+    else:
+        assert tuple_from_record(rec) == expected
 
 
 def test_mixspec_invariants():
