@@ -339,17 +339,14 @@ def test_manifest_files_of_the_wrong_shape_is_one_schema_error_line(runner, tmp_
     assert result.output == f"schema-error: {bundle / 'manifest.json'}: {message}\n"
 
 
-def _set_lines(manifest):
-    manifest["files"]["clismoke.stage1.train"]["lines"] = str(manifest["files"]["clismoke.stage1.train"]["lines"])
-
-
 @pytest.mark.parametrize("edit,line", [
     (lambda manifest: manifest.update(files={}), "integrity-error: unlisted bundle file: clismoke.stage1.train"),
     (lambda manifest: manifest["files"].pop("clismoke.stage1.validation"),
      "integrity-error: unlisted bundle file: clismoke.stage1.validation"),
     (lambda manifest: manifest.pop("bundle_hash"),
      "schema-error: {manifest}: 'bundle_hash' must be a string, got nothing"),
-    (_set_lines, "schema-error: {manifest}: 'files.clismoke.stage1.train.lines' must be an integer, got '8'"),
+    (lambda manifest: manifest["files"]["clismoke.stage1.train"].update(lines="50"),
+     "schema-error: {manifest}: 'files.clismoke.stage1.train.lines' must be an integer, got '50'"),
 ], ids=["files-empty", "files-omit-a-stream", "bundle-hash-absent", "lines-a-string"])
 @pytest.mark.parametrize("command", ["validate", "stats"])
 def test_manifest_that_omits_a_stream_or_a_required_key_is_one_error_line(runner, tmp_path, edit, line, command):
