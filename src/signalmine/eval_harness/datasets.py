@@ -91,19 +91,6 @@ def summarize(dataset: str, metric: str, per_prompt: Sequence[float]) -> EvalRep
     )
 
 
-def _candidates_and_gold(
-    prompt: Mapping, record: Mapping, view: Mapping[str, str], spaces: Mapping[str, list[str]]
-) -> tuple[list[str], str]:
-    rule = prompt["answer"]
-    if rule:
-        options = rule_options(rule)
-        return options, answer_value(rule, view)
-    target_name = prompt["target"].strip("{}")
-    gold = view.get(target_name, "")
-    options = record.get("options") or list(spaces.get(target_name, []))
-    return options, gold
-
-
 def subsample(records: list, cap: int, seed: int) -> list:
     if len(records) <= cap:
         return list(records)
@@ -200,16 +187,8 @@ def eval_dataset(
             per_prompt.append(micro_f1(pairs))
         return summarize(dataset, metric, per_prompt)
 
-    # each record's fields as prompt bindings
-    views = [{k: str(v) for k, v in rec.items()} for rec in records]
-    spaces: dict[str, list[str]] = {}
-    if metric == "accuracy":
-        for prompt in prompts:
-            if prompt["answer"]:
-                continue
-            name = prompt["target"].strip("{}")
-            if name not in spaces:
-                spaces[name] = list(dict.fromkeys(view[name] for view in views if view.get(name)))
+    # each record's fields as prompt bindings; a null one is absent
+    views = [{k: str(v) for k, v in rec.items() if v is not None} for rec in records]
 
     if metric == "rouge1":
         # the length hint is the dataset-level average summary length
@@ -234,9 +213,16 @@ def eval_dataset(
             per_prompt.append(total / len(records))
             continue
 
+        rule = prompt["answer"]
+        if not rule:  # a record's gold is its rendered target; their distinct values, the label space
+            golds = [substitute(prompt["target"], view) for view in views]
+            space = list(dict.fromkeys(filter(None, golds)))
         correct = 0
-        for rec, view in zip(records, views):
-            options, gold = _candidates_and_gold(prompt, rec, view, spaces)
+        for number, (rec, view) in enumerate(zip(records, views)):
+            if rule:
+                options, gold = rule_options(rule), answer_value(rule, view)
+            else:
+                options, gold = rec.get("options") or space, golds[number]
             if len(options) < 2 or gold not in options:
                 raise SchemaError(
                     f"dataset '{dataset}': record options unusable (gold={gold!r}, options={options})"

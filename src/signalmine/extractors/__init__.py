@@ -16,13 +16,12 @@ into shards that run on every CPU, each spilling its tuple lines to disk.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ..normalizer import Detector, DetectorError, is_english, purify, trigram_detector
 from ..report import ExtractionReport
-from ..shards import Spill
+from ..shards import Spill, earliest_failures
 from ..signal_model import FieldError, SchemaError, json_lines, read, tuple_line, validate_tuple
 
 from . import arxiv, daily_mail, plain_text, pwc, qa, rotten_tomatoes, wikidata, wikihow, wikipedia, wordnet
@@ -54,22 +53,17 @@ _ADAPTERS: dict[str, tuple[Callable, dict]] = {
 }
 
 
-# per document, the end of its tuple lines in the spill file; the shard's
-# counts; and its first failing document's position and exception, or None
-ShardResult = tuple[array, tuple[ExtractionReport, tuple[int, Exception] | None]]
-
-
-def _extract_shard(mine, adapter, fields, kept, positions, spill: BinaryIO, seed: int,
-                   detector: Detector, options: Mapping[str, object]) -> ShardResult:
+def _extract_shard(mine, adapter, fields, kept, positions, put, seed: int, detector: Detector,
+                   options: Mapping[str, object]) -> tuple[ExtractionReport, dict]:
     """Read, gate, extract, validate and encode the (doc_id, document) pairs
-    of `kept` at `positions` into `spill`, stopping at the first that raises.
-    A field of the wrong JSON type is a `FieldError` naming the document."""
+    of `kept` at `positions`, `put`ting each one's tuple lines, until one
+    raises. The shard's counts, and that failure keyed by `mine`. A field of
+    the wrong JSON type is a `FieldError` naming the document."""
     report = ExtractionReport()
     ctx = ExtractContext(seed=seed, report=report, options=options)
-    ends = array("Q")
-    end = 0
     for position in positions:
         doc_id, doc = kept[position]
+        lines = []
         try:
             gate: list[str] = []
             values = read(doc, fields, gate)
@@ -81,32 +75,40 @@ def _extract_shard(mine, adapter, fields, kept, positions, spill: BinaryIO, seed
             if skip:
                 report.skip_doc(mine, skip)
             else:
-                for tup in adapter({**values, "doc_id": doc["doc_id"]}, ctx):
+                for tup in adapter({**values, "doc_id": doc_id}, ctx):
                     verdict = validate_tuple(tup)
                     if not verdict:
                         report.reject(tup.signal_type, f"invalid:{verdict.reason.split(':')[0]}")
                         continue
                     report.accept(tup.signal_type)
-                    end += spill.write(tuple_line(tup).encode())
+                    lines.append(tuple_line(tup))
         except FieldError as exc:
-            return ends, (report, (position, FieldError(f"{mine} document {doc_id}: {exc}")))
+            return report, {mine: (position, FieldError(f"{mine} document {doc_id}: {exc}"))}
         except Exception as exc:  # noqa: BLE001 - raised by the parent unless an earlier document failed
-            return ends, (report, (position, exc))
-        ends.append(end)
-    return ends, (report, None)
+            return report, {mine: (position, exc)}
+        put("".join(lines).encode())
+    return report, {}
+
+
+DOCUMENT = {"doc_id": str}  # the key of a dump line the runner reads itself
+
+
+def document(doc: Mapping) -> tuple[str, Mapping]:
+    """A dump line's id, read through DOCUMENT ("" if none), and document."""
+    return read(doc, DOCUMENT)["doc_id"], doc
 
 
 def extract_documents(
     mine: str,
-    docs: Iterable[Mapping],
+    docs: Iterable[tuple[str, Mapping]],
     seed: int,
     report: ExtractionReport,
     spill: Spill,
     detector: Detector = trigram_detector,
     options: Mapping[str, object] | None = None,
 ) -> Iterator[bytes]:
-    """The tuple-file lines of each document, in doc_id order, read from
-    `spill` as the caller draws them.
+    """The tuple-file lines of each of the (doc_id, document) pairs `docs`,
+    in doc_id order, read from `spill` as the caller draws them.
 
     Here the first document with a given id wins, and whole-corpus options
     are built. The kept documents are then dealt into shards (`Spill.run`),
@@ -122,12 +124,11 @@ def extract_documents(
         docs = list(docs)
         # every document's headword, before the shards check any field; a
         # null one is absent, as the shards read it
-        options["vocabulary"] = {purify(str(d.get("word") or "")).lower() for d in docs}
+        options["vocabulary"] = {purify(str(d.get("word") or "")).lower() for _, d in docs}
 
     seen_ids: set[str] = set()
     kept: list[tuple[str, Mapping]] = []
-    for doc in docs:
-        doc_id = str(doc.get("doc_id", ""))
+    for doc_id, doc in docs:
         if not doc_id:
             report.skip_doc(mine, "missing_doc_id")
             continue
@@ -138,11 +139,11 @@ def extract_documents(
         kept.append((doc_id, doc))
     report.docs_processed += len(kept)
 
-    results = spill.run(len(kept), lambda positions, file: _extract_shard(
-        mine, adapter, fields, kept, positions, file, seed, detector, options), "extract")
-    failures = [failure for _, failure in results if failure is not None]
+    results = spill.run(len(kept), lambda positions, put: _extract_shard(
+        mine, adapter, fields, kept, positions, put, seed, detector, options), "extract")
+    failures = earliest_failures(failures for _, failures in results)
     if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        raise failures[mine]
     for shard_report, _ in results:
         report.add(shard_report)
     return map(spill.line_of, sorted(range(len(kept)), key=lambda position: kept[position][0]))

@@ -13,7 +13,7 @@ Neither tuples nor record lines gather in the parent. It scans the tuple
 files once and keeps per tuple its line's place, signal type, key and
 capped-on values (`store.TupleStore`), per entry the numbers of the tuples it
 can render, and per job 6 bytes: its entry and tuple number. A render shard
-reads and decodes its jobs' lines and appends their record lines to its spill
+reads and decodes its jobs' lines and puts their record lines into its spill
 file (`shards.Spill`); `Spill.line_of` reads a job's line back when the bundle
 is written. `restructure` renders through `render_jobs` too.
 """
@@ -23,14 +23,14 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from typing import BinaryIO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .dataset_io import Record, encode_record
 from .restructurer.pools import DistractorPools
 from .restructurer.render import ConfigError, RenderError, render_with_selected
 from .restructurer.templates import PromptRegistry
 from .rng import derive_rng
-from .shards import Spill
+from .shards import Spill, earliest_failures
 from .signal_model import MixEntry, MixSpec, SignalTuple
 from .store import SIGNALS, TupleStore
 
@@ -138,47 +138,36 @@ def split_assignments(keys: Sequence[int], spec: MixSpec, seed: int) -> bytes:
 
 # (entries, per job its entry's index, per job its tuple's number, per tuple 1 if in validation)
 Jobs = tuple[Sequence[MixEntry], Sequence[int], Sequence[int], bytes]
-# per job, the end of its record line in the shard's spill file (a job that
-# rendered nothing ends where the one before it did); and per entry the
-# position of its first failing job and the error it raised
-ShardResult = tuple[array, dict[int, tuple[int, Exception]]]
 
 
-def _render_shard(jobs: Jobs, store: TupleStore, positions, spill: BinaryIO, registry, pools, seed) -> ShardResult:
+def _render_shard(jobs: Jobs, store: TupleStore, positions, put, registry, pools, seed) -> dict:
     """Render the jobs at `positions` in order, each from its tuple's line read
-    here, encode each example as it renders and append its line to `spill`.
-    An entry renders nothing more after its first render or config error."""
-    ends = array("Q")
+    here, and `put` each one's record line, or `b""` for a job not rendered.
+    An entry renders nothing more after its first render or config error;
+    per failed entry, its job's position and that error (`earliest_failures`)."""
     errors: dict[int, tuple[int, Exception]] = {}
-    end = 0
     entries, entry_of, number_of, validation = jobs
     for position in positions:
-        index = entry_of[position]
+        index, line = entry_of[position], b""
         if index not in errors:
             entry, number = entries[index], number_of[position]
             try:
-                end += spill.write(encode_record(render_with_selected(
+                line = encode_record(render_with_selected(
                     registry, store.tuple(number), entry.family, pools, seed, entry.template_group,
                     store.key_of(number), "validation" if validation[number] else "train"
-                )))
+                ))
             except (RenderError, ConfigError) as exc:
                 errors[index] = (position, exc)
-        ends.append(end)
-    return ends, errors
+        put(line)
+    return errors
 
 
 def render_jobs(jobs: Jobs, store: TupleStore, spill: Spill, registry, pools, seed: int) -> dict[int, Exception]:
     """Render `jobs` into `spill` (`Spill.run`), whose shards inherit the
     pools and `store`. Returns each failed entry's earliest error, the one a
     single process rendering every job meets, in the order of their jobs."""
-    results = spill.run(len(jobs[1]), lambda positions, file: _render_shard(
-        jobs, store, positions, file, registry, pools, seed), "render")
-    first_errors: dict[int, tuple[int, Exception]] = {}
-    for shard_errors in results:
-        for index, (position, exc) in shard_errors.items():
-            if index not in first_errors or position < first_errors[index][0]:
-                first_errors[index] = (position, exc)
-    return {index: exc for index, (_, exc) in sorted(first_errors.items(), key=lambda item: item[1][0])}
+    return earliest_failures(spill.run(len(jobs[1]), lambda positions, put: _render_shard(
+        jobs, store, positions, put, registry, pools, seed), "render"))
 
 
 def _check_renderable(entry: MixEntry, index: int, registry: PromptRegistry) -> None:

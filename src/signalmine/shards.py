@@ -2,9 +2,10 @@
 
 `extract`, `mix` and `restructure` all run through a `Spill`. The caller
 builds its inputs once, and a child inherits them with the rest of the
-parent's memory. A shard appends each item's bytes to its own spill file and
-pickles back only where each item's bytes end, and a small result of its
-own; `Spill.line_of` reads an item's bytes back in any order.
+parent's memory. A shard `put`s each item's bytes into its own spill file
+and pickles back only where they end, and a small result of its own, such
+as its failures (`earliest_failures`); `Spill.line_of` reads an item's
+bytes back in any order.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pickle
 import signal
 import tempfile
 from array import array
-from typing import BinaryIO, Callable, TypeVar
+from typing import BinaryIO, Callable, Hashable, Iterable, Mapping, TypeVar
 
 Result = TypeVar("Result")
 _SPILL_BUFFER = 1 << 16  # bytes a shard buffers before it writes to its spill file
@@ -47,14 +48,14 @@ def shard_of(item: int, shards: int) -> tuple[int, int]:
 
 class Spill:
     """The output of one command's shards: one unlinked file per shard in
-    `directory`, and per shard the end of each item's bytes in its file. No
+    `directory`, and per shard where each item's bytes end in its file. No
     file has a name, so none is left on disk on any exit path; leaving the
     `with` block closes every file opened, freeing its space and descriptor."""
 
     def __init__(self, directory: str | os.PathLike):
         self.directory = directory
         self.files: list[BinaryIO] = []
-        # per shard, an array('Q') of the cumulative end of each item's bytes
+        # per shard, an array('Q') of 0 and the cumulative end of each item's bytes
         self.ends: list[array] = []
 
     def __enter__(self) -> "Spill":
@@ -64,31 +65,47 @@ class Spill:
         for file in self.files:
             file.close()
 
-    def run(self, items: int, work: Callable[[range, BinaryIO], tuple[array, Result]],
+    def run(self, items: int, work: Callable[[range, Callable[[bytes], None]], Result],
             name: str) -> list[Result]:
-        """`work(positions, file)` for each shard of a `shard_plan` of
-        `items`, each with its own spill file (`run_shards`). `work` appends
-        each position's bytes to `file` and returns their cumulative ends,
-        and a result of its own; those results return in shard order."""
+        """`work(positions, put)` for each shard of a `shard_plan` of `items`
+        (`run_shards`); the results return in shard order. `work` calls
+        `put(data)` once for each of its positions, in order, with the bytes
+        that position makes (`b""` if none). A shard that stops early puts
+        nothing more; its later positions must not be read."""
         plan = shard_plan(items, worker_count())
         for _ in plan:  # each in `files` at once, so the `with` block closes it
             self.files.append(tempfile.TemporaryFile(buffering=_SPILL_BUFFER, dir=self.directory))
 
         def shard(number: int) -> tuple[array, Result]:
-            result = work(plan[number], self.files[number])
-            self.files[number].flush()  # a forked shard leaves by `os._exit`, which flushes nothing
-            return result
+            file, ends = self.files[number], array("Q", [0])
+
+            def put(data: bytes) -> None:
+                ends.append(ends[-1] + file.write(data))
+
+            result = work(plan[number], put)
+            file.flush()  # a forked shard leaves by `os._exit`, which flushes nothing
+            return ends, result
 
         results = run_shards(shard, len(plan), name)
         self.ends = [ends for ends, _ in results]
         return [result for _, result in results]
 
     def line_of(self, item: int) -> bytes:
-        """The bytes position `item` made."""
+        """The bytes position `item` put."""
         shard, slot = shard_of(item, len(self.files))
         ends = self.ends[shard]
-        start = ends[slot - 1] if slot else 0
-        return os.pread(self.files[shard].fileno(), ends[slot] - start, start)
+        return os.pread(self.files[shard].fileno(), ends[slot + 1] - ends[slot], ends[slot])
+
+
+def earliest_failures(failures: Iterable[Mapping[Hashable, tuple[int, Exception]]]) -> dict:
+    """Per group, the exception of its earliest `(position, exception)` in
+    the shards' `failures`, the one a single process meets first; the groups
+    in the order of those positions."""
+    first: dict = {}
+    for _, group, exc in sorted(((position, group, exc) for shard in failures
+                                 for group, (position, exc) in shard.items()), key=lambda failure: failure[0]):
+        first.setdefault(group, exc)
+    return first
 
 
 def _fork(work: Callable[[], object]) -> tuple[int, BinaryIO]:

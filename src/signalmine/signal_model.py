@@ -430,7 +430,9 @@ class MixEntry:
     stage: int = 1
     template_group: str | None = None
     composition: Mapping[str, int] | None = None  # category value -> exact count
-    composition_key: str | None = None  # field/meta key the composition counts
+    # the extraction_meta key the composition counts, "category" if None; a
+    # field's name puts every tuple in bucket "", as `mix` reads only meta values
+    composition_key: str | None = None
 
     def __post_init__(self) -> None:
         # each refusal names the key as a spec file holds it

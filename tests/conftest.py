@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from signalmine.extractors import extract_documents, read_jsonl
+from signalmine.extractors import document, extract_documents, read_jsonl
 from signalmine.extractors.pwc import ENTRY, EntityDb
 from signalmine.normalizer import trigram_detector
 from signalmine.report import ExtractionReport
@@ -34,10 +34,12 @@ def run_adapter(module, doc: dict, ctx) -> list:
 
 def extract_lines(mine: str, docs, seed: int, report: ExtractionReport, detector=trigram_detector,
                   options=None) -> list[str]:
-    """`extract_documents` through a spill of its own: the tuple-file lines,
-    each with its newline."""
+    """`extract_documents` of `docs`, each with its id read as the `extract`
+    command reads it, through a spill of its own: the tuple-file lines, each
+    with its newline."""
     with Spill(tempfile.gettempdir()) as spill:
-        text = b"".join(extract_documents(mine, docs, seed, report, spill, detector, options)).decode()
+        text = b"".join(extract_documents(mine, map(document, docs), seed, report, spill, detector,
+                                          options)).decode()
     return [line + "\n" for line in text.split("\n")[:-1]]
 
 

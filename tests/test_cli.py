@@ -78,6 +78,37 @@ def test_extract_out_naming_the_in_file_is_a_usage_error(runner, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["rt.jsonl"] and dump.read_bytes() == before
 
 
+def _extract_rt_ids(runner, tmp_path, ids: list) -> tuple:
+    """`extract` of rotten_tomatoes documents with these doc_id values, each
+    `...` leaving the key out: the result, and the report if one is written."""
+    review = {"review": "A wonderful and generous film with a huge heart and real wit", "rating": 5.0}
+    docs = [review if doc_id is ... else {"doc_id": doc_id, **review} for doc_id in ids]
+    dump, out = tmp_path / "rt.jsonl", tmp_path / "rt.tuples"
+    dump.write_text("".join(json.dumps(doc) + "\n" for doc in docs), encoding="utf-8")
+    result = runner.invoke(main, ["extract", "--mine", "rotten_tomatoes", "--in", str(dump), "--out", str(out)])
+    report = out.with_name(out.name + ".report.json")
+    return result, json.loads(report.read_text()) if report.exists() else None
+
+
+def test_extract_null_or_absent_doc_id_is_a_missing_one(runner, tmp_path):
+    # a null id was kept as "None", and a second null one counted a duplicate
+    result, report = _extract_rt_ids(runner, tmp_path, [None, None, ..., "a"])
+    assert result.exit_code == 0, result.output
+    assert report["skipped_docs"] == {"rotten_tomatoes:missing_doc_id": 3}
+    assert [json.loads(line)["source_doc"] for line in (tmp_path / "rt.tuples").read_text().splitlines()] == [
+        "rotten_tomatoes/a"]
+
+
+@pytest.mark.parametrize("doc_id", [["x"], True, 5, {"id": "a"}])
+def test_extract_doc_id_of_another_json_type_is_one_schema_error_line(runner, tmp_path, doc_id):
+    # these were kept as their Python text, such as "rotten_tomatoes/['x']"
+    # or "rotten_tomatoes/True"; an integer as its decimal text
+    result, report = _extract_rt_ids(runner, tmp_path, ["a", doc_id])
+    assert (result.exit_code, report) == (1, None)
+    assert result.output == (f"schema-error: {tmp_path / 'rt.jsonl'}:2: "
+                             f"'doc_id' must be a string, got {doc_id!r}\n")
+
+
 def test_restructure_out_naming_a_tuples_file_is_a_usage_error(runner, tmp_path):
     rt = run_extract(runner, tmp_path, "rotten_tomatoes")
     wn = run_extract(runner, tmp_path, "wordnet")

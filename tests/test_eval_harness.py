@@ -17,6 +17,7 @@ from signalmine.eval_harness import (
 )
 from signalmine.eval_harness.datasets import population_std, rouge1, subsample
 from signalmine.eval_harness.ner import parse_entity_list
+from signalmine.restructurer.render import format_options
 from signalmine.signal_model import SchemaError
 
 from conftest import load_eval_fixture
@@ -288,6 +289,37 @@ def test_eval_cond_rule_on_record_without_its_field_raises():
     doc = _prompt_doc('TEXT: {premise} QUERY: "{hypothesis}"? "Yes" or "No"?')
     with pytest.raises(RenderError, match="answer rule needs field 'label'"):
         eval_dataset("custom", [record], ReferenceScorer(), prompts=doc)
+
+
+@pytest.mark.parametrize("dataset,message", [("snips", "unbound placeholder 'label'"),
+                                             ("mr", "answer rule needs field 'label'")])
+def test_eval_null_label_reads_as_absent(dataset, message):
+    # bound as "None", it was an option of every snips record, and mr ended
+    # in "answer rule has no case for value 'None'"
+    from signalmine.restructurer.templates import RenderError
+
+    records = load_eval_fixture(dataset)
+    records[3] = {**records[3], "label": None, "note": None}
+    with pytest.raises(RenderError, match=re.escape(message)):
+        eval_dataset(dataset, records, ReferenceScorer(), seed=0)
+    del records[3]
+    assert eval_dataset(dataset, records, ReferenceScorer(), seed=0).per_prompt
+
+
+def test_eval_target_pattern_gives_gold_and_label_space():
+    # the target's field name was read by stripping its braces, so this set
+    # ended in "record options unusable (gold='', options=[])"
+    records = load_eval_fixture("snips")
+    prompts = [{"source": "TEXT: {text} QUERY: What's the intent? {choices_with_or}?",
+                "target": "Intent: {label}", "answer": None}] * 5
+    golds = [{**rec, "label": f"Intent: {rec['label']}"} for rec in records]
+    report = eval_dataset("snips", records, PerfectScorer(golds, text_key="text"), prompts=prompts)
+    assert report.per_prompt == (1.0,) * 5
+    scorer = _Recording()
+    eval_dataset("snips", records, scorer, prompts=prompts)
+    space = [f"Intent: {label}" for label in dict.fromkeys(rec["label"] for rec in records)]
+    assert len(space) > 2
+    assert all(source.endswith(f"{format_options(space, with_or=True)}?") for source in scorer.sources)
 
 
 def _seed_reference_score(source, candidate):

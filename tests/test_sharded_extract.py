@@ -259,7 +259,7 @@ def test_extract_and_write_hold_less_than_the_tuple_file(monkeypatch, tmp_path):
     # process extracts every document itself
     _workers(monkeypatch, 1)
     fixture = list(read_jsonl(str(FIXTURES / "mines" / "daily_mail.jsonl")))
-    docs = [dict(doc, doc_id=f"{doc['doc_id']}.{copy}") for copy in range(40) for doc in fixture]
+    docs = [(f"{doc['doc_id']}.{copy}", doc) for copy in range(40) for doc in fixture]
     out = tmp_path / "dm.tuples"
     report = ExtractionReport()
     tracemalloc.start()

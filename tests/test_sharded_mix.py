@@ -5,6 +5,7 @@ draws. None of it may change a byte of output."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 import signal
@@ -96,6 +97,65 @@ def test_shard_of_inverts_the_shard_plan():
             for shard, positions in enumerate(plan):
                 for slot, item in enumerate(positions):
                     assert shard_of(item, len(plan)) == (shard, slot)
+
+
+def _item(position: int) -> bytes:
+    return f"item {position}\n".encode() * (position % 3 + 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_spill_line_of_reads_back_what_each_position_put(monkeypatch, tmp_path, workers):
+    _workers(monkeypatch, workers)
+    plan = shards.shard_plan(13, workers)
+    # nothing at each shard's first and last slot
+    empty = {p for positions in plan for p in (positions[0], positions[-1])}
+
+    def work(positions, put):
+        for position in positions:
+            put(b"" if position in empty else _item(position))
+        return list(positions)
+
+    with Spill(tmp_path) as spill:
+        assert spill.run(13, work, "test") == [list(positions) for positions in plan]
+        for position in reversed(range(13)):
+            assert spill.line_of(position) == (b"" if position in empty else _item(position))
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_shard_that_stops_early_keeps_what_it_put_and_the_earliest_failure_wins(monkeypatch, tmp_path,
+                                                                                 workers):
+    # a shard stops at the first of these it meets, as `extract` does; at 2
+    # and 3 workers the earliest, 5, comes from a later shard than another
+    bad = {5: KeyError(5), 8: KeyError(8), 10: KeyError(10)}
+    _workers(monkeypatch, workers)
+
+    def work(positions, put):
+        for position in positions:
+            if position in bad:
+                return {"run": (position, bad[position])}
+            put(_item(position))
+        return {}
+
+    with Spill(tmp_path) as spill:
+        failures = spill.run(13, work, "test")
+        # a child's exception is pickled back: equal in type and arguments
+        assert [(group, type(exc), exc.args) for group, exc in shards.earliest_failures(failures).items()] == [
+            ("run", KeyError, (5,))]
+        for position in range(13):
+            shard, slot = shard_of(position, len(failures))
+            stop = failures[shard].get("run", (13,))[0]
+            if position < stop:
+                assert spill.line_of(position) == _item(position)
+    assert _no_child_left()
+
+
+def test_earliest_failures_per_group_in_position_order():
+    a5, a9, b2, b7, c4 = (RenderError(name) for name in ("a5", "a9", "b2", "b7", "c4"))
+    per_shard = [{"a": (9, a9), "b": (7, b7)}, {"a": (5, a5)}, {}, {"c": (4, c4), "b": (2, b2)}]
+    for order in itertools.permutations(per_shard):
+        assert list(shards.earliest_failures(order).items()) == [("b", b2), ("c", c4), ("a", a5)]
+    assert shards.earliest_failures([{}, {}]) == {}
 
 
 def test_shard_plan_with_64_cpus_and_fewer_jobs(monkeypatch):
