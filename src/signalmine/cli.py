@@ -298,8 +298,9 @@ def evaluate(dataset, data_path, prompts_path, scorer_arg, out_path, seed):
     _prepare_outputs({"--out": out_path}, {"--data": data_path, "--prompts": prompts_path})
     try:
         prompts = load_prompts(prompts_path, dataset) if prompts_path else None
-        records = list(read_jsonl(data_path, record_reader(dataset)))
-        report = eval_dataset(dataset, records, scorer, seed=seed, prompts=prompts)
+        numbered = list(read_jsonl(data_path, record_reader(dataset), numbered=True))
+        report = eval_dataset(dataset, [rec for _, rec in numbered], scorer, seed=seed, prompts=prompts,
+                              origins=[f"{data_path}:{number}" for number, _ in numbered])
         body = json.dumps(report.to_record(), indent=2, sort_keys=True)
         if out_path:
             write_files_atomic({out_path: [(body + "\n").encode()]})

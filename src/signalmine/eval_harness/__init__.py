@@ -1,5 +1,5 @@
-from .scorers import ExternalCommandScorer, ModelScorer, ReferenceScorer, ScorerError
-from .mc import option_mean_logprobs, score_mc
+from .scorers import ExternalCommandScorer, ModelScorer, ReferenceScorer, ScorerError, ask
+from .mc import score_mc
 from .ner import eval_two_step_ner, micro_f1
 from .gaokao import GaokaoPaper, SectionScore, grade_gaokao
 from .datasets import eval_dataset
@@ -9,7 +9,7 @@ __all__ = [
     "ModelScorer",
     "ReferenceScorer",
     "ScorerError",
-    "option_mean_logprobs",
+    "ask",
     "score_mc",
     "eval_two_step_ner",
     "micro_f1",

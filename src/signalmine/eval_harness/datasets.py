@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from ..restructurer.render import format_options
-from ..restructurer.templates import PROMPT, answer_value, load_eval_prompts, rule_options, substitute
+from ..restructurer.templates import PROMPT, RenderError, answer_value, load_eval_prompts, rule_options, substitute
 from ..rng import derive_rng
 from ..signal_model import FieldError, SchemaError, read, read_json, required
 from .mc import score_mc
 from .ner import eval_two_step_ner, micro_f1
-from .scorers import ModelScorer, ScorerError, prefetch
+from .scorers import ModelScorer, ask
 
 CLASSIFICATION_SAMPLE_CAP = 5000
 GENERATION_SAMPLE_CAP = 2000
@@ -135,16 +135,30 @@ def record_reader(dataset: str) -> Callable[[Mapping], Mapping] | None:
     return {"micro_f1": read_ner_record, "accuracy": read_option_record}.get(FAMILY_METRICS.get(key, "accuracy"))
 
 
+def _at(origin: str | None, render: Callable, *args):
+    """`render(*args)`, where a RenderError names `origin`, where the record
+    rendered was read, when that is known."""
+    try:
+        return render(*args)
+    except RenderError as exc:
+        if origin is None:
+            raise
+        raise RenderError(f"{origin}: {exc}") from exc
+
+
 def eval_dataset(
     dataset: str,
     records: list[Mapping],
     scorer: ModelScorer,
     seed: int = 0,
     prompts: list[Mapping] | None = None,
+    origins: Sequence[str] | None = None,
 ) -> EvalReport:
     """Score `records`, read by `record_reader(dataset)`, with the dataset's
     bundled 5-prompt set, or with `prompts` (`load_prompts`) in its place,
-    by the metric of the dataset's prompt family."""
+    by the metric of the dataset's prompt family. A record a prompt cannot
+    render is a RenderError that names its origin, such as 'data.jsonl:4',
+    if `origins` lists one per record."""
     doc = load_eval_prompts()
     key = doc["datasets"].get(dataset, dataset)
     metric = FAMILY_METRICS.get(key, "accuracy")
@@ -155,7 +169,8 @@ def eval_dataset(
     if len(prompts) != 5:
         raise SchemaError(f"prompt set '{dataset}' must have 5 prompts, has {len(prompts)}")
     cap = GENERATION_SAMPLE_CAP if metric in ("rouge1", "micro_f1") else CLASSIFICATION_SAMPLE_CAP
-    records = subsample(list(records), cap, seed)
+    picked = subsample(range(len(records)), cap, seed)
+    records, origins = [records[i] for i in picked], [origins[i] if origins else None for i in picked]
     if not records:
         raise SchemaError(f"no records for dataset '{dataset}'")
 
@@ -173,17 +188,11 @@ def eval_dataset(
             )
         per_prompt: list[float] = []
         for i, prompt in enumerate(prompts):
+            find, typing = prompt["source"], type_prompts[i]["source"]
             pairs = []
-            for rec in records:
-                predicted = eval_two_step_ner(
-                    rec["text"],
-                    scorer,
-                    type_labels,
-                    prompt["source"],
-                    type_prompts[i]["source"],
-                )
-                gold = [(s, t) for s, t in rec["entities"]]
-                pairs.append((predicted, gold))
+            for rec, origin in zip(records, origins):
+                predicted = _at(origin, eval_two_step_ner, rec["text"], scorer, type_labels, find, typing)
+                pairs.append((predicted, [(s, t) for s, t in rec["entities"]]))
             per_prompt.append(micro_f1(pairs))
         return summarize(dataset, metric, per_prompt)
 
@@ -200,34 +209,30 @@ def eval_dataset(
     per_prompt = []
     for prompt in prompts:
         if metric == "rouge1":
-            sources = [substitute(prompt["source"], view) for view in views]
-            # a failed request drops those in flight; the rest go one at a time
-            prefetch(scorer, [("generate", source) for source in sources])
+            sources = [_at(origin, substitute, prompt["source"], view) for view, origin in zip(views, origins)]
+            # a record whose request failed scores its summary against ""
+            replies = ask(scorer, [[("generate", source)] for source in sources])
             total = 0.0
-            for view, source in zip(views, sources):
-                try:
-                    prediction = scorer.generate(source)
-                except ScorerError:
-                    prediction = ""
-                total += rouge1(prediction, view.get("summary", ""))
+            for view, reply in zip(views, replies):
+                total += rouge1(reply[0] if reply is not None else "", view.get("summary", ""))
             per_prompt.append(total / len(records))
             continue
 
         rule = prompt["answer"]
         if not rule:  # a record's gold is its rendered target; their distinct values, the label space
-            golds = [substitute(prompt["target"], view) for view in views]
+            golds = [_at(origin, substitute, prompt["target"], view) for view, origin in zip(views, origins)]
             space = list(dict.fromkeys(filter(None, golds)))
         correct = 0
-        for number, (rec, view) in enumerate(zip(records, views)):
+        for number, (rec, view, origin) in enumerate(zip(records, views, origins)):
             if rule:
-                options, gold = rule_options(rule), answer_value(rule, view)
+                options, gold = rule_options(rule), _at(origin, answer_value, rule, view)
             else:
                 options, gold = rec.get("options") or space, golds[number]
             if len(options) < 2 or gold not in options:
                 raise SchemaError(
                     f"dataset '{dataset}': record options unusable (gold={gold!r}, options={options})"
                 )
-            source = substitute(prompt["source"], {
+            source = _at(origin, substitute, prompt["source"], {
                 **view,
                 "choices_with_or": format_options(options, with_or=True),
                 "choices_without_or": format_options(options, with_or=False),

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from ..restructurer.render import format_options
 from ..restructurer.templates import substitute
-from .mc import choose_option
-from .scorers import ModelScorer, ScorerError, prefetch
+from .mc import best_mean
+from .scorers import ModelScorer, ask
 
 
 def parse_entity_list(text: str) -> list[str]:
@@ -24,11 +24,10 @@ def eval_two_step_ner(
 ) -> list[tuple[str, str]]:
     """Prompts carry {text} / {entity} / {choices_*} placeholders."""
     bindings = {"text": text}
-    try:
-        raw = scorer.generate(substitute(find_prompt, bindings))
-    except ScorerError:
+    [found] = ask(scorer, [[("generate", substitute(find_prompt, bindings))]])
+    if found is None:
         return []
-    entities = parse_entity_list(raw)
+    entities = parse_entity_list(found[0])
     if entities and len(type_labels) < 2:
         raise ValueError("entity typing needs at least two type labels")
     bindings["choices_with_or"] = format_options(type_labels, with_or=True)
@@ -37,14 +36,9 @@ def eval_two_step_ner(
     for entity in entities:
         bindings["entity"] = entity
         sources.append(substitute(type_prompt, bindings))
-    prefetch(scorer, [("score", source, label) for source in sources for label in type_labels])
-    typed: list[tuple[str, str]] = []
-    for entity, source in zip(entities, sources):
-        index = choose_option(source, type_labels, scorer)
-        if index is None:
-            continue
-        typed.append((entity, type_labels[index]))
-    return typed
+    replies = ask(scorer, [[("score", source, label) for label in type_labels] for source in sources])
+    # an entity whose typing failed is dropped
+    return [(entity, type_labels[best_mean(r)]) for entity, r in zip(entities, replies) if r is not None]
 
 
 def micro_f1(pairs: list[tuple[list[tuple[str, str]], list[tuple[str, str]]]]) -> float:

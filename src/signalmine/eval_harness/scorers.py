@@ -91,13 +91,22 @@ _CLOSE_TIMEOUT_S = 5.0
 _READ_SIZE = 1 << 16
 
 
-def prefetch(scorer: ModelScorer, requests: Sequence[Request]) -> None:
-    """Announce the requests `scorer` will receive next, in this order. A
-    scorer with a `prefetch` method sends them before the first reply is
-    read; any other scorer answers each request when it is made."""
+def ask(scorer: ModelScorer, groups: Sequence[Sequence[Request]]) -> list[list | None]:
+    """Per group of requests, its replies in order, or None at its first
+    ScorerError, after which the rest of the group is not requested. More
+    than one request in all is first announced to a scorer's `prefetch`, if
+    it has one, which sends them all before it reads a reply; a lone one is
+    not, so a scorer that cannot start is tried once for it."""
     send = getattr(scorer, "prefetch", None)
-    if send is not None and requests:
-        send(requests)
+    if send is not None and sum(map(len, groups)) > 1:
+        send([request for group in groups for request in group])
+    replies: list[list | None] = []
+    for group in groups:
+        try:
+            replies.append([scorer.score(*r[1:]) if r[0] == "score" else scorer.generate(r[1]) for r in group])
+        except ScorerError:
+            replies.append(None)
+    return replies
 
 
 def _encode(requests: Sequence[Request]) -> bytes:

@@ -149,6 +149,6 @@ def extract_documents(
     return map(spill.line_of, sorted(range(len(kept)), key=lambda position: kept[position][0]))
 
 
-def read_jsonl(path: str, build: Callable | None = None) -> Iterator:
+def read_jsonl(path: str, build: Callable | None = None, numbered: bool = False) -> Iterator:
     with open(path, "rb") as fh:
-        yield from json_lines(fh, path, build)
+        yield from json_lines(fh, path, build, numbered)

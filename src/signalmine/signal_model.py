@@ -71,12 +71,14 @@ def json_line(line: str | bytes, name: str, number: int, build: Callable | None 
         raise FieldError(f"{name}:{number}: {exc}") from exc
 
 
-def json_lines(lines: Iterable[str | bytes], name: str, build: Callable | None = None) -> Iterator:
-    """What `json_line` reads from each non-blank line of `lines`."""
+def json_lines(lines: Iterable[str | bytes], name: str, build: Callable | None = None,
+               numbered: bool = False) -> Iterator:
+    """What `json_line` reads from each non-blank line of `lines`; if
+    `numbered`, as a pair after the line's 1-based number."""
     for number, line in enumerate(lines, 1):
         rec = json_line(line, name, number, build)
         if rec is not None:
-            yield rec
+            yield (number, rec) if numbered else rec
 
 
 def read_json(file, object_only: bool = True, build: Callable | None = None):
@@ -430,8 +432,8 @@ class MixEntry:
     stage: int = 1
     template_group: str | None = None
     composition: Mapping[str, int] | None = None  # category value -> exact count
-    # the extraction_meta key the composition counts, "category" if None; a
-    # field's name puts every tuple in bucket "", as `mix` reads only meta values
+    # the key the composition counts, "category" if None: a field's name, or
+    # else an extraction_meta key, read as `SignalTuple.get` reads it
     composition_key: str | None = None
 
     def __post_init__(self) -> None:

@@ -5,8 +5,10 @@
 `load_tuples` does, with the same errors, and hands each tuple to its
 caller, which keeps what it needs of it and drops it. The store keeps 21
 bytes per tuple in `array`s: where its line lies, its signal type and its
-`tuple_key` as a 64-bit integer; and 4 bytes more for each `extraction_meta`
-key the caller names, such as the keys a mix spec caps on. A render shard
+`tuple_key` as a 64-bit integer; and 4 bytes more for each key the caller
+names, such as the keys a mix spec caps on, whose value is read as
+`SignalTuple.get` reads it: the field of that name, else the
+`extraction_meta` value. A render shard
 reads back the line of each tuple it renders with `os.pread`, through the
 descriptor the scan opened, and decodes it again (`tuple`). The command
 owns the store: leaving its `with` block closes every file the scan opened.
@@ -38,8 +40,8 @@ class TupleStore:
         self.size = array("I")  # per tuple, its line's length with its newline
         self.signal = array("B")  # per tuple, its signal type's position in SIGNALS
         self.key = array("Q")  # per tuple, its `tuple_key` as an integer
-        # per `extraction_meta` key `scan` keeps, its distinct values, and per
-        # tuple its value's position there
+        # per key `scan` keeps, its distinct values, and per tuple its
+        # value's position there
         self.values: dict[str, list[str]] = {}
         self.codes: dict[str, array] = {}
 
@@ -55,9 +57,8 @@ class TupleStore:
 
     def scan(self, keys: Iterable[str] = ()) -> Iterator[SignalTuple]:
         """Open and read each file once: each tuple in file order, after its
-        line, signal type, key and `extraction_meta` values for `keys` are
-        kept. A line that does not decode is the `SchemaError` `load_tuples`
-        raises for it."""
+        line, signal type, key and values for `keys` are kept. A line that
+        does not decode is the `SchemaError` `load_tuples` raises for it."""
         self.values = {key: [] for key in keys}
         self.codes = {key: array("I") for key in keys}
         positions: dict[str, dict[str, int]] = {key: {} for key in keys}
@@ -73,8 +74,10 @@ class TupleStore:
                     self.size.append(len(line))
                     self.signal.append(_CODE[tup.signal_type])
                     self.key.append(int(tuple_key(tup), 16))
+                    if self.values:  # each key read as `SignalTuple.get` reads it, field first
+                        view = {**tup.extraction_meta, **tup.named_fields()}
                     for key, values in self.values.items():
-                        value = tup.extraction_meta.get(key, "")
+                        value = view.get(key, "")
                         if value not in positions[key]:
                             positions[key][value] = len(values)
                             values.append(value)
@@ -86,8 +89,9 @@ class TupleStore:
         return SIGNALS[self.signal[number]]
 
     def meta(self, key: str, number: int) -> str:
-        """Tuple `number`'s `extraction_meta` value for `key`, one of the
-        `keys` it was scanned with, or "" where it has none."""
+        """Tuple `number`'s value for `key`, one of the `keys` it was scanned
+        with: its field of that name, else its `extraction_meta` value, else
+        ""."""
         return self.values[key][self.codes[key][number]]
 
     def key_of(self, number: int) -> str:

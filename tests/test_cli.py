@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from signalmine.cli import main
 from signalmine.dataset_io import MANIFEST, write_bundle
+from signalmine.eval_harness import datasets
 from signalmine.eval_harness.datasets import OPTION_RECORD
 from signalmine.eval_harness.gaokao import ANSWERS, PAPER
 from signalmine.restructurer.templates import PROMPT, TEMPLATE, load_eval_prompts
@@ -816,12 +817,46 @@ def test_evaluate_unbound_prompt_placeholder_is_render_error(runner, tmp_path):
     prompts = [{"source": "TEXT: {premise} QUERY: {nope}? \"Yes\" or \"No\"?", "target": "{label}"}] * 5
     path = tmp_path / "prompts.json"
     path.write_text(json.dumps(prompts))
+    data = FIXTURES / "eval" / "rte.jsonl"
     result = runner.invoke(main, [
-        "evaluate", "--dataset", "rte", "--data", str(FIXTURES / "eval" / "rte.jsonl"),
-        "--prompts", str(path), "--seed", "1",
+        "evaluate", "--dataset", "rte", "--data", str(data), "--prompts", str(path), "--seed", "1",
     ])
     assert result.exit_code == 1
-    assert result.output == "render-error: unbound placeholder 'nope'\n"
+    # the first record the prompt cannot render is named
+    assert result.output == f"render-error: {data}:1: unbound placeholder 'nope'\n"
+
+
+# `seed` subsamples 3 records that hold the fourth
+@pytest.mark.parametrize("dataset,field,message,seed", [
+    ("snips", "label", "unbound placeholder 'label'", 0),
+    ("mr", "label", "answer rule needs field 'label'", 0),
+    ("scitldr", "text", "unbound placeholder 'text'", 4),
+], ids=["accuracy-target", "accuracy-cond-rule", "rouge1-source"])
+def test_evaluate_render_error_names_the_data_line(runner, tmp_path, monkeypatch, dataset, field, message, seed):
+    records = [json.loads(line) for line in (FIXTURES / "eval" / f"{dataset}.jsonl").read_text().splitlines()]
+    records[3][field] = None
+    data = tmp_path / f"{dataset}.jsonl"
+    data.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    result = runner.invoke(main, ["evaluate", "--dataset", dataset, "--data", str(data)])
+    assert (result.exit_code, result.output) == (1, f"render-error: {data}:4: {message}\n")
+    # subsampled to 3 records, the fourth line is named still
+    monkeypatch.setattr(datasets, "CLASSIFICATION_SAMPLE_CAP", 3)
+    monkeypatch.setattr(datasets, "GENERATION_SAMPLE_CAP", 3)
+    result = runner.invoke(main, ["evaluate", "--dataset", dataset, "--data", str(data), "--seed", str(seed)])
+    assert (result.exit_code, result.output) == (1, f"render-error: {data}:4: {message}\n")
+
+
+def test_evaluate_ner_prompt_render_error_names_the_first_sampled_line(runner, tmp_path, monkeypatch):
+    # the seed-2 subsample of 2 of conll03's 6 records starts at the third,
+    # which a blank first line puts on line 4
+    data = tmp_path / "conll03.jsonl"
+    data.write_text("\n" + (FIXTURES / "eval" / "conll03.jsonl").read_text())
+    prompts = tmp_path / "prompts.json"
+    prompts.write_text(json.dumps([{"source": "TEXT: {text} QUERY: {nope}?", "target": "{entities}"}] * 5))
+    monkeypatch.setattr(datasets, "GENERATION_SAMPLE_CAP", 2)
+    result = runner.invoke(main, ["evaluate", "--dataset", "conll03", "--data", str(data),
+                                  "--prompts", str(prompts), "--seed", "2"])
+    assert (result.exit_code, result.output) == (1, f"render-error: {data}:4: unbound placeholder 'nope'\n")
 
 
 @pytest.mark.parametrize("answer", [5, "Yes", [1], None])
@@ -1402,3 +1437,21 @@ def test_spec_hash_changes_with_every_field_but_the_seed():
         return _spec_hash(dataclasses.replace(spec, entries=(entry,)))
 
     assert composed({"a": 1, "b": 2}) == composed({"b": 2, "a": 1})
+
+
+def test_mix_composition_key_may_name_a_field(runner, tmp_path):
+    # `sentiment` is a field of rotten_tomatoes_sentiment tuples, not a meta key
+    rt = run_extract(runner, tmp_path, "rotten_tomatoes")
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"name": "bysentiment", "split_ratio": 0.0, "entries": [{
+        "signal_type": "rotten_tomatoes_sentiment", "family": "multiple_choice",
+        "composition": {"positive": 2}, "composition_key": "sentiment"}]}))
+    bundle = tmp_path / "b"
+    result = runner.invoke(main, ["mix", "--spec", str(spec), "--tuples", str(rt), "--out", str(bundle)])
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    assert (manifest["per_signal"], manifest["warnings"]) == ({"rotten_tomatoes_sentiment": 2}, [])
+    positive = {t["source_doc"] for t in map(json.loads, rt.read_text().splitlines())
+                if t["fields"]["sentiment"] == "positive"}
+    examples = [json.loads(line) for line in (bundle / "bysentiment.stage1.train").read_text().splitlines()]
+    assert len(examples) == 2 and {ex["source_doc"] for ex in examples} <= positive

@@ -12,7 +12,6 @@ from signalmine.eval_harness import (
     eval_dataset,
     eval_two_step_ner,
     micro_f1,
-    option_mean_logprobs,
     score_mc,
 )
 from signalmine.eval_harness.datasets import population_std, rouge1, subsample
@@ -47,12 +46,10 @@ def test_score_mc_tie_breaks_low_index():
 
 
 def test_score_mc_mean_not_sum():
-    # option B has more tokens but a higher mean
-    scorer = TableScorer({"a": -1.0, "b": -0.1, "c": -0.2})
-    means = option_mean_logprobs("q", ["a", "b c"], scorer)
-    assert means[0] == -1.0
-    assert abs(means[1] - (-0.15)) < 1e-12
+    # "b c" has the higher mean (-0.3 against -0.5) and the lower sum (-0.6)
+    scorer = TableScorer({"a": -0.5, "b": -0.3, "c": -0.3})
     assert score_mc("q", ["a", "b c"], scorer) == 1
+    assert score_mc("q", ["b c", "a"], scorer) == 0
 
 
 def test_score_mc_agrees_with_bruteforce_oracle():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -86,6 +87,73 @@ def test_scorer_that_cannot_start_leaves_questions_unanswered(tmp_path):
     assert score_mc("a", ["x", "y"], scorer) is None
     report = eval_dataset("scitldr", load_eval_fixture("scitldr"), scorer)
     assert report.per_prompt == (0.0,) * 5
+
+
+# Logs "start" when it starts and each request line it reads. A request
+# whose line holds argv[2] fails: the program exits without replying. A type
+# or summary request is answered "PER" or with the source after its "P<n>: ".
+FAILING_SCORER = """
+    import json, sys
+    log = open(sys.argv[1], "a")
+    log.write("start\\n")
+    log.flush()
+    for line in sys.stdin:
+        log.write(line)
+        log.flush()
+        if sys.argv[2] in line:
+            sys.exit(1)
+        request = json.loads(line)
+        if request["op"] == "score":
+            reply = {"logprobs": [0.0 if request["candidate"] == "PER" else -1.0]}
+        elif request["source"].startswith("TEXT:"):
+            reply = {"text": "Mozart, Salzburg, Vienna"}
+        else:
+            reply = {"text": request["source"].split(": ", 1)[1]}
+        print(json.dumps(reply), flush=True)
+"""
+
+
+def _score(source, candidate):
+    return json.dumps({"op": "score", "source": source, "candidate": candidate})
+
+
+def _generate(source):
+    return json.dumps({"op": "generate", "source": source})
+
+
+def test_failed_request_costs_its_question_entity_or_record(tmp_path):
+    log = tmp_path / "requests.log"
+
+    def run(fail, ask):
+        log.write_text("")
+        scorer = ExternalCommandScorer(_program(tmp_path, FAILING_SCORER) + [str(log), fail])
+        try:
+            return ask(scorer), log.read_text().splitlines()
+        finally:
+            scorer.close()
+
+    # a multiple-choice question is unanswered, and its last option not asked
+    got, lines = run('"FAIL"', lambda scorer: score_mc("q", ["a", "FAIL", "c"], scorer))
+    assert (got, lines) == (None, ["start", _score("q", "a"), _score("q", "FAIL")])
+
+    # the entity whose typing failed is dropped; the next is typed by a new start
+    got, lines = run("<Salzburg>", lambda scorer: eval_two_step_ner(
+        "Mozart left Salzburg for Vienna.", scorer, ["LOC", "PER"], "TEXT: {text}", "type of <{entity}>"))
+    assert got == [("Mozart", "PER"), ("Vienna", "PER")]
+    assert lines == [
+        "start", _generate("TEXT: Mozart left Salzburg for Vienna."),
+        _score("type of <Mozart>", "LOC"), _score("type of <Mozart>", "PER"), _score("type of <Salzburg>", "LOC"),
+        "start", _score("type of <Vienna>", "LOC"), _score("type of <Vienna>", "PER"),
+    ]
+
+    # the failed record scores its summary against "", and later records are asked
+    records = [{"text": text, "summary": text} for text in ("one", "two FAIL", "three")]
+    prompts = [{"source": f"P{i}: {{text}}", "target": "{summary}"} for i in range(5)]
+    got, lines = run("FAIL", lambda scorer: eval_dataset("scitldr", records, scorer, prompts=prompts))
+    assert got.per_prompt == (2 / 3,) * 5
+    assert lines == [line for i in range(5) for line in (
+        *(["start"] if i == 0 else []), _generate(f"P{i}: one"), _generate(f"P{i}: two FAIL"),
+        "start", _generate(f"P{i}: three"))]
 
 
 def test_external_scorer_bad_json_is_scorer_error(tmp_path):
