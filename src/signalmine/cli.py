@@ -31,7 +31,7 @@ from .dataset_io import (
 from .eval_harness.datasets import eval_dataset, load_prompts, record_reader
 from .eval_harness.gaokao import grade_gaokao, load_answers, load_paper
 from .eval_harness.scorers import ExternalCommandScorer, ReferenceScorer, ScorerError
-from .extractors import MINES, document, extract_documents, pwc, read_jsonl
+from .extractors import MINES, extract_documents, pwc, read_jsonl
 from .mixer import mix, render_jobs
 from .normalizer import DetectorError
 from .report import ExtractionReport
@@ -143,7 +143,7 @@ def extract(mine, in_path, out_path, seed, db_path, blocklist_path, report_path)
         options["property_blocklist"] = tuple(l.strip() for l in lines if l.strip())
     report = ExtractionReport()
     with Spill(Path(out_path).parent) as spill:
-        lines = extract_documents(mine, read_jsonl(in_path, document), seed, report, spill, options=options)
+        lines = extract_documents(mine, in_path, seed, report, spill, options=options)
         write_files_atomic({out_path: lines, report_path: [(report.to_json() + "\n").encode()]})
     click.echo(f"extracted {sum(report.accepted.values())} tuples from {report.docs_processed} documents")
 

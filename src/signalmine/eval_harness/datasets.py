@@ -229,9 +229,8 @@ def eval_dataset(
             else:
                 options, gold = rec.get("options") or space, golds[number]
             if len(options) < 2 or gold not in options:
-                raise SchemaError(
-                    f"dataset '{dataset}': record options unusable (gold={gold!r}, options={options})"
-                )
+                message = f"dataset '{dataset}': record options unusable (gold={gold!r}, options={options})"
+                raise SchemaError(f"{origin}: {message}" if origin else message)
             source = _at(origin, substitute, prompt["source"], {
                 **view,
                 "choices_with_or": format_options(options, with_or=True),

@@ -1,28 +1,37 @@
 """One streaming adapter per data mine.
 
-Each adapter module declares `FIELDS`, the document fields it reads, and the
-runner reads every document through them (`signal_model.read`): text purified,
-gate text joined for the language gate, numbers as floats, lists without
-their empty texts, objects field by field. A null field reads as absent; one
-of another JSON type is one schema error naming the document and the field.
-Each adapter is a pure function of the values read that reports the
-candidates it rejects; the runner handles doc-id uniqueness, the language
-gate, validation, canonical ordering, and the accepted counts (one per tuple
-returned, so the report matches the output by construction).
-All sampling inside adapters draws from an RNG keyed by (seed, mine, doc_id)
-so per-document work is order-independent, and the documents can be dealt
-into shards that run on every CPU, each spilling its tuple lines to disk.
+The runner streams each dump: it reads the file once, one line at a time,
+and decodes each line only for its `doc_id` (and, for wordnet, its
+headword). Of the first document of each id it keeps the id and where the
+line lies, and drops the document. The kept documents are dealt into shards
+that run on every CPU; each shard reads its own lines again with
+`os.pread`, decodes them, and spills its tuple lines to disk.
+
+A shard reads every document through its mine's `FIELDS`
+(`signal_model.read`): text purified, gate text joined for the language
+gate, numbers as floats, lists without their empty texts, objects field by
+field. A null field reads as absent; one of another JSON type is one schema
+error naming the document and the field. Each adapter is a pure function of
+the values read that reports the candidates it rejects; the runner handles
+doc-id uniqueness, the language gate, validation, canonical ordering, and
+the accepted counts (one per tuple returned, so the report matches the
+output by construction). All sampling inside adapters draws from an RNG
+keyed by (seed, mine, doc_id), so per-document work is order-independent
+and any shard may do it.
 """
 
 from __future__ import annotations
 
+import os
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterator, Mapping
 
+from ..dataset_io import IntegrityError
 from ..normalizer import Detector, DetectorError, is_english, purify, trigram_detector
 from ..report import ExtractionReport
 from ..shards import Spill, earliest_failures
-from ..signal_model import FieldError, SchemaError, json_lines, read, tuple_line, validate_tuple
+from ..signal_model import FieldError, SchemaError, json_line, json_lines, read, tuple_line, validate_tuple
 
 from . import arxiv, daily_mail, plain_text, pwc, qa, rotten_tomatoes, wikidata, wikihow, wikipedia, wordnet
 
@@ -53,20 +62,83 @@ _ADAPTERS: dict[str, tuple[Callable, dict]] = {
 }
 
 
-def _extract_shard(mine, adapter, fields, kept, positions, put, seed: int, detector: Detector,
+DOCUMENT = {"doc_id": str}  # the key of a dump line the runner reads itself
+
+
+def document(doc: Mapping) -> tuple[str, Mapping]:
+    """A dump line's id, read through DOCUMENT ("" if none), and document."""
+    return read(doc, DOCUMENT)["doc_id"], doc
+
+
+class _Kept:
+    """The first document of each doc_id in the dump `file` at `path`, in
+    file order: its id, and its line's offset and length in `array`s."""
+
+    def __init__(self, path: str, file: BinaryIO):
+        self.path, self.file = path, file
+        self.ids: list[str] = []
+        self.offset = array("Q")
+        self.size = array("I")  # with its newline
+
+    def read(self, mine: str, report: ExtractionReport, vocabulary: set[str] | None) -> None:
+        """Read the file once, a line at a time, each line through
+        `document`: a line that does not decode is the `SchemaError`
+        `read_jsonl` raises for it. A document without an id, or with one
+        seen before, is a skip count in `report`; each document's headword
+        goes into `vocabulary`, if given."""
+        seen: set[str] = set()
+        offset = 0
+        for number, line in enumerate(self.file, 1):
+            read_line = json_line(line, self.path, number, document)
+            if read_line is not None:
+                doc_id, doc = read_line
+                if vocabulary is not None:
+                    # every document's headword, before the shards check
+                    # any field; a null one is absent, as the shards read it
+                    vocabulary.add(purify(str(doc.get("word") or "")).lower())
+                if not doc_id:
+                    report.skip_doc(mine, "missing_doc_id")
+                elif doc_id in seen:
+                    report.skip_doc(mine, "duplicate_doc_id")
+                else:
+                    seen.add(doc_id)
+                    self.ids.append(doc_id)
+                    self.offset.append(offset)
+                    self.size.append(len(line))
+            offset += len(line)
+
+    def document(self, position: int) -> Mapping:
+        """The document at `position`, read from the file again. A line that
+        is cut short or no longer decodes to a document of the id read there
+        is an `IntegrityError` naming the file."""
+        doc_id, size, offset = self.ids[position], self.size[position], self.offset[position]
+        line = os.pread(self.file.fileno(), size, offset)
+        try:
+            read_line = json_line(line, self.path, 0, document) if len(line) == size else None
+        except SchemaError:
+            read_line = None
+        if read_line is None or read_line[0] != doc_id:
+            raise IntegrityError(
+                f"{self.path}: changed since it was read: the {size} bytes at offset {offset} "
+                f"no longer hold document {doc_id}"
+            )
+        return read_line[1]
+
+
+def _extract_shard(mine, adapter, fields, kept: _Kept, positions, put, seed: int, detector: Detector,
                    options: Mapping[str, object]) -> tuple[ExtractionReport, dict]:
-    """Read, gate, extract, validate and encode the (doc_id, document) pairs
-    of `kept` at `positions`, `put`ting each one's tuple lines, until one
+    """Read again, gate, extract, validate and encode the documents of
+    `kept` at `positions`, `put`ting each one's tuple lines, until one
     raises. The shard's counts, and that failure keyed by `mine`. A field of
     the wrong JSON type is a `FieldError` naming the document."""
     report = ExtractionReport()
     ctx = ExtractContext(seed=seed, report=report, options=options)
     for position in positions:
-        doc_id, doc = kept[position]
+        doc_id = kept.ids[position]
         lines = []
         try:
             gate: list[str] = []
-            values = read(doc, fields, gate)
+            values = read(kept.document(position), fields, gate)
             text = " ".join(gate)
             try:
                 skip = "language" if text and not is_english(text, detector) else None
@@ -90,63 +162,45 @@ def _extract_shard(mine, adapter, fields, kept, positions, put, seed: int, detec
     return report, {}
 
 
-DOCUMENT = {"doc_id": str}  # the key of a dump line the runner reads itself
-
-
-def document(doc: Mapping) -> tuple[str, Mapping]:
-    """A dump line's id, read through DOCUMENT ("" if none), and document."""
-    return read(doc, DOCUMENT)["doc_id"], doc
-
-
 def extract_documents(
     mine: str,
-    docs: Iterable[tuple[str, Mapping]],
+    dump: str | os.PathLike,
     seed: int,
     report: ExtractionReport,
     spill: Spill,
     detector: Detector = trigram_detector,
     options: Mapping[str, object] | None = None,
 ) -> Iterator[bytes]:
-    """The tuple-file lines of each of the (doc_id, document) pairs `docs`,
+    """The tuple-file lines of each document of the JSON-lines file `dump`,
     in doc_id order, read from `spill` as the caller draws them.
 
-    Here the first document with a given id wins, and whole-corpus options
-    are built. The kept documents are then dealt into shards (`Spill.run`),
-    each of which reads, gates, extracts, validates and encodes its
-    documents. The counts land in `report`. If documents raise, the error
-    raised is that of the earliest one, as in one process.
+    Here the dump is read once, the first document with a given id wins,
+    and whole-corpus options are built; no document is kept. The kept
+    positions are then dealt into shards (`Spill.run`), each of which reads
+    its documents' lines again, and gates, extracts, validates and encodes
+    them. The counts land in `report`. A line that does not decode is raised
+    before any shard runs; if documents raise, the error raised is that of
+    the earliest one, as in one process.
     """
     if mine not in _ADAPTERS:
         raise SchemaError(f"unknown mine: {mine}")
     adapter, fields = _ADAPTERS[mine]
     options = dict(options or {})
+    vocabulary = None
     if mine == "wordnet":
-        docs = list(docs)
-        # every document's headword, before the shards check any field; a
-        # null one is absent, as the shards read it
-        options["vocabulary"] = {purify(str(d.get("word") or "")).lower() for _, d in docs}
-
-    seen_ids: set[str] = set()
-    kept: list[tuple[str, Mapping]] = []
-    for doc_id, doc in docs:
-        if not doc_id:
-            report.skip_doc(mine, "missing_doc_id")
-            continue
-        if doc_id in seen_ids:
-            report.skip_doc(mine, "duplicate_doc_id")
-            continue
-        seen_ids.add(doc_id)
-        kept.append((doc_id, doc))
-    report.docs_processed += len(kept)
-
-    results = spill.run(len(kept), lambda positions, put: _extract_shard(
-        mine, adapter, fields, kept, positions, put, seed, detector, options), "extract")
+        vocabulary = options["vocabulary"] = set()
+    with open(dump, "rb") as file:
+        kept = _Kept(str(dump), file)
+        kept.read(mine, report, vocabulary)
+        report.docs_processed += len(kept.ids)
+        results = spill.run(len(kept.ids), lambda positions, put: _extract_shard(
+            mine, adapter, fields, kept, positions, put, seed, detector, options), "extract")
     failures = earliest_failures(failures for _, failures in results)
     if failures:
         raise failures[mine]
     for shard_report, _ in results:
         report.add(shard_report)
-    return map(spill.line_of, sorted(range(len(kept)), key=lambda position: kept[position][0]))
+    return map(spill.line_of, sorted(range(len(kept.ids)), key=kept.ids.__getitem__))
 
 
 def read_jsonl(path: str, build: Callable | None = None, numbered: bool = False) -> Iterator:

@@ -730,6 +730,17 @@ def test_evaluate_malformed_ner_record_is_one_schema_error_line(runner, tmp_path
     assert result.output == f"schema-error: {data}:3: {message}\n"
 
 
+def test_evaluate_record_whose_options_are_unusable_names_its_data_line(runner, tmp_path):
+    records = [json.loads(line) for line in (FIXTURES / "eval" / "snips.jsonl").read_text().splitlines()]
+    records[3]["options"] = ["only one"]
+    data = tmp_path / "snips.jsonl"
+    data.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    result = runner.invoke(main, ["evaluate", "--dataset", "snips", "--data", str(data), "--scorer", "reference"])
+    assert (result.exit_code, result.output) == (
+        1, f"schema-error: {data}:4: dataset 'snips': record options unusable "
+           f"(gold='set alarm', options=['only one'])\n")
+
+
 def _report_command(command, out):
     if command == "grade":
         return ["grade", "--paper", str(FIXTURES / "gaokao" / "paper_2019_np2.json"),

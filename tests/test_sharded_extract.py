@@ -5,6 +5,7 @@ behind."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -254,23 +255,66 @@ def test_child_killed_mid_shard_keeps_the_old_tuples_and_report(monkeypatch, tmp
     assert _no_child_left()
 
 
+def _daily_mail_copies(tmp_path, copies: int) -> Path:
+    """The daily_mail fixture dump repeated `copies` times, each copy's
+    documents with ids of their own."""
+    fixture = list(read_jsonl(str(FIXTURES / "mines" / "daily_mail.jsonl")))
+    dump = tmp_path / "dm.jsonl"
+    dump.write_text("".join(json.dumps({**doc, "doc_id": f"{doc['doc_id']}.{copy}"}) + "\n"
+                            for copy in range(copies) for doc in fixture), encoding="utf-8")
+    return dump
+
+
 def test_extract_and_write_hold_less_than_the_tuple_file(monkeypatch, tmp_path):
     # the tuple lines are on disk, not in memory; one worker, so the traced
     # process extracts every document itself
     _workers(monkeypatch, 1)
-    fixture = list(read_jsonl(str(FIXTURES / "mines" / "daily_mail.jsonl")))
-    docs = [(f"{doc['doc_id']}.{copy}", doc) for copy in range(40) for doc in fixture]
+    dump = _daily_mail_copies(tmp_path, 40)
+    docs = dump.read_bytes().count(b"\n")
     out = tmp_path / "dm.tuples"
     report = ExtractionReport()
     tracemalloc.start()
     try:
         with Spill(tmp_path) as spill:
-            write_files_atomic({out: extract_documents("daily_mail", docs, 1, report, spill, always_english)})
+            write_files_atomic({out: extract_documents("daily_mail", dump, 1, report, spill, always_english)})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert out.read_bytes().count(b"\n") == sum(report.accepted.values()) > len(docs)
+    assert out.read_bytes().count(b"\n") == sum(report.accepted.values()) > docs
     assert peak < out.stat().st_size
+
+
+def test_extract_holds_no_document_after_the_read(monkeypatch, tmp_path):
+    # one worker, so the traced process reads the dump and extracts every
+    # document itself; the documents hold lists, so the collector tracks them
+    _workers(monkeypatch, 1)
+    dump = _daily_mail_copies(tmp_path, 40)
+    ids = {json.loads(line)["doc_id"] for line in dump.read_text(encoding="utf-8").splitlines()}
+    held, peaks = [], []
+    real = Spill.run
+
+    def run(self, *args, **kwargs):
+        # the peak of the read, then the documents alive once it is done;
+        # the collector's list of every object is left out of the peak
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        held.extend(obj for obj in gc.get_objects()
+                    if type(obj) is dict and isinstance(obj.get("doc_id"), str) and obj["doc_id"] in ids)
+        tracemalloc.reset_peak()
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Spill, "run", run)
+    report = ExtractionReport()
+    tracemalloc.start()
+    try:
+        with Spill(tmp_path) as spill:
+            for _ in extract_documents("daily_mail", dump, 1, report, spill, always_english):
+                pass
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert report.docs_processed == len(ids) == 600
+    assert held == []
+    assert max(peaks) < dump.stat().st_size
 
 
 @needs_proc
@@ -305,5 +349,61 @@ def test_extract_leaves_no_spill_file_and_no_descriptor(monkeypatch, tmp_path, w
     result = runner.invoke(main, args)
     assert (result.exit_code, result.output) == (1, f"schema-error: bad {last}\n")
     assert list(tmp_path.iterdir()) == []
+    assert _open_fds() == fds
+    assert _no_child_left()
+
+
+def _cut_short(dump: Path, lines: list[bytes]) -> tuple[int, bytes]:
+    """Cut `dump` off halfway: the offset of its first line no longer whole,
+    and that line."""
+    cut = dump.stat().st_size // 2
+    os.truncate(dump, cut)
+    offset = 0
+    for line in lines:
+        if offset + len(line) > cut:
+            return offset, line
+        offset += len(line)
+    raise AssertionError("no line was cut")
+
+
+def _second_id_changed(dump: Path, lines: list[bytes]) -> tuple[int, bytes]:
+    """Give the second line another doc_id of the same length, in place:
+    its offset, and the line it was."""
+    with open(dump, "r+b") as fh:
+        fh.seek(len(lines[0]))
+        fh.write(lines[1].replace(b'"rt002"', b'"rt999"'))
+    return len(lines[0]), lines[1]
+
+
+@needs_proc
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("edit", [_cut_short, _second_id_changed], ids=["cut-short", "doc-id-changed"])
+def test_dump_edited_before_the_shards_read_it(monkeypatch, tmp_path, edit, workers):
+    dump = tmp_path / "rt.jsonl"
+    dump.write_bytes(RT_DUMP.read_bytes())
+    lines = dump.read_bytes().splitlines(keepends=True)
+    out = tmp_path / "rt.tuples"
+    args = ["extract", "--mine", "rotten_tomatoes", "--in", str(dump), "--out", str(out), "--seed", "7"]
+    runner = CliRunner()
+    assert runner.invoke(main, args).exit_code == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != dump}
+    assert sorted(before) == ["rt.tuples", "rt.tuples.report.json"]
+
+    real = Spill.run
+    edited = []
+
+    def run(self, *args, **kwargs):
+        edited.append(edit(dump, lines))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Spill, "run", run)
+    _workers(monkeypatch, workers)
+    fds = _open_fds()
+    result = runner.invoke(main, args)
+    [(offset, line)] = edited
+    assert (result.exit_code, result.output) == (1, f"integrity-error: {dump}: changed since it was read: "
+                                                    f"the {len(line)} bytes at offset {offset} no longer hold "
+                                                    f"document {json.loads(line)['doc_id']}\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p != dump} == before
     assert _open_fds() == fds
     assert _no_child_left()
