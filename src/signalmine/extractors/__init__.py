@@ -1,11 +1,10 @@
 """One streaming adapter per data mine.
 
-The runner streams each dump: it reads the file once, one line at a time,
-and decodes each line only for its `doc_id` (and, for wordnet, its
-headword). Of the first document of each id it keeps the id and where the
-line lies, and drops the document. The kept documents are dealt into shards
-that run on every CPU; each shard reads its own lines again with
-`os.pread`, decodes them, and spills its tuple lines to disk.
+The runner reads each dump once into a `shards.Lines` index, each line
+only for its `doc_id` (and, for wordnet, its headword), and keeps the line
+of the first document of each id. The kept documents are dealt into shards
+that run on every CPU; each reads its own lines again from the index and
+spills its tuple lines to disk.
 
 A shard reads every document through its mine's `FIELDS`
 (`signal_model.read`): text purified, gate text joined for the language
@@ -23,15 +22,13 @@ and any shard may do it.
 from __future__ import annotations
 
 import os
-from array import array
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
-from ..dataset_io import IntegrityError
 from ..normalizer import Detector, DetectorError, is_english, purify, trigram_detector
 from ..report import ExtractionReport
-from ..shards import Spill, earliest_failures
-from ..signal_model import FieldError, SchemaError, json_line, json_lines, read, tuple_line, validate_tuple
+from ..shards import Lines, Spill, earliest_failures
+from ..signal_model import FieldError, SchemaError, json_lines, read, tuple_line, validate_tuple
 
 from . import arxiv, daily_mail, plain_text, pwc, qa, rotten_tomatoes, wikidata, wikihow, wikipedia, wordnet
 
@@ -70,75 +67,43 @@ def document(doc: Mapping) -> tuple[str, Mapping]:
     return read(doc, DOCUMENT)["doc_id"], doc
 
 
-class _Kept:
-    """The first document of each doc_id in the dump `file` at `path`, in
-    file order: its id, and its line's offset and length in `array`s."""
+def _first_ids(lines: Lines, mine: str, report: ExtractionReport, vocabulary: set[str] | None) -> list[str]:
+    """Read the dump once (`Lines.records`), each line through `document`,
+    and keep the line of the first document of each id: the kept ids. A
+    document without an id, or with one seen before, is a skip count in
+    `report`; each document's headword goes into `vocabulary`, if given."""
+    seen: set[str] = set()
 
-    def __init__(self, path: str, file: BinaryIO):
-        self.path, self.file = path, file
-        self.ids: list[str] = []
-        self.offset = array("Q")
-        self.size = array("I")  # with its newline
+    def first(read_line) -> bool:
+        doc_id, doc = read_line
+        if vocabulary is not None:
+            # every document's headword, before the shards check any field;
+            # a null one is absent, as the shards read it
+            vocabulary.add(purify(str(doc.get("word") or "")).lower())
+        if doc_id and doc_id not in seen:
+            seen.add(doc_id)
+            return True
+        report.skip_doc(mine, "duplicate_doc_id" if doc_id else "missing_doc_id")
+        return False
 
-    def read(self, mine: str, report: ExtractionReport, vocabulary: set[str] | None) -> None:
-        """Read the file once, a line at a time, each line through
-        `document`: a line that does not decode is the `SchemaError`
-        `read_jsonl` raises for it. A document without an id, or with one
-        seen before, is a skip count in `report`; each document's headword
-        goes into `vocabulary`, if given."""
-        seen: set[str] = set()
-        offset = 0
-        for number, line in enumerate(self.file, 1):
-            read_line = json_line(line, self.path, number, document)
-            if read_line is not None:
-                doc_id, doc = read_line
-                if vocabulary is not None:
-                    # every document's headword, before the shards check
-                    # any field; a null one is absent, as the shards read it
-                    vocabulary.add(purify(str(doc.get("word") or "")).lower())
-                if not doc_id:
-                    report.skip_doc(mine, "missing_doc_id")
-                elif doc_id in seen:
-                    report.skip_doc(mine, "duplicate_doc_id")
-                else:
-                    seen.add(doc_id)
-                    self.ids.append(doc_id)
-                    self.offset.append(offset)
-                    self.size.append(len(line))
-            offset += len(line)
-
-    def document(self, position: int) -> Mapping:
-        """The document at `position`, read from the file again. A line that
-        is cut short or no longer decodes to a document of the id read there
-        is an `IntegrityError` naming the file."""
-        doc_id, size, offset = self.ids[position], self.size[position], self.offset[position]
-        line = os.pread(self.file.fileno(), size, offset)
-        try:
-            read_line = json_line(line, self.path, 0, document) if len(line) == size else None
-        except SchemaError:
-            read_line = None
-        if read_line is None or read_line[0] != doc_id:
-            raise IntegrityError(
-                f"{self.path}: changed since it was read: the {size} bytes at offset {offset} "
-                f"no longer hold document {doc_id}"
-            )
-        return read_line[1]
+    return [doc_id for doc_id, _ in lines.records(document, first)]
 
 
-def _extract_shard(mine, adapter, fields, kept: _Kept, positions, put, seed: int, detector: Detector,
-                   options: Mapping[str, object]) -> tuple[ExtractionReport, dict]:
-    """Read again, gate, extract, validate and encode the documents of
-    `kept` at `positions`, `put`ting each one's tuple lines, until one
-    raises. The shard's counts, and that failure keyed by `mine`. A field of
-    the wrong JSON type is a `FieldError` naming the document."""
+def _extract_shard(mine, adapter, fields, kept: Lines, ids: list[str], positions, put, seed: int,
+                   detector: Detector, options: Mapping[str, object]) -> tuple[ExtractionReport, dict]:
+    """Read again, gate, extract, validate and encode the documents `kept`
+    at `positions`, whose ids are `ids`, `put`ting each one's tuple lines,
+    until one raises. The shard's counts, and that failure keyed by `mine`.
+    A field of the wrong JSON type is a `FieldError` naming the document."""
     report = ExtractionReport()
     ctx = ExtractContext(seed=seed, report=report, options=options)
     for position in positions:
-        doc_id = kept.ids[position]
+        doc_id = ids[position]
         lines = []
         try:
             gate: list[str] = []
-            values = read(kept.document(position), fields, gate)
+            values = read(kept.read(position, document, lambda read_line: read_line[0] == doc_id,
+                                    f"document {doc_id}")[1], fields, gate)
             text = " ".join(gate)
             try:
                 skip = "language" if text and not is_english(text, detector) else None
@@ -189,18 +154,17 @@ def extract_documents(
     vocabulary = None
     if mine == "wordnet":
         vocabulary = options["vocabulary"] = set()
-    with open(dump, "rb") as file:
-        kept = _Kept(str(dump), file)
-        kept.read(mine, report, vocabulary)
-        report.docs_processed += len(kept.ids)
-        results = spill.run(len(kept.ids), lambda positions, put: _extract_shard(
-            mine, adapter, fields, kept, positions, put, seed, detector, options), "extract")
+    with Lines([dump]) as kept:
+        ids = _first_ids(kept, mine, report, vocabulary)
+        report.docs_processed += len(ids)
+        results = spill.run(len(ids), lambda positions, put: _extract_shard(
+            mine, adapter, fields, kept, ids, positions, put, seed, detector, options), "extract")
     failures = earliest_failures(failures for _, failures in results)
     if failures:
         raise failures[mine]
     for shard_report, _ in results:
         report.add(shard_report)
-    return map(spill.line_of, sorted(range(len(kept.ids)), key=kept.ids.__getitem__))
+    return map(spill.line_of, sorted(range(len(ids)), key=ids.__getitem__))
 
 
 def read_jsonl(path: str, build: Callable | None = None, numbered: bool = False) -> Iterator:

@@ -1,11 +1,11 @@
 """Work dealt into shards, one per CPU, each past the first in a forked child.
 
-`extract`, `mix` and `restructure` all run through a `Spill`. The caller
-builds its inputs once, and a child inherits them with the rest of the
-parent's memory. A shard `put`s each item's bytes into its own spill file
-and pickles back only where they end, and a small result of its own, such
-as its failures (`earliest_failures`); `Spill.line_of` reads an item's
-bytes back in any order.
+`extract`, `mix` and `restructure` read their inputs once into a `Lines`
+index, and a shard reads each line it needs again. They all run through a
+`Spill`: a child inherits the parent's memory, `put`s each item's bytes into
+its own spill file and pickles back only where they end, and a small result
+of its own, such as its failures (`earliest_failures`); `Spill.line_of` reads
+an item's bytes back in any order.
 """
 
 from __future__ import annotations
@@ -13,9 +13,14 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import stat
 import tempfile
 from array import array
-from typing import BinaryIO, Callable, Hashable, Iterable, Mapping, TypeVar
+from bisect import bisect_right
+from typing import BinaryIO, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
+
+from .dataset_io import IntegrityError
+from .signal_model import SchemaError, json_line
 
 Result = TypeVar("Result")
 _SPILL_BUFFER = 1 << 16  # bytes a shard buffers before it writes to its spill file
@@ -44,6 +49,69 @@ def shard_of(item: int, shards: int) -> tuple[int, int]:
     """Where a `shard_plan` of `shards` shards puts position `item`: its
     shard, and its place among that shard's positions."""
     return item % shards, item // shards
+
+
+class Lines:
+    """The lines a caller keeps of the JSON-lines files at `paths`, numbered
+    from 0 in file order: per line, its offset and its length with its
+    newline, in `array`s. `read` reads a kept line again, in any shard,
+    through the descriptor `records` opened; leaving the `with` block closes
+    every file opened."""
+
+    def __init__(self, paths: Sequence[str | os.PathLike]):
+        self.paths = [str(path) for path in paths]
+        self.files: list[BinaryIO] = []
+        self.first: list[int] = []  # per file opened, the number of its first kept line
+        self.offset = array("Q")
+        self.size = array("I")
+
+    def __enter__(self) -> "Lines":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for file in self.files:
+            file.close()
+
+    def __len__(self) -> int:
+        return len(self.offset)
+
+    def records(self, build: Callable, keep: Callable[[object], bool] | None = None) -> Iterator:
+        """Open and read each file once, a line at a time: what `json_line`
+        reads with `build` from each non-blank line that `keep` (if given)
+        keeps, after its line is kept. A path that is not a regular file,
+        such as a pipe, is refused before any is opened."""
+        for path in self.paths:
+            if not stat.S_ISREG(os.stat(path).st_mode):
+                raise OSError(f"{path}: this input is read twice, so it must be a regular file")
+        for path in self.paths:
+            file = open(path, "rb")
+            self.files.append(file)
+            self.first.append(len(self))
+            offset = 0
+            for number, line in enumerate(file, 1):
+                record = json_line(line, path, number, build)
+                if record is not None and (keep is None or keep(record)):
+                    self.offset.append(offset)
+                    self.size.append(len(line))
+                    yield record
+                offset += len(line)
+
+    def read(self, number: int, build: Callable, holds: Callable[[object], bool], what: str):
+        """Kept line `number`, read from its file again through `json_line`
+        with `build`. A line cut short, or one that no longer reads as a
+        record that `holds`, is an `IntegrityError` naming the file and
+        `what` the line held."""
+        file = bisect_right(self.first, number) - 1
+        size, offset = self.size[number], self.offset[number]
+        line = os.pread(self.files[file].fileno(), size, offset)
+        try:
+            record = json_line(line, self.paths[file], 0, build) if len(line) == size else None
+        except SchemaError:
+            record = None
+        if record is None or not holds(record):
+            raise IntegrityError(f"{self.paths[file]}: changed since it was read: the {size} bytes at offset "
+                                 f"{offset} no longer hold {what}")
+        return record
 
 
 class Spill:

@@ -54,10 +54,12 @@ def json_line(line: str | bytes, name: str, number: int, build: Callable | None 
     of it, or None if the line is blank. A line that is not UTF-8, not JSON,
     not an object or not encodable as UTF-8, or a `FieldError` of `build`,
     is one `SchemaError` naming `name` and `number`, the line's 1-based
-    number."""
+    number. One trailing newline is dropped first, so a decoder's position
+    lies within the line."""
     try:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
+        line = line.removesuffix("\n")
         if not line.strip():
             return None
         rec = _loads(line)

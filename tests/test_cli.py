@@ -951,6 +951,38 @@ def test_bad_input_file_is_one_schema_error_line(runner, tmp_path, option, fault
     assert result.output.count("\n") == 1
 
 
+@pytest.mark.parametrize("option", ["extract --in", "evaluate --data", "mix --tuples"])
+def test_a_decoder_position_lies_within_the_line(runner, tmp_path, option):
+    """Every line reader drops the newline before it decodes, so the JSON
+    decoder's line, column and character count within the line."""
+    args, path = _file_option_run(runner, tmp_path, option)
+    path.write_bytes(b'{"doc_id": "a", "review": "x"\n')
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.output) == (1, f"schema-error: {path}:1: not a JSON record: "
+                                                    "Expecting ',' delimiter: line 1 column 30 (char 29)\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("option", ["extract --in", "mix --tuples", "restructure --tuples"])
+def test_a_pipe_is_refused_at_once_for_an_input_read_twice(runner, tmp_path, option):
+    """A FIFO with no writer is refused before it is opened, not waited on;
+    the subprocess's timeout fails a command that opens it."""
+    import subprocess
+    import sys
+
+    import signalmine
+
+    args, path = _file_option_run(runner, tmp_path, option)
+    os.mkfifo(path)
+    src = str(Path(signalmine.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, "-m", "signalmine.cli", *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, f"io-error: {path}: this input is read twice, "
+                                                 "so it must be a regular file\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["input"]
+
+
 # one value of each JSON type
 _OF_JSON_TYPE = {"string": "x", "integer": 7, "number": 1.5, "bool": True, "list": [], "object": {}, "null": None}
 _EXPECTED = {float: "a number", int: "an integer", bool: "true or false"}
